@@ -11,7 +11,8 @@
 //	-sets N     task sets per data point (default: scaled-down defaults)
 //	-horizon H  slots simulated per set in the Figure 2 measurement
 //	-full       use the paper's full protocol (1000 sets/point, 10⁶-slot
-//	            horizons) — hours of CPU serially, divided by -workers
+//	            horizons) — fig3/fig4 take about a minute of CPU, fig2a/
+//	            fig2b hours serially; both divide by -workers
 //	-seed S     base RNG seed
 //	-workers N  goroutines per sweep (default: one per CPU; 1 = the old
 //	            serial harness). Output is byte-identical for any value.
@@ -25,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	rtrace "runtime/trace"
@@ -145,22 +147,28 @@ func main() {
 	run("fig2b", func() {
 		experiments.RenderFig2b(os.Stdout, experiments.Fig2b(f2))
 	})
-	runFig34 := func(fig4 bool) {
-		if *measured {
-			models := experiments.MeasureCostModels(f2)
-			f3.Models = &models
-			fmt.Printf("# measured cost models: S_EDF(n)=%.2f+%.4f·n  S_PD2(m,n)=%.2f+%.4f·n+%.2f·(m−1) µs\n",
-				models.EDFBase, models.EDFPerTask, models.PD2Base, models.PD2PerTask, models.PD2PerProc)
+	// Figures 3 and 4 are two renderings of one sweep: `all` computes it
+	// (and, with -measured, the cost models) once, for whichever of the
+	// two runs first.
+	var (
+		fig34      map[int][]experiments.Fig3Point
+		modelsLine string
+	)
+	runFig34 := func(render func(io.Writer, []int, map[int][]experiments.Fig3Point)) {
+		if fig34 == nil {
+			if *measured {
+				models := experiments.MeasureCostModels(f2)
+				f3.Models = &models
+				modelsLine = fmt.Sprintf("# measured cost models: S_EDF(n)=%.2f+%.4f·n  S_PD2(m,n)=%.2f+%.4f·n+%.2f·(m−1) µs\n",
+					models.EDFBase, models.EDFPerTask, models.PD2Base, models.PD2PerTask, models.PD2PerProc)
+			}
+			fig34 = experiments.Fig3(f3)
 		}
-		data := experiments.Fig3(f3)
-		if fig4 {
-			experiments.RenderFig4(os.Stdout, f3.Ns, data)
-		} else {
-			experiments.RenderFig3(os.Stdout, f3.Ns, data)
-		}
+		fmt.Print(modelsLine)
+		render(os.Stdout, f3.Ns, fig34)
 	}
-	run("fig3", func() { runFig34(false) })
-	run("fig4", func() { runFig34(true) })
+	run("fig3", func() { runFig34(experiments.RenderFig3) })
+	run("fig4", func() { runFig34(experiments.RenderFig4) })
 	run("fig5", func() {
 		experiments.RenderFig5(os.Stdout, experiments.Fig5Workers(90, *workers))
 	})

@@ -1,10 +1,12 @@
 package overhead
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"pfair/internal/partition"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 	"pfair/internal/taskgen"
@@ -332,5 +334,118 @@ func TestMinProcsPD2GrowingS(t *testing.T) {
 	s := p.SchedPD2(res.Processors, len(set))
 	if s <= 2 {
 		t.Fatal("model not exercised")
+	}
+}
+
+// referenceEDFFF is the direct reading of Section 4's EDF-FF analysis,
+// kept as the oracle for MinProcsEDFFF: first fit through partition.Pack
+// with an acceptance test that re-inflates every task of the processor,
+// O(k²) per probe, then a final pass summing the inflated utilization of
+// the finished assignment. It also returns that exact sum.
+func referenceEDFFF(set task.Set, p Params) (Result, *rational.Acc) {
+	res := Result{BaseUtil: set.TotalUtilization()}
+	maxDOf := func(t *task.Task, proc task.Set) int64 {
+		maxD := int64(0)
+		for _, u := range proc {
+			if u.Period > t.Period {
+				maxD = max(maxD, p.CacheDelay(u))
+			}
+		}
+		return maxD
+	}
+	accept := func(assigned task.Set, cand *task.Task) bool {
+		total := rational.NewAcc()
+		all := append(assigned.Clone(), cand)
+		for _, t := range all {
+			infl := InflateEDF(t.Cost, p, maxDOf(t, all))
+			if infl > t.Period {
+				return false
+			}
+			total.Add(rational.New(infl, t.Period))
+		}
+		return total.CmpInt(1) <= 0
+	}
+	a := partition.Pack(set.SortByPeriodDecreasing(), 0, partition.FirstFit, accept)
+	if !a.OK() {
+		return Result{Processors: -1, BaseUtil: res.BaseUtil}, nil
+	}
+	res.Processors = a.NumUsed()
+	util := rational.NewAcc()
+	for _, proc := range a.Processors {
+		for _, t := range proc {
+			util.Add(rational.New(InflateEDF(t.Cost, p, maxDOf(t, proc)), t.Period))
+		}
+	}
+	res.InflatedUtil = util.Float()
+	return res, util
+}
+
+// TestMinProcsEDFFFMatchesReference checks the O(1)-per-probe EDF-FF
+// against referenceEDFFF on random sets of four kinds: the Figure 3/4
+// period menu; co-prime periods, whose exact sums outgrow int64 so
+// rational.Acc spills to math/big; many tasks sharing two periods, so
+// equal-period ties decide maxD; and sets with a task whose inflated cost
+// exceeds its period on any processor. Processor counts must match and
+// InflatedUtil must match bit for bit.
+func TestMinProcsEDFFFMatchesReference(t *testing.T) {
+	fig3Menu := []int64{50000, 100000, 200000, 250000, 500000, 1000000}
+	primes := []int64{99991, 99989, 99971, 99961, 99929, 99923, 99907, 99901, 99881, 99877, 99871, 99859}
+	shared := []int64{100000, 200000}
+	type kind struct {
+		name  string
+		menu  []int64
+		n     func(r *rand.Rand) int
+		hog   bool // append a task that fits no processor
+		spill bool // the exact inflated sum should overflow int64
+	}
+	kinds := []kind{
+		{name: "fig3-menu", menu: fig3Menu, n: func(r *rand.Rand) int { return 5 + r.Intn(120) }},
+		{name: "coprime", menu: primes, n: func(r *rand.Rand) int { return 20 + r.Intn(60) }, spill: true},
+		{name: "shared-period", menu: shared, n: func(r *rand.Rand) int { return 50 + r.Intn(150) }},
+		{name: "unplaceable", menu: fig3Menu, n: func(r *rand.Rand) int { return 5 + r.Intn(60) }, hog: true},
+	}
+	for ki, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(ki + 1)))
+			spilled := 0
+			const sets = 150
+			for i := 0; i < sets; i++ {
+				g := taskgen.New(r.Int63())
+				n := k.n(r)
+				target := float64(n) * (1.0/30 + r.Float64()*(1.0/3-1.0/30))
+				set, err := g.SetCapped("T", n, target, 0.9, k.menu)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k.hog {
+					per := k.menu[r.Intn(len(k.menu))]
+					hog := task.MustNew("hog", per-int64(r.Intn(12)), per) // inflation adds ≥ 12
+					at := r.Intn(len(set) + 1)
+					set = append(set[:at], append(task.Set{hog}, set[at:]...)...)
+				}
+				delays := g.CacheDelays(set, 100)
+				p := paperParams(0)
+				p.SchedEDF = 1 + r.Int63n(3)
+				p.CacheDelay = func(t *task.Task) int64 { return delays[t.Name] }
+
+				got := MinProcsEDFFF(set, p)
+				want, util := referenceEDFFF(set, p)
+				if got.Processors != want.Processors || got.BaseUtil != want.BaseUtil ||
+					math.Float64bits(got.InflatedUtil) != math.Float64bits(want.InflatedUtil) {
+					t.Fatalf("set %d (n=%d): got %+v, reference %+v", i, len(set), got, want)
+				}
+				if k.hog && got.Processors != -1 {
+					t.Fatalf("set %d: a task with cost near its period was placed: %+v", i, got)
+				}
+				if util != nil {
+					if _, fits := util.Rat(); !fits {
+						spilled++
+					}
+				}
+			}
+			if k.spill && spilled < sets/2 {
+				t.Errorf("only %d of %d co-prime sets overflowed int64; the big path is untested", spilled, sets)
+			}
+		})
 	}
 }

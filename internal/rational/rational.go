@@ -16,10 +16,17 @@
 // exactly. Only a result that is out of int64 range even in lowest terms
 // panics: long-horizon lag accumulations stay exact, and a panic signals a
 // genuinely unrepresentable value rather than an unlucky intermediate.
+//
+// Acc holds sums across a whole task set, whose denominators can outgrow
+// int64. It keeps its value as a Rat and runs the same checked int64
+// arithmetic, allocation-free, for as long as the value fits; the first
+// operation that would overflow moves the value to math/big, where it
+// stays exact. Which representation is live never shows in a result.
 package rational
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 )
@@ -78,18 +85,39 @@ func (r Rat) normalized() Rat {
 
 // Add returns r + s.
 func (r Rat) Add(s Rat) Rat {
+	if sum, ok := addChecked(r, s); ok {
+		return sum
+	}
+	return bigFallback(r.normalized(), s.normalized(), (*big.Rat).Add)
+}
+
+// addChecked returns r + s computed in int64, or ok=false when an
+// intermediate overflows or the numerator lands on math.MinInt64 (whose
+// magnitude abs, and so gcd, cannot represent).
+func addChecked(r, s Rat) (Rat, bool) {
 	r, s = r.normalized(), s.normalized()
 	// r.num/r.den + s.num/s.den over the lcm denominator.
 	g := gcd(r.den, s.den)
 	ld, ok1 := mulOK(r.den/g, s.den)
 	a, ok2 := mulOK(r.num, s.den/g)
 	b, ok3 := mulOK(s.num, r.den/g)
-	if ok1 && ok2 && ok3 {
-		if sum, ok := addOK(a, b); ok {
-			return New(sum, ld)
-		}
+	if !ok1 || !ok2 || !ok3 {
+		return Rat{}, false
 	}
-	return bigFallback(r, s, (*big.Rat).Add)
+	sum, ok := addOK(a, b)
+	if !ok || sum == math.MinInt64 {
+		return Rat{}, false
+	}
+	return New(sum, ld), true
+}
+
+// subChecked returns r − s like addChecked.
+func subChecked(r, s Rat) (Rat, bool) {
+	s = s.normalized()
+	if s.num == math.MinInt64 {
+		return Rat{}, false
+	}
+	return addChecked(r, Rat{-s.num, s.den})
 }
 
 // Sub returns r − s.
@@ -100,16 +128,29 @@ func (r Rat) Neg() Rat { r = r.normalized(); return Rat{-r.num, r.den} }
 
 // Mul returns r · s.
 func (r Rat) Mul(s Rat) Rat {
+	if p, ok := mulChecked(r, s); ok {
+		return p
+	}
+	return bigFallback(r.normalized(), s.normalized(), (*big.Rat).Mul)
+}
+
+// mulChecked returns r · s computed in int64, or ok=false when an operand
+// or the product's numerator is math.MinInt64 or an intermediate
+// overflows.
+func mulChecked(r, s Rat) (Rat, bool) {
 	r, s = r.normalized(), s.normalized()
+	if r.num == math.MinInt64 || s.num == math.MinInt64 {
+		return Rat{}, false
+	}
 	// Cross-reduce before multiplying to keep intermediates small.
 	g1 := gcd(abs(r.num), s.den)
 	g2 := gcd(abs(s.num), r.den)
 	num, ok1 := mulOK(r.num/g1, s.num/g2)
 	den, ok2 := mulOK(r.den/g2, s.den/g1)
-	if ok1 && ok2 {
-		return New(num, den)
+	if !ok1 || !ok2 || num == math.MinInt64 {
+		return Rat{}, false
 	}
-	return bigFallback(r, s, (*big.Rat).Mul)
+	return New(num, den), true
 }
 
 // MulInt returns r · n.
@@ -202,8 +243,11 @@ func (r Rat) Ceil() int64 {
 
 // Float returns the nearest float64 (for reporting only — never used in
 // scheduling decisions).
-func (r Rat) Float() float64 {
-	r = r.normalized()
+func (r Rat) Float() float64 { return quoFloat(r.normalized()) }
+
+// quoFloat is the one float conversion behind both reporting bridges,
+// Rat.Float and Acc.Float's int64 path: num/den in one IEEE division.
+func quoFloat(r Rat) float64 {
 	//pfair:allowfloat the sanctioned reporting bridge itself; ratfloat polices its callers
 	return float64(r.num) / float64(r.den)
 }

@@ -91,7 +91,7 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 		return opts.Offsets[name](i)
 	}
 
-	next := make(map[string]int64, len(set))      // expected next subtask
+	next := make(map[string]int64, len(set))     // expected next subtask
 	seqBroken := make(map[string]bool, len(set)) // sequence error already reported
 	alloc := make(map[string]int64, len(set))
 	for _, t := range set {
