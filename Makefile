@@ -34,8 +34,8 @@ race:
 bench:
 	sh scripts/bench.sh BENCH_core.json
 
-# bench-scale runs the million-task scale benchmarks (sharded ready
-# queues, supertask hierarchy) at a fixed iteration count and writes
+# bench-scale runs the million-task scale benchmarks (PD² on one ready
+# queue, supertask hierarchy) at a fixed iteration count and writes
 # BENCH_scale.json with slots/s throughput alongside ns/op. Three
 # repeats, pinning the slowest: these benchmarks are bimodal on
 # single-CPU boxes (~2.5x fast vs slow mode, DESIGN.md §10), and a
@@ -59,7 +59,7 @@ bench-guard-scale:
 	BENCH_GUARD_THRESHOLD=$${BENCH_GUARD_THRESHOLD:-100} sh scripts/bench_guard.sh BENCH_scale.json 'BenchmarkScale' 500x 4
 
 # fuzz runs the differential scheduling oracle: 150 task systems per kind
-# (1350 total) across every scheduler pairing, with shrunken reproducers
+# (1200 total) across every scheduler pairing, with shrunken reproducers
 # and replay keys on failure. See EXPERIMENTS.md for replaying seeds.
 fuzz:
 	$(GO) run ./cmd/fuzz -n 150 -seed 1
@@ -70,9 +70,9 @@ fuzz-short:
 
 # smoke exercises the observability layer end to end: pfairsim -trace on
 # the quickstart and EPDF-counterexample sets validated by tracecheck
-# and explained by pfairtrace, shard telemetry exposition, plus the
-# observed and profiled hot-path allocation benchmarks. See DESIGN.md
-# §7 and §12.
+# and explained by pfairtrace, PD² tie-break counters checked against
+# the traced tie-break events, plus the observed and profiled hot-path
+# allocation benchmarks. See DESIGN.md §7 and §12.
 smoke:
 	sh scripts/smoke.sh
 

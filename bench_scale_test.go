@@ -1,5 +1,5 @@
-// Scale benchmarks: the shard tier's reason to exist. Where bench_test.go
-// reproduces the paper's figures (hundreds of tasks), these push the slot
+// Scale benchmarks. Where bench_test.go reproduces the paper's figures
+// (hundreds of tasks), these push the slot
 // hot path to a million tasks on a 64-processor machine and report
 // throughput as slots/s alongside ns/op. scripts/bench.sh picks the
 // metric up into BENCH_scale.json, and scripts/bench_guard.sh gates
@@ -37,33 +37,31 @@ func scaleSet(prefix string, n int, periods []int64) task.Set {
 }
 
 // BenchmarkScalePD2 measures PD²'s per-slot cost with 2^20 tasks on 64
-// processors, single-queue versus one ready shard per CPU. One op is one
-// slot: release the due subtasks, pick 64, dispatch, advance.
+// processors. One op is one slot: release the due subtasks, pick 64,
+// dispatch, advance.
 func BenchmarkScalePD2(b *testing.B) {
 	const m = 64
 	const n = 1 << 20
-	for _, shards := range []int{1, m} {
-		b.Run(fmt.Sprintf("M=%d,tasks=%d,shards=%d", m, n, shards), func(b *testing.B) {
-			set := scaleSet("T", n, scalePeriods)
-			s := core.NewScheduler(m, core.PD2, core.Options{Shards: shards})
-			for _, t := range set {
-				if err := s.Join(t); err != nil {
-					b.Fatalf("join %s: %v", t.Name, err)
-				}
+	b.Run(fmt.Sprintf("M=%d,tasks=%d", m, n), func(b *testing.B) {
+		set := scaleSet("T", n, scalePeriods)
+		s := core.NewScheduler(m, core.PD2, core.Options{})
+		for _, t := range set {
+			if err := s.Join(t); err != nil {
+				b.Fatalf("join %s: %v", t.Name, err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "slots/s")
-		})
-	}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Step()
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "slots/s")
+	})
 }
 
 // BenchmarkScaleSupertask measures the §5.5 hierarchy at scale: 2^16
 // components collapsed into ~weight-1 supertasks, so the global PD² tier
-// (sharded per CPU) arbitrates only among the collapsed heads while the
+// arbitrates only among the collapsed heads while the
 // per-supertask EDF tier serves the components. The component count stays
 // at 2^16 because the system's per-slot deadline sweep is linear in
 // components — which is exactly the motivation for collapsing before the
@@ -72,15 +70,15 @@ func BenchmarkScaleSupertask(b *testing.B) {
 	const m = 16
 	const n = 1 << 16
 	// Quarter-scale periods: heavier components, so the collapse yields
-	// enough ~weight-1 supertasks (≈11) to occupy the shard tier.
+	// enough ~weight-1 supertasks (≈11) to occupy the processors.
 	periods := []int64{4096, 6144, 8192, 12288}
-	b.Run(fmt.Sprintf("M=%d,comps=%d,shards=%d", m, n, m), func(b *testing.B) {
+	b.Run(fmt.Sprintf("M=%d,comps=%d", m, n), func(b *testing.B) {
 		set := scaleSet("c", n, periods)
 		groups, err := supertask.Collapse("S", set, true)
 		if err != nil {
 			b.Fatalf("collapse: %v", err)
 		}
-		sys := supertask.NewSystemWith(m, core.PD2, core.Options{Shards: m})
+		sys := supertask.NewSystem(m, core.PD2)
 		for _, g := range groups {
 			if err := sys.AddSupertask(g, true); err != nil {
 				b.Fatalf("add %s: %v", g.Name, err)

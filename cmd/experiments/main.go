@@ -45,7 +45,6 @@ func main() {
 	measured := flag.Bool("measured", false, "fig3/fig4: measure scheduling costs on this machine first (the paper's methodology) instead of the calibrated default models")
 	gotrace := flag.String("gotrace", "", "write a runtime/trace of the run to this file (one region per figure)")
 	metrics := flag.Bool("metrics", false, "print per-figure wall-time and allocation summaries to stderr")
-	shards := flag.Int("shards", 0, "fig2/phases: ready-queue shards per scheduler (0 or 1 = single queue; schedules are identical, only the measured cost moves)")
 	every := flag.Int64("every", 0, "phases: profile one engine step in every N (0 = default)")
 	flag.Parse()
 
@@ -93,7 +92,6 @@ func main() {
 	f2.Workers = *workers
 	f3.Workers = *workers
 	qs.Workers = *workers
-	f2.Shards = *shards
 
 	// Each figure sweep runs inside a runtime/trace region (visible in
 	// `go tool trace` when -gotrace is set) and, with -metrics, reports a
@@ -216,7 +214,6 @@ func main() {
 		if *every > 0 {
 			pc.Every = *every
 		}
-		pc.Shards = *shards
 		experiments.RenderPhases(os.Stdout, pc, experiments.Phases(pc))
 	})
 }

@@ -29,7 +29,7 @@ func main() {
 		n        = flag.Int64("n", 150, "cases to generate per kind")
 		seed     = flag.Int64("seed", 1, "campaign base seed")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all cores)")
-		kindsArg = flag.String("kinds", "", "comma-separated kinds (default all: fullutil,epdf,edf,rm,partition,dynamic,is,shard)")
+		kindsArg = flag.String("kinds", "", "comma-separated kinds (default all: fullutil,epdf,edf,rm,partition,dynamic,is,dynplane)")
 		mutArg   = flag.String("mutant", "", "fault injection: substitute pd2-nobbit or epdf for PD²")
 		replay   = flag.String("replay", "", "re-run a single case by its kind/seed/trial key")
 		noShrink = flag.Bool("no-shrink", false, "skip reproducer minimization")

@@ -24,8 +24,7 @@
 //	-metrics        print a Prometheus-text metrics snapshot after the run
 //	-taskstats      print a per-task accounting table (dispatches,
 //	                preemptions, migrations, response times, tardiness,
-//	                exact lag extrema); implies the trace recorder, so the
-//	                run uses the event-narrating legacy ready queue
+//	                exact lag extrema); implies the trace recorder
 //	-phaseprof K    profile engine phase costs on every K-th step and
 //	                print the per-phase table after the run (0 = off)
 //	-ring N         trace ring capacity in events (default 65536; the ring
@@ -61,7 +60,6 @@ func main() {
 	m := flag.Int("m", 1, "number of processors")
 	algName := flag.String("alg", "pd2", "scheduling algorithm: pd2|pd|pf|epdf")
 	er := flag.Bool("er", false, "early-release (ERfair) eligibility")
-	shards := flag.Int("shards", 0, "ready-queue shards (0 or 1 = single queue; schedules are identical for every value)")
 	slots := flag.Int64("slots", 0, "slots to simulate (0 = two hyperperiods)")
 	windows := flag.Bool("windows", false, "print subtask windows per task")
 	tracePath := flag.String("trace", "", "write Chrome trace-event JSON (Perfetto-loadable) to this file")
@@ -80,7 +78,6 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { seen[f.Name] = true })
 	if err := validateFlags(flagConfig{
 		m:            *m,
-		shards:       *shards,
 		slots:        *slots,
 		phaseprof:    *phaseprof,
 		ringCap:      *ringCap,
@@ -163,14 +160,13 @@ func main() {
 		prof = obs.NewPhaseProfiler(nil, *phaseprof)
 		engOpts = append(engOpts, engine.WithProfiler(prof))
 	}
-	s := core.NewScheduler(*m, alg, core.Options{EarlyRelease: *er, Shards: *shards}, engOpts...)
+	s := core.NewScheduler(*m, alg, core.Options{EarlyRelease: *er}, engOpts...)
 	rec := trace.NewRecorder()
 	s.OnSlot(rec.Record)
 
 	// Attach the observability layer only when some consumer asked for it:
 	// unobserved runs keep the nil-recorder fast path. -taskstats needs the
-	// event stream, so it implies the recorder (and hence the legacy,
-	// event-narrating ready queue).
+	// event stream, so it implies the recorder.
 	var orec *obs.Recorder
 	var met *obs.SchedulerMetrics
 	var acct *obs.Accounting
@@ -255,15 +251,7 @@ func main() {
 		if err != nil {
 			fatal("trace: %v", err)
 		}
-		extra := map[string]any{"alg": alg.String(), "m": *m, "shards": *shards}
-		// Only meaningful when the shard tier actually served picks: a
-		// traced run uses the legacy ready queue (the recorder forces it),
-		// so the counters cover at most the pre-attach prefix.
-		if sst, ok := s.ShardStats(); ok && sst.LocalHits+sst.Steals > 0 {
-			extra["shardLocalHits"] = sst.LocalHits
-			extra["shardSteals"] = sst.Steals
-			extra["shardUnderflows"] = sst.Underflows
-		}
+		extra := map[string]any{"alg": alg.String(), "m": *m}
 		opt := obs.ChromeTraceOptions{SlotMicros: *slotMicros, Procs: *m, Extra: extra}
 		if err := obs.WriteChromeTrace(f, orec, opt); err != nil {
 			fatal("trace: %v", err)
@@ -332,7 +320,6 @@ func main() {
 // was never requested.
 type flagConfig struct {
 	m            int
-	shards       int
 	slots        int64
 	phaseprof    int64
 	ringCap      int
@@ -350,9 +337,6 @@ type flagConfig struct {
 func validateFlags(c flagConfig) error {
 	if c.m < 1 {
 		return fmt.Errorf("-m %d: need at least one processor", c.m)
-	}
-	if c.shards < 0 {
-		return fmt.Errorf("-shards %d: shard count cannot be negative (0 or 1 = single queue)", c.shards)
 	}
 	if c.slots < 0 {
 		return fmt.Errorf("-slots %d: slot count cannot be negative (0 = two hyperperiods)", c.slots)

@@ -29,7 +29,6 @@ func TestValidateFlags(t *testing.T) {
 		mut  func(*flagConfig)
 	}{
 		{"zero processors", func(c *flagConfig) { c.m = 0 }},
-		{"negative shards", func(c *flagConfig) { c.shards = -1 }},
 		{"negative slots", func(c *flagConfig) { c.slots = -10 }},
 		{"negative phaseprof", func(c *flagConfig) { c.phaseprof = -4 }},
 		{"zero ring", func(c *flagConfig) { c.ringCap = 0 }},

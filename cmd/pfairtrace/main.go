@@ -1,9 +1,9 @@
 // Command pfairtrace is the offline forensics companion to pfairsim's
 // -trace output: it reads a Chrome trace-event JSON file written by
 // obs.WriteChromeTrace and reconstructs the scheduling story it encodes —
-// per-task accounting, the CPU×CPU migration flow, shard steal totals,
-// and a root-cause window around every deadline miss, with the PD²
-// tie-break decisions that shaped it narrated inline.
+// per-task accounting, the CPU×CPU migration flow, and a root-cause
+// window around every deadline miss, with the PD² tie-break decisions
+// that shaped it narrated inline.
 //
 // Usage:
 //
@@ -268,14 +268,6 @@ type RingReport struct {
 	DroppedEvents  int64 `json:"droppedEvents"`
 }
 
-// ShardReport carries the run's work-stealing totals when the trace was
-// written by a sharded run (absent otherwise).
-type ShardReport struct {
-	LocalHits  int64 `json:"localHits"`
-	Steals     int64 `json:"steals"`
-	Underflows int64 `json:"underflows"`
-}
-
 // TieNote reconstructs one deadline tie near a miss: which subtasks
 // shared the deadline, their b-bits and group deadlines (computed from
 // each task's Pfair window pattern), and the rule PD² would apply. For a
@@ -319,7 +311,6 @@ type Report struct {
 	Slots      int64           `json:"slots"`
 	Tasks      []obs.TaskStats `json:"tasks"`
 	Migrations [][]int64       `json:"migrationMatrix"`
-	Shard      *ShardReport    `json:"shard,omitempty"`
 	Churn      *ChurnReport    `json:"churn,omitempty"`
 	Misses     []MissWindow    `json:"misses"`
 }
@@ -392,15 +383,6 @@ func buildReport(td *traceData, k int64) (*Report, error) {
 
 		Migrations: matrix,
 		Misses:     []MissWindow{},
-	}
-	if td.other != nil {
-		if _, ok := td.other["shardLocalHits"]; ok {
-			rep.Shard = &ShardReport{
-				LocalHits:  num(td.other, "shardLocalHits"),
-				Steals:     num(td.other, "shardSteals"),
-				Underflows: num(td.other, "shardUnderflows"),
-			}
-		}
 	}
 	// Window patterns for tie reconstruction, keyed by task id, built
 	// lazily from the cost/period the join events carry.
@@ -558,12 +540,6 @@ func renderHuman(w io.Writer, rep *Report) error {
 		}
 	}
 
-	if rep.Shard != nil {
-		total := rep.Shard.LocalHits + rep.Shard.Steals
-		fmt.Fprintf(w, "\nshard affinity: %d picks, %d local (%s), %d stolen, %d underflow steals\n",
-			total, rep.Shard.LocalHits, pct(rep.Shard.LocalHits, total), rep.Shard.Steals, rep.Shard.Underflows)
-	}
-
 	if rep.Churn != nil {
 		fmt.Fprintf(w, "\ndynamic-task churn: %d joins, %d leaves, %d reweights\n",
 			rep.Churn.Joins, rep.Churn.Leaves, rep.Churn.Reweights)
@@ -592,11 +568,4 @@ func renderHuman(w io.Writer, rep *Report) error {
 		}
 	}
 	return nil
-}
-
-func pct(part, total int64) string {
-	if total == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%d%%", 100*part/total)
 }

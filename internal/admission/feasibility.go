@@ -74,21 +74,3 @@ func Hyperbolic(set task.Set, add *task.Task) error {
 	}
 	return nil
 }
-
-// globalEDF is the registered exact global-EDF schedulability test (the
-// Goossens–Meumeu Yomsi test of PAPERS.md), nil until a higher layer
-// provides one. The hook exists so a future exact test can gate
-// admission for a global-EDF policy without this package importing it.
-var globalEDF func(set task.Set, m int) bool
-
-// RegisterGlobalEDFTest installs the exact global-EDF schedulability
-// test the plane consults through GlobalEDFTest. Intended to be called
-// once from an init function of the package implementing the test.
-func RegisterGlobalEDFTest(fn func(set task.Set, m int) bool) { globalEDF = fn }
-
-// GlobalEDFTest returns the registered exact global-EDF test, or ok =
-// false when none is installed — callers fall back to the utilization
-// bound in that case.
-func GlobalEDFTest() (fn func(set task.Set, m int) bool, ok bool) {
-	return globalEDF, globalEDF != nil
-}

@@ -600,9 +600,9 @@ func (q *MinQueue[T]) PopMin() T {
 
 // PeekMin returns the minimum entry under (key, less) and its key
 // without removing it, or ok=false when the queue is empty. It performs
-// the same bucket probe as PopMin but no heap surgery, so sharded
-// consumers (internal/shard) can run a head tournament across queues and
-// pop only the winner.
+// the same bucket probe as PopMin but no heap surgery, so a consumer can
+// inspect the best remaining entry (core narrates its selection boundary
+// against it) without disturbing the queue.
 //
 //pfair:hotpath
 func (q *MinQueue[T]) PeekMin() (v T, key int64, ok bool) {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,14 +12,10 @@ import (
 	"pfair/internal/task"
 )
 
-// This file pins the tentpole equivalence claim of the bucketed hot path:
-// the calq-backed fast mode (pending wheel + deadline-bucketed ready
-// queue + incremental priority keys) produces bit-for-bit the schedule of
-// the legacy representation (pending wheel + binary ready heap), because
-// the priority order is total. Attaching a trace recorder is the
-// sanctioned way to force legacy mode — updateMode keeps the heap
-// whenever a recorder is on so its comparator can narrate tie-breaks as
-// events. Metrics-only runs stay fast: cmpFast counts without a heap.
+// This file pins the ready queue against an oracle: in every slot Pick
+// must select exactly the first m live eligible subtasks under the
+// priority order less, in that order. It also pins that observing a run
+// (recorder and metrics attached) changes nothing it schedules.
 
 // assignString flattens one slot's assignment vector; processor order is
 // part of the schedule, so it is kept.
@@ -30,36 +28,94 @@ func assignString(t int64, assigned []Assignment) string {
 	return b.String()
 }
 
-// scheduleOf runs one scheduler over the set and returns the per-slot
-// assignment stream.
-func scheduleOf(t *testing.T, alg Algorithm, m int, set task.Set, horizon int64, legacy bool) []string {
+// topM returns the subtasks the oracle expects slot t to select: every
+// live task whose current subtask is eligible at t, sorted by less,
+// truncated to m.
+func topM(s *Scheduler, t int64) []*tstate {
+	var elig []*tstate
+	for _, st := range s.order {
+		if !st.departed && st.elig <= t {
+			elig = append(elig, st)
+		}
+	}
+	sort.Slice(elig, func(i, j int) bool { return less(s.alg, &elig[i].pr, &elig[j].pr) })
+	if len(elig) > s.m {
+		elig = elig[:s.m]
+	}
+	return elig
+}
+
+// leaveDue reports whether a departure takes effect at slot t. Such a
+// slot's eligible set changes inside Step (ApplyLeaves), after the
+// oracle has looked, so the oracle skips it.
+func leaveDue(s *Scheduler, t int64) bool {
+	for _, st := range s.leaves {
+		if st.leaveAt <= t {
+			return true
+		}
+	}
+	return false
+}
+
+// runTopM steps s to horizon, checking every slot's selection against
+// topM, and returns the assignment stream. churn, if non-nil, runs
+// before each slot to apply the scenario's dynamic operations.
+func runTopM(t *testing.T, s *Scheduler, horizon int64, churn func(now int64)) []string {
 	t.Helper()
-	s := NewScheduler(m, alg, Options{})
-	if legacy {
-		s.Observe(obs.NewRecorder(1<<12), nil)
-		if s.fast {
-			t.Fatal("recorder attached but scheduler still in fast mode")
-		}
-	} else if !s.fast {
-		t.Fatal("unobserved scheduler not in fast mode")
-	}
 	var got []string
-	s.OnSlot(func(tt int64, assigned []Assignment) {
-		got = append(got, assignString(tt, assigned))
-	})
-	for _, tk := range set {
-		if err := s.Join(tk); err != nil {
-			t.Fatalf("join %v: %v", tk, err)
+	for s.Now() < horizon {
+		now := s.Now()
+		if churn != nil {
+			churn(now)
+		}
+		var want []*tstate
+		check := !leaveDue(s, now)
+		if check {
+			want = topM(s, now)
+		}
+		got = append(got, assignString(now, s.Step()))
+		if check && !samePick(s.selBuf, want) {
+			t.Fatalf("slot %d: Pick selected %s, oracle wants %s", now, names(s.selBuf), names(want))
 		}
 	}
-	s.RunUntil(horizon)
 	return got
 }
 
-// TestFastModeMatchesLegacy fuzzes task sets under every algorithm and
-// requires the fast-mode and legacy-mode assignment streams to be
-// identical, slot for slot, processor for processor.
-func TestFastModeMatchesLegacy(t *testing.T) {
+// samePick reports whether got and want hold the same subtasks in the
+// same order.
+func samePick(got, want []*tstate) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// names renders a selection as its task names, for failure messages.
+func names(sts []*tstate) string {
+	var b strings.Builder
+	for _, st := range sts {
+		fmt.Fprintf(&b, " %s", st.task.Name)
+	}
+	return "[" + strings.TrimSpace(b.String()) + "]"
+}
+
+// observeAll attaches a recorder and metrics block when observed.
+func observeAll(s *Scheduler, observed bool) {
+	if observed {
+		s.Observe(obs.NewRecorder(1<<12), obs.NewSchedulerMetrics(nil))
+	}
+}
+
+// TestPickIsTopM fuzzes task sets under every algorithm, plus a churn
+// script of leaves, joins, and a reweight, and requires each slot's
+// selection to be the oracle's top m. Each case runs unobserved and
+// observed; the two must produce the same assignment stream and Stats.
+func TestPickIsTopM(t *testing.T) {
 	algs := []Algorithm{PD2, PD, PF, EPDF, PD2NoBBit}
 	for _, alg := range algs {
 		alg := alg
@@ -75,63 +131,68 @@ func TestFastModeMatchesLegacy(t *testing.T) {
 				if horizon > 2000 {
 					horizon = 2000
 				}
-				fast := scheduleOf(t, alg, m, set, horizon, false)
-				slow := scheduleOf(t, alg, m, set, horizon, true)
-				if len(fast) != len(slow) {
-					t.Fatalf("trial %d (m=%d, set=%v): %d fast slots vs %d legacy", trial, m, set, len(fast), len(slow))
+				run := func(observed bool) ([]string, Stats) {
+					s := NewScheduler(m, alg, Options{})
+					observeAll(s, observed)
+					for _, tk := range set {
+						if err := s.Join(tk); err != nil {
+							t.Fatalf("join %v: %v", tk, err)
+						}
+					}
+					return runTopM(t, s, horizon, nil), s.Stats()
 				}
-				for i := range fast {
-					if fast[i] != slow[i] {
-						t.Fatalf("trial %d (m=%d, set=%v): slot %d diverges\nfast:   %s\nlegacy: %s",
-							trial, m, set, i, fast[i], slow[i])
+				plain, plainStats := run(false)
+				seen, seenStats := run(true)
+				requireSameRun(t, fmt.Sprintf("trial %d (m=%d, set=%v)", trial, m, set), plain, seen, plainStats, seenStats)
+			}
+		})
+	}
+	t.Run("churn", func(t *testing.T) {
+		run := func(observed bool) ([]string, Stats) {
+			s := NewScheduler(2, PD2, Options{})
+			observeAll(s, observed)
+			join := func(name string, e, p int64) {
+				if err := s.Join(task.MustNew(name, e, p)); err != nil {
+					t.Fatalf("join %s: %v", name, err)
+				}
+			}
+			join("A", 2, 3)
+			join("B", 3, 7)
+			join("C", 1, 5)
+			got := runTopM(t, s, 160, func(now int64) {
+				switch now {
+				case 40:
+					if _, err := s.Leave("B"); err != nil {
+						t.Fatalf("leave B: %v", err)
+					}
+				case 80:
+					join("D", 5, 6)
+					if _, err := s.Reweight("A", 1, 4); err != nil {
+						t.Fatalf("reweight A: %v", err)
 					}
 				}
-			}
-		})
-	}
+			})
+			return got, s.Stats()
+		}
+		plain, plainStats := run(false)
+		seen, seenStats := run(true)
+		requireSameRun(t, "churn", plain, seen, plainStats, seenStats)
+	})
 }
 
-// TestFastModeMatchesLegacyDynamic repeats the comparison with mid-run
-// leaves and re-joins, which exercise removal from the middle of both
-// ready representations and the pending wheel.
-func TestFastModeMatchesLegacyDynamic(t *testing.T) {
-	run := func(t *testing.T, legacy bool) []string {
-		s := NewScheduler(2, PD2, Options{})
-		if legacy {
-			s.Observe(obs.NewRecorder(1<<12), nil)
-		}
-		var got []string
-		s.OnSlot(func(tt int64, assigned []Assignment) {
-			got = append(got, assignString(tt, assigned))
-		})
-		join := func(name string, e, p int64) {
-			if err := s.Join(task.MustNew(name, e, p)); err != nil {
-				t.Fatalf("join %s: %v", name, err)
-			}
-		}
-		join("A", 2, 3)
-		join("B", 3, 7)
-		join("C", 1, 5)
-		s.RunUntil(40)
-		if _, err := s.Leave("B"); err != nil {
-			t.Fatalf("leave B: %v", err)
-		}
-		s.RunUntil(80)
-		join("D", 5, 6)
-		if _, err := s.Reweight("A", 1, 4); err != nil {
-			t.Fatalf("reweight A: %v", err)
-		}
-		s.RunUntil(160)
-		return got
+// requireSameRun fails unless the unobserved and observed runs agree
+// slot for slot, processor for processor, and on every Stats counter.
+func requireSameRun(t *testing.T, what string, plain, seen []string, plainStats, seenStats Stats) {
+	t.Helper()
+	if len(plain) != len(seen) {
+		t.Fatalf("%s: %d unobserved slots vs %d observed", what, len(plain), len(seen))
 	}
-	fast := run(t, false)
-	slow := run(t, true)
-	if len(fast) != len(slow) {
-		t.Fatalf("%d fast slots vs %d legacy", len(fast), len(slow))
-	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("slot %d diverges\nfast:   %s\nlegacy: %s", i, fast[i], slow[i])
+	for i := range plain {
+		if plain[i] != seen[i] {
+			t.Fatalf("%s: slot %d diverges\nunobserved: %s\nobserved:   %s", what, i, plain[i], seen[i])
 		}
+	}
+	if !reflect.DeepEqual(plainStats, seenStats) {
+		t.Fatalf("%s: Stats diverge\nunobserved: %+v\nobserved:   %+v", what, plainStats, seenStats)
 	}
 }

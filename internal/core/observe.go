@@ -32,13 +32,9 @@ func (s *Scheduler) Observe(rec *obs.Recorder, met *obs.SchedulerMetrics) {
 	s.adoptAttachments()
 }
 
-// adoptAttachments re-caches the engine's observability attachments,
-// registers every live task with them, and reselects the eligible-set
-// representation: recorder-traced runs use the legacy ready heap (whose
-// comparator emits the tie-break trace events), runs without a recorder —
-// including metrics-only ones — the bucketed fast path, whose comparator
-// counts through cmpFast and whose shard telemetry Account publishes.
-// Queued subtasks migrate between the structures.
+// adoptAttachments re-caches the engine's observability attachments and
+// registers every live task with them. The ready queue and its
+// comparator are the same whether or not anything is attached.
 func (s *Scheduler) adoptAttachments() {
 	s.rec, s.met = s.eng.Recorder(), s.eng.Metrics()
 	s.plane.Observe(s.rec, s.met)
@@ -47,15 +43,6 @@ func (s *Scheduler) adoptAttachments() {
 			s.registerObs(st)
 		}
 	}
-	if s.met != nil && s.shardN > 0 {
-		s.met.EnsureShards(s.shardN)
-	}
-	if sh := s.readySh; sh != nil {
-		// Counter deltas start from the attach point: stealing that
-		// happened before anyone was listening stays unpublished.
-		s.shardSeen = sh.Stats()
-	}
-	s.updateMode()
 }
 
 // AllocObsID hands out the next dense observability id from the
@@ -100,70 +87,41 @@ func (s *Scheduler) registerObs(st *tstate) {
 	}
 }
 
-// cmpReady is the ready-queue ordering: the plain comparator when
-// unobserved, and the tie-break-tracing variant when a recorder or
-// metrics block is attached. The observed path reports which rule
-// decided each deadline tie — the measurement behind the paper's claim
-// that tie-breaks, not deadlines, are where Pfair algorithms differ.
+// narrateBoundary explains slot t's selection boundary: why win, the
+// last subtask Pick selected, ran ahead of the best subtask left in the
+// ready queue. When the PD² b-bit or group-deadline rule decided that
+// comparison — a deadline tie the tie-break machinery resolved — it
+// emits one EvTieBreakB/EvTieBreakGroup (Task = winner, A = loser, B =
+// the tied deadline) and bumps the matching metrics counter, so the
+// counters and the events tell the same story. Ties decided by other
+// rules (deadline, PD weights, PF recursion, id) are not narrated. The
+// caller guarantees a non-empty ready queue and an attached sink.
 //
 //pfair:hotpath
-func (s *Scheduler) cmpReady(a, b *tstate) bool {
-	if s.rec == nil && s.met == nil {
-		return less(s.alg, &a.pr, &b.pr)
-	}
-	if met := s.met; met != nil {
-		met.HeapCmps.Inc()
-	}
-	res, why := lessWhy(s.alg, &a.pr, &b.pr)
-	if why != byBBit && why != byGroup {
-		return res
-	}
-	winner, loser := a, b
-	if !res {
-		winner, loser = b, a
-	}
+func (s *Scheduler) narrateBoundary(t int64, win *tstate) {
+	lose, _, _ := s.ready.PeekMin()
+	_, why := lessWhy(s.alg, &win.pr, &lose.pr)
 	kind := obs.EvTieBreakB
-	if why == byGroup {
-		kind = obs.EvTieBreakGroup
-	}
-	if met := s.met; met != nil {
-		if why == byBBit {
+	switch why {
+	case byBBit:
+		if met := s.met; met != nil {
 			met.TieBreakB.Inc()
-		} else {
+		}
+	case byGroup:
+		kind = obs.EvTieBreakGroup
+		if met := s.met; met != nil {
 			met.TieBreakGroup.Inc()
 		}
+	default:
+		return
 	}
 	if rec := s.rec; rec != nil {
 		rec.Emit(obs.Event{
-			Slot: s.eng.Now(), Kind: kind,
-			Task: winner.obsID, Proc: -1,
-			A: int64(loser.obsID), B: winner.pr.deadline,
+			Slot: t, Kind: kind,
+			Task: win.obsID, Proc: -1,
+			A: int64(lose.obsID), B: win.pr.deadline,
 		})
 	}
-	return res
-}
-
-// cmpFast is the fast-mode (bucketed and sharded queues) equal-deadline
-// comparator: the plain priority order when no metrics block is
-// attached, and the counting variant when one is — comparator
-// invocations and decided tie-breaks land in the metrics block exactly
-// as cmpReady's do on the legacy heap, but no events are emitted, so
-// fast mode needs no recorder. The returned order is identical either
-// way; only counters move.
-//
-//pfair:hotpath
-func (s *Scheduler) cmpFast(a, b *tstate) bool {
-	if met := s.met; met != nil {
-		met.HeapCmps.Inc()
-		res, why := lessWhy(s.alg, &a.pr, &b.pr)
-		if why == byBBit {
-			met.TieBreakB.Inc()
-		} else if why == byGroup {
-			met.TieBreakGroup.Inc()
-		}
-		return res
-	}
-	return less(s.alg, &a.pr, &b.pr)
 }
 
 // observeLags updates each live task's max-|lag| gauge after the slot

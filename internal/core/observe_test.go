@@ -135,8 +135,9 @@ func TestObserveMisses(t *testing.T) {
 }
 
 // TestObserveTieBreaks: on a fully utilized set PD² must resolve at least
-// one deadline tie via the b-bit rule, and each traced tie-break names a
-// winner distinct from its loser.
+// one deadline tie via the b-bit rule, the tie-break counters must equal
+// the tie-break events, and each event must narrate its slot's selection
+// boundary: the winner ran in that slot and the loser did not.
 func TestObserveTieBreaks(t *testing.T) {
 	set := task.Set{
 		task.MustNew("T0", 4, 9), task.MustNew("T1", 3, 6), task.MustNew("T2", 1, 2),
@@ -164,13 +165,23 @@ func TestObserveTieBreaks(t *testing.T) {
 	if met.TieBreakGroup.Value() != counts[obs.EvTieBreakGroup] {
 		t.Errorf("group counter = %d, %d events recorded", met.TieBreakGroup.Value(), counts[obs.EvTieBreakGroup])
 	}
-	if met.HeapCmps.Value() == 0 {
-		t.Error("heap comparison counter never incremented")
+	type ran struct {
+		slot int64
+		task int32
+	}
+	scheduled := map[ran]bool{}
+	for _, e := range rec.Events() {
+		if e.Kind == obs.EvSchedule {
+			scheduled[ran{e.Slot, e.Task}] = true
+		}
 	}
 	for _, e := range rec.Events() {
 		if e.Kind == obs.EvTieBreakB || e.Kind == obs.EvTieBreakGroup {
-			if int64(e.Task) == e.A {
-				t.Fatalf("tie-break event with winner == loser: %+v", e)
+			if !scheduled[ran{e.Slot, e.Task}] {
+				t.Fatalf("tie-break winner did not run in its slot: %+v", e)
+			}
+			if scheduled[ran{e.Slot, int32(e.A)}] {
+				t.Fatalf("tie-break loser ran in its slot: %+v", e)
 			}
 		}
 	}

@@ -36,7 +36,7 @@ type Pattern struct {
 	e, p int64
 	// heavy and weight are fixed at construction: the scheduler's priority
 	// comparator (PD's heavy-before-light and weight tie-breaks) runs
-	// inside heap sift operations, where rebuilding rationals per call
+	// inside ready-queue operations, where rebuilding rationals per call
 	// dominated the PD hot path.
 	heavy  bool
 	weight rational.Rat

@@ -35,8 +35,8 @@ const (
 	// intentionally WRONG — a fault-injection target proving that the
 	// differential fuzzing oracle (internal/fuzz) catches scheduler
 	// mutations with a small shrunken reproducer. Like every Algorithm
-	// it is a total order (see lessWhy), which the ready representations
-	// require. Never use it to schedule real workloads.
+	// it is a total order (see lessWhy), which the ready queue requires.
+	// Never use it to schedule real workloads.
 	PD2NoBBit
 )
 
@@ -112,10 +112,9 @@ func lessWhy(alg Algorithm, a, b *prio) (bool, decidedBy) {
 		// both b-bits being 1; gating on a field the order does not
 		// otherwise compare made the relation intransitive (a bbit-0
 		// entry could sit between two group-ordered bbit-1 entries by
-		// id, forming a cycle), and every ready representation — heap,
-		// bucketed queue, shard tournament — assumes a total order. The
-		// inversion keeps the mutant reliably catchable by the fuzz
-		// oracle now that the order is lexicographic.
+		// id, forming a cycle), and the ready queue assumes a total
+		// order. The inversion keeps the mutant reliably catchable by the
+		// fuzz oracle now that the order is lexicographic.
 		if a.group != b.group {
 			return a.group < b.group, byGroup
 		}

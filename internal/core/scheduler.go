@@ -7,10 +7,8 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/calq"
 	"pfair/internal/engine"
-	"pfair/internal/heap"
 	"pfair/internal/obs"
 	"pfair/internal/rational"
-	"pfair/internal/shard"
 	"pfair/internal/task"
 )
 
@@ -54,19 +52,6 @@ type Options struct {
 	// bound min(E−1, P−E) per job relies on affinity being on; the flag
 	// exists for the ablation benchmark.
 	NoAffinity bool
-	// Shards selects the fast-mode ready-queue layout: 0 or 1 keeps the
-	// single global bucketed queue, N > 1 partitions the eligible set
-	// into N per-CPU queues (internal/shard) whose heads the priority
-	// comparator arbitrates, with work-stealing accounting. The
-	// assignment stream is identical for every value — the shard tier's
-	// pick is the exact global (deadline, priority)-minimum — so the
-	// setting trades memory locality against tournament width without
-	// changing one scheduling decision. Runs with a trace recorder
-	// attached use the legacy heap regardless (its comparator narrates
-	// tie-break events); a metrics-only attachment keeps the fast
-	// (optionally sharded) path, whose comparator counts into the metrics
-	// block and whose shard stats Account publishes.
-	Shards int
 }
 
 // Assignment records one processor allocation in one slot.
@@ -140,21 +125,11 @@ type tstate struct {
 	earlyRelease *bool
 
 	// Queue handles, allocated once at admission and reused for every
-	// insertion so the per-slot loop stays allocation-free. readyItem is
-	// the handle for the observed-mode ready heap, readyEntry for the
-	// fast-mode bucketed ready queue (at most one is queued at a time),
-	// and pendItem for the pending-release calendar wheel.
-	readyItem  *heap.Item[*tstate]
+	// insertion so the per-slot loop stays allocation-free: readyEntry
+	// for the ready queue, pendItem for the pending-release calendar
+	// wheel.
 	readyEntry *calq.Entry[*tstate]
 	pendItem   *calq.Item[*tstate]
-
-	// home is the task's home shard when sharding is enabled: the shard
-	// of the CPU it last ran on (re-homed at dispatch for cache
-	// affinity), id mod S before its first run. qShard records the shard
-	// its ready entry is actually queued in, which can lag home when the
-	// task was re-homed while eligible.
-	home   int
-	qShard int
 
 	// selSlot is the last slot in which this task was selected to run — a
 	// generation flag that turns the preemption scan's membership test
@@ -201,14 +176,11 @@ type tstate struct {
 //
 // Release timers live in a calendar wheel (internal/calq) keyed by
 // eligibility slot, so releasing a slot's subtasks touches one bucket
-// instead of popping a heap. The eligible set has two interchangeable
-// representations producing the identical pop order: a deadline-bucketed
-// min-queue (the fast path) and the legacy binary heap matching the
-// implementation whose overhead Section 4 measures. The heap is kept for
-// recorder-traced runs, whose tie-break trace events are emitted from
-// inside its comparator (see cmpReady); runs without a recorder —
-// including metrics-only ones, whose comparator counts through cmpFast —
-// use the bucketed queue.
+// instead of popping a heap. The eligible set is a deadline-bucketed
+// min-queue (calq.MinQueue) ordered by less, in every run: attaching a
+// recorder, metrics block, or profiler never changes the data structure
+// or the comparator. Tie-breaks are narrated once per slot, at the
+// selection boundary (see narrateBoundary).
 type Scheduler struct {
 	m    int
 	alg  Algorithm
@@ -220,23 +192,9 @@ type Scheduler struct {
 	order  []*tstate // join order, for deterministic iteration
 	weight *rational.Acc
 
-	ready     *heap.Heap[*tstate]     // eligible subtasks (observed mode)
-	readyFast *calq.MinQueue[*tstate] // eligible subtasks (fast mode, Shards ≤ 1)
-	readySh   *shard.Queues[*tstate]  // eligible subtasks (fast mode, Shards > 1)
+	ready     *calq.MinQueue[*tstate] // eligible subtasks, by deadline then less
 	pending   *calq.Wheel[*tstate]    // future subtasks, by eligibility slot
-	// fast selects the eligible-set representation: the bucketed queue
-	// (single or sharded per Options.Shards) whenever no recorder is
-	// attached — metrics-only runs stay fast so shard telemetry is
-	// observable — and the legacy heap when one is. Flipped (with
-	// migration) by updateMode.
-	fast bool
-	// shardN caches the shard count (0 when sharding is off) so the
-	// dispatch re-homing branch costs one compare.
-	shardN    int
 	maxPeriod int64
-	// shardSeen is the last shard.Stats snapshot folded into the metrics
-	// block, so Account can publish monotone counter deltas per slot.
-	shardSeen shard.Stats
 
 	procPrev []*tstate // task run in the previous slot, per processor
 	leaves   []*tstate // tasks with a pending departure
@@ -312,22 +270,14 @@ func newSchedulerState(m int, alg Algorithm, opts Options) *Scheduler {
 		procNext: make([]*tstate, m),
 		taken:    make([]bool, m),
 	}
-	s.ready = heap.New(s.cmpReady)
-	// The fast ready queue buckets by deadline; equal-deadline ties use
-	// the full priority order, read through s.alg at comparison time (the
+	// The ready queue buckets by deadline; equal-deadline ties use the
+	// full priority order, read through s.alg at comparison time (the
 	// algorithm is mutable in tests). The order is total (it ends on the
-	// task id), so the pop sequence is independent of representation —
-	// including the sharded one, whose head tournament picks the same
-	// global minimum. cmpFast counts comparator and tie-break metrics
-	// when a metrics block is attached without changing the order.
-	if opts.Shards > 1 {
-		s.readySh = shard.New[*tstate](opts.Shards, minSpan, s.cmpFast)
-		s.shardN = s.readySh.Shards()
-	} else {
-		s.readyFast = calq.NewMinQueue[*tstate](minSpan, s.cmpFast)
-	}
+	// task id), so the pop sequence is independent of insertion order.
+	s.ready = calq.NewMinQueue[*tstate](minSpan, func(a, b *tstate) bool {
+		return less(s.alg, &a.pr, &b.pr)
+	})
 	s.pending = calq.NewWheel[*tstate](minSpan)
-	s.fast = true
 	return s
 }
 
@@ -337,117 +287,6 @@ func newSchedulerState(m int, alg Algorithm, opts Options) *Scheduler {
 // structures resolve exactly at a scan cost — correctness never depends
 // on the span).
 const minSpan = 32
-
-// updateMode reselects the eligible-set representation after the
-// observability attachments changed, migrating queued subtasks between
-// the two structures. Fast mode requires only that no trace recorder is
-// attached: the tie-break *events* are emitted from inside the legacy
-// heap's comparator, but the tie-break *counters* (and everything else a
-// metrics block tracks) are maintained by cmpFast on the bucketed path
-// too, so metrics-only runs keep the fast — and, with Options.Shards,
-// sharded — representation whose telemetry they report. Cold path:
-// construction and Observe only.
-func (s *Scheduler) updateMode() {
-	want := s.rec == nil
-	if want == s.fast {
-		return
-	}
-	if want {
-		for _, st := range s.order {
-			if st.readyItem.Index() >= 0 {
-				s.ready.Remove(st.readyItem)
-				if sh := s.readySh; sh != nil {
-					st.qShard = st.home
-					sh.Add(st.readyEntry, st.deadline, st.home)
-				} else {
-					s.readyFast.Add(st.readyEntry, st.deadline)
-				}
-			}
-		}
-	} else {
-		for _, st := range s.order {
-			if st.readyEntry.Queued() {
-				if sh := s.readySh; sh != nil {
-					sh.Remove(st.readyEntry, st.qShard)
-				} else {
-					s.readyFast.Remove(st.readyEntry)
-				}
-				s.ready.PushItem(st.readyItem)
-			}
-		}
-	}
-	s.fast = want
-}
-
-// readyPush queues st's current subtask as eligible — on the task's home
-// shard when sharding is on.
-//
-//pfair:hotpath
-func (s *Scheduler) readyPush(st *tstate) {
-	if s.fast {
-		if sh := s.readySh; sh != nil {
-			st.qShard = st.home
-			sh.Add(st.readyEntry, st.deadline, st.home)
-		} else {
-			s.readyFast.Add(st.readyEntry, st.deadline)
-		}
-	} else {
-		s.ready.PushItem(st.readyItem)
-	}
-}
-
-// readyPop removes and returns the highest-priority eligible subtask.
-// cpu is the processor slot the pick is destined for, used only for the
-// shard tier's local-hit/steal accounting — the popped subtask is the
-// global priority minimum under every representation.
-//
-//pfair:hotpath
-func (s *Scheduler) readyPop(cpu int) *tstate {
-	if s.fast {
-		if sh := s.readySh; sh != nil {
-			return sh.PopMinFor(cpu)
-		}
-		return s.readyFast.PopMin()
-	}
-	return s.ready.Pop()
-}
-
-// readyLen returns the eligible-set size.
-//
-//pfair:hotpath
-func (s *Scheduler) readyLen() int {
-	if s.fast {
-		if sh := s.readySh; sh != nil {
-			return sh.Len()
-		}
-		return s.readyFast.Len()
-	}
-	return s.ready.Len()
-}
-
-// readyRemove dequeues st from whichever eligible-set representation
-// holds it (no-op if neither does). Cold path: leave/rejoin flows.
-func (s *Scheduler) readyRemove(st *tstate) {
-	if st.readyEntry.Queued() {
-		if sh := s.readySh; sh != nil {
-			sh.Remove(st.readyEntry, st.qShard)
-		} else {
-			s.readyFast.Remove(st.readyEntry)
-		}
-	}
-	if st.readyItem.Index() >= 0 {
-		s.ready.Remove(st.readyItem)
-	}
-}
-
-// ShardStats returns the shard tier's work-stealing counters; ok is
-// false when sharding is off (Options.Shards ≤ 1).
-func (s *Scheduler) ShardStats() (shard.Stats, bool) {
-	if s.readySh == nil {
-		return shard.Stats{}, false
-	}
-	return s.readySh.Stats(), true
-}
 
 // Engine returns the engine this scheduler runs on.
 func (s *Scheduler) Engine() *engine.Engine { return s.eng }
@@ -506,7 +345,7 @@ func (s *Scheduler) JoinEarlyRelease(t *task.Task, model ReleaseModel, earlyRele
 	s.refreshSubtask(s.tasks[t.Name])
 	// Requeue under the corrected eligibility.
 	st := s.tasks[t.Name]
-	s.readyRemove(st)
+	s.ready.Remove(st.readyEntry)
 	s.pending.Remove(st.pendItem)
 	s.enqueue(st)
 	return nil
@@ -550,12 +389,8 @@ func (s *Scheduler) admit(t *task.Task, model ReleaseModel, addWeight, check boo
 		selSlot:  -1,
 		obsID:    -1,
 	}
-	st.readyItem = heap.NewItem(st)
 	st.readyEntry = calq.NewEntry(st)
 	st.pendItem = calq.NewItem(st)
-	if n := s.shardN; n > 0 {
-		st.home = st.id % n
-	}
 	s.nextID++
 	if p := t.Period; p > s.maxPeriod {
 		s.maxPeriod = p
@@ -564,11 +399,7 @@ func (s *Scheduler) admit(t *task.Task, model ReleaseModel, addWeight, check boo
 			span = calq.DefaultSpanCap
 		}
 		s.pending.EnsureSpan(span)
-		if sh := s.readySh; sh != nil {
-			sh.EnsureSpan(span)
-		} else {
-			s.readyFast.EnsureSpan(span)
-		}
+		s.ready.EnsureSpan(span)
 	}
 	if addWeight {
 		s.weight.Add(w)
@@ -697,7 +528,7 @@ func (s *Scheduler) refreshSubtask(st *tstate) {
 // bucket drained by Release(t) holds exactly the slot-t releases.
 func (s *Scheduler) enqueue(st *tstate) {
 	if st.elig <= s.eng.Now() {
-		s.readyPush(st)
+		s.ready.Add(st.readyEntry, st.deadline)
 	} else {
 		s.pending.Add(st.pendItem, st.elig)
 	}
@@ -720,10 +551,10 @@ func (s *Scheduler) Step() []Assignment {
 // the drained batch is first ordered by (eligibility, id) — the legacy
 // pending-heap pop order — so EvRelease events are emitted bit-identical
 // to the heap implementation. Without a recorder the sort is skipped:
-// every ready representation (heap, bucketed queue, shard tier) pops the
-// exact (priority)-minimum sequence under the total order regardless of
-// insertion order, so the batch's order is unobservable — and the sort
-// was a measurable share of the unobserved Fig2b hot path.
+// the ready queue pops the exact priority-minimum sequence under the
+// total order regardless of insertion order, so the batch's order is
+// unobservable — and the sort was a measurable share of the unobserved
+// Fig2b hot path.
 //
 //pfair:hotpath
 func (s *Scheduler) Release(t int64) {
@@ -737,7 +568,7 @@ func (s *Scheduler) Release(t int64) {
 		}
 	}
 	for _, st := range due {
-		s.readyPush(st)
+		s.ready.Add(st.readyEntry, st.deadline)
 		if rec != nil {
 			rec.Emit(obs.Event{Slot: t, Kind: obs.EvRelease, Task: st.obsID, Proc: -1, A: st.index, B: st.deadline})
 		}
@@ -756,13 +587,15 @@ func dueBefore(a, b *tstate) bool {
 
 // Pick is the engine selection phase: pop the m highest-priority eligible
 // subtasks into the selection scratch, recording a miss for any whose
-// window already closed (it runs tardily).
+// window already closed (it runs tardily). When observed and the
+// selection left an eligible subtask out, the boundary between the two
+// is narrated (narrateBoundary).
 //
 //pfair:hotpath
 func (s *Scheduler) Pick(t int64) {
 	sel := s.selBuf[:0]
-	for len(sel) < s.m && s.readyLen() > 0 {
-		st := s.readyPop(len(sel))
+	for len(sel) < s.m && s.ready.Len() > 0 {
+		st := s.ready.PopMin()
 		st.selSlot = t
 		if st.deadline <= t && !st.missed {
 			// The window has closed; the subtask runs tardily.
@@ -787,6 +620,9 @@ func (s *Scheduler) Pick(t int64) {
 		sel = append(sel, st)
 	}
 	s.selBuf = sel
+	if (s.rec != nil || s.met != nil) && len(sel) > 0 && s.ready.Len() > 0 {
+		s.narrateBoundary(t, sel[len(sel)-1])
+	}
 }
 
 // Dispatch is the engine commit phase: count preemptions against the
@@ -887,12 +723,6 @@ func (s *Scheduler) Dispatch(t int64) {
 		st.allocated++
 		st.lastProc = k
 		st.lastSlot = t
-		if n := s.shardN; n > 0 {
-			// Work-stealing affinity: re-home the task to the shard of
-			// the CPU it just ran on, so its next subtask queues where
-			// that CPU picks locally.
-			st.home = k % n
-		}
 		st.hasScheduled = true
 		st.lastSchedDead = st.deadline
 		st.lastSchedB = st.pr.bbit
@@ -933,24 +763,9 @@ func (s *Scheduler) Account(t int64) {
 	s.stats.Slots++
 	if met := s.met; met != nil {
 		met.Slots.Inc()
-		met.ReadyLen.Set(int64(s.readyLen()))
+		met.ReadyLen.Set(int64(s.ready.Len()))
 		met.PendingLen.Set(int64(s.pending.Len()))
 		met.Occupancy.Observe(int64(len(s.assignBuf)))
-		if sh := s.readySh; sh != nil {
-			// Shard telemetry: publish the work-stealing counters as
-			// deltas against the last snapshot (the tier's totals are
-			// cumulative) and refresh each shard's occupancy gauge.
-			st := sh.Stats()
-			met.ShardLocalHits.Add(st.LocalHits - s.shardSeen.LocalHits)
-			met.ShardSteals.Add(st.Steals - s.shardSeen.Steals)
-			met.ShardUnderflows.Add(st.Underflows - s.shardSeen.Underflows)
-			s.shardSeen = st
-			for i := 0; i < s.shardN; i++ {
-				if g := met.Shard(i); g != nil {
-					g.Set(int64(sh.ShardLen(i)))
-				}
-			}
-		}
 	}
 	s.observeLags(t + 1)
 
@@ -1046,7 +861,7 @@ func (s *Scheduler) applyLeaves(t int64) {
 			kept = append(kept, st)
 			continue
 		}
-		s.readyRemove(st)
+		s.ready.Remove(st.readyEntry)
 		s.pending.Remove(st.pendItem)
 		if !st.rejoinReserved {
 			// An upward Reweight already swapped the weights at request

@@ -187,8 +187,8 @@ func TestERfairNoMissesAndWorkConserving(t *testing.T) {
 			assigned := s.Step()
 			// Work conservation: if a processor idled, the ready queue
 			// must have been empty after selection.
-			if len(assigned) < m && s.readyLen() > 0 {
-				t.Fatalf("trial %d: processor idle at t=%d with %d ready subtasks", trial, s.Now()-1, s.readyLen())
+			if len(assigned) < m && s.ready.Len() > 0 {
+				t.Fatalf("trial %d: processor idle at t=%d with %d ready subtasks", trial, s.Now()-1, s.ready.Len())
 			}
 		}
 		s.FinishMisses(h)

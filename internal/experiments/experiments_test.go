@@ -37,14 +37,24 @@ func TestFig1bContent(t *testing.T) {
 	}
 }
 
+// shapeRepeats is how many times the Figure 2 shape tests repeat a
+// measurement, keeping the fastest: preemption and co-running work only
+// ever add wall-clock time, so the minimum is the estimate least
+// disturbed by a busy machine.
+const shapeRepeats = 5
+
 // TestFig2aShape: measured per-invocation costs are positive and PD²'s
 // grows with the task count (the paper's headline trend). Wall-clock
-// measurements are noisy, so only endpoint ordering is asserted.
+// measurements are noisy, so only endpoint ordering is asserted. The
+// ordering is taken over Fig2a's own sets, measured with measurePD2 as
+// Fig2a does, but interleaved (the two endpoints' set s back to back, so
+// both see the same machine load) and shapeRepeats times: each set keeps
+// its fastest run, and an endpoint's cost is the mean of those.
 func TestFig2aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement")
 	}
-	cfg := Fig2Config{Ns: []int{15, 500}, SetsPerN: 5, Horizon: 5000, Seed: 1}
+	cfg := Fig2Config{Ns: []int{15, 500}, SetsPerN: 5, Horizon: 5000, Seed: 1, Workers: 1}
 	points := Fig2a(cfg)
 	if len(points) != 2 {
 		t.Fatalf("points: %d", len(points))
@@ -54,8 +64,30 @@ func TestFig2aShape(t *testing.T) {
 			t.Fatalf("non-positive measurement: %+v", p)
 		}
 	}
-	if points[1].PD2Nanos <= points[0].PD2Nanos {
-		t.Errorf("PD2 overhead did not grow with N: %v → %v", points[0].PD2Nanos, points[1].PD2Nanos)
+	best := make([][]float64, len(cfg.Ns))
+	for i := range best {
+		best[i] = make([]float64, cfg.SetsPerN)
+	}
+	for r := 0; r < shapeRepeats; r++ {
+		for s := 0; s < cfg.SetsPerN; s++ {
+			for i, n := range cfg.Ns {
+				g := taskgen.New(taskgen.SubSeed(cfg.Seed, seedFig2a, int64(n), int64(s)))
+				set := mustSet(g.SetMaxUtil("T", n, 1.0, taskgen.DefaultPeriodsSlots))
+				v := measurePD2(set, 1, cfg.Horizon, false)
+				if r == 0 || v < best[i][s] {
+					best[i][s] = v
+				}
+			}
+		}
+	}
+	cost := make([]float64, len(cfg.Ns))
+	for i := range cfg.Ns {
+		for _, v := range best[i] {
+			cost[i] += v / float64(cfg.SetsPerN)
+		}
+	}
+	if cost[1] <= cost[0] {
+		t.Errorf("PD2 overhead did not grow with N: %v → %v", cost[0], cost[1])
 	}
 }
 
@@ -66,14 +98,18 @@ func TestFig2bShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement")
 	}
-	cfg := Fig2Config{Ns: []int{200}, SetsPerN: 5, Horizon: 5000, Seed: 1}
-	points := Fig2b(cfg)
-	if len(points) != 4 {
-		t.Fatalf("points: %d", len(points))
-	}
+	cfg := Fig2Config{Ns: []int{200}, SetsPerN: 5, Horizon: 5000, Seed: 1, Workers: 1}
 	byM := map[int]float64{}
-	for _, p := range points {
-		byM[p.M] = p.PD2Nanos
+	for r := 0; r < shapeRepeats; r++ {
+		points := Fig2b(cfg)
+		if len(points) != 4 {
+			t.Fatalf("points: %d", len(points))
+		}
+		for _, p := range points {
+			if v, ok := byM[p.M]; !ok || p.PD2Nanos < v {
+				byM[p.M] = p.PD2Nanos
+			}
+		}
 	}
 	if byM[16] <= byM[2] {
 		t.Errorf("PD2 overhead did not grow from 2 to 16 processors: %v → %v", byM[2], byM[16])

@@ -42,11 +42,6 @@ type Fig2Config struct {
 	// determinism regression tests use it to compare parallel and serial
 	// harness output byte for byte, which real timings never are.
 	Deterministic bool
-	// Shards sets the scheduler's ready-queue shard count (0 or 1 keeps
-	// the single queue). The schedule — and hence the deterministic
-	// proxy — is identical for every value; only the measured cost
-	// moves, which is the point of sweeping it.
-	Shards int
 }
 
 // DefaultFig2Config returns the scaled-down defaults.
@@ -89,7 +84,7 @@ func Fig2a(cfg Fig2Config) []Fig2aPoint {
 			g := taskgen.New(taskgen.SubSeed(cfg.Seed, seedFig2a, int64(n), int64(s)))
 			set := mustSet(g.SetMaxUtil("T", n, 1.0, taskgen.DefaultPeriodsSlots))
 			trials[s].edf, trials[s].edfOK = measureEDF(set, cfg.Horizon, cfg.Deterministic)
-			trials[s].pd2 = measurePD2(set, 1, cfg.Horizon, cfg.Deterministic, cfg.Shards)
+			trials[s].pd2 = measurePD2(set, 1, cfg.Horizon, cfg.Deterministic)
 		})
 		var edfNs, pd2Ns, edfInvPerSlot stats.Sample
 		for _, tr := range trials {
@@ -128,7 +123,7 @@ func Fig2b(cfg Fig2Config) []Fig2bPoint {
 			parallel.For(cfg.Workers, cfg.SetsPerN, func(s int) {
 				g := taskgen.New(taskgen.SubSeed(cfg.Seed, seedFig2b, int64(1000*m+n), int64(s)))
 				set := mustSet(g.SetMaxUtil("T", n, float64(m), taskgen.DefaultPeriodsSlots))
-				trials[s] = measurePD2(set, m, cfg.Horizon, cfg.Deterministic, cfg.Shards)
+				trials[s] = measurePD2(set, m, cfg.Horizon, cfg.Deterministic)
 			})
 			var pd2Ns stats.Sample
 			for _, v := range trials {
@@ -145,8 +140,8 @@ func Fig2b(cfg Fig2Config) []Fig2bPoint {
 // instead returns the mean scheduler decisions (allocations plus context
 // switches) per slot — a pure function of the task set that exercises the
 // same simulation path.
-func measurePD2(set task.Set, m int, horizon int64, deterministic bool, shards int) float64 {
-	s := core.NewScheduler(m, core.PD2, core.Options{Shards: shards})
+func measurePD2(set task.Set, m int, horizon int64, deterministic bool) float64 {
+	s := core.NewScheduler(m, core.PD2, core.Options{})
 	for _, t := range set {
 		if err := s.Join(t); err != nil {
 			// SetMaxUtil keeps Σu ≤ m up to rounding; skip any task the

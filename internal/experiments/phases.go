@@ -24,7 +24,6 @@ type PhasesConfig struct {
 	Horizon int64 // slots simulated per point
 	Seed    int64
 	Every   int64 // profile one step in every Every
-	Shards  int   // ready-queue shards (0 or 1 = single queue)
 }
 
 // DefaultPhasesConfig returns laptop-scale defaults.
@@ -57,7 +56,7 @@ func Phases(cfg PhasesConfig) []PhasesPoint {
 		g := taskgen.New(taskgen.SubSeed(cfg.Seed, int64(i)))
 		set := mustSet(g.Set("T", n, 0.95*float64(cfg.M), taskgen.DefaultPeriodsSlots))
 		prof := obs.NewPhaseProfiler(nil, every)
-		s := core.NewScheduler(cfg.M, core.PD2, core.Options{Shards: cfg.Shards}, engine.WithProfiler(prof))
+		s := core.NewScheduler(cfg.M, core.PD2, core.Options{}, engine.WithProfiler(prof))
 		for _, t := range set {
 			if err := s.Join(t); err != nil {
 				// Rounding can push the total marginally over M; skip.

@@ -43,8 +43,6 @@ func CheckCase(c Case, mutant core.Algorithm) Outcome {
 		return checkDynamic(c, mutant)
 	case KindIS:
 		return checkIS(c, mutant)
-	case KindShard:
-		return checkShard(c, mutant)
 	case KindDynPlane:
 		return checkDynPlane(c, mutant)
 	}
@@ -75,13 +73,7 @@ func (v *violations) addVerify(label string, errs []error) {
 // rejection is itself a violation for the full-utilization kinds: their
 // sets satisfy Σwt = M by construction.
 func runPfair(set task.Set, m int, alg core.Algorithm, horizon int64, v *violations) ([]verify.Slot, core.Stats) {
-	return runPfairOpts(set, m, alg, horizon, core.Options{}, v)
-}
-
-// runPfairOpts is runPfair with explicit scheduler options (the shard
-// kind sweeps Options.Shards).
-func runPfairOpts(set task.Set, m int, alg core.Algorithm, horizon int64, opts core.Options, v *violations) ([]verify.Slot, core.Stats) {
-	s := core.NewScheduler(m, alg, opts)
+	s := core.NewScheduler(m, alg, core.Options{})
 	rec := &verify.Recorder{}
 	s.OnSlot(rec.Record)
 	for _, t := range set {
@@ -301,40 +293,6 @@ func checkDynamic(c Case, mutant core.Algorithm) Outcome {
 		SkipLag:    true, // lag is measured from each task's own join, not slot 0
 		Offsets:    offs,
 	}))
-	return Outcome{Violations: v.list}
-}
-
-// checkShard cross-checks the ready-queue representations: the same set,
-// algorithm, and horizon must yield a slot-for-slot identical assignment
-// stream whether the scheduler runs one ready queue or many shards. The
-// priority order is total, so the shard tier's head tournament picks the
-// unique global minimum — any divergence means a shard dropped, reordered,
-// or duplicated an entry. The mutant substitutes for PD² here as in the
-// other Pfair kinds: representation equivalence must hold for every
-// (total-order) algorithm, so a mutant never excuses a divergence.
-func checkShard(c Case, mutant core.Algorithm) Outcome {
-	var v violations
-	want, _ := runPfairOpts(c.Set, c.M, mutant, c.Horizon, core.Options{}, &v)
-	if want == nil {
-		return Outcome{Violations: v.list}
-	}
-	for _, shards := range []int{2, 4} {
-		got, _ := runPfairOpts(c.Set, c.M, mutant, c.Horizon, core.Options{Shards: shards}, &v)
-		if got == nil {
-			continue
-		}
-		if len(got) != len(want) {
-			v.addf("shard: %d shards produced %d slots, single queue %d", shards, len(got), len(want))
-			continue
-		}
-		for i := range got {
-			if !slotsEqual(got[i], want[i]) {
-				v.addf("shard: %d shards diverge at slot %d: %v vs single-queue %v",
-					shards, want[i].Time, got[i].Assigned, want[i].Assigned)
-				break
-			}
-		}
-	}
 	return Outcome{Violations: v.list}
 }
 

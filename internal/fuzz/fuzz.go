@@ -27,11 +27,6 @@
 //     with per-task join offsets.
 //   - KindIS: intra-sporadic delay schedules; PD² remains optimal under
 //     the IS model, and the trace must verify with the shifted windows.
-//   - KindShard: the sharded ready-queue representation vs the single
-//     queue on full-utilization sets. The shard tier's pick is an exact
-//     tournament under a total priority order, so the assignment stream
-//     must be identical slot for slot at every shard count — any
-//     divergence is a representation bug, caught at the first slot.
 //   - KindDynPlane: one churn script — joins, reweights, and leaves —
 //     replayed against every admission-plane implementation. Core's
 //     legacy entry points and Submit must produce identical schedules
@@ -68,12 +63,11 @@ const (
 	KindPartition
 	KindDynamic
 	KindIS
-	KindShard
 	KindDynPlane
 	numKinds
 )
 
-var kindNames = [...]string{"fullutil", "epdf", "edf", "rm", "partition", "dynamic", "is", "shard", "dynplane"}
+var kindNames = [...]string{"fullutil", "epdf", "edf", "rm", "partition", "dynamic", "is", "dynplane"}
 
 func (k Kind) String() string {
 	if k >= 0 && int(k) < len(kindNames) {
@@ -163,14 +157,18 @@ func ParseReplay(s string) (Kind, int64, int64, error) {
 // GenCase deterministically generates the case for (kind, seed, trial).
 // The stream is derived with taskgen.SubSeed, so every trial is an
 // independent reproducible stream regardless of worker interleaving.
+// Each kind salts its stream with 1000 plus its position in the original
+// kind list, so a kind's replay keys reproduce the same cases for life:
+// salt 1007 belonged to a retired kind and is skipped, not reused.
 func GenCase(kind Kind, seed, trial int64) Case {
-	rng := rand.New(rand.NewSource(taskgen.SubSeed(seed, 1000+int64(kind), trial)))
+	salt := 1000 + int64(kind)
+	if kind >= KindDynPlane {
+		salt++
+	}
+	rng := rand.New(rand.NewSource(taskgen.SubSeed(seed, salt, trial)))
 	c := Case{Kind: kind, Seed: seed, Trial: trial}
 	switch kind {
-	case KindFullUtil, KindEPDF, KindShard:
-		// Shard cases reuse the full-utilization regime: with zero slack
-		// every slot is contended, so a sharded pick that deviates from
-		// the single queue's total order diverges immediately.
+	case KindFullUtil, KindEPDF:
 		c.Set, c.M = genFullUtil(rng)
 		c.Horizon = 2 * c.Set.Hyperperiod()
 	case KindEDF, KindRM:

@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"pfair/internal/core"
@@ -169,5 +171,38 @@ func TestReweightNoMisses(t *testing.T) {
 	s.FinishMisses(at + 240)
 	if n := len(s.Stats().Misses); n != 0 {
 		t.Fatalf("reweight caused %d misses, first %+v", n, s.Stats().Misses[0])
+	}
+}
+
+// TestReplayKeysPinned: a replay key printed by any earlier campaign must
+// keep reproducing its case. For every kind, the sha256 of the seed-1
+// cases' Describe output for trials 0–2 is pinned; retiring or adding a
+// kind must not move another kind's stream.
+func TestReplayKeysPinned(t *testing.T) {
+	pinned := map[string][3]string{
+		"fullutil":  {"4e85a9a6fa42e370d905b016034dc28cd9ed2d75e86961b84f50ceaacf259054", "f4fdc3f4b9481649ed50aedb73f9974715d654574d1f8b203bae127cbfecadd7", "78990844f1a49ec612051792f958ba178fb69ab2abe067f612d87b988672f252"},
+		"epdf":      {"f4c6a97f0b425efdd694a30f09c24b5c69e9a6d7c0db622f297e9709836e4217", "b2946c8fc8044c46ea79eb78430ec3edd0b91778803ca1ae169dc9fb977d0cda", "03220804f3dbc938408559aa88267a602cf0c94cf9690e4cb683499f7f83ab5d"},
+		"edf":       {"241782e52e1117780af1a64e13b00ab85ad28e6b40c26e08766817da68593883", "e9c42312a3e707ffc1677acd0f1fb19a55d0211c58b63bbe2db635a28ce9e6f0", "c128e6a82cbef13a4a7f7a5a78140ce3db84e7c9b607044f478e5acf515b8a68"},
+		"rm":        {"ec30665235cbbbe5fffbd26d2ca07a50089f53b779c61f5f8ad2de6671b49bab", "7094aa14e2c48c479e7ab37152af8b98c3c47b9ad7ae3aa8813b946b566e7bae", "73ab3eba8ffac4f5c51415bbde6ae1240a643f9c0e8fc28a47d2bd34c2b7facf"},
+		"partition": {"bfcda32a75128e164be7d89a5844711cb4e69121009753e30bfe869d268f2a2c", "fff71aa940f366f108eae7af5ee399919260ece2e2eeee272b9a8eb229edb74d", "b27b87d8e7107b0f084d4c50aff6c9516f35baaf999d61bfa2418099de6c05c0"},
+		"dynamic":   {"980ae7a369ac46a4052f79d5388f9a458dd4187c16501863076b0bd5b587a672", "357b3f98333aa0195c743bac17b26124f3db632678fa77338f03597e52785185", "f540bdb496a4a6f48667fc53e4ecdb172e671001a34730d0dd34312d5bca2e50"},
+		"is":        {"b28ff620040126da2520102a682cd12f338ff20b8553778a813577afd5d22e01", "6c658e09f08b87a28c39f7b628ef8c8cd2396eb22c1213323b4a04014879608c", "42e567be4b38d17f7f94181cfd75637b70e8711a1f1d80e40bf26ae983a385fc"},
+		"dynplane":  {"360c746eb0e949c602df2cd8471822d0849240059bc572ac1214102f4c3cee62", "db208983ed66462c398df8b3dc1f4382fab24ae119397021a3111b441c90228f", "7078290d1733f7239e4f53f1774e0dda97334eee57a4eb1fb8bb8025abaa394e"},
+	}
+	for _, kind := range AllKinds() {
+		want, ok := pinned[kind.String()]
+		if !ok {
+			t.Errorf("%v: no pinned digests; pin its seed-1 trials 0-2", kind)
+			continue
+		}
+		for trial, w := range want {
+			c := GenCase(kind, 1, int64(trial))
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(c.Describe()))); got != w {
+				t.Errorf("%v trial %d: Describe digest %s, pinned %s\n%s", kind, trial, got, w, c.Describe())
+			}
+		}
+	}
+	if len(pinned) != len(AllKinds()) {
+		t.Errorf("%d kinds pinned, %d kinds exist", len(pinned), len(AllKinds()))
 	}
 }

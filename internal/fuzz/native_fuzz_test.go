@@ -11,8 +11,15 @@ import (
 // every generated task system must satisfy its kind's cross-checks.
 // Run with: go test ./internal/fuzz -fuzz FuzzDifferential
 func FuzzDifferential(f *testing.F) {
-	for k := int64(0); k < int64(numKinds); k++ {
-		f.Add(int64(1), k, int64(0))
+	// One seed per kind, at the index of the kind's GenCase salt offset, so
+	// seed#N keeps naming the case it named before a kind was retired
+	// (dynplane stays seed#8). Index 7, the retired kind's, holds a
+	// negative kind coordinate instead, which the body folds to fullutil.
+	for k := Kind(0); k < numKinds; k++ {
+		if k == KindDynPlane {
+			f.Add(int64(1), -int64(numKinds), int64(1))
+		}
+		f.Add(int64(1), int64(k), int64(0))
 	}
 	f.Fuzz(func(t *testing.T, seed, kind, trial int64) {
 		k := Kind(((kind % int64(numKinds)) + int64(numKinds)) % int64(numKinds))

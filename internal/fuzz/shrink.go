@@ -143,7 +143,7 @@ func shrinkStep(c Case, mutant core.Algorithm) (Case, bool) {
 
 func usesProcessors(k Kind) bool {
 	switch k {
-	case KindFullUtil, KindEPDF, KindDynamic, KindIS, KindShard, KindDynPlane:
+	case KindFullUtil, KindEPDF, KindDynamic, KindIS, KindDynPlane:
 		return true
 	}
 	return false

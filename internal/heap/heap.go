@@ -4,14 +4,12 @@
 // Section 4 of the paper states that "binary heaps [were used] to implement
 // the priority queues of both schedulers" when measuring the per-invocation
 // scheduling overhead of EDF and PD² (Figure 2). This package is that
-// reference structure: the EDF and RM job queues use it directly, and the
-// Pfair core's observed mode keeps its eligible set here so the comparator
-// can narrate tie-breaks as trace events. The default (unobserved) hot
-// paths have since moved to the bucketed structures of internal/calq,
-// whose extraction order is provably identical for the total priority
-// orders the schedulers use — this heap remains both the fallback for
-// key spans a bounded bucket table cannot cover and the baseline the
-// calq benchmarks are measured against.
+// reference structure: the EDF and RM job queues use it directly. The
+// Pfair core's eligible set has moved to the bucketed structures of
+// internal/calq, whose extraction order is provably identical for the
+// total priority orders the schedulers use — this heap remains both the
+// fallback for key spans a bounded bucket table cannot cover and the
+// baseline the calq benchmarks are measured against.
 //
 // The heap also supports removal and priority updates of arbitrary elements
 // via the index handle recorded on each item, which the schedulers need when

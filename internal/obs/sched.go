@@ -17,13 +17,11 @@ type SchedulerMetrics struct {
 	Migrations      *Counter
 	Preemptions     *Counter
 	Misses          *Counter
-	// HeapCmps counts priority-comparator invocations — the dominant
-	// term of the per-slot cost Figure 2 measures (each binary-heap
-	// operation performs O(log n) of them).
-	HeapCmps *Counter
-	// TieBreakB and TieBreakGroup count deadline ties decided by the
-	// PD² b-bit and group-deadline rules — how often the tie-breaks
-	// that separate PD² from EPDF actually fire.
+	// TieBreakB and TieBreakGroup count slots whose selection boundary —
+	// the last selected subtask against the best one left out — was a
+	// deadline tie decided by the PD² b-bit or group-deadline rule: how
+	// often the tie-breaks that separate PD² from EPDF decide who runs.
+	// Each increment pairs with one EvTieBreakB/EvTieBreakGroup event.
 	TieBreakB     *Counter
 	TieBreakGroup *Counter
 
@@ -36,15 +34,6 @@ type SchedulerMetrics struct {
 	Leaves           *Counter
 	Reweights        *Counter
 	AdmissionRejects *Counter
-
-	// ShardLocalHits, ShardSteals, and ShardUnderflows mirror the shard
-	// tier's work-stealing counters (shard.Stats): picks served from the
-	// destination CPU's own shard, picks stolen from another shard, and
-	// steals whose richest victim was empty. All zero when sharding is
-	// off.
-	ShardLocalHits  *Counter
-	ShardSteals     *Counter
-	ShardUnderflows *Counter
 
 	// ReadyLen and PendingLen are the queue lengths after the most
 	// recent slot.
@@ -64,9 +53,8 @@ type SchedulerMetrics struct {
 	Occupancy *Histogram
 	Tardiness *Histogram
 
-	reg    *Registry
-	tasks  []*TaskMetrics // indexed by scheduler task id
-	shards []*Gauge       // per-shard occupancy gauges, indexed by shard
+	reg   *Registry
+	tasks []*TaskMetrics // indexed by scheduler task id
 }
 
 // TaskMetrics is the per-task instrument block.
@@ -106,16 +94,12 @@ func NewSchedulerMetrics(reg *Registry) *SchedulerMetrics {
 		Migrations:       reg.Counter("pfair_migrations_total", "", "allocations on a different processor than the task's previous one"),
 		Preemptions:      reg.Counter("pfair_preemptions_total", "", "tasks descheduled mid-job at a slot boundary"),
 		Misses:           reg.Counter("pfair_deadline_misses_total", "", "subtask deadline violations detected"),
-		HeapCmps:         reg.Counter("pfair_heap_comparisons_total", "", "priority comparator invocations across the ready and release queues"),
-		TieBreakB:        reg.Counter("pfair_tiebreak_bbit_total", "", "deadline ties decided by the b-bit rule"),
-		TieBreakGroup:    reg.Counter("pfair_tiebreak_group_total", "", "deadline ties decided by the group-deadline rule"),
+		TieBreakB:        reg.Counter("pfair_tiebreak_bbit_total", "", "slot selection boundaries decided by the b-bit rule"),
+		TieBreakGroup:    reg.Counter("pfair_tiebreak_group_total", "", "slot selection boundaries decided by the group-deadline rule"),
 		Joins:            reg.Counter("pfair_admission_joins_total", "", "task joins accepted by the admission plane"),
 		Leaves:           reg.Counter("pfair_admission_leaves_total", "", "task leaves (and finishes) accepted by the admission plane"),
 		Reweights:        reg.Counter("pfair_admission_reweights_total", "", "task reweights accepted by the admission plane"),
 		AdmissionRejects: reg.Counter("pfair_admission_rejects_total", "", "dynamic-task requests the admission plane refused"),
-		ShardLocalHits:   reg.Counter("pfair_shard_local_hits_total", "", "ready-queue picks served from the destination CPU's own shard"),
-		ShardSteals:      reg.Counter("pfair_shard_steals_total", "", "ready-queue picks stolen from another CPU's shard"),
-		ShardUnderflows:  reg.Counter("pfair_shard_underflows_total", "", "steals whose richest victim shard was empty"),
 		ReadyLen:         reg.Gauge("pfair_ready_queue_len", "", "ready-queue length after the last slot"),
 		PendingLen:       reg.Gauge("pfair_release_queue_len", "", "release-queue length after the last slot"),
 		TraceTotal:       reg.Gauge("pfair_trace_ring_total_events", "", "trace events ever emitted to the attached recorder"),
@@ -164,28 +148,6 @@ func (m *SchedulerMetrics) Task(id int32) *TaskMetrics {
 		return nil
 	}
 	return m.tasks[id]
-}
-
-// EnsureShards registers per-shard occupancy gauges for shards [0, n)
-// (idempotent, cold path). The scheduler calls it when sharding is on
-// and a metrics block attaches.
-func (m *SchedulerMetrics) EnsureShards(n int) {
-	for i := len(m.shards); i < n; i++ {
-		m.shards = append(m.shards,
-			m.reg.Gauge("pfair_shard_occupancy", `shard="`+itoa(int64(i))+`"`, "queued subtasks per ready-queue shard after the last slot"))
-	}
-}
-
-// Shard returns the occupancy gauge for shard i, or nil for shards never
-// passed to EnsureShards — the same nil-guarded hot-path contract as
-// Task.
-//
-//pfair:hotpath
-func (m *SchedulerMetrics) Shard(i int) *Gauge {
-	if i < 0 || i >= len(m.shards) {
-		return nil
-	}
-	return m.shards[i]
 }
 
 // ObserveRing copies rec's ring occupancy (total emitted, dropped to

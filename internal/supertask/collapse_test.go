@@ -100,7 +100,7 @@ func TestCollapsedSystemSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collapse: %v", err)
 	}
-	sys := NewSystemWith(3, core.PD2, core.Options{Shards: 2})
+	sys := NewSystem(3, core.PD2)
 	for _, g := range groups {
 		if err := sys.AddSupertask(g, true); err != nil {
 			t.Fatalf("add %s: %v", g.Name, err)

@@ -222,16 +222,8 @@ type System struct {
 // trace carries both the supertasks' Pfair events and component-level
 // schedule/miss events (component ids are registered as "super/comp").
 func NewSystem(m int, alg core.Algorithm, opts ...engine.Option) *System {
-	return NewSystemWith(m, alg, core.Options{}, opts...)
-}
-
-// NewSystemWith is NewSystem with explicit scheduler options, letting
-// scale runs put the supertask tier on sharded ready queues
-// (core.Options.Shards) — supertasks collapse the task count the global
-// comparator sees, shards partition what remains.
-func NewSystemWith(m int, alg core.Algorithm, copts core.Options, opts ...engine.Option) *System {
 	sys := &System{
-		sched:  core.NewScheduler(m, alg, copts, opts...),
+		sched:  core.NewScheduler(m, alg, core.Options{}, opts...),
 		supers: make(map[string]*sstate),
 	}
 	sys.rec = sys.sched.Engine().Recorder()

@@ -10,7 +10,9 @@
 #   2. pfairsim traces the pinned EPDF counterexample, whose schedule must
 #      contain deadline-miss events; pfairtrace must name the missing
 #      task and reconstruct the PD² tie-break analysis in the miss window.
-#   3. A sharded metrics-only run must publish live pfair_shard_* series.
+#   3. pfairsim traces the same 8-task set under PD² with metrics on; the
+#      trace must contain b-bit tie-break events, and the
+#      pfair_tiebreak_bbit_total counter must equal their count.
 #   4. BenchmarkStepAllocsObserved and BenchmarkStepAllocsProfiled re-pin
 #      the scheduler hot path at 0 allocs/op with a live recorder,
 #      metrics, and sampling phase profiler attached.
@@ -71,17 +73,17 @@ grep -q 'b-bit' "$tmp/epdf.report" || {
 	exit 1
 }
 
-echo "# smoke 3/4: sharded metrics-only run publishes shard telemetry"
-go run ./cmd/pfairsim -m 4 -shards 4 -slots 500 -metrics \
-	A:3/7 B:5/9 C:2/5 D:7/8 E:1/3 F:4/9 > "$tmp/shard.out"
-grep -q '^pfair_shard_local_hits_total' "$tmp/shard.out" || {
-	echo "smoke: sharded -metrics run printed no pfair_shard_local_hits_total" >&2
+echo "# smoke 3/4: PD² tie-break counters equal tie-break events"
+go run ./cmd/pfairsim -m 5 -alg pd2 -slots 90 -metrics \
+	-trace "$tmp/tie.trace.json" \
+	T0:4/9 T1:3/6 T2:1/2 T3:8/9 T4:6/10 T5:3/6 T6:9/10 T7:2/3 > "$tmp/tie.out"
+go run ./cmd/tracecheck -require tiebreak-bbit "$tmp/tie.trace.json"
+counter="$(awk '$1 == "pfair_tiebreak_bbit_total" { print $2 }' "$tmp/tie.out")"
+events="$(grep -o '"name":"tiebreak-bbit"' "$tmp/tie.trace.json" | wc -l | tr -d ' ')"
+if [ -z "$counter" ] || [ "$counter" != "$events" ]; then
+	echo "smoke: pfair_tiebreak_bbit_total = ${counter:-missing}, trace has $events tiebreak-bbit events" >&2
 	exit 1
-}
-grep -q 'pfair_shard_occupancy{shard="0"}' "$tmp/shard.out" || {
-	echo "smoke: sharded -metrics run printed no per-shard occupancy" >&2
-	exit 1
-}
+fi
 
 echo "# smoke 4/4: observed and profiled hot paths stay at 0 allocs/op"
 go test -run '^$' -bench 'BenchmarkStepAllocs(Observed|Profiled)$' -benchmem \
