@@ -12,13 +12,13 @@
 // path through one global binary heap (the structure Section 4 of the
 // paper measures, and the dominant cost in the Fig2 profiles).
 //
-// Elements carry persistent handles (Item, Entry) allocated once per task
-// at admission, and the buckets are intrusive — doubly-linked lists in
-// the wheel, pairing heaps in the min-queue — so requeueing an element
-// is pure pointer surgery: the steady-state hot path performs no
-// allocation at all, not even amortized slice growth. The only growable
-// buffer is the wheel's drain scratch, bounded by one entry per task and
-// pre-sized via Reserve at admission.
+// Elements carry persistent handles (Item, Entry), allocated once per
+// task at admission or embedded in a pooled record, and the buckets are
+// intrusive — doubly-linked lists in the wheel, pairing heaps in the
+// min-queue — so requeueing an element is pure pointer surgery: the
+// steady-state hot path performs no allocation at all, not even amortized
+// slice growth. The only growable buffer is the wheel's drain scratch,
+// bounded by one entry per task and pre-sized via Reserve at admission.
 //
 // Neither structure assumes keys stay within the configured span: a key
 // far outside it only degrades lookups to an exact scan over occupied
@@ -34,9 +34,8 @@ const minBuckets = 64
 // DefaultSpanCap is the bucket-table ceiling schedulers pass to
 // EnsureSpan: spans beyond it trade real memory (a 2·span pointer table)
 // for avoiding round mixing that the structures already handle correctly
-// by exact scan. Callers with longer-spanning keys should clamp to this
-// (slot-driven cores, where a revolution still amortizes) or keep a
-// comparison-based structure (sparse event-driven simulators).
+// by exact scan. Callers with longer-spanning keys clamp to this; keys
+// beyond the span then cost that scan, never correctness.
 const DefaultSpanCap = 1 << 14
 
 // bitset is a two-level occupancy bitmap over bucket indices: one bit per
@@ -596,6 +595,34 @@ func (q *MinQueue[T]) PopMin() T {
 	q.n--
 	q.lo = e.key
 	return e.Value
+}
+
+// Retain visits every queued value in pop order and keeps those for
+// which keep returns true, removing the rest; the kept entries stay under
+// the same keys, so later pops are unchanged. keep must not touch the
+// queue. Retain drains the queue and re-adds the kept entries, chaining
+// them through their own links, so it never allocates. Cold path:
+// horizon accounting and task removal.
+func (q *MinQueue[T]) Retain(keep func(T) bool) {
+	var head, tail *Entry[T]
+	for q.n > 0 {
+		e := q.buckets[q.minBucket()]
+		q.PopMin()
+		if !keep(e.Value) {
+			continue
+		}
+		if tail == nil {
+			head = e
+		} else {
+			tail.sib = e
+		}
+		tail = e
+	}
+	for e := head; e != nil; {
+		next := e.sib
+		q.Add(e, e.key)
+		e = next
+	}
 }
 
 // PeekMin returns the minimum entry under (key, less) and its key

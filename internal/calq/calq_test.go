@@ -402,3 +402,61 @@ func TestMinQueueEnsureSpanRehash(t *testing.T) {
 		}
 	}
 }
+
+// TestMinQueueRetain: Retain visits every entry in pop order, drops the
+// rejected ones (they come back unqueued), keeps the rest under their
+// keys so later pops are exactly those of the kept set, and allocates
+// nothing.
+func TestMinQueueRetain(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	q := NewMinQueue[qv](16, qvLess) // keys span several revolutions
+	var entries []*Entry[qv]
+	var all []qv
+	for i := 0; i < 200; i++ {
+		v := qv{key: rng.Int63n(300), id: i}
+		e := NewEntry(v)
+		entries = append(entries, e)
+		q.Add(e, v.key)
+		all = append(all, v)
+	}
+	sort.Slice(all, func(i, j int) bool { return qvLess(all[i], all[j]) })
+
+	var seen, kept []qv
+	q.Retain(func(v qv) bool {
+		seen = append(seen, v)
+		if v.id%3 == 0 {
+			return false
+		}
+		kept = append(kept, v)
+		return true
+	})
+	if len(seen) != len(all) {
+		t.Fatalf("visited %d entries, want %d", len(seen), len(all))
+	}
+	for i := range all {
+		if seen[i] != all[i] {
+			t.Fatalf("visit %d = %+v, want %+v (pop order)", i, seen[i], all[i])
+		}
+	}
+	if q.Len() != len(kept) {
+		t.Fatalf("Len = %d after Retain, want %d", q.Len(), len(kept))
+	}
+	for _, e := range entries {
+		if e.Queued() != (e.Value.id%3 != 0) {
+			t.Fatalf("entry %+v queued = %v after Retain", e.Value, e.Queued())
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { q.Retain(func(qv) bool { return true }) }); allocs != 0 {
+		t.Fatalf("Retain allocated %.0f times, want 0", allocs)
+	}
+	// A rejected entry can be queued again; pops interleave it correctly.
+	back := entries[0]
+	q.Add(back, back.Value.key)
+	kept = append(kept, back.Value)
+	sort.Slice(kept, func(i, j int) bool { return qvLess(kept[i], kept[j]) })
+	for i, wv := range kept {
+		if got := q.PopMin(); got != wv {
+			t.Fatalf("pop %d after Retain = %+v, want %+v", i, got, wv)
+		}
+	}
+}

@@ -142,34 +142,31 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 
 // remove departs a task immediately: disarm its release timer, cancel
 // its in-flight jobs everywhere they can live (the processor, the ready
-// queue, the server backlog), and drop it from the live set. The tstate
-// stays in s.order, marked left, so obs ids stay dense and a recorder
-// attached later does not resurrect it.
+// queue, the server backlog) and return them to the pool, and drop it
+// from the live set and the name order. The tstate stays in s.order,
+// marked left, so obs ids stay dense and a recorder attached later does
+// not resurrect it.
 func (s *Simulator) remove(ts *tstate) {
-	if s.relHeap {
-		if ts.relItem.Index() >= 0 {
-			s.releases.Remove(ts.relItem)
-		}
-	} else if ts.relWItem.Queued() {
-		s.relWheel.Remove(ts.relWItem)
-	}
+	s.relWheel.Remove(ts.relItem)
 	if s.running != nil && s.running.ts == ts {
+		s.freeJob(s.running)
 		s.running = nil
 	}
-	for _, it := range s.ready.Items() {
-		if it.Value.ts == ts {
-			ts.backlog = append(ts.backlog, it.Value)
+	s.ready.Retain(func(j *job) bool {
+		if j.ts != ts {
+			return true
 		}
-	}
+		s.freeJob(j)
+		return false
+	})
 	for _, j := range ts.backlog {
-		if j.item.Index() >= 0 {
-			s.ready.Remove(j.item)
-		}
+		s.freeJob(j)
 	}
 	ts.head = nil
 	ts.backlog = nil
 	ts.left = true
 	delete(s.tasks, ts.cfg.Task.Name)
+	s.removeRank(ts)
 }
 
 // AdmissionLog returns the accepted dynamic-task transactions in commit

@@ -4,12 +4,15 @@
 // servers (CBS) for temporal isolation.
 //
 // EDF is the per-processor scheduler of the paper's EDF-FF partitioning
-// baseline (Section 3). The simulator's ready queue is a binary heap, as in
-// the implementation whose per-invocation overhead Figure 2(a) measures.
-// The scheduler is invoked on job releases, completions, and server-budget
-// exhaustions; between events the running job executes undisturbed, so —
-// unlike the slot-based Pfair schedulers — invocation counts are
-// proportional to the number of jobs, not to elapsed time.
+// baseline (Section 3). The simulator runs on the same structures as the
+// Pfair scheduler it is compared with in Figure 2(a): release timers in a
+// calendar wheel and ready jobs in a deadline-bucketed min-queue
+// (internal/calq), ties broken by a dense integer rank that follows task
+// name order, with job records pooled so the steady state allocates
+// nothing. The scheduler is invoked on job releases, completions, and
+// server-budget exhaustions; between events the running job executes
+// undisturbed, so — unlike the slot-based Pfair schedulers — invocation
+// counts are proportional to the number of jobs, not to elapsed time.
 //
 // Each task may declare an ActualCost function that makes some jobs run
 // longer than the declared worst case. Plain EDF has no temporal isolation:
@@ -29,7 +32,6 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/calq"
 	"pfair/internal/engine"
-	"pfair/internal/heap"
 	"pfair/internal/obs"
 	"pfair/internal/task"
 )
@@ -99,33 +101,35 @@ type tstate struct {
 	nextJob     int64 // 1-based index of the next job to release
 	executed    int64 // time units this task's jobs have run, for EvLeave
 	left        bool  // departed via Submit; retained in order for obs ids
+	// rank is the task's position in name order among the live tasks: the
+	// integer tie-break that orders equal-deadline jobs and same-instant
+	// releases exactly as a Task.Name comparison would.
+	rank int
 
 	// CBS server state (Abeni & Buttazzo): a single deadline and budget
 	// shared by all of the task's jobs, which are served FIFO. Only the
-	// head job competes under EDF, with the server's deadline.
+	// head job competes under EDF, with the server's deadline. The
+	// backlog is popped by copying down, so its backing array is reused.
 	budget      int64
 	srvDeadline int64
 	head        *job
 	backlog     []*job
 
-	// relItem and relWItem are the task's persistent handles in the
-	// release structures — the fallback heap and the calendar wheel — so
-	// re-arming the release timer never allocates whichever is in use.
-	relItem  *heap.Item[*tstate]
-	relWItem *calq.Item[*tstate]
+	// relItem is the task's persistent release-timer handle in the
+	// calendar wheel, so re-arming the timer never allocates.
+	relItem *calq.Item[*tstate]
 }
 
 type job struct {
 	ts        *tstate
 	index     int64
-	release   int64
-	deadline  int64 // EDF priority: own deadline, or the server's
+	deadline  int64 // EDF priority and queue key: own deadline, or the server's
 	orig      int64 // the job's own deadline, for miss accounting
 	remaining int64
 	missed    bool
-	// item is the job's heap handle, allocated once at release so
-	// re-queueing on preemption or server promotion never allocates.
-	item *heap.Item[*job]
+	// entry is the job's ready-queue handle, embedded so it is allocated
+	// with the job and kept across pool reuse: queueing never allocates.
+	entry calq.Entry[*job]
 }
 
 // Simulator is an event-driven uniprocessor EDF scheduler. Time units are
@@ -142,20 +146,24 @@ type Simulator struct {
 	now   int64 // internal execution clock; trails the engine inside Run
 	tasks map[string]*tstate
 	order []*tstate // add order, for deterministic obs id assignment
-	ready *heap.Heap[*job]
+	// byName holds the live tasks in name order; each task's rank is its
+	// index here.
+	byName []*tstate
+	// ready holds the ready jobs keyed by their current deadline, ties by
+	// (rank, index) — the order of a (deadline, Name, index) comparison.
+	ready *calq.MinQueue[*job]
 	// Release timers live in the calendar wheel: Next finds the earliest
 	// armed release by bitmap probe and Release drains one bucket, so the
-	// timer path costs O(1) per event instead of O(log n) heap sifts.
-	// When a task's period exceeds calq.DefaultSpanCap (timers too sparse
-	// for a bounded wheel to beat a comparison structure), the simulator
-	// falls back — permanently, migrating armed timers — to the heap.
+	// timer path costs O(1) per event. The wheel spans the longest period
+	// up to calq.DefaultSpanCap; sparser timers cost an exact scan in
+	// NextOccupied, never correctness.
 	relWheel *calq.Wheel[*tstate]
-	relHeap  bool
-	releases *heap.Heap[*tstate]
 	running  *job
-	stats    Stats
-	measure  bool
-	rec      *obs.Recorder
+	// free is the pool of retired job records, reused by releaseOne.
+	free    []*job
+	stats   Stats
+	measure bool
+	rec     *obs.Recorder
 	// plane is the admission-plane ledger behind Submit: it records the
 	// accepted Decisions, counts rejects, and narrates churn to whatever
 	// recorder/metrics are attached.
@@ -166,14 +174,8 @@ type Simulator struct {
 // observability at construction, equivalent to SetRecorder afterwards.
 func NewSimulator(opts ...engine.Option) *Simulator {
 	s := &Simulator{tasks: make(map[string]*tstate)}
-	s.ready = heap.New(jobLess)
+	s.ready = calq.NewMinQueue(1, jobLess)
 	s.relWheel = calq.NewWheel[*tstate](1)
-	s.releases = heap.New(func(a, b *tstate) bool {
-		if a.nextRelease != b.nextRelease {
-			return a.nextRelease < b.nextRelease
-		}
-		return a.cfg.Task.Name < b.cfg.Task.Name
-	})
 	s.plane = admission.NewPlane()
 	s.eng = engine.New(s, opts...)
 	s.rec = s.eng.Recorder()
@@ -184,13 +186,16 @@ func NewSimulator(opts ...engine.Option) *Simulator {
 // Engine returns the engine this simulator runs on.
 func (s *Simulator) Engine() *engine.Engine { return s.eng }
 
+// jobLess is EDF priority: (deadline, rank, index), the same total order
+// as (deadline, Name, index) over the live tasks.
+//
 //pfair:hotpath
 func jobLess(a, b *job) bool {
 	if a.deadline != b.deadline {
 		return a.deadline < b.deadline
 	}
-	if a.ts.cfg.Task.Name != b.ts.cfg.Task.Name {
-		return a.ts.cfg.Task.Name < b.ts.cfg.Task.Name
+	if a.ts.rank != b.ts.rank {
+		return a.ts.rank < b.ts.rank
 	}
 	return a.index < b.index
 }
@@ -258,38 +263,47 @@ func (s *Simulator) Add(cfg Config) error {
 	}
 	s.tasks[cfg.Task.Name] = ts
 	s.order = append(s.order, ts)
+	s.insertRank(ts)
 	s.registerObs(ts)
-	ts.relItem = heap.NewItem(ts)
-	ts.relWItem = calq.NewItem(ts)
-	if !s.relHeap {
-		if cfg.Task.Period > calq.DefaultSpanCap {
-			// Timers this sparse would mix rounds constantly; move every
-			// armed timer to the heap and stay there.
-			s.relHeap = true
-			for _, o := range s.order {
-				if o.relWItem.Queued() {
-					s.relWheel.Remove(o.relWItem)
-					s.releases.PushItem(o.relItem)
-				}
-			}
-		} else {
-			s.relWheel.EnsureSpan(cfg.Task.Period)
-			s.relWheel.Reserve(len(s.order))
-		}
+	ts.relItem = calq.NewItem(ts)
+	span := cfg.Task.Period
+	if cfg.Server != nil && cfg.Server.Period > span {
+		span = cfg.Server.Period
 	}
-	s.armRelease(ts)
+	span = min(span, calq.DefaultSpanCap)
+	s.relWheel.EnsureSpan(span)
+	s.relWheel.Reserve(len(s.tasks))
+	s.ready.EnsureSpan(span)
+	s.relWheel.Add(ts.relItem, ts.nextRelease)
 	return nil
 }
 
-// armRelease queues the task's next release in whichever timer structure
-// is active.
-//
-//pfair:hotpath
-func (s *Simulator) armRelease(ts *tstate) {
-	if s.relHeap {
-		s.releases.PushItem(ts.relItem)
-	} else {
-		s.relWheel.Add(ts.relWItem, ts.nextRelease)
+// insertRank places a new live task in name order and renumbers the
+// ranks from its position on. Ranks of the tasks already queued keep
+// their relative order, so the ready queue stays valid. Cold path.
+func (s *Simulator) insertRank(ts *tstate) {
+	name := ts.cfg.Task.Name
+	i := sort.Search(len(s.byName), func(k int) bool { return s.byName[k].cfg.Task.Name > name })
+	s.byName = append(s.byName, nil)
+	copy(s.byName[i+1:], s.byName[i:])
+	s.byName[i] = ts
+	s.renumber(i)
+}
+
+// removeRank drops a departing task from name order and renumbers the
+// ranks after it. Cold path; the task's jobs must already be out of the
+// ready queue.
+func (s *Simulator) removeRank(ts *tstate) {
+	i := ts.rank
+	s.byName = append(s.byName[:i], s.byName[i+1:]...)
+	s.renumber(i)
+}
+
+// renumber sets the rank of every task from position from on to its
+// index in name order.
+func (s *Simulator) renumber(from int) {
+	for k := from; k < len(s.byName); k++ {
+		s.byName[k].rank = k
 	}
 }
 
@@ -356,7 +370,7 @@ func (s *Simulator) Release(t int64) {
 	s.releaseDue()
 }
 
-// Pick implements engine.Policy; the ready heap is already
+// Pick implements engine.Policy; the ready queue is already
 // priority-ordered, so selection happens in Dispatch's peek.
 //
 //pfair:hotpath
@@ -380,12 +394,8 @@ func (s *Simulator) Account(t int64) {}
 //pfair:hotpath
 func (s *Simulator) Next(t int64) int64 {
 	nextRel := int64(math.MaxInt64)
-	if !s.relHeap {
-		if nr, ok := s.relWheel.NextOccupied(s.now); ok {
-			nextRel = nr
-		}
-	} else if s.releases.Len() > 0 {
-		nextRel = s.releases.Peek().nextRelease
+	if nr, ok := s.relWheel.NextOccupied(s.now); ok {
+		nextRel = nr
 	}
 	event, _ := s.pendingEvent()
 	if event < nextRel {
@@ -430,27 +440,19 @@ func (s *Simulator) advance(to int64) {
 }
 
 // releaseDue releases every job whose time has come and re-arms the
-// release timers. Wheel mode drains the single due bucket and sorts the
-// batch by name — reproducing the heap's (nextRelease, Name) pop order,
-// since every drained timer shares the instant s.now — so traces are
-// identical in either mode.
+// release timers. It drains the single due bucket and sorts the batch by
+// rank, i.e. by name, since every drained timer shares the instant s.now.
 //
 //pfair:hotpath
 func (s *Simulator) releaseDue() {
-	if !s.relHeap {
-		due := s.relWheel.Due(s.now)
-		for i := 1; i < len(due); i++ {
-			for j := i; j > 0 && due[j].cfg.Task.Name < due[j-1].cfg.Task.Name; j-- {
-				due[j], due[j-1] = due[j-1], due[j]
-			}
+	due := s.relWheel.Due(s.now)
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && due[j].rank < due[j-1].rank; j-- {
+			due[j], due[j-1] = due[j-1], due[j]
 		}
-		for _, ts := range due {
-			s.releaseOne(ts)
-		}
-		return
 	}
-	for s.releases.Len() > 0 && s.releases.Peek().nextRelease <= s.now {
-		s.releaseOne(s.releases.Pop())
+	for _, ts := range due {
+		s.releaseOne(ts)
 	}
 }
 
@@ -458,7 +460,7 @@ func (s *Simulator) releaseDue() {
 // dequeued), re-arms the timer, and routes the job into the ready queue
 // directly or through the task's server.
 //
-//pfair:allowalloc releasing a job allocates the job record and its heap handle, one pair per period, off the per-slot path
+//pfair:hotpath
 func (s *Simulator) releaseOne(ts *tstate) {
 	cost := ts.cfg.Task.Cost
 	if ts.cfg.ActualCost != nil {
@@ -468,22 +470,26 @@ func (s *Simulator) releaseOne(ts *tstate) {
 		}
 	}
 	orig := ts.nextRelease + ts.cfg.Task.Period
-	j := &job{
-		ts:        ts,
-		index:     ts.nextJob,
-		release:   ts.nextRelease,
-		deadline:  orig,
-		orig:      orig,
-		remaining: cost,
+	var j *job
+	if n := len(s.free); n > 0 {
+		j = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		j = newJob()
 	}
-	j.item = heap.NewItem(j)
+	j.ts = ts
+	j.index = ts.nextJob
+	j.deadline = orig
+	j.orig = orig
+	j.remaining = cost
+	j.missed = false
 	s.stats.Jobs++
 	if rec := s.rec; rec != nil {
 		rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvRelease, Task: ts.obsID, Proc: -1, A: j.index, B: j.orig})
 	}
 	ts.nextJob++
 	ts.nextRelease += ts.cfg.Task.Period
-	s.armRelease(ts)
+	s.relWheel.Add(ts.relItem, ts.nextRelease)
 
 	if srv := ts.cfg.Server; srv != nil {
 		if ts.head != nil {
@@ -502,7 +508,24 @@ func (s *Simulator) releaseOne(ts *tstate) {
 		j.deadline = ts.srvDeadline
 		ts.head = j
 	}
-	s.ready.PushItem(j.item)
+	s.ready.Add(&j.entry, j.deadline)
+}
+
+// newJob allocates a job record, its ready-queue entry included.
+//
+//pfair:allowalloc pool miss only: jobs are recycled through the free list, so allocations are bounded by the peak number of jobs alive at once
+func newJob() *job {
+	j := &job{}
+	j.entry.Value = j
+	return j
+}
+
+// freeJob returns a retired or cancelled job to the pool.
+//
+//pfair:hotpath
+func (s *Simulator) freeJob(j *job) {
+	j.ts = nil
+	s.free = append(s.free, j)
 }
 
 // complete retires the running job and, for served tasks, promotes the
@@ -523,14 +546,17 @@ func (s *Simulator) complete() {
 		}
 	}
 	ts := j.ts
+	s.freeJob(j)
 	if ts.cfg.Server != nil {
 		ts.head = nil
-		if len(ts.backlog) > 0 {
+		if n := len(ts.backlog); n > 0 {
 			next := ts.backlog[0]
-			ts.backlog = ts.backlog[1:]
+			copy(ts.backlog, ts.backlog[1:])
+			ts.backlog[n-1] = nil
+			ts.backlog = ts.backlog[:n-1]
 			next.deadline = ts.srvDeadline
 			ts.head = next
-			s.ready.PushItem(next.item)
+			s.ready.Add(&next.entry, next.deadline)
 		}
 	}
 }
@@ -560,19 +586,18 @@ func (s *Simulator) dispatch() {
 		start = time.Now() //pfair:allowtime overhead measurement, gated behind the measure flag
 	}
 	s.stats.Invocations++
-	if s.ready.Len() > 0 {
-		top := s.ready.Peek()
+	if top, _, ok := s.ready.PeekMin(); ok {
 		switch {
 		case s.running == nil:
-			s.ready.Pop()
+			s.ready.PopMin()
 			s.running = top
 			s.stats.ContextSwitches++
 			if rec := s.rec; rec != nil {
 				rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvSchedule, Task: top.ts.obsID, Proc: 0, A: top.index})
 			}
 		case jobLess(top, s.running):
-			s.ready.Pop()
-			s.ready.PushItem(s.running.item)
+			s.ready.PopMin()
+			s.ready.Add(&s.running.entry, s.running.deadline)
 			s.stats.Preemptions++
 			s.stats.ContextSwitches++
 			if rec := s.rec; rec != nil {
@@ -588,7 +613,9 @@ func (s *Simulator) dispatch() {
 }
 
 // finishMisses records jobs still incomplete at the horizon whose own
-// deadlines fell at or before it.
+// deadlines fell at or before it: the running job, the ready jobs in
+// priority order, then each server backlog in name order, so the recorded
+// miss sequence is a pure function of the workload.
 func (s *Simulator) finishMisses(horizon int64) {
 	record := func(j *job) {
 		if j != nil && !j.missed && j.orig <= horizon {
@@ -602,18 +629,12 @@ func (s *Simulator) finishMisses(horizon int64) {
 		}
 	}
 	record(s.running)
-	for _, it := range s.ready.Items() {
-		record(it.Value)
-	}
-	// Walk backlogs in sorted task order so the recorded miss sequence is
-	// a pure function of the workload, not of map iteration order.
-	names := make([]string, 0, len(s.tasks))
-	for name := range s.tasks { //pfair:orderinvariant collects keys for sorting
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, j := range s.tasks[name].backlog {
+	s.ready.Retain(func(j *job) bool {
+		record(j)
+		return true
+	})
+	for _, ts := range s.byName {
+		for _, j := range ts.backlog {
 			record(j)
 		}
 	}

@@ -4,16 +4,15 @@
 // Section 4 of the paper states that "binary heaps [were used] to implement
 // the priority queues of both schedulers" when measuring the per-invocation
 // scheduling overhead of EDF and PD² (Figure 2). This package is that
-// reference structure: the EDF and RM job queues use it directly. The
-// Pfair core's eligible set has moved to the bucketed structures of
-// internal/calq, whose extraction order is provably identical for the
-// total priority orders the schedulers use — this heap remains both the
-// fallback for key spans a bounded bucket table cannot cover and the
-// baseline the calq benchmarks are measured against.
+// reference structure: the global EDF and RM simulators in internal/sim
+// use it directly. The Pfair core and the uniprocessor EDF and RM
+// simulators run on the bucketed structures of internal/calq, whose
+// extraction order is provably identical for the total priority orders
+// the schedulers use — this heap remains the baseline the calq
+// benchmarks are measured against.
 //
 // The heap also supports removal and priority updates of arbitrary elements
-// via the index handle recorded on each item, which the schedulers need when
-// a job completes early or a task leaves the system.
+// via the index handle recorded on each item.
 package heap
 
 // Item is a heap element paired with its current position, maintained by the
@@ -133,11 +132,6 @@ func (h *Heap[T]) Fix(it *Item[T]) {
 		h.down(it.index)
 	}
 }
-
-// Items returns the underlying items in heap order (not sorted order). The
-// slice must not be modified; it is exposed for iteration by the schedulers'
-// introspection and trace code.
-func (h *Heap[T]) Items() []*Item[T] { return h.items }
 
 //pfair:hotpath
 func (h *Heap[T]) swap(i, j int) {

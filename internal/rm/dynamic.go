@@ -2,11 +2,11 @@ package rm
 
 import (
 	"fmt"
+	"sort"
 
 	"pfair/internal/admission"
 	"pfair/internal/calq"
 	"pfair/internal/engine"
-	"pfair/internal/heap"
 	"pfair/internal/task"
 )
 
@@ -45,55 +45,67 @@ func (s *Simulator) liveSet(except string) task.Set {
 }
 
 // admit installs a validated, feasibility-checked task with its first
-// release at the current engine instant, growing (or abandoning) the
-// timer wheel if the new period demands it.
+// release at the current engine instant, growing the timer wheel and the
+// ready queue if the new period demands it. Cold path.
 func (s *Simulator) admit(t *task.Task) {
 	ts := &tstate{t: t, nextJob: 1, nextRelease: s.eng.Now()}
-	ts.relItem = heap.NewItem(ts)
-	ts.relWItem = calq.NewItem(ts)
+	ts.relItem = calq.NewItem(ts)
 	s.tasks[t.Name] = ts
-	if !s.relHeap {
-		if t.Period > calq.DefaultSpanCap {
-			// Timers this sparse would mix rounds constantly; move every
-			// armed timer to the heap and stay there, as edf does.
-			s.relHeap = true
-			for _, o := range s.tasks { //pfair:orderinvariant heap order is (nextRelease, name), independent of push order
-				if o.relWItem.Queued() {
-					s.relWheel.Remove(o.relWItem)
-					s.releases.PushItem(o.relItem)
-				}
-			}
-		} else {
-			s.relWheel.EnsureSpan(t.Period)
-			s.relWheel.Reserve(len(s.tasks))
-		}
+	s.insertRank(ts)
+	span := min(t.Period, calq.DefaultSpanCap)
+	s.relWheel.EnsureSpan(span)
+	s.relWheel.Reserve(len(s.tasks))
+	s.ready.EnsureSpan(span)
+	s.relWheel.Add(ts.relItem, ts.nextRelease)
+}
+
+// insertRank places a new live task in name order and renumbers the
+// ranks from its position on. Ranks of the tasks already queued keep
+// their relative order, so the ready queue stays valid. Cold path.
+func (s *Simulator) insertRank(ts *tstate) {
+	name := ts.t.Name
+	i := sort.Search(len(s.byName), func(k int) bool { return s.byName[k].t.Name > name })
+	s.byName = append(s.byName, nil)
+	copy(s.byName[i+1:], s.byName[i:])
+	s.byName[i] = ts
+	s.renumber(i)
+}
+
+// removeRank drops a departing task from name order and renumbers the
+// ranks after it. Cold path; the task's jobs must already be out of the
+// ready queue.
+func (s *Simulator) removeRank(ts *tstate) {
+	i := ts.rank
+	s.byName = append(s.byName[:i], s.byName[i+1:]...)
+	s.renumber(i)
+}
+
+// renumber sets the rank of every task from position from on to its
+// index in name order.
+func (s *Simulator) renumber(from int) {
+	for k := from; k < len(s.byName); k++ {
+		s.byName[k].rank = k
 	}
-	s.armRelease(ts)
 }
 
 // remove departs a task immediately: disarm its release timer, cancel
-// its in-flight jobs, and drop it from the live set.
+// its in-flight jobs and return them to the pool, and drop it from the
+// live set and the name order.
 func (s *Simulator) remove(ts *tstate) {
-	if s.relHeap {
-		if ts.relItem.Index() >= 0 {
-			s.releases.Remove(ts.relItem)
-		}
-	} else if ts.relWItem.Queued() {
-		s.relWheel.Remove(ts.relWItem)
-	}
+	s.relWheel.Remove(ts.relItem)
 	if s.running != nil && s.running.ts == ts {
+		s.freeJob(s.running)
 		s.running = nil
 	}
-	var cancelled []*heap.Item[*job]
-	for _, it := range s.ready.Items() {
-		if it.Value.ts == ts {
-			cancelled = append(cancelled, it)
+	s.ready.Retain(func(j *job) bool {
+		if j.ts != ts {
+			return true
 		}
-	}
-	for _, it := range cancelled {
-		s.ready.Remove(it)
-	}
+		s.freeJob(j)
+		return false
+	})
 	delete(s.tasks, ts.t.Name)
+	s.removeRank(ts)
 }
 
 // Submit implements engine.Dynamic: transactional join/leave/reweight

@@ -18,7 +18,6 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/calq"
 	"pfair/internal/engine"
-	"pfair/internal/heap"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
@@ -135,11 +134,13 @@ type tstate struct {
 	t           *task.Task
 	nextRelease int64
 	nextJob     int64
-	// relItem and relWItem are the task's persistent handles in the
-	// release structures — the fallback heap and the calendar wheel — so
-	// re-arming the release timer never allocates whichever is in use.
-	relItem  *heap.Item[*tstate]
-	relWItem *calq.Item[*tstate]
+	// rank is the task's position in name order among the live tasks: the
+	// integer tie-break that orders equal-period jobs and same-instant
+	// releases exactly as a Task.Name comparison would.
+	rank int
+	// relItem is the task's persistent release-timer handle in the
+	// calendar wheel, so re-arming the timer never allocates.
+	relItem *calq.Item[*tstate]
 }
 
 type job struct {
@@ -148,9 +149,23 @@ type job struct {
 	deadline  int64
 	remaining int64
 	missed    bool
-	// item is the job's heap handle, allocated once at release so
-	// re-queueing on preemption never allocates.
-	item *heap.Item[*job]
+	// entry is the job's ready-queue handle, embedded so it is allocated
+	// with the job and kept across pool reuse: queueing never allocates.
+	entry calq.Entry[*job]
+}
+
+// jobLess is RM priority: (period, rank, index), the same total order as
+// (period, Name, index) over the live tasks.
+//
+//pfair:hotpath
+func jobLess(a, b *job) bool {
+	if a.ts.t.Period != b.ts.t.Period {
+		return a.ts.t.Period < b.ts.t.Period
+	}
+	if a.ts.rank != b.ts.rank {
+		return a.ts.rank < b.ts.rank
+	}
+	return a.index < b.index
 }
 
 // Simulator is an event-driven preemptive fixed-priority (RM) simulator
@@ -164,16 +179,19 @@ type Simulator struct {
 	eng   *engine.Engine
 	now   int64 // internal execution clock; trails the engine inside Run
 	tasks map[string]*tstate
-	ready *heap.Heap[*job]
-	// Release timers live in the calendar wheel unless some period
-	// exceeds calq.DefaultSpanCap (timers too sparse for a bounded wheel),
-	// in which case the constructor picks the comparison heap instead —
-	// the task set is fixed up front, so the choice is made once.
+	// byName holds the live tasks in name order; each task's rank is its
+	// index here.
+	byName []*tstate
+	// ready holds the ready jobs keyed by period, ties by (rank, index).
+	ready *calq.MinQueue[*job]
+	// Release timers live in the calendar wheel, spanning the longest
+	// period up to calq.DefaultSpanCap; sparser timers cost an exact scan
+	// in NextOccupied, never correctness.
 	relWheel *calq.Wheel[*tstate]
-	relHeap  bool
-	releases *heap.Heap[*tstate]
 	running  *job
 	stats    Stats
+	// free is the pool of retired job records, reused by releaseOne.
+	free []*job
 	// plane is the admission-plane ledger behind Submit. RM has no trace
 	// integration, so the plane carries decisions and metrics only.
 	plane *admission.Plane
@@ -182,55 +200,15 @@ type Simulator struct {
 // NewSimulator returns an empty simulator at time 0.
 func NewSimulator(set task.Set, opts ...engine.Option) *Simulator {
 	s := &Simulator{tasks: make(map[string]*tstate, len(set))}
-	s.ready = heap.New(func(a, b *job) bool {
-		if a.ts.t.Period != b.ts.t.Period {
-			return a.ts.t.Period < b.ts.t.Period
-		}
-		if a.ts.t.Name != b.ts.t.Name {
-			return a.ts.t.Name < b.ts.t.Name
-		}
-		return a.index < b.index
-	})
-	s.releases = heap.New(func(a, b *tstate) bool {
-		if a.nextRelease != b.nextRelease {
-			return a.nextRelease < b.nextRelease
-		}
-		return a.t.Name < b.t.Name
-	})
-	var maxPeriod int64
-	for _, t := range set {
-		if t.Period > maxPeriod {
-			maxPeriod = t.Period
-		}
-	}
-	s.relHeap = maxPeriod > calq.DefaultSpanCap
-	if !s.relHeap {
-		s.relWheel = calq.NewWheel[*tstate](maxPeriod)
-		s.relWheel.Reserve(len(set))
-	}
-	for _, t := range set {
-		ts := &tstate{t: t, nextJob: 1}
-		ts.relItem = heap.NewItem(ts)
-		ts.relWItem = calq.NewItem(ts)
-		s.tasks[t.Name] = ts
-		s.armRelease(ts)
-	}
+	s.ready = calq.NewMinQueue(1, jobLess)
+	s.relWheel = calq.NewWheel[*tstate](1)
 	s.plane = admission.NewPlane()
 	s.eng = engine.New(s, opts...)
 	s.plane.Observe(nil, s.eng.Metrics())
-	return s
-}
-
-// armRelease queues the task's next release in whichever timer structure
-// the constructor selected.
-//
-//pfair:hotpath
-func (s *Simulator) armRelease(ts *tstate) {
-	if s.relHeap {
-		s.releases.PushItem(ts.relItem)
-	} else {
-		s.relWheel.Add(ts.relWItem, ts.nextRelease)
+	for _, t := range set {
+		s.admit(t)
 	}
+	return s
 }
 
 // Engine returns the engine this simulator runs on.
@@ -255,9 +233,10 @@ func (s *Simulator) Run(horizon int64) error {
 		}
 	}
 	record(s.running)
-	for _, it := range s.ready.Items() {
-		record(it.Value)
-	}
+	s.ready.Retain(func(j *job) bool {
+		record(j)
+		return true
+	})
 	return nil
 }
 
@@ -293,6 +272,7 @@ func (s *Simulator) complete() {
 		j.missed = true
 		s.stats.Misses = append(s.stats.Misses, Miss{Task: j.ts.t.Name, Job: j.index, Deadline: j.deadline, FinishedAt: s.now})
 	}
+	s.freeJob(j)
 }
 
 // Release is the engine release phase at event instant t: execute the
@@ -310,49 +290,64 @@ func (s *Simulator) Release(t int64) {
 }
 
 // releaseDue releases every job whose time has come and re-arms the
-// timers. Wheel mode drains the single due bucket and sorts the batch by
-// name, matching the heap's (nextRelease, Name) pop order — every
-// drained timer shares the instant s.now.
+// timers. It drains the single due bucket and sorts the batch by rank,
+// i.e. by name, since every drained timer shares the instant s.now.
 //
 //pfair:hotpath
 func (s *Simulator) releaseDue() {
-	if !s.relHeap {
-		due := s.relWheel.Due(s.now)
-		for i := 1; i < len(due); i++ {
-			for j := i; j > 0 && due[j].t.Name < due[j-1].t.Name; j-- {
-				due[j], due[j-1] = due[j-1], due[j]
-			}
+	due := s.relWheel.Due(s.now)
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && due[j].rank < due[j-1].rank; j-- {
+			due[j], due[j-1] = due[j-1], due[j]
 		}
-		for _, ts := range due {
-			s.releaseOne(ts)
-		}
-		return
 	}
-	for s.releases.Len() > 0 && s.releases.Peek().nextRelease <= s.now {
-		s.releaseOne(s.releases.Pop())
+	for _, ts := range due {
+		s.releaseOne(ts)
 	}
 }
 
 // releaseOne releases one task's due job (its timer already dequeued)
 // and re-arms the timer.
 //
-//pfair:allowalloc releasing a job allocates the job record and its heap handle, one pair per period, off the per-slot path
+//pfair:hotpath
 func (s *Simulator) releaseOne(ts *tstate) {
-	j := &job{
-		ts:        ts,
-		index:     ts.nextJob,
-		deadline:  ts.nextRelease + ts.t.Period,
-		remaining: ts.t.Cost,
+	var j *job
+	if n := len(s.free); n > 0 {
+		j = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		j = newJob()
 	}
-	j.item = heap.NewItem(j)
-	s.ready.PushItem(j.item)
+	j.ts = ts
+	j.index = ts.nextJob
+	j.deadline = ts.nextRelease + ts.t.Period
+	j.remaining = ts.t.Cost
+	j.missed = false
+	s.ready.Add(&j.entry, ts.t.Period)
 	s.stats.Jobs++
 	ts.nextJob++
 	ts.nextRelease += ts.t.Period
-	s.armRelease(ts)
+	s.relWheel.Add(ts.relItem, ts.nextRelease)
 }
 
-// Pick implements engine.Policy; the ready heap is already
+// newJob allocates a job record, its ready-queue entry included.
+//
+//pfair:allowalloc pool miss only: jobs are recycled through the free list, so allocations are bounded by the peak number of jobs alive at once
+func newJob() *job {
+	j := &job{}
+	j.entry.Value = j
+	return j
+}
+
+// freeJob returns a completed or cancelled job to the pool.
+//
+//pfair:hotpath
+func (s *Simulator) freeJob(j *job) {
+	j.ts = nil
+	s.free = append(s.free, j)
+}
+
+// Pick implements engine.Policy; the ready queue is already
 // priority-ordered, so selection happens in Dispatch's peek.
 //
 //pfair:hotpath
@@ -375,12 +370,8 @@ func (s *Simulator) Account(t int64) {}
 //pfair:hotpath
 func (s *Simulator) Next(t int64) int64 {
 	nextRel := int64(math.MaxInt64)
-	if !s.relHeap {
-		if nr, ok := s.relWheel.NextOccupied(s.now); ok {
-			nextRel = nr
-		}
-	} else if s.releases.Len() > 0 {
-		nextRel = s.releases.Peek().nextRelease
+	if nr, ok := s.relWheel.NextOccupied(s.now); ok {
+		nextRel = nr
 	}
 	if event := s.pendingEvent(); event < nextRel {
 		return event
@@ -404,21 +395,25 @@ func (s *Simulator) atHorizon(horizon int64) {
 	}
 }
 
+// dispatch is the scheduler invocation: the ready queue's top job takes
+// an idle processor, or preempts the running job when its task has a
+// strictly higher priority (period, then rank).
+//
 //pfair:hotpath
 func (s *Simulator) dispatch() {
-	if s.ready.Len() == 0 {
+	top, _, ok := s.ready.PeekMin()
+	if !ok {
 		return
 	}
-	top := s.ready.Peek()
 	switch {
 	case s.running == nil:
-		s.ready.Pop()
+		s.ready.PopMin()
 		s.running = top
 		s.stats.ContextSwitches++
 	case top.ts.t.Period < s.running.ts.t.Period ||
-		(top.ts.t.Period == s.running.ts.t.Period && top.ts.t.Name < s.running.ts.t.Name):
-		s.ready.Pop()
-		s.ready.PushItem(s.running.item)
+		(top.ts.t.Period == s.running.ts.t.Period && top.ts.rank < s.running.ts.rank):
+		s.ready.PopMin()
+		s.ready.Add(&s.running.entry, s.running.ts.t.Period)
 		s.stats.Preemptions++
 		s.stats.ContextSwitches++
 		s.running = top
