@@ -69,10 +69,11 @@ fuzz-short:
 	$(GO) run ./cmd/fuzz -n 25 -seed 1
 
 # smoke exercises the observability layer end to end: pfairsim -trace on
-# the quickstart and EPDF-counterexample sets validated by tracecheck
-# and explained by pfairtrace, PD² tie-break counters checked against
-# the traced tie-break events, plus the observed and profiled hot-path
-# allocation benchmarks. See DESIGN.md §7 and §12.
+# the quickstart and EPDF-counterexample sets, each validated (with
+# -require'd event kinds) and explained by pfairtrace, PD² tie-break
+# counters checked against pfairtrace's tie-break event count, plus the
+# observed and profiled hot-path allocation benchmarks. See DESIGN.md §7
+# and §12.
 smoke:
 	sh scripts/smoke.sh
 

@@ -64,7 +64,7 @@ func main() {
 		}
 		if !*noShrink {
 			sc := fuzz.Shrink(c, mutant)
-			fmt.Printf("shrunk: M=%d H=%d tasks=%v\n", sc.M, sc.Horizon, sc.Set)
+			fmt.Printf("shrunk: %s\n", reproducer(&sc))
 		}
 		os.Exit(1)
 	}
@@ -111,7 +111,7 @@ func main() {
 			fmt.Println("  " + v)
 		}
 		if f.Shrunk != nil {
-			fmt.Printf("  shrunk reproducer: M=%d H=%d tasks=%v\n", f.Shrunk.M, f.Shrunk.Horizon, f.Shrunk.Set)
+			fmt.Printf("  shrunk reproducer: %s\n", reproducer(f.Shrunk))
 		}
 		fmt.Printf("  replay: go run ./cmd/fuzz -replay %s", f.Case.Replay())
 		if *mutArg != "" {
@@ -122,4 +122,13 @@ func main() {
 	if len(rep.Failures) > 0 {
 		os.Exit(1)
 	}
+}
+
+// reproducer renders a shrunk case in full, so that rebuilt by hand it
+// still fails: Describe's tasks and churn script, plus IS delay tables.
+func reproducer(c *fuzz.Case) string {
+	if len(c.Delays) == 0 {
+		return c.Describe()
+	}
+	return fmt.Sprintf("%s delays=%v", c.Describe(), c.Delays)
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,7 +19,7 @@ func traceOf(t *testing.T, alg core.Algorithm, m int, set task.Set, horizon int6
 	t.Helper()
 	s := core.NewScheduler(m, alg, core.Options{})
 	rec := obs.NewRecorder(ringCap)
-	s.Observe(rec, nil)
+	s.Observe(rec, obs.NewSchedulerMetrics(nil))
 	for _, tk := range set {
 		if err := s.Join(tk); err != nil {
 			t.Fatalf("join %v: %v", tk, err)
@@ -34,6 +36,15 @@ func traceOf(t *testing.T, alg core.Algorithm, m int, set task.Set, horizon int6
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	return buf.Bytes(), s
+}
+
+// report parses a trace and builds its report with k = 2.
+func report(data []byte) (*Report, error) {
+	tr, err := obs.ParseChrome(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return buildReport(tr, 2)
 }
 
 // epdfCounterexample is the pinned workload on which EPDF misses a
@@ -54,11 +65,7 @@ func TestRoundTripAccounting(t *testing.T) {
 	set := task.Set{task.MustNew("A", 2, 3), task.MustNew("B", 2, 3), task.MustNew("C", 2, 3)}
 	data, s := traceOf(t, core.PD2, 2, set, 120, 1<<16)
 
-	td, err := parseTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("parseTrace: %v", err)
-	}
-	rep, err := buildReport(td, 2)
+	rep, err := report(data)
 	if err != nil {
 		t.Fatalf("buildReport: %v", err)
 	}
@@ -124,11 +131,7 @@ func TestMissWindowNamesTask(t *testing.T) {
 	}
 	wantTask := traced[0].Task
 
-	td, err := parseTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("parseTrace: %v", err)
-	}
-	rep, err := buildReport(td, 2)
+	rep, err := report(data)
 	if err != nil {
 		t.Fatalf("buildReport: %v", err)
 	}
@@ -176,6 +179,8 @@ func TestMissWindowNamesTask(t *testing.T) {
 func TestChurnRoundTrip(t *testing.T) {
 	s := core.NewScheduler(2, core.PD2, core.Options{})
 	rec := obs.NewRecorder(1 << 16)
+	live := obs.NewAccounting()
+	rec.SetAccounting(live)
 	s.Observe(rec, nil)
 	for _, tk := range []*task.Task{task.MustNew("A", 1, 2), task.MustNew("B", 1, 3)} {
 		if err := s.Join(tk); err != nil {
@@ -200,16 +205,18 @@ func TestChurnRoundTrip(t *testing.T) {
 	if err := obs.WriteChromeTrace(&buf, rec, obs.ChromeTraceOptions{Procs: 2}); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
-	td, err := parseTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("parseTrace: %v", err)
-	}
-	rep, err := buildReport(td, 2)
+	rep, err := report(buf.Bytes())
 	if err != nil {
 		t.Fatalf("buildReport: %v", err)
 	}
 	if rep.Churn == nil {
 		t.Fatal("report has no churn section despite mid-run operations")
+	}
+	// B's two incarnations share a name; the report must keep their rows
+	// apart exactly as the live table does.
+	live.Finalize(rep.Slots)
+	if want := live.Snapshot(); !reflect.DeepEqual(rep.Tasks, want) {
+		t.Errorf("report accounting differs from the live table:\n got %+v\nwant %+v", rep.Tasks, want)
 	}
 	// Core reweight is leave-and-rejoin: B's new incarnation adds one
 	// join and one leave beyond the explicit operations.
@@ -246,11 +253,7 @@ func TestRingWrapSurfaced(t *testing.T) {
 	set := epdfCounterexample(t)
 	data, _ := traceOf(t, core.EPDF, 5, set, 180, 1<<8)
 
-	td, err := parseTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("parseTrace: %v", err)
-	}
-	rep, err := buildReport(td, 2)
+	rep, err := report(data)
 	if err != nil {
 		t.Fatalf("buildReport: %v", err)
 	}
@@ -273,14 +276,49 @@ func TestRingWrapSurfaced(t *testing.T) {
 // TestRejectsNonTraces: garbage and schedule-free inputs must error, not
 // produce empty reports.
 func TestRejectsNonTraces(t *testing.T) {
-	if _, err := parseTrace(strings.NewReader("not json")); err == nil {
-		t.Error("parseTrace accepted garbage")
+	if _, err := report([]byte("not json")); err == nil {
+		t.Error("accepted garbage")
 	}
-	td, err := parseTrace(strings.NewReader(`{"traceEvents":[],"otherData":{"slotMicros":1000}}`))
+	var buf bytes.Buffer
+	rec := obs.NewRecorder(16)
+	rec.RegisterTask(0, "A")
+	if err := obs.WriteChromeTrace(&buf, rec, obs.ChromeTraceOptions{Procs: 1}); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	tr, err := obs.ParseChrome(&buf)
 	if err != nil {
-		t.Fatalf("parseTrace on empty trace: %v", err)
+		t.Fatalf("ParseChrome on a schedule-free trace: %v", err)
 	}
-	if _, err := buildReport(td, 2); err == nil {
+	if _, err := buildReport(tr, 2); err == nil {
 		t.Error("buildReport accepted a trace with no schedule events")
+	}
+}
+
+// TestRequireCountsEvents: -require passes exactly when every named
+// event kind appears, and the per-kind counts equal the trace's.
+func TestRequireCountsEvents(t *testing.T) {
+	data, s := traceOf(t, core.PD2, 5, epdfCounterexample(t), 90, 1<<16)
+	rep, err := report(data)
+	if err != nil {
+		t.Fatalf("report: %v", err)
+	}
+	if got, want := int64(rep.Events["tiebreak-bbit"]), s.Metrics().TieBreakB.Value(); got != want || got == 0 {
+		t.Errorf("tiebreak-bbit count = %d, scheduler counted %d", got, want)
+	}
+	if got, want := int64(rep.Events["schedule"]), s.Stats().Allocations; got != want {
+		t.Errorf("schedule count = %d, scheduler allocated %d", got, want)
+	}
+	if err := checkRequired(rep, "release, migration,tiebreak-bbit"); err != nil {
+		t.Errorf("checkRequired on present events: %v", err)
+	}
+	if err := checkRequired(rep, "release,deadline-miss"); err == nil {
+		t.Error("checkRequired passed a PD² run without deadline-miss events")
+	}
+	var human bytes.Buffer
+	if err := renderHuman(&human, rep); err != nil {
+		t.Fatalf("renderHuman: %v", err)
+	}
+	if want := fmt.Sprintf(" tiebreak-bbit:%d", rep.Events["tiebreak-bbit"]); !strings.Contains(human.String(), want) {
+		t.Errorf("human report has no events line with %q", want)
 	}
 }

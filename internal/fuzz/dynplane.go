@@ -20,10 +20,11 @@ import (
 // policy guarantees one, and the ledger counts exactly the accepted and
 // refused requests.
 
-// dynScript expands the case into per-slot admission requests. Within a
-// slot the order is joins, then reweights, then leaves, each in declared
-// task order, so every leg submits the identical sequence.
-func dynScript(c Case) map[int64][]admission.Request {
+// Script expands the case's joins, reweights and leaves into per-slot
+// admission requests. Within a slot the order is joins, then reweights,
+// then leaves, each in declared task order, so every leg submits the
+// identical sequence.
+func (c *Case) Script() map[int64][]admission.Request {
 	script := map[int64][]admission.Request{}
 	for _, t := range c.Set {
 		at := c.Joins[t.Name] // absent = 0, the synchronous base
@@ -73,7 +74,7 @@ func runCoreDynPlane(c Case, mutant core.Algorithm, legacy bool) dynRun {
 	s := core.NewScheduler(c.M, mutant, core.Options{})
 	rec := &verify.Recorder{}
 	s.OnSlot(rec.Record)
-	script := dynScript(c)
+	script := c.Script()
 	var r dynRun
 	for slot := int64(0); slot < c.Horizon; slot++ {
 		for _, req := range script[slot] {
@@ -166,7 +167,7 @@ func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
 // false if advancing livelocked (already reported).
 func runScriptPlane(c Case, label string, v *violations, advance func(slot int64) error,
 	submit func(req admission.Request) error, log func() (int, int64)) bool {
-	script := dynScript(c)
+	script := c.Script()
 	accepted, rejected := 0, 0
 	for slot := int64(0); slot < c.Horizon; slot++ {
 		reqs := script[slot]

@@ -19,7 +19,7 @@ import (
 // growth happens once per task (and once per new CPU) on the cold side.
 //
 // The same Apply is reused off-line by cmd/pfairtrace, which replays the
-// events it reconstructs from a trace-JSON file through a fresh
+// events ParseChrome reads back from a trace-JSON file through a fresh
 // Accounting — one aggregation, two feeds.
 
 // TaskStats is one task's accounting snapshot. JSON tags make it the
@@ -121,7 +121,7 @@ type taskAcct struct {
 
 // Accounting aggregates a scheduler event stream into per-task rows.
 // Attach one to a Recorder with SetAccounting before the run, or feed
-// reconstructed events through Apply directly (cmd/pfairtrace).
+// parsed events through Apply directly (cmd/pfairtrace).
 type Accounting struct {
 	tasks  []*taskAcct // dense by task id
 	events int64       // events consumed

@@ -12,6 +12,8 @@ import (
 // in consecutive slots on the same processor merge into one span, so a
 // task running unpreempted for k slots renders as one k-slot block —
 // migrations and preemptions are then visible as span boundaries.
+// ParseChrome (chromeparse.go) is the exact inverse; the constants and
+// the instant table below are the format both sides share.
 //
 // The exporter runs after the simulation (cold path); it allocates
 // freely.
@@ -24,6 +26,38 @@ const (
 	schedulerTid   = 1 << 20 // decision lane inside the processor group
 )
 
+// chromeInstant is how one event kind renders as an instant: its name
+// and the args carrying the event's Task, A, B and Proc ("" = not an
+// arg). An instant sits on its task's lane unless it carries the task
+// as an arg: the tie-breaks sit on the scheduler lane and name winner
+// and loser by id.
+type chromeInstant struct{ name, task, a, b, proc string }
+
+var chromeInstants = [numEventKinds]chromeInstant{
+	EvJoin:          {"join", "", "cost", "period", ""},
+	EvLeave:         {"leave", "", "allocated", "", ""},
+	EvRelease:       {"release", "", "subtask", "deadline", ""},
+	EvPreempt:       {"preemption", "", "subtask", "", "proc"},
+	EvMigrate:       {"migration", "", "from", "subtask", "to"},
+	EvMiss:          {"deadline-miss", "", "subtask", "deadline", ""},
+	EvTieBreakB:     {"tiebreak-bbit", "winnerId", "loserId", "deadline", ""},
+	EvTieBreakGroup: {"tiebreak-group", "winnerId", "loserId", "deadline", ""},
+	EvLagExtremum:   {"lag-extremum", "", "num", "den", ""},
+	EvReweight:      {"reweight", "", "cost", "period", ""},
+}
+
+// ChromeName returns the name kind k's events carry in a trace ("schedule"
+// for the spans' dispatches), or "" for EvIdle and EvNone, not exported.
+func ChromeName(k EventKind) string {
+	if k == EvSchedule {
+		return "schedule"
+	}
+	if int(k) < len(chromeInstants) {
+		return chromeInstants[k].name
+	}
+	return ""
+}
+
 // ChromeTraceOptions tunes the export.
 type ChromeTraceOptions struct {
 	// SlotMicros is the rendered length of one slot in microseconds
@@ -33,8 +67,8 @@ type ChromeTraceOptions struct {
 	// never scheduled on; 0 infers lanes from the events.
 	Procs int
 	// Extra is merged into the file's top-level otherData object — run
-	// configuration (algorithm, processor count, shard stats) a consumer
-	// like cmd/pfairtrace reads back. The exporter's reserved keys
+	// configuration (algorithm, processor count) a consumer like
+	// cmd/pfairtrace reads back. The exporter's reserved keys
 	// (slotMicros, totalEvents, retainedEvents, droppedEvents) win over
 	// Extra on collision.
 	Extra map[string]any
@@ -66,13 +100,20 @@ type chromeFile struct {
 }
 
 // run is one maximal span of consecutive slots a task spent on one
-// processor.
+// processor, its subtask index stepping by 0 (one job, as EDF and WRR
+// number them) or by 1 (one subtask per slot, as Pfair does).
 type run struct {
-	task       int32
-	proc       int32
-	start, end int64 // slots, inclusive
-	firstSub   int64
-	lastSub    int64
+	task        int32
+	proc        int32
+	start, end  int64 // slots, inclusive
+	first, last int64 // subtask indices at start and end
+}
+
+// extends reports whether e continues r.
+func (r *run) extends(e Event) bool {
+	d := e.A - r.last
+	return e.Proc == r.proc && e.Slot == r.end+1 &&
+		(d == 0 && r.first == r.last || d == 1 && r.last-r.first == r.end-r.start)
 }
 
 // WriteChromeTrace writes the recorder's retained events as Chrome
@@ -85,10 +126,15 @@ func WriteChromeTrace(w io.Writer, rec *Recorder, opt ChromeTraceOptions) error 
 	}
 	events := rec.Events()
 
+	// Declare lanes densely, for every id the events, options or names use.
 	maxProc := int32(opt.Procs) - 1
+	maxTask := int32(len(rec.names)) - 1
 	for _, e := range events {
 		if e.Proc > maxProc {
 			maxProc = e.Proc
+		}
+		if e.Task > maxTask {
+			maxTask = e.Task
 		}
 	}
 
@@ -104,19 +150,19 @@ func WriteChromeTrace(w io.Writer, rec *Recorder, opt ChromeTraceOptions) error 
 	for k := int32(0); k <= maxProc; k++ {
 		meta(chromePidProcs, int64(k), "thread_name", "CPU "+itoa(int64(k)))
 	}
-	for _, id := range rec.TaskIDs() {
+	for id := int32(0); id <= maxTask; id++ {
 		meta(chromePidTasks, int64(id), "thread_name", rec.TaskName(id))
 	}
 	meta(chromePidProcs, schedulerTid, "thread_name", "scheduler decisions")
 
 	// Merge consecutive EvSchedule events into runs; everything else
-	// becomes an instant on the relevant lane(s).
+	// becomes an instant on the relevant lane.
 	open := map[int32]*run{} // task id → current run
 	flush := func(r *run) {
 		dur := (r.end - r.start + 1) * unit
 		args := map[string]any{
 			"task":     rec.TaskName(r.task),
-			"subtasks": itoa(r.firstSub) + "-" + itoa(r.lastSub),
+			"subtasks": itoa(r.first) + "-" + itoa(r.last),
 		}
 		out = append(out, chromeEvent{
 			Name: rec.TaskName(r.task), Phase: "X", Cat: "schedule",
@@ -127,59 +173,37 @@ func WriteChromeTrace(w io.Writer, rec *Recorder, opt ChromeTraceOptions) error 
 			Ts: r.start * unit, Dur: dur, Pid: chromePidTasks, Tid: int64(r.task), Args: args,
 		})
 	}
-	instant := func(e Event, name string, args map[string]any) {
-		ev := chromeEvent{
-			Name: name, Phase: "i", Scope: "t", Cat: "event",
-			Ts: e.Slot * unit, Pid: chromePidTasks, Tid: int64(e.Task), Args: args,
-		}
-		if e.Task < 0 {
-			ev.Pid, ev.Tid = chromePidProcs, int64(e.Proc)
-		}
-		out = append(out, ev)
-	}
 
 	for _, e := range events {
-		switch e.Kind {
-		case EvSchedule:
+		if e.Task < 0 || ChromeName(e.Kind) == "" {
+			continue // EvIdle renders as the absence of a span
+		}
+		if e.Kind == EvSchedule {
 			if r := open[e.Task]; r != nil {
-				if r.proc == e.Proc && e.Slot == r.end+1 {
-					r.end = e.Slot
-					r.lastSub = e.A
+				if r.extends(e) {
+					r.end, r.last = e.Slot, e.A
 					continue
 				}
 				flush(r)
 			}
-			open[e.Task] = &run{task: e.Task, proc: e.Proc, start: e.Slot, end: e.Slot, firstSub: e.A, lastSub: e.A}
-		case EvRelease:
-			instant(e, "release", map[string]any{"subtask": e.A, "deadline": e.B})
-		case EvMiss:
-			instant(e, "deadline-miss", map[string]any{"subtask": e.A, "deadline": e.B})
-		case EvMigrate:
-			instant(e, "migration", map[string]any{"from": e.A, "to": e.Proc, "subtask": e.B})
-		case EvPreempt:
-			instant(e, "preemption", map[string]any{"subtask": e.A, "proc": e.Proc})
-		case EvJoin:
-			instant(e, "join", map[string]any{"cost": e.A, "period": e.B})
-		case EvLeave:
-			instant(e, "leave", map[string]any{"allocated": e.A})
-		case EvLagExtremum:
-			instant(e, "lag-extremum", map[string]any{"num": e.A, "den": e.B})
-		case EvReweight:
-			instant(e, "reweight", map[string]any{"cost": e.A, "period": e.B})
-		case EvTieBreakB, EvTieBreakGroup:
-			out = append(out, chromeEvent{
-				Name: e.Kind.String(), Phase: "i", Scope: "t", Cat: "decision",
-				Ts: e.Slot * unit, Pid: chromePidProcs, Tid: schedulerTid,
-				Args: map[string]any{
-					"winner": rec.TaskName(e.Task), "loser": rec.TaskName(int32(e.A)), "deadline": e.B,
-				},
-			})
-		case EvIdle:
-			// Idle renders as the absence of a span; no event needed.
+			open[e.Task] = &run{task: e.Task, proc: e.Proc, start: e.Slot, end: e.Slot, first: e.A, last: e.A}
+			continue
 		}
+		f := chromeInstants[e.Kind]
+		args := map[string]any{f.task: e.Task, f.a: e.A, f.b: e.B, f.proc: e.Proc}
+		delete(args, "") // the fields this kind does not carry
+		ev := chromeEvent{
+			Name: f.name, Phase: "i", Scope: "t", Cat: "event",
+			Ts: e.Slot * unit, Pid: chromePidTasks, Tid: int64(e.Task), Args: args,
+		}
+		if f.task != "" {
+			ev.Cat, ev.Pid, ev.Tid = "decision", chromePidProcs, schedulerTid
+			args["winner"], args["loser"] = rec.TaskName(e.Task), rec.TaskName(int32(e.A))
+		}
+		out = append(out, ev)
 	}
 	// Flush remaining runs in task-id order for deterministic output.
-	for _, id := range rec.TaskIDs() {
+	for id := int32(0); id <= maxTask; id++ {
 		if r := open[id]; r != nil {
 			flush(r)
 		}

@@ -2,17 +2,18 @@
 # smoke.sh — end-to-end exercise of the observability layer (DESIGN.md §7
 # and §12), run by CI's smoke job and `make smoke`:
 #
-#   1. pfairsim traces the PD² quickstart set and tracecheck validates the
-#      Chrome trace-event JSON (field shapes, non-overlapping lanes, and
-#      the release/schedule/migration/join events the README promises);
-#      pfairtrace must then reconstruct a non-empty accounting report
-#      from the artifact.
+#   1. pfairsim traces the PD² quickstart set; pfairtrace validates the
+#      Chrome trace-event JSON (obs.ParseChrome: field shapes, declared
+#      and non-overlapping lanes, span twins, ring accounting), requires
+#      the release/migration/join events the README promises, and must
+#      reconstruct a non-empty accounting report from the artifact.
 #   2. pfairsim traces the pinned EPDF counterexample, whose schedule must
 #      contain deadline-miss events; pfairtrace must name the missing
 #      task and reconstruct the PD² tie-break analysis in the miss window.
 #   3. pfairsim traces the same 8-task set under PD² with metrics on; the
 #      trace must contain b-bit tie-break events, and the
-#      pfair_tiebreak_bbit_total counter must equal their count.
+#      pfair_tiebreak_bbit_total counter must equal the tiebreak-bbit
+#      count on pfairtrace's events line.
 #   4. BenchmarkStepAllocsObserved and BenchmarkStepAllocsProfiled re-pin
 #      the scheduler hot path at 0 allocs/op with a live recorder,
 #      metrics, and sampling phase profiler attached.
@@ -28,8 +29,6 @@ echo "# smoke 1/4: PD² quickstart trace + forensic report"
 go run ./cmd/pfairsim -m 2 -alg pd2 -slots 24 \
 	-trace "$tmp/pd2.trace.json" -metrics -taskstats -phaseprof 4 \
 	A:2/3 B:2/3 C:2/3 > "$tmp/pd2.out"
-go run ./cmd/tracecheck -spans -require release,migration,join \
-	"$tmp/pd2.trace.json"
 grep -q '^pfair_migrations_total' "$tmp/pd2.out" || {
 	echo "smoke: pfairsim -metrics printed no pfair_migrations_total" >&2
 	exit 1
@@ -42,7 +41,8 @@ grep -q '^pfair_engine_phase_ns_count' "$tmp/pd2.out" || {
 	echo "smoke: pfairsim -phaseprof -metrics printed no pfair_engine_phase_ns" >&2
 	exit 1
 }
-go run ./cmd/pfairtrace "$tmp/pd2.trace.json" > "$tmp/pd2.report"
+go run ./cmd/pfairtrace -require release,migration,join \
+	"$tmp/pd2.trace.json" > "$tmp/pd2.report"
 grep -q 'per-task accounting' "$tmp/pd2.report" || {
 	echo "smoke: pfairtrace produced no accounting table" >&2
 	exit 1
@@ -61,9 +61,8 @@ echo "# smoke 2/4: EPDF counterexample traces misses; pfairtrace explains them"
 go run ./cmd/pfairsim -m 5 -alg epdf -slots 180 \
 	-trace "$tmp/epdf.trace.json" \
 	T0:4/9 T1:3/6 T2:1/2 T3:8/9 T4:6/10 T5:3/6 T6:9/10 T7:2/3 > /dev/null
-go run ./cmd/tracecheck -spans -require release,deadline-miss \
-	"$tmp/epdf.trace.json"
-go run ./cmd/pfairtrace -k 3 "$tmp/epdf.trace.json" > "$tmp/epdf.report"
+go run ./cmd/pfairtrace -k 3 -require release,deadline-miss \
+	"$tmp/epdf.trace.json" > "$tmp/epdf.report"
 grep -q 'DEADLINE MISS T7' "$tmp/epdf.report" || {
 	echo "smoke: pfairtrace did not name T7 as the missing task" >&2
 	exit 1
@@ -77,11 +76,11 @@ echo "# smoke 3/4: PD² tie-break counters equal tie-break events"
 go run ./cmd/pfairsim -m 5 -alg pd2 -slots 90 -metrics \
 	-trace "$tmp/tie.trace.json" \
 	T0:4/9 T1:3/6 T2:1/2 T3:8/9 T4:6/10 T5:3/6 T6:9/10 T7:2/3 > "$tmp/tie.out"
-go run ./cmd/tracecheck -require tiebreak-bbit "$tmp/tie.trace.json"
+go run ./cmd/pfairtrace -require tiebreak-bbit "$tmp/tie.trace.json" > "$tmp/tie.report"
 counter="$(awk '$1 == "pfair_tiebreak_bbit_total" { print $2 }' "$tmp/tie.out")"
-events="$(grep -o '"name":"tiebreak-bbit"' "$tmp/tie.trace.json" | wc -l | tr -d ' ')"
-if [ -z "$counter" ] || [ "$counter" != "$events" ]; then
-	echo "smoke: pfair_tiebreak_bbit_total = ${counter:-missing}, trace has $events tiebreak-bbit events" >&2
+events="$(awk '$1 == "events:" { for (i = 2; i <= NF; i++) if (sub(/^tiebreak-bbit:/, "", $i)) print $i }' "$tmp/tie.report")"
+if [ -z "$counter" ] || [ -z "$events" ] || [ "$counter" != "$events" ]; then
+	echo "smoke: pfair_tiebreak_bbit_total = ${counter:-missing}, pfairtrace counted ${events:-no} tiebreak-bbit events" >&2
 	exit 1
 fi
 
