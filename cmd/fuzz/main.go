@@ -12,7 +12,9 @@
 //	                                        # broken PD² (fault injection)
 //	go run ./cmd/fuzz -replay fullutil/1/42 # re-run one failing case
 //
-// The exit status is 1 if any unexplained disagreement was found.
+// After the summary line, the campaign's throughput ("N cases in X s
+// (Y cases/s)") goes to stderr; stdout is unchanged by it. The exit status
+// is 1 if any unexplained disagreement was found.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"pfair/internal/fuzz"
 )
@@ -81,6 +84,7 @@ func main() {
 		}
 	}
 
+	start := time.Now() //pfair:allowtime cmd-layer measurement, reported to stderr only
 	rep := fuzz.Run(fuzz.Config{
 		Seed:     *seed,
 		Trials:   *n,
@@ -96,6 +100,10 @@ func main() {
 	}
 	fmt.Printf("fuzz: %d task systems across %d kinds (seed %d): %d unexplained disagreements, %d explained EPDF counterexamples\n",
 		rep.Cases, nk, *seed, len(rep.Failures), rep.Explained)
+	// Throughput goes to stderr so stdout stays a pure function of the
+	// campaign; the time includes shrinking any failures.
+	elapsed := time.Since(start).Seconds() //pfair:allowtime cmd-layer measurement, reported to stderr only
+	fmt.Fprintf(os.Stderr, "%d cases in %.2f s (%.0f cases/s)\n", rep.Cases, elapsed, float64(rep.Cases)/elapsed)
 
 	for _, f := range rep.Failures {
 		fmt.Printf("\nFAIL %s\n", f.Case.Describe())

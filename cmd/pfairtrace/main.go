@@ -136,9 +136,19 @@ type Report struct {
 	Slots      int64           `json:"slots"`
 	Events     map[string]int  `json:"events"`
 	Tasks      []obs.TaskStats `json:"tasks"`
-	Migrations [][]int64       `json:"migrationMatrix"`
+	Migrations []Migration     `json:"migrationMatrix"`
 	Churn      *ChurnReport    `json:"churn,omitempty"`
 	Misses     []MissWindow    `json:"misses"`
+}
+
+// Migration is one nonzero cell of the CPU×CPU migration matrix: Count
+// dispatches of a task on CPU To whose previous dispatch was on CPU From.
+// The report lists only these cells, ordered by (From, To), so its size
+// follows the trace's migrations rather than the square of its lanes.
+type Migration struct {
+	From  int32 `json:"from"`
+	To    int32 `json:"to"`
+	Count int64 `json:"count"`
 }
 
 // buildReport replays the parsed stream through the same obs.Accounting
@@ -153,10 +163,7 @@ func buildReport(tr *obs.Trace, k int64) (*Report, error) {
 	}
 	counts := map[string]int{}
 	lastCPU := map[int32]int32{}
-	matrix := make([][]int64, tr.Procs)
-	for i := range matrix {
-		matrix[i] = make([]int64, tr.Procs)
-	}
+	flows := map[[2]int32]int64{} // (from, to) → count
 	// Window patterns for tie reconstruction, by task id, from join and
 	// reweight cost/period (core's leave-and-rejoin joins the new id
 	// first, so its reweight overwrites idempotently).
@@ -170,7 +177,7 @@ func buildReport(tr *obs.Trace, k int64) (*Report, error) {
 		switch e.Kind {
 		case obs.EvSchedule:
 			if prev, ok := lastCPU[e.Task]; ok && prev != e.Proc {
-				matrix[prev][e.Proc]++
+				flows[[2]int32{prev, e.Proc}]++
 			}
 			lastCPU[e.Task] = e.Proc
 		case obs.EvJoin, obs.EvReweight:
@@ -186,6 +193,14 @@ func buildReport(tr *obs.Trace, k int64) (*Report, error) {
 		return nil, fmt.Errorf("trace contains no schedule events; not a pfairsim -trace file, or the run never dispatched")
 	}
 	acct.Finalize(horizon)
+	matrix := make([]Migration, 0, len(flows))
+	for cell, n := range flows {
+		matrix = append(matrix, Migration{From: cell[0], To: cell[1], Count: n})
+	}
+	sort.Slice(matrix, func(i, j int) bool {
+		a, b := matrix[i], matrix[j]
+		return a.From < b.From || a.From == b.From && a.To < b.To
+	})
 
 	rep := &Report{
 		Meta:   tr.Meta,
@@ -339,17 +354,12 @@ func renderHuman(w io.Writer, rep *Report) error {
 	}
 
 	if rep.Procs > 1 {
-		fmt.Fprintf(w, "\nmigration matrix (rows = from CPU, cols = to CPU):\n      ")
-		for j := 0; j < rep.Procs; j++ {
-			fmt.Fprintf(w, "%6d", j)
+		fmt.Fprintf(w, "\nmigration matrix (nonzero cells, from CPU → to CPU):\n")
+		if len(rep.Migrations) == 0 {
+			fmt.Fprintln(w, "  none")
 		}
-		fmt.Fprintln(w)
-		for i, row := range rep.Migrations {
-			fmt.Fprintf(w, "%6d", i)
-			for _, v := range row {
-				fmt.Fprintf(w, "%6d", v)
-			}
-			fmt.Fprintln(w)
+		for _, m := range rep.Migrations {
+			fmt.Fprintf(w, "  CPU %d → CPU %d: %d\n", m.From, m.To, m.Count)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,10 +84,8 @@ func TestRoundTripAccounting(t *testing.T) {
 		t.Errorf("report migrations = %d, scheduler counted %d", migrations, st.Migrations)
 	}
 	var matrixTotal int64
-	for _, row := range rep.Migrations {
-		for _, v := range row {
-			matrixTotal += v
-		}
+	for _, m := range rep.Migrations {
+		matrixTotal += m.Count
 	}
 	if matrixTotal != st.Migrations {
 		t.Errorf("migration matrix sums to %d, scheduler counted %d", matrixTotal, st.Migrations)
@@ -320,5 +319,48 @@ func TestRequireCountsEvents(t *testing.T) {
 	}
 	if want := fmt.Sprintf(" tiebreak-bbit:%d", rep.Events["tiebreak-bbit"]); !strings.Contains(human.String(), want) {
 		t.Errorf("human report has no events line with %q", want)
+	}
+}
+
+// TestManyLanesSparseMatrix: a small file that declares 1<<15 processor
+// lanes must cost memory linear in the file, not in the square of its
+// lanes (a dense matrix would be 8 GiB), and the matrix keeps exactly
+// the cells the task's dispatches moved along.
+func TestManyLanesSparseMatrix(t *testing.T) {
+	const lanes = 1 << 15
+	rec := obs.NewRecorder(64)
+	rec.RegisterTask(0, "A")
+	for slot, cpu := range []int32{0, lanes - 1, 5, lanes - 1} {
+		rec.Emit(obs.Event{Kind: obs.EvSchedule, Slot: int64(slot), Task: 0, Proc: cpu, A: int64(slot) + 1})
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, rec, obs.ChromeTraceOptions{Procs: lanes}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := report(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var human bytes.Buffer
+	if err := renderHuman(&human, rep); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if rep.Procs != lanes {
+		t.Fatalf("procs = %d, want %d", rep.Procs, lanes)
+	}
+	want := []Migration{{0, lanes - 1, 1}, {5, lanes - 1, 1}, {lanes - 1, 5, 1}}
+	if !reflect.DeepEqual(rep.Migrations, want) {
+		t.Errorf("migrations = %v, want %v", rep.Migrations, want)
+	}
+	// Linear budget: the parse itself allocates per declared lane; allow
+	// a generous 64 times the file's size for parse, report and text.
+	if used, budget := after.TotalAlloc-before.TotalAlloc, uint64(64*buf.Len()); used > budget {
+		t.Errorf("parse+report+render of a %d-byte file allocated %d bytes, budget %d", buf.Len(), used, budget)
+	}
+	if !strings.Contains(human.String(), fmt.Sprintf("CPU 5 → CPU %d: 1", lanes-1)) {
+		t.Errorf("human report lacks the 5 → %d cell:\n%s", lanes-1, human.String())
 	}
 }

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"fmt"
+	"sync"
 
 	"pfair/internal/core"
 	"pfair/internal/edf"
@@ -68,13 +69,25 @@ func (v *violations) addVerify(label string, errs []error) {
 	}
 }
 
+// recorders recycles trace storage across runs and cases, so recording
+// a schedule allocates only when a run outgrows every earlier one. A
+// recorder goes back to the pool only once nothing reads its Slots.
+var recorders = sync.Pool{New: func() any { return new(verify.Recorder) }}
+
+// getRecorder returns an empty recorder from the pool.
+func getRecorder() *verify.Recorder {
+	rec := recorders.Get().(*verify.Recorder)
+	rec.Reset()
+	return rec
+}
+
 // runPfair drives one Pfair scheduler over the whole set (all tasks join
-// at slot 0) and returns the recorded trace and final stats. A join
-// rejection is itself a violation for the full-utilization kinds: their
-// sets satisfy Σwt = M by construction.
-func runPfair(set task.Set, m int, alg core.Algorithm, horizon int64, v *violations) ([]verify.Slot, core.Stats) {
+// at slot 0) and returns the trace recorded into rec, which it resets
+// first, and the final stats. A join rejection is itself a violation for
+// the full-utilization kinds: their sets satisfy Σwt = M by construction.
+func runPfair(set task.Set, m int, alg core.Algorithm, horizon int64, rec *verify.Recorder, v *violations) ([]verify.Slot, core.Stats) {
 	s := core.NewScheduler(m, alg, core.Options{})
-	rec := &verify.Recorder{}
+	rec.Reset()
 	s.OnSlot(rec.Record)
 	for _, t := range set {
 		if err := s.Join(t); err != nil {
@@ -93,8 +106,10 @@ func runPfair(set task.Set, m int, alg core.Algorithm, horizon int64, v *violati
 // every slot, completion.
 func checkFullUtil(c Case, mutant core.Algorithm) Outcome {
 	var v violations
+	rec := getRecorder()
+	defer recorders.Put(rec)
 	for _, alg := range []core.Algorithm{mutant, core.PD, core.PF} {
-		slots, stats := runPfair(c.Set, c.M, alg, c.Horizon, &v)
+		slots, stats := runPfair(c.Set, c.M, alg, c.Horizon, rec, &v)
 		if slots == nil {
 			continue
 		}
@@ -115,14 +130,16 @@ func checkFullUtil(c Case, mutant core.Algorithm) Outcome {
 // still be structurally sound (capacity, sequence, windows-with-tardiness).
 func checkEPDF(c Case) Outcome {
 	var v violations
-	slots, stats := runPfair(c.Set, c.M, core.PD2, c.Horizon, &v)
+	rec := getRecorder()
+	defer recorders.Put(rec)
+	slots, stats := runPfair(c.Set, c.M, core.PD2, c.Horizon, rec, &v)
 	if slots != nil {
 		if n := len(stats.Misses); n > 0 {
 			v.addf("PD2 baseline: %d misses on a full-utilization set, first %+v", n, stats.Misses[0])
 		}
 	}
 	explained := 0
-	slots, stats = runPfair(c.Set, c.M, core.EPDF, c.Horizon, &v)
+	slots, stats = runPfair(c.Set, c.M, core.EPDF, c.Horizon, rec, &v)
 	if slots != nil {
 		switch {
 		case len(stats.Misses) == 0:
@@ -253,23 +270,33 @@ func checkPartition(c Case) Outcome {
 func checkDynamic(c Case, mutant core.Algorithm) Outcome {
 	var v violations
 	s := core.NewScheduler(c.M, mutant, core.Options{})
-	rec := &verify.Recorder{}
+	rec := getRecorder()
+	defer recorders.Put(rec)
 	s.OnSlot(rec.Record)
+	// Each slot's joins and leaves, in set order; a task with no Joins
+	// entry joins at slot 0.
+	joins := map[int64][]*task.Task{}
+	leaves := map[int64][]string{}
+	for _, t := range c.Set {
+		at := c.Joins[t.Name]
+		joins[at] = append(joins[at], t)
+	}
+	for _, t := range c.Set {
+		if at, ok := c.Leaves[t.Name]; ok {
+			leaves[at] = append(leaves[at], t.Name)
+		}
+	}
 	admitted := map[string]int64{}
 	for slot := int64(0); slot < c.Horizon; slot++ {
-		for _, t := range c.Set {
-			if c.Joins[t.Name] == slot {
-				if err := s.Join(t); err == nil {
-					admitted[t.Name] = slot
-				}
+		for _, t := range joins[slot] {
+			if err := s.Join(t); err == nil {
+				admitted[t.Name] = slot
 			}
 		}
-		for _, t := range c.Set {
-			if at, ok := c.Leaves[t.Name]; ok && at == slot {
-				if _, in := admitted[t.Name]; in {
-					if _, err := s.Leave(t.Name); err != nil {
-						v.addf("dynamic: leave %s: %v", t.Name, err)
-					}
+		for _, name := range leaves[slot] {
+			if _, in := admitted[name]; in {
+				if _, err := s.Leave(name); err != nil {
+					v.addf("dynamic: leave %s: %v", name, err)
 				}
 			}
 		}
@@ -315,7 +342,8 @@ func slotsEqual(a, b verify.Slot) bool {
 func checkIS(c Case, mutant core.Algorithm) Outcome {
 	var v violations
 	s := core.NewScheduler(c.M, mutant, core.Options{})
-	rec := &verify.Recorder{}
+	rec := getRecorder()
+	defer recorders.Put(rec)
 	s.OnSlot(rec.Record)
 	var vset task.Set
 	offs := map[string]func(int64) int64{}

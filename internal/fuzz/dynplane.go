@@ -69,10 +69,10 @@ type dynRun struct {
 }
 
 // runCoreDynPlane drives PD² (or its mutant) over the script through
-// either the legacy entry points (Join/Reweight/Leave) or Submit.
-func runCoreDynPlane(c Case, mutant core.Algorithm, legacy bool) dynRun {
+// either the legacy entry points (Join/Reweight/Leave) or Submit,
+// recording the schedule into rec.
+func runCoreDynPlane(c Case, mutant core.Algorithm, legacy bool, rec *verify.Recorder) dynRun {
 	s := core.NewScheduler(c.M, mutant, core.Options{})
-	rec := &verify.Recorder{}
 	s.OnSlot(rec.Record)
 	script := c.Script()
 	var r dynRun
@@ -111,8 +111,11 @@ func runCoreDynPlane(c Case, mutant core.Algorithm, legacy bool) dynRun {
 // ledger/reject counts, which must also reconcile with the observed
 // accept sequence.
 func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
-	legacy := runCoreDynPlane(c, mutant, true)
-	plane := runCoreDynPlane(c, mutant, false)
+	legacyRec, planeRec := getRecorder(), getRecorder()
+	defer recorders.Put(legacyRec)
+	defer recorders.Put(planeRec)
+	legacy := runCoreDynPlane(c, mutant, true, legacyRec)
+	plane := runCoreDynPlane(c, mutant, false, planeRec)
 	if len(legacy.accepts) != len(plane.accepts) {
 		v.addf("dynplane/core: legacy issued %d requests, Submit %d", len(legacy.accepts), len(plane.accepts))
 		return

@@ -2,8 +2,13 @@
 // schedules against the definitions of Section 2. It shares no code with
 // the scheduler's own bookkeeping: it recomputes windows, allocations,
 // and lags from the raw (slot, processor, task, subtask) trace, so a bug
-// in the scheduler's internal state cannot hide itself. The core test
-// suites run every property-test schedule through this validator.
+// in the scheduler's internal state cannot hide itself.
+//
+// Its users are its own cross-validation tests (PD², PD, PF and ERfair
+// schedules), the fuzz oracles (internal/fuzz checks every Pfair kind's
+// trace here), the admission-plane equivalence test
+// (internal/engine/dynequiv_test.go, which records through Recorder), and
+// the perfbench verify.check_us probe.
 //
 // Checks:
 //
@@ -33,18 +38,53 @@ type Slot struct {
 	Assigned []core.Assignment
 }
 
-// Recorder accumulates a schedule in the OnSlot callback shape.
+// Recorder accumulates a schedule in the OnSlot callback shape. The zero
+// value is ready to use.
 type Recorder struct {
 	Slots []Slot
+	// chunk is shared backing storage for the slots' Assigned copies.
+	// Each copy is a full slice expression over its own range, so an
+	// append to one slot's Assigned reallocates instead of writing into
+	// the next slot's data.
+	chunk []core.Assignment
 }
+
+// Growth policy: the first chunk (in assignments) and the first Slots
+// capacity are small so that short fuzz cases stay cheap; each later
+// chunk doubles up to maxChunk, and Slots doubles.
+const (
+	minChunk = 256
+	maxChunk = 8192
+	minSlots = 256
+)
 
 // Record implements the core.Scheduler OnSlot signature.
 //
-//pfair:allowalloc the verification recorder copies every slot's assignments; test-time tooling, detached in measured runs
+//pfair:allowalloc copies every slot into shared chunks, allocating per chunk of up to a few thousand assignments and when Slots doubles; perfbench's fuzz workload records every slot
 func (r *Recorder) Record(t int64, assigned []core.Assignment) {
-	cp := make([]core.Assignment, len(assigned))
-	copy(cp, assigned)
-	r.Slots = append(r.Slots, Slot{Time: t, Assigned: cp})
+	if r.chunk == nil || cap(r.chunk)-len(r.chunk) < len(assigned) {
+		size := min(max(2*cap(r.chunk), minChunk), maxChunk)
+		r.chunk = make([]core.Assignment, 0, max(size, len(assigned)))
+	}
+	start := len(r.chunk)
+	r.chunk = append(r.chunk, assigned...)
+	end := len(r.chunk)
+	if len(r.Slots) == cap(r.Slots) {
+		grown := make([]Slot, len(r.Slots), max(2*cap(r.Slots), minSlots))
+		copy(grown, r.Slots)
+		r.Slots = grown
+	}
+	r.Slots = append(r.Slots, Slot{Time: t, Assigned: r.chunk[start:end:end]})
+}
+
+// Reset empties the recorder for another run and keeps its storage: the
+// Slots array and the newest chunk are reused, so a run that fits in them
+// records without allocating. Slots read before the call are overwritten
+// by later Records.
+func (r *Recorder) Reset() {
+	clear(r.Slots) // drop references to older chunks
+	r.Slots = r.Slots[:0]
+	r.chunk = r.chunk[:0]
 }
 
 // Options configures which checks apply.
@@ -72,6 +112,10 @@ const maxErrors = 1024
 // Check validates the trace of the given task set and returns every
 // violation found (nil means the schedule is valid), truncating after
 // maxErrors entries.
+//
+// Task names are resolved to dense indices once per call; all per-task
+// state lives in slices. Entries of set that share a name share one
+// index, and the last such entry's pattern is the one checked against.
 func Check(set task.Set, slots []Slot, opts Options) []error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -80,24 +124,39 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 		}
 	}
 
-	pats := make(map[string]*core.Pattern, len(set))
-	for _, t := range set {
-		pats[t.Name] = core.NewPattern(t.Cost, t.Period)
+	index := make(map[string]int, len(set))
+	ent := make([]int, len(set)) // ent[i] is set[i]'s task index
+	for i, t := range set {
+		k, ok := index[t.Name]
+		if !ok {
+			k = len(index)
+			index[t.Name] = k
+		}
+		ent[i] = k
 	}
-	offset := func(name string, i int64) int64 {
-		if opts.Offsets == nil || opts.Offsets[name] == nil {
+	n := len(index)
+	pats := make([]*core.Pattern, n)
+	var offs []func(int64) int64
+	if opts.Offsets != nil {
+		offs = make([]func(int64) int64, n)
+	}
+	for i, t := range set {
+		pats[ent[i]] = core.NewPattern(t.Cost, t.Period)
+		if offs != nil {
+			offs[ent[i]] = opts.Offsets[t.Name]
+		}
+	}
+	offset := func(k int, i int64) int64 {
+		if offs == nil || offs[k] == nil {
 			return 0
 		}
-		return opts.Offsets[name](i)
+		return offs[k](i)
 	}
-
-	next := make(map[string]int64, len(set))     // expected next subtask
-	seqBroken := make(map[string]bool, len(set)) // sequence error already reported
-	alloc := make(map[string]int64, len(set))
-	for _, t := range set {
-		next[t.Name] = 1
-	}
-	one := rational.One()
+	// alloc counts the quanta each task received so far. The subtask a
+	// task is expected to run next is always alloc+1: both advance by one
+	// per quantum, whatever subtask the trace recorded.
+	alloc := make([]int64, n)
+	seqBroken := make([]bool, n) // sequence error already reported
 
 	// lagCheck validates Equation (1) at every slot boundary u in
 	// [from, to]: lag(T, u) is the lag after slot u−1, computed from the
@@ -105,6 +164,10 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 	// slots (and after the last one, up to the horizon) means idle slots
 	// that were never delivered to the Recorder still get their lag
 	// checked — a trace with gaps cannot hide a starved task.
+	//
+	// lag = (e·u − alloc·p)/p, so −1 < lag < 1 iff −p < e·u − alloc·p < p:
+	// the numerator Pattern.Lag normalises, compared in int64. The
+	// rational is built only to format a failure.
 	lagCheck := func(from, to int64) {
 		if opts.SkipLag {
 			return
@@ -112,17 +175,27 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 		for u := from; u <= to && len(errs) < maxErrors; u++ {
 			// Iterate the declared task order so the first maxErrors
 			// reported failures are deterministic.
-			for _, t := range set {
-				lag := pats[t.Name].Lag(u, alloc[t.Name])
-				if !lag.Less(one) || !one.Neg().Less(lag) {
-					fail("slot %d: task %s lag %v outside (-1, 1)", u-1, t.Name, lag)
+			for i, k := range ent {
+				e, p := pats[k].Cost(), pats[k].Period()
+				if num := e*u - alloc[k]*p; num >= p || num <= -p {
+					fail("slot %d: task %s lag %v outside (-1, 1)", u-1, set[i].Name, rational.New(num, p))
 				}
 			}
 		}
 	}
 
+	// Per-slot duplicate detection: seen[x] == pos+1 means x already
+	// occurred in slots[pos]. Stamping by position rather than Time keeps
+	// slots with repeated times apart. Processors outside
+	// [0, opts.Processors) use procOut, made on first need; task names not
+	// in set get indices from n upwards, so they are stamped too.
+	procSeen := make([]int, max(opts.Processors, 0))
+	var procOut map[int]int
+	taskSeen := make([]int, n)
+
 	prevTime := int64(-1)
-	for _, s := range slots {
+	for pos, s := range slots {
+		stamp := pos + 1
 		if s.Time <= prevTime {
 			fail("slot times not strictly increasing at %d", s.Time)
 		} else {
@@ -133,41 +206,54 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 		if opts.Processors > 0 && len(s.Assigned) > opts.Processors {
 			fail("slot %d: %d allocations on %d processors", s.Time, len(s.Assigned), opts.Processors)
 		}
-		procs := map[int]bool{}
-		tasks := map[string]bool{}
 		for _, a := range s.Assigned {
-			if procs[a.Proc] {
+			var twice bool
+			if a.Proc >= 0 && a.Proc < len(procSeen) {
+				twice = procSeen[a.Proc] == stamp
+				procSeen[a.Proc] = stamp
+			} else {
+				if procOut == nil {
+					procOut = map[int]int{}
+				}
+				twice = procOut[a.Proc] == stamp
+				procOut[a.Proc] = stamp
+			}
+			if twice {
 				fail("slot %d: processor %d assigned twice", s.Time, a.Proc)
 			}
-			procs[a.Proc] = true
 			if opts.Processors > 0 && (a.Proc < 0 || a.Proc >= opts.Processors) {
 				fail("slot %d: processor %d out of range", s.Time, a.Proc)
 			}
-			if tasks[a.Task] {
+			k, ok := index[a.Task]
+			if !ok {
+				k = len(taskSeen)
+				index[a.Task] = k
+				taskSeen = append(taskSeen, 0)
+			}
+			if taskSeen[k] == stamp {
 				fail("slot %d: task %s scheduled in parallel with itself", s.Time, a.Task)
 			}
-			tasks[a.Task] = true
+			taskSeen[k] = stamp
 
-			pat, ok := pats[a.Task]
-			if !ok {
+			if k >= n {
 				fail("slot %d: unknown task %s", s.Time, a.Task)
 				continue
 			}
 			// On a mismatch, report once and keep counting allocations
-			// (next advances by one per quantum received, not to the
-			// recorded index): resynchronizing to a.Subtask+1 would turn
-			// one skipped subtask into a spurious error on every later
-			// slot and bury the root cause.
-			if want := next[a.Task]; a.Subtask != want && !seqBroken[a.Task] {
-				seqBroken[a.Task] = true
+			// (the expected subtask advances by one per quantum
+			// received, not to the recorded index): resynchronizing to
+			// a.Subtask+1 would turn one skipped subtask into a spurious
+			// error on every later slot and bury the root cause.
+			if want := alloc[k] + 1; a.Subtask != want && !seqBroken[k] {
+				seqBroken[k] = true
 				fail("slot %d: task %s ran subtask %d, expected %d (suppressing later sequence errors for this task)",
 					s.Time, a.Task, a.Subtask, want)
 			}
-			next[a.Task]++
-			alloc[a.Task]++
+			alloc[k]++
 
 			if !opts.AllowTardy {
-				off := offset(a.Task, a.Subtask)
+				pat := pats[k]
+				off := offset(k, a.Subtask)
 				r := off + pat.Release(a.Subtask)
 				d := off + pat.Deadline(a.Subtask)
 				if s.Time < r || s.Time >= d {
@@ -184,12 +270,12 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 	}
 
 	if !opts.AllowTardy && opts.Horizon > 0 {
-		for _, t := range set {
-			pat := pats[t.Name]
-			i := next[t.Name]
-			if off := offset(t.Name, i); off+pat.Deadline(i) <= opts.Horizon {
+		for i, k := range ent {
+			pat := pats[k]
+			next := alloc[k] + 1
+			if off := offset(k, next); off+pat.Deadline(next) <= opts.Horizon {
 				fail("subtask %s/%d (deadline %d) never scheduled before horizon %d",
-					t.Name, i, off+pat.Deadline(i), opts.Horizon)
+					set[i].Name, next, off+pat.Deadline(next), opts.Horizon)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -53,9 +54,10 @@ func TestValidSchedulePasses(t *testing.T) {
 	}
 }
 
-// corrupt applies a named mutation to a valid trace and expects the
-// validator to object.
-func TestCorruptionsDetected(t *testing.T) {
+// corruptionBase is the valid trace every corruption starts from: PD²
+// on a three-task set over two processors for 60 slots.
+func corruptionBase(t testing.TB) (task.Set, []Slot, Options) {
+	t.Helper()
 	set := task.Set{task.MustNew("A", 2, 3), task.MustNew("B", 1, 3), task.MustNew("C", 1, 2)}
 	s := core.NewScheduler(2, core.PD2, core.Options{})
 	var rec Recorder
@@ -67,72 +69,81 @@ func TestCorruptionsDetected(t *testing.T) {
 	}
 	const horizon = 60
 	s.RunUntil(horizon)
-	base := rec.Slots
+	return set, rec.Slots, Options{Processors: 2, Horizon: horizon}
+}
 
-	clone := func() []Slot {
-		out := make([]Slot, len(base))
-		for i, sl := range base {
-			cp := make([]core.Assignment, len(sl.Assigned))
-			copy(cp, sl.Assigned)
-			out[i] = Slot{Time: sl.Time, Assigned: cp}
+// cloneSlots deep-copies a trace so a corruption cannot reach the
+// original.
+func cloneSlots(base []Slot) []Slot {
+	out := make([]Slot, len(base))
+	for i, sl := range base {
+		cp := make([]core.Assignment, len(sl.Assigned))
+		copy(cp, sl.Assigned)
+		out[i] = Slot{Time: sl.Time, Assigned: cp}
+	}
+	return out
+}
+
+// corruptions are named mutations of a valid trace, each of which the
+// validator must object to.
+var corruptions = []struct {
+	name   string
+	mutate func([]Slot) []Slot
+}{
+	{"drop an allocation", func(sl []Slot) []Slot {
+		for i := range sl {
+			if len(sl[i].Assigned) > 0 {
+				sl[i].Assigned = sl[i].Assigned[1:]
+				return sl
+			}
 		}
-		return out
-	}
-	opts := Options{Processors: 2, Horizon: horizon}
+		return sl
+	}},
+	{"duplicate a processor", func(sl []Slot) []Slot {
+		for i := range sl {
+			if len(sl[i].Assigned) >= 2 {
+				sl[i].Assigned[1].Proc = sl[i].Assigned[0].Proc
+				return sl
+			}
+		}
+		return sl
+	}},
+	{"run a task in parallel", func(sl []Slot) []Slot {
+		for i := range sl {
+			if len(sl[i].Assigned) >= 2 {
+				sl[i].Assigned[1].Task = sl[i].Assigned[0].Task
+				sl[i].Assigned[1].Subtask = sl[i].Assigned[0].Subtask + 1
+				return sl
+			}
+		}
+		return sl
+	}},
+	{"skip a subtask", func(sl []Slot) []Slot {
+		sl[0].Assigned[0].Subtask += 5
+		return sl
+	}},
+	{"out-of-range processor", func(sl []Slot) []Slot {
+		sl[0].Assigned[0].Proc = 9
+		return sl
+	}},
+	{"unknown task", func(sl []Slot) []Slot {
+		sl[0].Assigned[0].Task = "ghost"
+		return sl
+	}},
+	{"non-increasing time", func(sl []Slot) []Slot {
+		if len(sl) > 1 {
+			sl[1].Time = sl[0].Time
+		}
+		return sl
+	}},
+}
 
-	cases := []struct {
-		name   string
-		mutate func([]Slot) []Slot
-	}{
-		{"drop an allocation", func(sl []Slot) []Slot {
-			for i := range sl {
-				if len(sl[i].Assigned) > 0 {
-					sl[i].Assigned = sl[i].Assigned[1:]
-					return sl
-				}
-			}
-			return sl
-		}},
-		{"duplicate a processor", func(sl []Slot) []Slot {
-			for i := range sl {
-				if len(sl[i].Assigned) >= 2 {
-					sl[i].Assigned[1].Proc = sl[i].Assigned[0].Proc
-					return sl
-				}
-			}
-			return sl
-		}},
-		{"run a task in parallel", func(sl []Slot) []Slot {
-			for i := range sl {
-				if len(sl[i].Assigned) >= 2 {
-					sl[i].Assigned[1].Task = sl[i].Assigned[0].Task
-					sl[i].Assigned[1].Subtask = sl[i].Assigned[0].Subtask + 1
-					return sl
-				}
-			}
-			return sl
-		}},
-		{"skip a subtask", func(sl []Slot) []Slot {
-			sl[0].Assigned[0].Subtask += 5
-			return sl
-		}},
-		{"out-of-range processor", func(sl []Slot) []Slot {
-			sl[0].Assigned[0].Proc = 9
-			return sl
-		}},
-		{"unknown task", func(sl []Slot) []Slot {
-			sl[0].Assigned[0].Task = "ghost"
-			return sl
-		}},
-		{"non-increasing time", func(sl []Slot) []Slot {
-			if len(sl) > 1 {
-				sl[1].Time = sl[0].Time
-			}
-			return sl
-		}},
-	}
-	for _, c := range cases {
-		if errs := Check(set, c.mutate(clone()), opts); len(errs) == 0 {
+// TestCorruptionsDetected applies each named mutation to a valid trace
+// and expects the validator to object.
+func TestCorruptionsDetected(t *testing.T) {
+	set, base, opts := corruptionBase(t)
+	for _, c := range corruptions {
+		if errs := Check(set, c.mutate(cloneSlots(base)), opts); len(errs) == 0 {
 			t.Errorf("%s: validator accepted the corrupted trace", c.name)
 		}
 	}
@@ -315,5 +326,106 @@ func TestErrorFloodBounded(t *testing.T) {
 	errs := Check(set, nil, Options{Processors: 1, Horizon: 100000})
 	if len(errs) == 0 || len(errs) > maxErrors {
 		t.Fatalf("got %d errors, want within (0, %d]", len(errs), maxErrors)
+	}
+}
+
+// recordedRun returns the trace of PD² on a full-utilization set (Σwt = 2
+// on two processors) over the given number of slots.
+func recordedRun(tb testing.TB, slots int64) (task.Set, []Slot) {
+	tb.Helper()
+	set := task.Set{task.MustNew("A", 2, 3), task.MustNew("B", 1, 3), task.MustNew("C", 1, 2), task.MustNew("D", 3, 10), task.MustNew("E", 1, 5)}
+	s := core.NewScheduler(2, core.PD2, core.Options{})
+	var rec Recorder
+	s.OnSlot(rec.Record)
+	for _, tk := range set {
+		if err := s.Join(tk); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	s.RunUntil(slots)
+	return set, rec.Slots
+}
+
+// TestRecordAllocsAmortized pins Record's allocations: copying a
+// 20 000-slot PD² run costs at most one allocation per 1000 slots, so
+// recording does not feed the collector per slot.
+func TestRecordAllocsAmortized(t *testing.T) {
+	const n = 20000
+	_, slots := recordedRun(t, n)
+	if len(slots) != n {
+		t.Fatalf("recorded %d slots, want %d", len(slots), n)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		var r Recorder
+		for _, s := range slots {
+			r.Record(s.Time, s.Assigned)
+		}
+	})
+	t.Logf("%v allocations for %d slots", allocs, n)
+	if allocs > n/1000 {
+		t.Fatalf("Record made %v allocations over %d slots, want ≤ %d", allocs, n, n/1000)
+	}
+}
+
+// TestRecordSlotsIndependent: slots share chunk storage, but appending
+// to one slot's assignments must not write into the next slot's, and the
+// recorder must copy rather than alias the caller's slice.
+func TestRecordSlotsIndependent(t *testing.T) {
+	var r Recorder
+	buf := []core.Assignment{at(0, "A", 1), at(1, "B", 1)}
+	r.Record(0, buf)
+	buf[0].Task = "changed"
+	r.Record(1, []core.Assignment{at(0, "C", 1)})
+	r.Record(2, nil)
+	_ = append(r.Slots[0].Assigned, at(2, "X", 9))
+	want := []Slot{
+		{Time: 0, Assigned: []core.Assignment{at(0, "A", 1), at(1, "B", 1)}},
+		{Time: 1, Assigned: []core.Assignment{at(0, "C", 1)}},
+		{Time: 2, Assigned: []core.Assignment{}},
+	}
+	if !reflect.DeepEqual(r.Slots, want) {
+		t.Fatalf("recorded %v, want %v", r.Slots, want)
+	}
+}
+
+// TestRecorderResetReuses: a reset recorder records into the storage it
+// already has, so once that storage has grown to fit a run, recording
+// the run again allocates nothing and yields the same slots.
+func TestRecorderResetReuses(t *testing.T) {
+	_, slots := recordedRun(t, 720)
+	var r Recorder
+	record := func() {
+		r.Reset()
+		for _, s := range slots {
+			r.Record(s.Time, s.Assigned)
+		}
+	}
+	record()
+	record()
+	if allocs := testing.AllocsPerRun(5, record); allocs != 0 {
+		t.Errorf("re-recording a %d-slot run made %v allocations, want 0", len(slots), allocs)
+	}
+	if !reflect.DeepEqual(r.Slots, slots) {
+		t.Errorf("re-recorded slots differ from the run")
+	}
+	r.Reset()
+	r.Record(0, nil)
+	if want := []Slot{{Time: 0, Assigned: []core.Assignment{}}}; !reflect.DeepEqual(r.Slots, want) {
+		t.Errorf("after Reset recorded %v, want %v", r.Slots, want)
+	}
+}
+
+// BenchmarkCheck measures Check on a full-utilization PD² trace with
+// every check on, lag included.
+func BenchmarkCheck(b *testing.B) {
+	const horizon = 720
+	set, slots := recordedRun(b, horizon)
+	opts := Options{Processors: 2, Horizon: horizon}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if errs := Check(set, slots, opts); len(errs) != 0 {
+			b.Fatal(errs[0])
+		}
 	}
 }
