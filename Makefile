@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-scale bench-guard bench-guard-scale fuzz fuzz-short smoke taskstats engine-equiv dyn-equiv check
+.PHONY: build vet lint test race bench bench-scale bench-guard bench-guard-scale fuzz fuzz-short fuzz-native smoke taskstats engine-equiv dyn-equiv check
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,18 @@ fuzz:
 # fuzz-short is the quick campaign the check target includes.
 fuzz-short:
 	$(GO) run ./cmd/fuzz -n 25 -seed 1
+
+# fuzz-native runs each native Go fuzz target for a fixed 10 s (go test
+# takes one -fuzz target per run). Inputs that grow coverage stay in the
+# Go build cache; a failing input is written to the package's
+# testdata/fuzz directory and fails the target. It is not part of check,
+# whose run time ROADMAP aim 1 counts.
+fuzz-native:
+	$(GO) test ./internal/taskgen -run '^$$' -fuzz '^FuzzUUniFast$$' -fuzztime 10s
+	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzRatArithmetic$$' -fuzztime 10s
+	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzAccMatchesBig$$' -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseChrome$$' -fuzztime 10s
+	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s
 
 # smoke exercises the observability layer end to end: pfairsim -trace on
 # the quickstart and EPDF-counterexample sets, each validated (with

@@ -8,22 +8,39 @@ import (
 	"testing"
 )
 
-// FuzzRatArithmetic cross-checks Add and Mul against math/big on
-// arbitrary operands: whenever the int64 implementation produces a value
-// (rather than panicking as genuinely out of range), it must be the exact
-// reduced big.Rat result.
+// FuzzRatArithmetic cross-checks New, Add, Sub, Mul and Div against
+// math/big on arbitrary operands, math.MinInt64 included: whenever the
+// int64 implementation produces a value (rather than panicking as
+// genuinely out of range), it must be the exact reduced big.Rat result.
 func FuzzRatArithmetic(f *testing.F) {
 	f.Add(int64(1), int64(2), int64(1), int64(3))
 	f.Add(int64(1)<<62+1, int64(2), int64(1)<<62+1, int64(2))
 	f.Add(int64(-5), int64(12), int64(7), int64(9))
+	f.Add(int64(math.MinInt64), int64(6), int64(math.MinInt64), int64(-1))
+	f.Add(int64(-1), int64(1), int64(math.MinInt64), int64(1))
 	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64) {
 		if ad == 0 || bd == 0 {
 			return
 		}
-		if an == math.MinInt64 || ad == math.MinInt64 || bn == math.MinInt64 || bd == math.MinInt64 {
-			return // abs() overflows; New would misbehave before arithmetic is at fault
+		ba := new(big.Rat).SetFrac64(an, ad)
+		bb := new(big.Rat).SetFrac64(bn, bd)
+		var a, b Rat
+		for _, c := range []struct {
+			r        *Rat
+			num, den int64
+			want     *big.Rat
+		}{{&a, an, ad, ba}, {&b, bn, bd, bb}} {
+			fits := c.want.Num().IsInt64() && c.want.Denom().IsInt64()
+			if mustPanic(func() { *c.r = New(c.num, c.den) }) {
+				if fits {
+					t.Fatalf("New(%d, %d) panicked but %v is representable", c.num, c.den, c.want)
+				}
+				return
+			}
+			if !fits || c.r.Num() != c.want.Num().Int64() || c.r.Den() != c.want.Denom().Int64() {
+				t.Fatalf("New(%d, %d) = %v, want %v", c.num, c.den, *c.r, c.want)
+			}
 		}
-		a, b := New(an, ad), New(bn, bd)
 		try := func(op func(Rat, Rat) Rat) (r Rat, ok bool) {
 			defer func() {
 				if recover() != nil {
@@ -32,8 +49,6 @@ func FuzzRatArithmetic(f *testing.F) {
 			}()
 			return op(a, b), true
 		}
-		ba := new(big.Rat).SetFrac64(an, ad)
-		bb := new(big.Rat).SetFrac64(bn, bd)
 		check := func(name string, got Rat, ok bool, want *big.Rat) {
 			if !ok {
 				// A panic is only legitimate when the reduced result
@@ -49,8 +64,14 @@ func FuzzRatArithmetic(f *testing.F) {
 		}
 		got, ok := try(Rat.Add)
 		check("Add", got, ok, new(big.Rat).Add(ba, bb))
+		got, ok = try(Rat.Sub)
+		check("Sub", got, ok, new(big.Rat).Sub(ba, bb))
 		got, ok = try(Rat.Mul)
 		check("Mul", got, ok, new(big.Rat).Mul(ba, bb))
+		if bb.Sign() != 0 {
+			got, ok = try(Rat.Div)
+			check("Div", got, ok, new(big.Rat).Quo(ba, bb))
+		}
 	})
 }
 
@@ -63,7 +84,7 @@ func FuzzAccMatchesBig(f *testing.F) {
 	f.Add([]byte{0, 16, 200, 3, 7, 0, 17, 3, 2, 9, 4, 16, 1, 5, 1, 8, 2, 2, 0, 17, 0, 9, 1})
 	f.Add([]byte{5, 18, 255, 4, 0, 0, 19, 1, 4, 0, 1, 18, 127, 18, 128, 2, 20, 0, 3, 1})
 	f.Add([]byte{6, 3, 0, 2, 1, 4, 4, 9, 0, 7, 0, 4, 2, 3, 5, 1, 0, 2, 6, 11, 3, 22, 1, 0})
-	// A sum landing on math.MinInt64, whose magnitude gcd cannot take.
+	// A sum landing on math.MinInt64, whose magnitude needs 2⁶³.
 	f.Add([]byte("01000010000100000\x85A*00000000000000000000"))
 	f.Fuzz(checkAccOps)
 }
@@ -106,15 +127,12 @@ func checkAccOps(t *testing.T, ops []byte) {
 		num := accOperand(ops[i+1], ops[i+2])
 		den := accOperand(ops[i+3], ops[i+4])
 		if den == 0 || den == math.MinInt64 {
-			den = 1 // outside New's domain
+			den = 1 // 1/den must exist below
 		}
 		op := ops[i] % 8
-		if op != 5 && num == math.MinInt64 {
-			continue // outside New's domain; SetInt takes any int64
-		}
 		var operand Rat
-		if op != 5 {
-			operand = New(num, den)
+		if op != 5 && mustPanic(func() { operand = New(num, den) }) {
+			continue // +2⁶³ over an odd denominator; SetInt takes any int64
 		}
 		want := new(big.Rat).SetFrac64(operand.Num(), operand.Den())
 		// other is an Acc built to spill whenever num·den does not fit.

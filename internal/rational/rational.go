@@ -37,21 +37,32 @@ type Rat struct {
 	den int64 // always > 0; 1 when num == 0
 }
 
-// New returns the rational num/den in lowest terms. It panics if den == 0.
+// New returns the rational num/den in lowest terms. It panics if den == 0,
+// or if the reduced value does not fit: its denominator is 2⁶³, or it is
+// +2⁶³ (math.MinInt64 over −1). Every int64 input, math.MinInt64
+// included, is otherwise taken.
 //
 //pfair:hotpath
 func New(num, den int64) Rat {
 	if den == 0 {
 		panic("rational: zero denominator")
 	}
-	if den < 0 {
-		num, den = -num, -den
-	}
 	if num == 0 {
 		return Rat{0, 1}
 	}
-	g := gcd(abs(num), den)
-	return Rat{num / g, den / g}
+	// Reduce the magnitudes in uint64, where 2⁶³ fits, then sign.
+	n, d := mag(num), mag(den)
+	if g := gcd(n, d); g > 1 {
+		n, d = n/g, d/g
+	}
+	neg := (num < 0) != (den < 0)
+	if d > math.MaxInt64 || (!neg && n > math.MaxInt64) {
+		panic("rational: value out of int64 range after reduction")
+	}
+	if neg {
+		n = -n // two's complement: a magnitude of 2⁶³ becomes math.MinInt64
+	}
+	return Rat{int64(n), int64(d)}
 }
 
 // FromInt returns the rational n/1.
@@ -92,20 +103,22 @@ func (r Rat) Add(s Rat) Rat {
 }
 
 // addChecked returns r + s computed in int64, or ok=false when an
-// intermediate overflows or the numerator lands on math.MinInt64 (whose
-// magnitude abs, and so gcd, cannot represent).
+// intermediate overflows.
 func addChecked(r, s Rat) (Rat, bool) {
 	r, s = r.normalized(), s.normalized()
 	// r.num/r.den + s.num/s.den over the lcm denominator.
-	g := gcd(r.den, s.den)
-	ld, ok1 := mulOK(r.den/g, s.den)
-	a, ok2 := mulOK(r.num, s.den/g)
-	b, ok3 := mulOK(s.num, r.den/g)
+	rd, sd := r.den, s.den
+	if g := int64(gcd(uint64(rd), uint64(sd))); g > 1 {
+		rd, sd = rd/g, sd/g
+	}
+	ld, ok1 := mulOK(rd, s.den)
+	a, ok2 := mulOK(r.num, sd)
+	b, ok3 := mulOK(s.num, rd)
 	if !ok1 || !ok2 || !ok3 {
 		return Rat{}, false
 	}
 	sum, ok := addOK(a, b)
-	if !ok || sum == math.MinInt64 {
+	if !ok {
 		return Rat{}, false
 	}
 	return New(sum, ld), true
@@ -121,10 +134,22 @@ func subChecked(r, s Rat) (Rat, bool) {
 }
 
 // Sub returns r − s.
-func (r Rat) Sub(s Rat) Rat { return r.Add(s.Neg()) }
+func (r Rat) Sub(s Rat) Rat {
+	if d, ok := subChecked(r, s); ok {
+		return d
+	}
+	return bigFallback(r.normalized(), s.normalized(), (*big.Rat).Sub)
+}
 
-// Neg returns −r.
-func (r Rat) Neg() Rat { r = r.normalized(); return Rat{-r.num, r.den} }
+// Neg returns −r. Negating a numerator of math.MinInt64 gives 2⁶³, which
+// int64 cannot hold, so that case panics like any unrepresentable result.
+func (r Rat) Neg() Rat {
+	r = r.normalized()
+	if r.num == math.MinInt64 {
+		return bigFallback(Zero(), r, (*big.Rat).Sub)
+	}
+	return Rat{-r.num, r.den}
+}
 
 // Mul returns r · s.
 func (r Rat) Mul(s Rat) Rat {
@@ -134,20 +159,16 @@ func (r Rat) Mul(s Rat) Rat {
 	return bigFallback(r.normalized(), s.normalized(), (*big.Rat).Mul)
 }
 
-// mulChecked returns r · s computed in int64, or ok=false when an operand
-// or the product's numerator is math.MinInt64 or an intermediate
-// overflows.
+// mulChecked returns r · s computed in int64, or ok=false when an
+// intermediate overflows.
 func mulChecked(r, s Rat) (Rat, bool) {
 	r, s = r.normalized(), s.normalized()
-	if r.num == math.MinInt64 || s.num == math.MinInt64 {
-		return Rat{}, false
-	}
 	// Cross-reduce before multiplying to keep intermediates small.
-	g1 := gcd(abs(r.num), s.den)
-	g2 := gcd(abs(s.num), r.den)
+	g1 := int64(gcd(mag(r.num), uint64(s.den)))
+	g2 := int64(gcd(mag(s.num), uint64(r.den)))
 	num, ok1 := mulOK(r.num/g1, s.num/g2)
 	den, ok2 := mulOK(r.den/g2, s.den/g1)
-	if !ok1 || !ok2 || num == math.MinInt64 {
+	if !ok1 || !ok2 {
 		return Rat{}, false
 	}
 	return New(num, den), true
@@ -161,6 +182,10 @@ func (r Rat) Div(s Rat) Rat {
 	s = s.normalized()
 	if s.num == 0 {
 		panic("rational: division by zero")
+	}
+	if s.num == math.MinInt64 {
+		// The reciprocal's denominator would be 2⁶³.
+		return bigFallback(r.normalized(), s, (*big.Rat).Quo)
 	}
 	return r.Mul(Rat{s.den, s.num}.canon())
 }
@@ -298,16 +323,25 @@ func CeilDiv(a, b int64) int64 {
 	return q
 }
 
-// GCD returns the greatest common divisor of a and b (gcd(0,0) = 0).
-func GCD(a, b int64) int64 { return gcd(abs(a), abs(b)) }
-
-// LCM returns the least common multiple of a and b. It panics on overflow.
-func LCM(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
+// GCD returns the greatest common divisor of |a| and |b| (gcd(0,0) = 0).
+// It panics when that is 2⁶³, which int64 cannot hold: GCD(math.MinInt64,
+// 0) and GCD(math.MinInt64, math.MinInt64).
+func GCD(a, b int64) int64 {
+	g := gcd(mag(a), mag(b))
+	if g > math.MaxInt64 {
+		panic("rational: GCD of 2⁶³ overflows int64")
 	}
-	a, b = abs(a), abs(b)
-	return mulCheck(a/gcd(a, b), b)
+	return int64(g)
+}
+
+// LCM returns the least common multiple of |a| and |b|. It panics on
+// overflow.
+func LCM(a, b int64) int64 {
+	l, ok := LCMOK(a, b)
+	if !ok {
+		panic("rational: int64 overflow in LCM")
+	}
+	return l
 }
 
 // LCMOK is LCM returning ok=false instead of panicking on int64 overflow,
@@ -317,24 +351,47 @@ func LCMOK(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
 		return 0, true
 	}
-	a, b = abs(a), abs(b)
-	return mulOK(a/gcd(a, b), b)
+	ua, ub := mag(a), mag(b)
+	hi, lo := bits.Mul64(ua/gcd(ua, ub), ub)
+	if hi != 0 || lo > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(lo), true
 }
 
+// mag returns |a| as a uint64, where |math.MinInt64| = 2⁶³ fits.
+//
 //pfair:hotpath
-func abs(a int64) int64 {
+func mag(a int64) uint64 {
 	if a < 0 {
-		return -a
+		return -uint64(a)
 	}
-	return a
+	return uint64(a)
 }
 
+// gcd returns the greatest common divisor of a and b (gcd(0, 0) = 0) by
+// Stein's binary algorithm: shifts and subtractions, no division. The loop
+// keeps the smaller odd value and the magnitude of the difference, both
+// picked without a branch; every value is below 2⁶³ once the factors of
+// two are out, so the difference's sign bit tells which was larger.
+//
 //pfair:hotpath
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
+func gcd(a, b uint64) uint64 {
+	if a == 0 || b == 0 {
+		return a | b
 	}
-	return a
+	k := bits.TrailingZeros64(a | b)
+	a >>= bits.TrailingZeros64(a)
+	for b != 0 {
+		b >>= bits.TrailingZeros64(b)
+		d := b - a
+		a = min(a, b)
+		if int64(d) < 0 {
+			d = -d
+		}
+		b = d
+	}
+	return a << k
 }
 
 func addOK(a, b int64) (int64, bool) {
@@ -345,23 +402,15 @@ func addOK(a, b int64) (int64, bool) {
 	return s, true
 }
 
+// mulOK returns a·b, or ok=false when it overflows int64: the exact
+// 128-bit product fits exactly when its high word is the sign extension
+// of its low word.
 func mulOK(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
+	hi, lo := mul128(a, b)
+	if p := int64(lo); hi == p>>63 {
+		return p, true
 	}
-	p := a * b
-	if p/b != a {
-		return 0, false
-	}
-	return p, true
-}
-
-func mulCheck(a, b int64) int64 {
-	p, ok := mulOK(a, b)
-	if !ok {
-		panic("rational: int64 overflow in multiplication")
-	}
-	return p
+	return 0, false
 }
 
 // bigFallback redoes a binary operation exactly in math/big when the int64
@@ -384,28 +433,15 @@ func bigFallback(r, s Rat, op func(z, x, y *big.Rat) *big.Rat) Rat {
 }
 
 // mul128 returns the signed 128-bit product a·b as (hi, lo) in two's
-// complement, suitable for lexicographic comparison.
+// complement, suitable for lexicographic comparison. The unsigned product
+// of the two's complement bit patterns has the right low word; a negative
+// operand x stands for x + 2⁶⁴ there, so the high word is corrected by
+// subtracting the other operand once for each.
 //
 //pfair:hotpath
 func mul128(a, b int64) (hi int64, lo uint64) {
-	neg := false
-	ua, ub := uint64(a), uint64(b)
-	if a < 0 {
-		ua = uint64(-a)
-		neg = !neg
-	}
-	if b < 0 {
-		ub = uint64(-b)
-		neg = !neg
-	}
-	h, l := bits.Mul64(ua, ub)
-	if neg {
-		// Two's complement negate the 128-bit value (h, l).
-		l = ^l + 1
-		h = ^h
-		if l == 0 {
-			h++
-		}
-	}
+	h, l := bits.Mul64(uint64(a), uint64(b))
+	h -= uint64(a>>63) & uint64(b)
+	h -= uint64(b>>63) & uint64(a)
 	return int64(h), l
 }

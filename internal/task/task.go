@@ -19,8 +19,10 @@
 package task
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"pfair/internal/rational"
 )
@@ -228,11 +230,11 @@ func (s Set) Clone() Set {
 // name for determinism.
 func (s Set) SortByPeriodDecreasing() Set {
 	c := s.Clone()
-	sort.SliceStable(c, func(i, j int) bool {
-		if c[i].Period != c[j].Period {
-			return c[i].Period > c[j].Period
+	slices.SortStableFunc(c, func(a, b *Task) int {
+		if d := cmp.Compare(b.Period, a.Period); d != 0 {
+			return d
 		}
-		return c[i].Name < c[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return c
 }
@@ -242,12 +244,11 @@ func (s Set) SortByPeriodDecreasing() Set {
 // name for determinism.
 func (s Set) SortByUtilizationDecreasing() Set {
 	c := s.Clone()
-	sort.SliceStable(c, func(i, j int) bool {
-		wi, wj := c[i].Weight(), c[j].Weight()
-		if !wi.Equal(wj) {
-			return wj.Less(wi)
+	slices.SortStableFunc(c, func(a, b *Task) int {
+		if w := b.Weight().Cmp(a.Weight()); w != 0 {
+			return w
 		}
-		return c[i].Name < c[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return c
 }

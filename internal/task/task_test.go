@@ -1,7 +1,9 @@
 package task
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -188,5 +190,44 @@ func TestQuickMinProcessorsFeasibility(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortsMatchSliceStable holds both sorts to the sort.SliceStable
+// orders they replaced, on sets with repeated periods, weights and names,
+// where only stability decides the order of distinct *Task values.
+func TestSortsMatchSliceStable(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var s Set
+		for i := 0; i < 1+r.Intn(40); i++ {
+			p := []int64{2, 3, 4, 6, 12}[r.Intn(5)]
+			s = append(s, MustNew(fmt.Sprintf("T%d", r.Intn(8)), 1+r.Int63n(p), p))
+		}
+		byPeriod := s.Clone()
+		sort.SliceStable(byPeriod, func(i, j int) bool {
+			if byPeriod[i].Period != byPeriod[j].Period {
+				return byPeriod[i].Period > byPeriod[j].Period
+			}
+			return byPeriod[i].Name < byPeriod[j].Name
+		})
+		byUtil := s.Clone()
+		sort.SliceStable(byUtil, func(i, j int) bool {
+			wi, wj := byUtil[i].Weight(), byUtil[j].Weight()
+			if !wi.Equal(wj) {
+				return wj.Less(wi)
+			}
+			return byUtil[i].Name < byUtil[j].Name
+		})
+		for name, c := range map[string][2]Set{
+			"SortByPeriodDecreasing":      {s.SortByPeriodDecreasing(), byPeriod},
+			"SortByUtilizationDecreasing": {s.SortByUtilizationDecreasing(), byUtil},
+		} {
+			for i := range c[1] {
+				if c[0][i] != c[1][i] {
+					t.Fatalf("trial %d: %s position %d is %p %v, sort.SliceStable has %p %v", trial, name, i, c[0][i], c[0][i], c[1][i], c[1][i])
+				}
+			}
+		}
 	}
 }

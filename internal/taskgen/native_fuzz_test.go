@@ -7,13 +7,23 @@ import (
 
 // FuzzUUniFast: for arbitrary parameters UUniFast must either return an
 // error or a vector that sums exactly to the target with every component
-// within the cap — never panic, never silently violate the contract.
+// within the cap — never panic, never silently violate the contract — and
+// must agree with referenceUUniFast bit for bit, in its values, its error
+// and the generator state it leaves behind.
 func FuzzUUniFast(f *testing.F) {
 	f.Add(int64(1), 5, 2.0, 0.9)
 	f.Add(int64(7), 1, 0.5, 0.0)
 	f.Add(int64(3), 100, 99.9, 1.0)
+	f.Add(int64(9), 5, 4.6, 1.0)
+	f.Add(int64(1), 500, 500.0/3, 0.9)
 	f.Fuzz(func(t *testing.T, seed int64, n int, total, cap float64) {
-		if n > 10000 || math.IsNaN(total) || math.IsInf(total, 0) || math.IsNaN(cap) || math.IsInf(cap, 0) {
+		if n > 10000 {
+			return
+		}
+		if d := uunifastMismatch(seed, n, total, cap); d != "" {
+			t.Fatalf("UUniFast(%d, %v, %v) seed %d: %s", n, total, cap, seed, d)
+		}
+		if math.IsNaN(total) || math.IsInf(total, 0) || math.IsNaN(cap) || math.IsInf(cap, 0) {
 			return
 		}
 		if total > 1e12 || cap > 1e12 || total < -1e12 || cap < -1e12 {

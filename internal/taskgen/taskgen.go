@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"pfair/internal/task"
 )
@@ -72,6 +73,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// uunifastAttempts is how many vectors UUniFast draws before it repairs
+// the last one.
+const uunifastAttempts = 64
+
 // UUniFast returns n utilizations that sum exactly to total, uniformly
 // distributed over the simplex (Bini & Buttazzo). With cap > 0, vectors
 // containing a value above cap are resampled; if resampling keeps failing
@@ -81,6 +86,11 @@ func splitmix64(x uint64) uint64 {
 // error if total < 0 or total > n·cap, which no capped vector can satisfy:
 // infeasible parameters are an input condition (the fuzzer probes them),
 // not a programmer error.
+//
+// A rejected attempt stops computing at its first value above cap but
+// still consumes all n−1 of its random draws, so the generator's state,
+// and everything drawn from it later, is the same as if every attempt
+// had been computed in full.
 func (g *Generator) UUniFast(n int, total, cap float64) ([]float64, error) {
 	if n <= 0 {
 		return nil, nil
@@ -91,31 +101,16 @@ func (g *Generator) UUniFast(n int, total, cap float64) ([]float64, error) {
 	if cap > 0 && total > float64(n)*cap+1e-9 {
 		return nil, fmt.Errorf("taskgen: total utilization %v exceeds n·cap = %d·%v", total, n, cap)
 	}
-	draw := func() []float64 {
-		us := make([]float64, n)
-		sum := total
-		for i := 0; i < n-1; i++ {
-			next := sum * math.Pow(g.rng.Float64(), 1/float64(n-1-i))
-			us[i] = sum - next
-			sum = next
-		}
-		us[n-1] = sum
-		return us
-	}
-	within := func(us []float64) bool {
-		for _, u := range us {
-			if u > cap {
-				return false
-			}
-		}
-		return true
-	}
-	var us []float64
-	for attempt := 0; attempt < 64; attempt++ {
-		us = draw()
-		if cap <= 0 || within(us) {
+	us := make([]float64, n)
+	for attempt := 1; attempt < uunifastAttempts; attempt++ {
+		if g.draw(us, total, cap, true) {
 			return us, nil
 		}
+	}
+	// The last attempt runs to the end whatever it holds: the repair
+	// reads all of it.
+	if g.draw(us, total, cap, false) {
+		return us, nil
 	}
 	// Repair: one headroom-proportional redistribution suffices, since
 	// the total excess never exceeds the total headroom (total ≤ n·cap).
@@ -136,6 +131,32 @@ func (g *Generator) UUniFast(n int, total, cap float64) ([]float64, error) {
 		}
 	}
 	return us, nil
+}
+
+// draw fills us with one UUniFast vector summing to total and reports
+// whether every value is at most cap (always, for cap ≤ 0). With
+// stopEarly it returns false at the first value above cap, leaving the
+// rest of us stale, after drawing the attempt's remaining random numbers.
+func (g *Generator) draw(us []float64, total, cap float64, stopEarly bool) bool {
+	n := len(us)
+	within := true
+	sum := total
+	for i := 0; i < n-1; i++ {
+		next := sum * math.Pow(g.rng.Float64(), 1/float64(n-1-i))
+		us[i] = sum - next
+		sum = next
+		if cap > 0 && us[i] > cap {
+			if stopEarly {
+				for i++; i < n-1; i++ {
+					g.rng.Float64()
+				}
+				return false
+			}
+			within = false
+		}
+	}
+	us[n-1] = sum
+	return within && !(cap > 0 && sum > cap)
 }
 
 // Set generates n tasks whose utilizations sum approximately to totalUtil,
@@ -177,7 +198,7 @@ func (g *Generator) SetCapped(prefix string, n int, totalUtil, cap float64, peri
 		if e > p {
 			e = p
 		}
-		set = append(set, task.MustNew(fmt.Sprintf("%s%d", prefix, i), e, p))
+		set = append(set, task.MustNew(prefix+strconv.Itoa(i), e, p))
 	}
 	return set, nil
 }

@@ -115,8 +115,9 @@ func corrupt(rng *rand.Rand, set task.Set, slots []verify.Slot) []verify.Slot {
 		case 3:
 			a.Task = name()
 		case 4:
-			// Subtasks stay ≥ 1: Pattern's window tables (and so both
-			// verifiers) index by i−1.
+			// Subtasks stay ≥ 1: referenceCheck indexes Pattern's
+			// window tables by i−1 and panics below that, where Check
+			// reports an error (TestSubtaskBelowOneReported).
 			a.Subtask = max(a.Subtask+rng.Int63n(5)-2, 1)
 		case 5:
 			if i > 0 {

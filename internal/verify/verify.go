@@ -17,7 +17,8 @@
 //   - sequence: each task's subtasks appear in order 1, 2, 3, … with no
 //     gaps or repeats;
 //   - windows: every subtask runs inside [r(Tᵢ), d(Tᵢ)) shifted by its
-//     offset (unless tardiness is explicitly allowed);
+//     offset (unless tardiness is explicitly allowed); a subtask index
+//     below 1 has no window and is reported as such;
 //   - Pfairness: −1 < lag(T, t) < 1 after every slot in [0, Horizon),
 //     including idle slots missing from the trace (periodic tasks);
 //   - completion: no subtask with a deadline inside the horizon is left
@@ -251,7 +252,10 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 			}
 			alloc[k]++
 
-			if !opts.AllowTardy {
+			if !opts.AllowTardy && a.Subtask < 1 {
+				// Windows are defined from subtask 1 on.
+				fail("slot %d: subtask %s/%d has no window (subtasks start at 1)", s.Time, a.Task, a.Subtask)
+			} else if !opts.AllowTardy {
 				pat := pats[k]
 				off := offset(k, a.Subtask)
 				r := off + pat.Release(a.Subtask)

@@ -429,3 +429,39 @@ func BenchmarkCheck(b *testing.B) {
 		}
 	}
 }
+
+// TestSubtaskBelowOneReported: a recorded subtask index below 1 has no
+// window. With windows checked it is an error on every such entry, not an
+// index-out-of-range panic in Pattern.Release; with tardiness allowed only
+// the sequence check sees it.
+func TestSubtaskBelowOneReported(t *testing.T) {
+	set := task.Set{task.MustNew("A", 1, 2), task.MustNew("B", 1, 2)}
+	for _, sub := range []int64{0, -3} {
+		slots := []Slot{
+			{Time: 0, Assigned: []core.Assignment{at(0, "A", sub), at(1, "B", 1)}},
+			{Time: 1, Assigned: []core.Assignment{at(0, "A", sub)}},
+		}
+		for _, tardy := range []bool{false, true} {
+			errs := Check(set, slots, Options{Processors: 2, Horizon: 2, SkipLag: true, AllowTardy: tardy})
+			var windows, seq int
+			for _, e := range errs {
+				switch msg := e.Error(); {
+				case strings.Contains(msg, fmt.Sprintf("subtask A/%d has no window (subtasks start at 1)", sub)):
+					windows++
+				case strings.Contains(msg, fmt.Sprintf("ran subtask %d, expected 1", sub)):
+					seq++
+				default:
+					t.Errorf("subtask %d, AllowTardy %v: unexpected error %q", sub, tardy, msg)
+				}
+			}
+			wantWindows := 2
+			if tardy {
+				wantWindows = 0
+			}
+			if windows != wantWindows || seq != 1 {
+				t.Errorf("subtask %d, AllowTardy %v: %d window errors (want %d), %d sequence errors (want 1): %v",
+					sub, tardy, windows, wantWindows, seq, errs)
+			}
+		}
+	}
+}
