@@ -79,6 +79,8 @@ fuzz-native:
 	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzAccMatchesBig$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseChrome$$' -fuzztime 10s
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s
+	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzParseReplay$$' -fuzztime 10s
+	$(GO) test ./cmd/pfairtrace -run '^$$' -fuzz '^FuzzBuildReport$$' -fuzztime 10s
 
 # smoke exercises the observability layer end to end: pfairsim -trace on
 # the quickstart and EPDF-counterexample sets, each validated (with
@@ -106,7 +108,9 @@ engine-equiv:
 # dyn-equiv runs the admission-plane equivalence suite: for every policy
 # (PD² core, EDF, RM, WRR, supertask) the unified Submit entry point and
 # the legacy per-policy entry points must produce identical schedules,
-# stats, and ledgers over the same churn script (DESIGN.md §13).
+# stats, and ledgers over the same churn script. EDF and RM are the two
+# priority rules of edf.Simulator, each checked Add vs Submit
+# (DESIGN.md §13).
 dyn-equiv:
 	$(GO) test ./internal/engine -run 'TestDynEquiv' -count=1
 

@@ -17,7 +17,8 @@
 //	-k N           slots of context on each side of a deadline miss (default 2)
 //	-require a,b   fail unless every named event (release, migration, ...) appears
 //
-// A file obs.ParseChrome rejects, or without schedule events, is an
+// A file obs.ParseChrome rejects, without schedule events, or with a
+// join or reweight whose cost and period are not a valid task, is an
 // error. The exporter records ring accounting in otherData, so
 // pfairtrace can both recover the exact per-slot schedule and say when
 // it cannot: droppedEvents > 0 means the ring wrapped and the report
@@ -36,6 +37,7 @@ import (
 
 	"pfair/internal/core"
 	"pfair/internal/obs"
+	"pfair/internal/task"
 )
 
 func main() {
@@ -155,7 +157,8 @@ type Migration struct {
 // table the live scheduler feeds, then derives the forensic views. It
 // rejects traces with no schedule events — either the file is not a
 // pfairsim trace or the run never dispatched anything, and an empty
-// report would hide that.
+// report would hide that — and join or reweight events whose cost and
+// period are not a valid task.
 func buildReport(tr *obs.Trace, k int64) (*Report, error) {
 	acct := obs.NewAccounting()
 	for id, name := range tr.Names {
@@ -181,9 +184,11 @@ func buildReport(tr *obs.Trace, k int64) (*Report, error) {
 			}
 			lastCPU[e.Task] = e.Proc
 		case obs.EvJoin, obs.EvReweight:
-			if e.A > 0 && e.B > 0 {
-				pats[e.Task] = core.NewPattern(e.A, e.B)
+			tk := task.Task{Name: tr.TaskName(e.Task), Cost: e.A, Period: e.B}
+			if err := tk.Validate(); err != nil {
+				return nil, fmt.Errorf("slot %d: %s event: %w", e.Slot, obs.ChromeName(e.Kind), err)
 			}
+			pats[e.Task] = core.NewPattern(e.A, e.B)
 		}
 		if e.Kind == obs.EvLeave || e.Kind == obs.EvReweight || e.Kind == obs.EvJoin && e.Slot > 0 {
 			timeline = append(timeline, narrate(tr, e))

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -16,7 +18,7 @@ import (
 // traceOf runs a scheduler over set and returns the Chrome trace JSON a
 // pfairsim -trace invocation would write, plus the scheduler for
 // cross-checking the report against ground truth.
-func traceOf(t *testing.T, alg core.Algorithm, m int, set task.Set, horizon int64, ringCap int) ([]byte, *core.Scheduler) {
+func traceOf(t testing.TB, alg core.Algorithm, m int, set task.Set, horizon int64, ringCap int) ([]byte, *core.Scheduler) {
 	t.Helper()
 	s := core.NewScheduler(m, alg, core.Options{})
 	rec := obs.NewRecorder(ringCap)
@@ -50,7 +52,7 @@ func report(data []byte) (*Report, error) {
 
 // epdfCounterexample is the pinned workload on which EPDF misses a
 // deadline (full utilization on 5 processors).
-func epdfCounterexample(t *testing.T) task.Set {
+func epdfCounterexample(t testing.TB) task.Set {
 	t.Helper()
 	return task.Set{
 		task.MustNew("T0", 4, 9), task.MustNew("T1", 3, 6), task.MustNew("T2", 1, 2),
@@ -291,6 +293,71 @@ func TestRejectsNonTraces(t *testing.T) {
 	if _, err := buildReport(tr, 2); err == nil {
 		t.Error("buildReport accepted a trace with no schedule events")
 	}
+}
+
+// badJoinTrace is a one-task trace whose join declares cost 5 over
+// period 3 (weight above 1), followed by one dispatch.
+func badJoinTrace(t testing.TB, kind obs.EventKind) []byte {
+	t.Helper()
+	rec := obs.NewRecorder(16)
+	rec.RegisterTask(0, "A")
+	rec.Emit(obs.Event{Slot: 0, Kind: obs.EvJoin, Task: 0, Proc: -1, A: 1, B: 3})
+	rec.Emit(obs.Event{Slot: 1, Kind: kind, Task: 0, Proc: -1, A: 5, B: 3})
+	rec.Emit(obs.Event{Slot: 1, Kind: obs.EvSchedule, Task: 0, Proc: 0, A: 1})
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, rec, obs.ChromeTraceOptions{Procs: 1}); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestRejectsInvalidJoin: a join or reweight with cost > period is a
+// report error naming the event, not a panic in the window pattern.
+func TestRejectsInvalidJoin(t *testing.T) {
+	for _, kind := range []obs.EventKind{obs.EvJoin, obs.EvReweight} {
+		_, err := report(badJoinTrace(t, kind))
+		if err == nil || !strings.Contains(err.Error(), obs.ChromeName(kind)) {
+			t.Errorf("%s with cost 5, period 3: err = %v, want an error naming the event", obs.ChromeName(kind), err)
+		}
+	}
+}
+
+// FuzzBuildReport: whatever obs.ParseChrome accepts, buildReport and the
+// human renderer answer with a report or an error, never a panic. Inputs
+// whose otherData claims more than maxFuzzEvents retained events are
+// skipped: ParseChrome would honestly expand a few bytes of span into
+// that many events, and the fuzzer's memory is not the thing under test.
+func FuzzBuildReport(f *testing.F) {
+	const maxFuzzEvents = 1 << 12
+	f.Add(badJoinTrace(f, obs.EvJoin))
+	f.Add(badJoinTrace(f, obs.EvReweight))
+	data, _ := traceOf(f, core.EPDF, 5, epdfCounterexample(f), 92, 1<<12) // T7 misses at 90
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var head struct {
+			OtherData map[string]any `json:"otherData"`
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.UseNumber()
+		if dec.Decode(&head) != nil {
+			return
+		}
+		n, ok := head.OtherData["retainedEvents"].(json.Number)
+		if retained, err := n.Int64(); !ok || err != nil || retained > maxFuzzEvents {
+			return
+		}
+		tr, err := obs.ParseChrome(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		rep, err := buildReport(tr, 2)
+		if err != nil {
+			return
+		}
+		if err := renderHuman(io.Discard, rep); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRequireCountsEvents: -require passes exactly when every named

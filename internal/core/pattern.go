@@ -27,8 +27,8 @@ import (
 
 // Pattern captures the Pfair window structure of a task with cost e and
 // period p. All subtask parameters are pure functions of (e, p, i); the
-// struct memoizes the group deadlines of the first e subtasks, since the
-// pattern repeats with period p in time every e subtasks:
+// struct tabulates them for the first e subtasks, since the pattern
+// repeats with period p in time every e subtasks:
 //
 //	r(Tᵢ₊ₑ) = r(Tᵢ) + p, d(Tᵢ₊ₑ) = d(Tᵢ) + p, b(Tᵢ₊ₑ) = b(Tᵢ),
 //	D(Tᵢ₊ₑ) = D(Tᵢ) + p.
@@ -48,23 +48,24 @@ type Pattern struct {
 	deadline []int64
 	bbit     []uint8
 	// gd[i-1] is the group deadline of subtask i, for 1 ≤ i ≤ e (heavy
-	// tasks only): filled at construction alongside the other tables, or
-	// lazily on first use for patterns too large to tabulate.
+	// tasks only): filled at construction alongside the other tables, nil
+	// for patterns too large to tabulate (GroupDeadline then uses the
+	// closed form).
 	gd []int64
 }
 
 // patternTableMax bounds the per-period tables: a pattern with cost above
 // it (three int64 tables ≈ 100 KiB) falls back to the direct formulas and
-// the lazy group-deadline memo. Every workload in the paper's experiments
-// has costs well below the bound.
+// the closed-form group deadline, so its memory does not grow with its
+// cost. Every workload in the paper's experiments has costs well below
+// the bound.
 const patternTableMax = 4096
 
 // NewPattern returns the window pattern for a task with the given cost and
 // period. It panics unless 0 < cost ≤ period.
 //
-// Patterns with cost ≤ patternTableMax are immutable after construction
-// and safe for concurrent readers; larger patterns memoize group deadlines
-// lazily and must not be shared across goroutines.
+// Every pattern is immutable after construction and safe for concurrent
+// readers.
 func NewPattern(cost, period int64) *Pattern {
 	if cost <= 0 || period < cost {
 		//pfair:allowpanic constructor contract: parameters were validated by task.New before reaching here
@@ -106,7 +107,7 @@ func NewPattern(cost, period int64) *Pattern {
 // at k = i. E satisfies E(j) = event(j) if one occurs at j, else E(j+1),
 // and b(Tₑ) = 0 grounds the recurrence within the period.
 // groupDeadlineSlow remains the executable ground truth; the tests check
-// the two agree.
+// the table and the closed form against it.
 func (pt *Pattern) fillGroupDeadlines() {
 	e := pt.e
 	pt.gd = make([]int64, e)
@@ -199,26 +200,19 @@ func (pt *Pattern) BBit(i int64) int {
 //
 // Group deadlines only matter for heavy tasks (weight ≥ 1/2, whose windows
 // have length two or three); for light tasks PD² defines D(Tᵢ) = 0.
+// Patterns above patternTableMax use GroupDeadlineClosed.
 //
-//pfair:allowalloc lazily builds the per-period group-deadline memo table on first touch
+//pfair:hotpath
 func (pt *Pattern) GroupDeadline(i int64) int64 {
 	if !pt.heavy {
 		return 0
 	}
+	if pt.gd == nil {
+		return pt.GroupDeadlineClosed(i)
+	}
 	// Reduce to the first period using D(Tᵢ₊ₑ) = D(Tᵢ) + p.
 	cycles := (i - 1) / pt.e
-	base := i - cycles*pt.e // in [1, e]
-	if pt.gd == nil {
-		// Lazy fallback for patterns above patternTableMax.
-		pt.gd = make([]int64, pt.e)
-		for k := range pt.gd {
-			pt.gd[k] = -1
-		}
-	}
-	if pt.gd[base-1] < 0 {
-		pt.gd[base-1] = pt.groupDeadlineSlow(base)
-	}
-	return pt.gd[base-1] + cycles*pt.p
+	return pt.gd[i-1-cycles*pt.e] + cycles*pt.p
 }
 
 // GroupDeadlineClosed returns D(Tᵢ) by the closed form: the group
@@ -230,8 +224,10 @@ func (pt *Pattern) GroupDeadline(i int64) int64 {
 //
 // Intuitively, the complement's subtasks mark the slots the cascade must
 // leave free. Weight-1 tasks have no complement and D(Tᵢ) = d(Tᵢ). The
-// memoized iterative walk (GroupDeadline) is the ground truth;
+// iterative walk (groupDeadlineSlow) is the ground truth;
 // TestQuickGroupDeadlineClosedForm checks the two agree everywhere.
+//
+//pfair:hotpath
 func (pt *Pattern) GroupDeadlineClosed(i int64) int64 {
 	if !pt.Heavy() {
 		return 0
@@ -248,8 +244,6 @@ func (pt *Pattern) GroupDeadlineClosed(i int64) int64 {
 // groupDeadlineSlow walks the subtask sequence to apply the definition
 // directly. For a heavy task every window has length 2 or 3, and a cascade
 // ends within one period, so the walk terminates within e+1 steps.
-//
-//pfair:hotpath
 func (pt *Pattern) groupDeadlineSlow(i int64) int64 {
 	di := pt.Deadline(i)
 	for k := i; ; k++ {

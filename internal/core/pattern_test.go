@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"pfair/internal/rational"
+	"pfair/internal/task"
 )
 
 // TestFig1aWindows pins the window layout of Figure 1(a): the first two
@@ -286,8 +288,9 @@ func TestQuickLagWindowConsistency(t *testing.T) {
 	}
 }
 
-// TestQuickGroupDeadlineClosedForm: the closed form (complement-task
-// deadlines) agrees with the definitional walk for every heavy pattern.
+// TestQuickGroupDeadlineClosedForm: the table and the closed form
+// (complement-task deadlines) agree with the definitional walk for every
+// heavy pattern.
 func TestQuickGroupDeadlineClosedForm(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -295,9 +298,10 @@ func TestQuickGroupDeadlineClosedForm(t *testing.T) {
 		e := (p+1)/2 + r.Int63n(p-(p+1)/2+1) // in [⌈p/2⌉, p]
 		pt := NewPattern(e, p)
 		for i := int64(1); i <= 2*e+2; i++ {
-			if pt.GroupDeadline(i) != pt.GroupDeadlineClosed(i) {
-				t.Logf("pattern %d/%d subtask %d: walk=%d closed=%d",
-					e, p, i, pt.GroupDeadline(i), pt.GroupDeadlineClosed(i))
+			walk := pt.groupDeadlineSlow(i)
+			if pt.GroupDeadline(i) != walk || pt.GroupDeadlineClosed(i) != walk {
+				t.Logf("pattern %d/%d subtask %d: walk=%d table=%d closed=%d",
+					e, p, i, walk, pt.GroupDeadline(i), pt.GroupDeadlineClosed(i))
 				return false
 			}
 		}
@@ -305,5 +309,56 @@ func TestQuickGroupDeadlineClosedForm(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUntabulatedGroupDeadline: a heavy pattern above patternTableMax
+// builds no tables, and its group deadlines (the closed form) agree with
+// the definitional walk across the first period boundary.
+func TestUntabulatedGroupDeadline(t *testing.T) {
+	for _, tc := range []struct{ e, p int64 }{
+		{patternTableMax + 1, 2*patternTableMax + 1},
+		{3 * patternTableMax, 3*patternTableMax + 7},
+		{2 * patternTableMax, 4 * patternTableMax},
+	} {
+		pt := NewPattern(tc.e, tc.p)
+		if pt.release != nil || pt.gd != nil {
+			t.Fatalf("pattern %d/%d was tabulated", tc.e, tc.p)
+		}
+		for _, i := range []int64{1, 2, 3, tc.e / 2, tc.e - 1, tc.e, tc.e + 1, tc.e + 2, 2 * tc.e} {
+			if got, walk := pt.GroupDeadline(i), pt.groupDeadlineSlow(i); got != walk {
+				t.Errorf("pattern %d/%d subtask %d: GroupDeadline=%d walk=%d", tc.e, tc.p, i, got, walk)
+			}
+		}
+	}
+}
+
+// TestUntabulatedPatternMemory: a heavy task of cost 3·10⁹ and period
+// 6·10⁹, as `pfairsim -m 1 -slots 10 A:3000000000/6000000000` runs it,
+// joins and schedules ten slots in under a megabyte, most of it the
+// scheduler's span-capped queues: nothing in the pattern grows with the
+// cost (a per-subtask group-deadline table would take 24 GB). Weight 1/2
+// earns exactly five quanta by slot 10.
+func TestUntabulatedPatternMemory(t *testing.T) {
+	const maxBytes = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewScheduler(1, PD2, Options{})
+	if err := s.Join(task.MustNew("A", 3_000_000_000, 6_000_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	quanta := 0
+	for slot := 0; slot < 10; slot++ {
+		quanta += len(s.Step())
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
+		t.Errorf("join and ten slots allocated %d bytes, want ≤ %d", got, maxBytes)
+	}
+	if quanta != 5 {
+		t.Errorf("scheduled %d quanta in ten slots, want 5", quanta)
+	}
+	if m := s.Stats().Misses; len(m) != 0 {
+		t.Errorf("missed: %+v", m)
 	}
 }

@@ -6,20 +6,25 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/engine"
 	"pfair/internal/rational"
+	"pfair/internal/task"
 )
 
-// This file implements engine.Dynamic for the EDF simulator: mid-run
-// join, leave, and reweight through the unified admission plane.
+// This file implements engine.Dynamic for the simulator: mid-run join,
+// leave, and reweight through the unified admission plane, under either
+// priority rule.
 //
 // The simulator is event-driven, so every instant between engine steps
 // is a scheduling boundary; transactions apply immediately at the
 // current engine instant rather than waiting for a Pfair-style safe
 // slot. The semantics are:
 //
-//   - Join: feasibility-checked against the exact uniprocessor EDF
-//     condition Σ bandwidth ≤ 1 over the live set (a served task demands
-//     its server's bandwidth Q/P, an unserved one its weight e/p), then
-//     admitted with a synchronous first release at the current instant.
+//   - Join: feasibility-checked against the rule's test over the live
+//     set, then admitted with a synchronous first release at the current
+//     instant. EDF uses the exact condition Σ bandwidth ≤ 1 (a served
+//     task demands its server's bandwidth Q/P, an unserved one its weight
+//     e/p). RM uses the hyperbolic bound Π(uᵢ+1) ≤ 2, which is sufficient
+//     from any release phasing (the critical-instant argument), and takes
+//     no join model, since an RM task runs no server.
 //     The legacy Add entry point remains unchecked — the overload
 //     experiments depend on admitting infeasible sets — so the bound
 //     gates only plane-submitted joins.
@@ -31,7 +36,7 @@ import (
 //     reserved share). The tstate stays in the add-order slice so
 //     observability ids remain dense and stable.
 //   - Reweight: leave-and-rejoin under the §5.3 model — the feasibility
-//     check charges the set minus the old bandwidth plus the new, the
+//     check tests the set with the old parameters replaced by the new, the
 //     old incarnation's jobs are cancelled, and the new incarnation
 //     (same name, fresh obs id, ActualCost and Server carried over)
 //     releases synchronously at the current instant. EvReweight follows
@@ -48,17 +53,25 @@ func bandwidth(cfg Config) rational.Rat {
 	return cfg.Task.Weight()
 }
 
-// liveBandwidth returns the exact bandwidth sum of the live task set,
-// excluding the named task (empty string excludes nothing).
-func (s *Simulator) liveBandwidth(except string) *rational.Acc {
+// feasible applies the rule's admission test to the live task set with
+// the named task replaced by cfg (empty string replaces nothing).
+func (s *Simulator) feasible(cfg Config, except string) error {
+	if s.rm {
+		live := make(task.Set, 0, len(s.tasks))
+		for name, ts := range s.tasks { //pfair:orderinvariant feeds an order-independent exact product
+			if name != except {
+				live = append(live, ts.cfg.Task)
+			}
+		}
+		return admission.Hyperbolic(live, cfg.Task)
+	}
 	total := rational.NewAcc()
 	for name, ts := range s.tasks { //pfair:orderinvariant exact rational sum, order-independent
-		if name == except {
-			continue
+		if name != except {
+			total.Add(bandwidth(ts.cfg))
 		}
-		total.Add(bandwidth(ts.cfg))
 	}
-	return total
+	return admission.Utilization(total, bandwidth(cfg), rational.Zero(), 1)
 }
 
 // Submit implements engine.Dynamic: transactional join/leave/reweight
@@ -72,6 +85,10 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 	now := s.eng.Now()
 	switch req.Op {
 	case admission.OpJoin:
+		if s.rm && req.Model != nil {
+			return admission.Decision{}, s.plane.Reject(req.Op,
+				fmt.Errorf("edf: RM takes no join model, got %T", req.Model))
+		}
 		cfg := Config{Task: req.Task}
 		switch m := req.Model.(type) {
 		case nil:
@@ -90,7 +107,7 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 			return admission.Decision{}, s.plane.Reject(req.Op,
 				fmt.Errorf("edf: join model %T is not a CBS or Config", req.Model))
 		}
-		if err := admission.Utilization(s.liveBandwidth(""), bandwidth(cfg), rational.Zero(), 1); err != nil {
+		if err := s.feasible(cfg, ""); err != nil {
 			return admission.Decision{}, s.plane.Reject(req.Op, err)
 		}
 		if err := s.Add(cfg); err != nil {
@@ -121,7 +138,7 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 		nt := *ts.cfg.Task
 		nt.Cost, nt.Period = req.NewCost, req.NewPeriod
 		cfg := Config{Task: &nt, ActualCost: ts.cfg.ActualCost, Server: ts.cfg.Server}
-		if err := admission.Utilization(s.liveBandwidth(req.Name), bandwidth(cfg), rational.Zero(), 1); err != nil {
+		if err := s.feasible(cfg, req.Name); err != nil {
 			return admission.Decision{}, s.plane.Reject(req.Op, err)
 		}
 		s.remove(ts)

@@ -4,11 +4,19 @@
 // servers (CBS) for temporal isolation.
 //
 // EDF is the per-processor scheduler of the paper's EDF-FF partitioning
-// baseline (Section 3). The simulator runs on the same structures as the
-// Pfair scheduler it is compared with in Figure 2(a): release timers in a
-// calendar wheel and ready jobs in a deadline-bucketed min-queue
-// (internal/calq), ties broken by a dense integer rank that follows task
-// name order, with job records pooled so the steady state allocates
+// baseline (Section 3). The same simulator also runs the RM-FF companion:
+// NewRMSimulator fixes the rate-monotonic priority rule at construction,
+// under which a job's queue key is its task's period instead of its
+// deadline, and Submit admits by the hyperbolic bound instead of Σu ≤ 1.
+// The rule is the only difference; dispatch, accounting, churn and
+// tracing are shared. internal/rm holds the RM analysis the simulator
+// cross-validates.
+//
+// The simulator runs on the same structures as the Pfair scheduler it is
+// compared with in Figure 2(a): release timers in a calendar wheel and
+// ready jobs in a min-queue bucketed by priority key (internal/calq),
+// ties broken by a dense integer rank that follows task name order, with
+// job records pooled so the steady state allocates
 // nothing. The scheduler is invoked on job releases, completions, and
 // server-budget exhaustions; between events the running job executes
 // undisturbed, so — unlike the slot-based Pfair schedulers — invocation
@@ -123,7 +131,7 @@ type tstate struct {
 type job struct {
 	ts        *tstate
 	index     int64
-	deadline  int64 // EDF priority and queue key: own deadline, or the server's
+	key       int64 // priority and queue key: the deadline (own or server's) under EDF, the period under RM
 	orig      int64 // the job's own deadline, for miss accounting
 	remaining int64
 	missed    bool
@@ -132,8 +140,9 @@ type job struct {
 	entry calq.Entry[*job]
 }
 
-// Simulator is an event-driven uniprocessor EDF scheduler. Time units are
-// abstract; the experiments use microseconds.
+// Simulator is an event-driven uniprocessor scheduler under the EDF or
+// the RM priority rule. Time units are abstract; the experiments use
+// microseconds.
 //
 // The Simulator is an engine.Policy: the engine visits exactly the event
 // instants (releases, completions, budget exhaustions) that Next computes,
@@ -143,14 +152,15 @@ type job struct {
 // the processor; the engine permits it.
 type Simulator struct {
 	eng   *engine.Engine
+	rm    bool  // the RM rule, fixed at construction: period keys, hyperbolic admission, no servers
 	now   int64 // internal execution clock; trails the engine inside Run
 	tasks map[string]*tstate
 	order []*tstate // add order, for deterministic obs id assignment
 	// byName holds the live tasks in name order; each task's rank is its
 	// index here.
 	byName []*tstate
-	// ready holds the ready jobs keyed by their current deadline, ties by
-	// (rank, index) — the order of a (deadline, Name, index) comparison.
+	// ready holds the ready jobs by their key (deadline or period), ties
+	// by (rank, index) — the order of a (key, Name, index) comparison.
 	ready *calq.MinQueue[*job]
 	// Release timers live in the calendar wheel: Next finds the earliest
 	// armed release by bitmap probe and Release drains one bucket, so the
@@ -170,10 +180,19 @@ type Simulator struct {
 	plane *admission.Plane
 }
 
-// NewSimulator returns an empty simulator at time 0. Engine options attach
-// observability at construction, equivalent to SetRecorder afterwards.
-func NewSimulator(opts ...engine.Option) *Simulator {
-	s := &Simulator{tasks: make(map[string]*tstate)}
+// NewSimulator returns an empty EDF simulator at time 0. Engine options
+// attach observability at construction, equivalent to SetRecorder
+// afterwards.
+func NewSimulator(opts ...engine.Option) *Simulator { return newSimulator(false, opts) }
+
+// NewRMSimulator returns an empty preemptive rate-monotonic simulator at
+// time 0: shorter period is higher priority, ties by task name. Started
+// synchronously, it runs the critical instant the RM analysis of
+// internal/rm assumes.
+func NewRMSimulator(opts ...engine.Option) *Simulator { return newSimulator(true, opts) }
+
+func newSimulator(rm bool, opts []engine.Option) *Simulator {
+	s := &Simulator{rm: rm, tasks: make(map[string]*tstate)}
 	s.ready = calq.NewMinQueue(1, jobLess)
 	s.relWheel = calq.NewWheel[*tstate](1)
 	s.plane = admission.NewPlane()
@@ -186,13 +205,13 @@ func NewSimulator(opts ...engine.Option) *Simulator {
 // Engine returns the engine this simulator runs on.
 func (s *Simulator) Engine() *engine.Engine { return s.eng }
 
-// jobLess is EDF priority: (deadline, rank, index), the same total order
-// as (deadline, Name, index) over the live tasks.
+// jobLess is the rule's priority: (key, rank, index), the same total
+// order as (deadline or period, Name, index) over the live tasks.
 //
 //pfair:hotpath
 func jobLess(a, b *job) bool {
-	if a.deadline != b.deadline {
-		return a.deadline < b.deadline
+	if a.key != b.key {
+		return a.key < b.key
 	}
 	if a.ts.rank != b.ts.rank {
 		return a.ts.rank < b.ts.rank
@@ -246,7 +265,8 @@ func (s *Simulator) registerObs(ts *tstate) {
 // — time 0 when called before Run (the historical contract), the current
 // instant when reached mid-run through Submit. Add itself performs no
 // feasibility check (the overload experiments rely on admitting
-// infeasible sets); Submit layers the exact bandwidth test on top.
+// infeasible sets); Submit layers the rule's admission test on top.
+// Under RM a task cannot run inside a CBS.
 func (s *Simulator) Add(cfg Config) error {
 	if err := cfg.Task.Validate(); err != nil {
 		return err
@@ -256,6 +276,9 @@ func (s *Simulator) Add(cfg Config) error {
 	}
 	if srv := cfg.Server; srv != nil && (srv.Budget <= 0 || srv.Period < srv.Budget) {
 		return fmt.Errorf("edf: invalid CBS %+v for %s", *srv, cfg.Task.Name)
+	}
+	if cfg.Server != nil && s.rm {
+		return fmt.Errorf("edf: %s: a CBS needs the EDF rule, not RM", cfg.Task.Name)
 	}
 	ts := &tstate{cfg: cfg, obsID: -1, nextRelease: s.eng.Now(), nextJob: 1}
 	if cfg.Server != nil {
@@ -381,8 +404,8 @@ func (s *Simulator) Pick(t int64) {}
 //pfair:hotpath
 func (s *Simulator) Dispatch(t int64) { s.dispatch() }
 
-// Account implements engine.Policy; EDF accounting happens inside the
-// event handlers.
+// Account implements engine.Policy; accounting happens inside the event
+// handlers.
 //
 //pfair:hotpath
 func (s *Simulator) Account(t int64) {}
@@ -479,7 +502,10 @@ func (s *Simulator) releaseOne(ts *tstate) {
 	}
 	j.ts = ts
 	j.index = ts.nextJob
-	j.deadline = orig
+	j.key = orig
+	if s.rm {
+		j.key = ts.cfg.Task.Period
+	}
 	j.orig = orig
 	j.remaining = cost
 	j.missed = false
@@ -505,10 +531,10 @@ func (s *Simulator) releaseOne(ts *tstate) {
 			ts.srvDeadline = s.now + srv.Period
 			ts.budget = srv.Budget
 		}
-		j.deadline = ts.srvDeadline
+		j.key = ts.srvDeadline
 		ts.head = j
 	}
-	s.ready.Add(&j.entry, j.deadline)
+	s.ready.Add(&j.entry, j.key)
 }
 
 // newJob allocates a job record, its ready-queue entry included.
@@ -554,9 +580,9 @@ func (s *Simulator) complete() {
 			copy(ts.backlog, ts.backlog[1:])
 			ts.backlog[n-1] = nil
 			ts.backlog = ts.backlog[:n-1]
-			next.deadline = ts.srvDeadline
+			next.key = ts.srvDeadline
 			ts.head = next
-			s.ready.Add(&next.entry, next.deadline)
+			s.ready.Add(&next.entry, next.key)
 		}
 	}
 }
@@ -572,12 +598,15 @@ func (s *Simulator) exhaustBudget() {
 	srv := j.ts.cfg.Server
 	j.ts.budget = srv.Budget
 	j.ts.srvDeadline += srv.Period
-	j.deadline = j.ts.srvDeadline
+	j.key = j.ts.srvDeadline
 	s.stats.Postponements++
 }
 
 // dispatch is the scheduler invocation: ensure the processor runs the
-// earliest-deadline job among the running and ready ones.
+// highest-priority job among the running and ready ones. The test is the
+// same under both rules: a task's running job always has the lowest
+// index among its live jobs, so jobLess preempts exactly on a smaller
+// key or, at an equal key, a smaller rank.
 //
 //pfair:hotpath
 func (s *Simulator) dispatch() {
@@ -597,7 +626,7 @@ func (s *Simulator) dispatch() {
 			}
 		case jobLess(top, s.running):
 			s.ready.PopMin()
-			s.ready.Add(&s.running.entry, s.running.deadline)
+			s.ready.Add(&s.running.entry, s.running.key)
 			s.stats.Preemptions++
 			s.stats.ContextSwitches++
 			if rec := s.rec; rec != nil {

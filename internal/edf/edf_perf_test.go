@@ -44,22 +44,24 @@ func runAllocs(t *testing.T, s *Simulator, observe func()) (allocs uint64, jobs 
 	return after.Mallocs - before.Mallocs, jobs
 }
 
-// TestRunAllocsPerJob: the EDF simulator allocates nothing per job in
-// steady state — job records are pooled, and neither the engine nor the
-// ready queue adds per-event garbage.
+// TestRunAllocsPerJob: the simulator allocates nothing per job in steady
+// state under either rule — job records are pooled, and neither the
+// engine nor the ready queue adds per-event garbage.
 func TestRunAllocsPerJob(t *testing.T) {
-	s := NewSimulator()
-	mustAdd(t, s,
-		Config{Task: task.MustNew("a", 1, 4)},
-		Config{Task: task.MustNew("b", 1, 5)},
-		Config{Task: task.MustNew("c", 2, 10)},
-	)
-	allocs, jobs := runAllocs(t, s, func() {})
-	if allocs > maxRunAllocs {
-		t.Errorf("Run allocated %d times for %d jobs, want ≤ %d regardless of the job count", allocs, jobs, maxRunAllocs)
-	}
-	if n := len(s.stats.Misses); n != 0 {
-		t.Fatalf("schedulable set missed %d deadlines", n)
+	for _, isRM := range rules {
+		s := newSimulator(isRM, nil)
+		mustAdd(t, s,
+			Config{Task: task.MustNew("a", 1, 4)},
+			Config{Task: task.MustNew("b", 1, 5)},
+			Config{Task: task.MustNew("c", 2, 10)},
+		)
+		allocs, jobs := runAllocs(t, s, func() {})
+		if allocs > maxRunAllocs {
+			t.Errorf("rm=%v: Run allocated %d times for %d jobs, want ≤ %d regardless of the job count", isRM, allocs, jobs, maxRunAllocs)
+		}
+		if n := len(s.stats.Misses); n != 0 {
+			t.Fatalf("rm=%v: schedulable set missed %d deadlines", isRM, n)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pfair/internal/admission"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
@@ -236,6 +237,59 @@ func TestAddValidation(t *testing.T) {
 	}
 	if err := s.Add(Config{Task: task.MustNew("C", 1, 3), Server: &CBS{Budget: 4, Period: 3}}); err == nil {
 		t.Error("CBS with budget > period accepted")
+	}
+}
+
+// TestRMRule: the RM rule queues jobs by period, admits through the
+// hyperbolic bound, and runs no CBS; the EDF rule differs on each point.
+func TestRMRule(t *testing.T) {
+	// A's job (deadline 10) is running when B (period 8, deadline 13)
+	// joins at 5: RM preempts A for the shorter period, EDF does not.
+	for _, isRM := range rules {
+		s := newSimulator(isRM, nil)
+		mustAdd(t, s, Config{Task: task.MustNew("A", 6, 10)})
+		if err := s.Engine().Run(5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit(admission.Join(task.MustNew("B", 1, 8))); err != nil {
+			t.Fatalf("rm=%v: join B: %v", isRM, err)
+		}
+		if err := s.Run(10); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if isRM {
+			want = 1
+		}
+		if st := s.Stats(); st.Preemptions != want || len(st.Misses) != 0 {
+			t.Errorf("rm=%v: %d preemptions, %d misses; want %d and 0", isRM, st.Preemptions, len(st.Misses), want)
+		}
+	}
+
+	// {1/2, 1/3} sits exactly on the hyperbolic bound, Π(uᵢ+1) = 2, so RM
+	// refuses a 1/6 that fills EDF's Σu ≤ 1 exactly.
+	for _, isRM := range rules {
+		s := newSimulator(isRM, nil)
+		for _, tk := range []*task.Task{task.MustNew("A", 1, 2), task.MustNew("B", 1, 3)} {
+			if _, err := s.Submit(admission.Join(tk)); err != nil {
+				t.Fatalf("rm=%v: join %v: %v", isRM, tk, err)
+			}
+		}
+		_, err := s.Submit(admission.Join(task.MustNew("C", 1, 6)))
+		if (err != nil) != isRM {
+			t.Errorf("rm=%v: join C(1/6) returned %v", isRM, err)
+		}
+	}
+
+	s := NewRMSimulator()
+	if err := s.Add(Config{Task: task.MustNew("A", 1, 3), Server: &CBS{Budget: 1, Period: 3}}); err == nil {
+		t.Error("RM accepted a CBS through Add")
+	}
+	if _, err := s.Submit(admission.JoinModel(task.MustNew("A", 1, 3), CBS{Budget: 1, Period: 3})); err == nil {
+		t.Error("RM accepted a CBS join model")
+	}
+	if s.AdmissionRejects() != 1 {
+		t.Errorf("%d rejects ledgered, want 1", s.AdmissionRejects())
 	}
 }
 

@@ -9,15 +9,26 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/calq"
 	"pfair/internal/obs"
+	"pfair/internal/rm"
 	"pfair/internal/task"
 )
 
-// nameLess is EDF priority spelled with the task name, as the ready queue
-// compared jobs before tie-breaks became integer ranks: (deadline, Name,
-// index). The tests hold the rank-ordered queue to it.
-func nameLess(a, b *job) bool {
-	if a.deadline != b.deadline {
-		return a.deadline < b.deadline
+// rules are the simulator's priority rules, EDF then RM, as the rm flag
+// of newSimulator. The white-box tests run under each.
+var rules = []bool{false, true}
+
+// nameLess is the rule's priority spelled with the task name, as the
+// ready queue compared jobs before tie-breaks became integer ranks:
+// (key, Name, index), where the key is the job's deadline (its own or its
+// server's) under EDF and its task's period under RM. The tests hold the
+// rank-ordered queue to it.
+func nameLess(isRM bool, a, b *job) bool {
+	ka, kb := a.key, b.key
+	if isRM {
+		ka, kb = a.ts.cfg.Task.Period, b.ts.cfg.Task.Period
+	}
+	if ka != kb {
+		return ka < kb
 	}
 	if a.ts.cfg.Task.Name != b.ts.cfg.Task.Name {
 		return a.ts.cfg.Task.Name < b.ts.cfg.Task.Name
@@ -34,8 +45,8 @@ func checkPriorityMin(t *testing.T, s *Simulator) {
 		ready = append(ready, j)
 		return true
 	})
-	if !sort.SliceIsSorted(ready, func(i, k int) bool { return nameLess(ready[i], ready[k]) }) {
-		t.Fatalf("t=%d: ready queue does not pop in (deadline, Name, index) order", s.now)
+	if !sort.SliceIsSorted(ready, func(i, k int) bool { return nameLess(s.rm, ready[i], ready[k]) }) {
+		t.Fatalf("t=%d: ready queue does not pop in (key, Name, index) order", s.now)
 	}
 	if len(ready) == 0 {
 		return
@@ -43,10 +54,10 @@ func checkPriorityMin(t *testing.T, s *Simulator) {
 	if s.running == nil {
 		t.Fatalf("t=%d: processor idle with %d ready jobs", s.now, len(ready))
 	}
-	if top := ready[0]; !nameLess(s.running, top) {
-		t.Fatalf("t=%d: running %s#%d (d=%d) but %s#%d (d=%d) is ready",
-			s.now, s.running.ts.cfg.Task.Name, s.running.index, s.running.deadline,
-			top.ts.cfg.Task.Name, top.index, top.deadline)
+	if top := ready[0]; !nameLess(s.rm, s.running, top) {
+		t.Fatalf("t=%d: running %s#%d (key %d) but %s#%d (key %d) is ready",
+			s.now, s.running.ts.cfg.Task.Name, s.running.index, s.running.key,
+			top.ts.cfg.Task.Name, top.index, top.key)
 	}
 }
 
@@ -63,22 +74,33 @@ func stepChecked(t *testing.T, s *Simulator, until int64) {
 // TestDispatchIsPriorityMin: after every engine step the running job is
 // the minimum of running ∪ ready under the string comparator the rank
 // order replaces. Task names T0…T13 sort differently as strings and as
-// numbers (T10 < T2), periods come from a short menu so deadlines tie
-// often, and the sets are left unchecked, so many overload and queue deep.
-// Odd seeds serve one overrunning task through a CBS. The churn subtest
-// drives joins, a leave and a reweight through Submit, which renumber the
-// ranks of tasks with jobs still queued.
+// numbers (T10 < T2), periods come from a short menu so keys tie often,
+// and the sets are left unchecked, so many overload and queue deep. Under
+// EDF, odd seeds serve one overrunning task through a CBS. The churn
+// subtest drives joins, a leave and a reweight through Submit, which
+// renumber the ranks of tasks with jobs still queued; the script passes
+// both rules' admission tests. RM subtests are prefixed "rm/".
 func TestDispatchIsPriorityMin(t *testing.T) {
+	for _, isRM := range rules {
+		prefix := ""
+		if isRM {
+			prefix = "rm/"
+		}
+		testDispatchIsPriorityMin(t, isRM, prefix)
+	}
+}
+
+func testDispatchIsPriorityMin(t *testing.T, isRM bool, prefix string) {
 	periods := []int64{4, 6, 8, 12, 16, 24}
 	for seed := int64(1); seed <= 12; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%sseed%d", prefix, seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			s := NewSimulator()
+			s := newSimulator(isRM, nil)
 			n := 8 + r.Intn(7)
 			for _, i := range r.Perm(n) {
 				p := periods[r.Intn(len(periods))]
 				cfg := Config{Task: task.MustNew(fmt.Sprintf("T%d", i), 1+r.Int63n(p/2), p)}
-				if seed%2 == 1 && i == 3 {
+				if seed%2 == 1 && i == 3 && !isRM {
 					cfg.ActualCost = func(job int64) int64 { return 1 + job%3*p/2 }
 					cfg.Server = &CBS{Budget: 1, Period: p}
 				}
@@ -88,8 +110,8 @@ func TestDispatchIsPriorityMin(t *testing.T) {
 		})
 	}
 
-	t.Run("churn", func(t *testing.T) {
-		s := NewSimulator()
+	t.Run(prefix+"churn", func(t *testing.T) {
+		s := newSimulator(isRM, nil)
 		for _, tk := range []*task.Task{
 			task.MustNew("T1", 1, 8), task.MustNew("T2", 2, 12), task.MustNew("T9", 1, 12),
 		} {
@@ -105,7 +127,7 @@ func TestDispatchIsPriorityMin(t *testing.T) {
 			{40, admission.Join(task.MustNew("T11", 1, 12))},
 			{91, admission.Leave("T2")},
 			{130, admission.Reweight("T10", 3, 12)},
-			{170, admission.Join(task.MustNew("T3", 2, 8))},
+			{170, admission.Join(task.MustNew("T3", 1, 8))},
 			{170, admission.Join(task.MustNew("T20", 1, 24))},
 		}
 		for _, op := range script {
@@ -131,59 +153,71 @@ func TestDispatchIsPriorityMin(t *testing.T) {
 
 // TestLongPeriodBeyondSpanCap: a period past calq.DefaultSpanCap next to
 // short ones keeps every timer in the one release wheel, whose span is
-// capped, so the long timer shares buckets with other rounds. The
-// feasible set must miss nothing, release exactly the jobs due before the
-// horizon, and emit each instant's releases in name order.
+// capped, so the long timer shares buckets with other rounds. Under each
+// rule the RM-schedulable (so also EDF-feasible) set must miss nothing,
+// release exactly the jobs due before the horizon, emit each instant's
+// releases in name order, and keep the dispatch invariant at every step;
+// a mid-run join of a second long-period task takes the same path.
 func TestLongPeriodBeyondSpanCap(t *testing.T) {
 	const long = 20000
 	if long <= calq.DefaultSpanCap {
 		t.Fatalf("period %d no longer exceeds the span cap %d", long, calq.DefaultSpanCap)
 	}
 	set := task.Set{
-		task.MustNew("T2", 2, 10), task.MustNew("T10", 5, 25), task.MustNew("T1", 10, 50),
-		task.MustNew("T100", 2000, long), task.MustNew("T3", 3, 40),
+		task.MustNew("T2", 2, 10), task.MustNew("T10", 4, 20), task.MustNew("T1", 8, 40),
+		task.MustNew("T100", 1000, long),
 	}
-	if !Schedulable(set) {
-		t.Fatal("test set should be EDF-feasible")
+	late := task.MustNew("T3", 1500, 3*long/2)
+	all := append(set.Clone(), late) // add order, so obs ids index it
+	if !rm.Schedulable(all) {
+		t.Fatal("test set should be RM-schedulable")
 	}
-	const horizon = 3*long + 7
-	s := NewSimulator()
-	rec := obs.NewRecorder(1 << 16)
-	s.SetRecorder(rec)
-	for _, tk := range set {
-		mustAdd(t, s, Config{Task: tk})
-	}
-	if err := s.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if len(st.Misses) != 0 {
-		t.Fatalf("feasible set missed: %+v", st.Misses[0])
-	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("ring too small: dropped %d", rec.Dropped())
-	}
-	var want int64
-	perTask := map[string]int64{}
-	for _, tk := range set {
-		want += (horizon + tk.Period - 1) / tk.Period
-	}
-	if st.Jobs != want {
-		t.Fatalf("released %d jobs, want %d", st.Jobs, want)
-	}
-	prev, prevSlot := "", int64(-1)
-	for _, e := range rec.Events() {
-		if e.Kind != obs.EvRelease {
-			continue
+	const joinAt, horizon = 10, 3*long + 7
+	for _, isRM := range rules {
+		s := newSimulator(isRM, nil)
+		rec := obs.NewRecorder(1 << 16)
+		s.SetRecorder(rec)
+		for _, tk := range set {
+			mustAdd(t, s, Config{Task: tk})
 		}
-		name := set[e.Task].Name
-		perTask[name]++
-		if e.Slot == prevSlot && name <= prev {
-			t.Fatalf("t=%d: %s released after %s", e.Slot, name, prev)
+		stepChecked(t, s, joinAt)
+		joined := s.eng.Now()
+		if _, err := s.Submit(admission.Join(late)); err != nil {
+			t.Fatal(err)
 		}
-		prev, prevSlot = name, e.Slot
-	}
-	if got := perTask["T100"]; got != 3+1 {
-		t.Fatalf("long-period task released %d jobs, want 4", got)
+		stepChecked(t, s, horizon)
+		if err := s.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if len(st.Misses) != 0 {
+			t.Fatalf("rm=%v: schedulable set missed: %+v", isRM, st.Misses[0])
+		}
+		if rec.Dropped() != 0 {
+			t.Fatalf("ring too small: dropped %d", rec.Dropped())
+		}
+		want := (horizon - joined + late.Period - 1) / late.Period
+		for _, tk := range set {
+			want += (horizon + tk.Period - 1) / tk.Period
+		}
+		if st.Jobs != want {
+			t.Fatalf("rm=%v: released %d jobs, want %d", isRM, st.Jobs, want)
+		}
+		perTask := map[string]int64{}
+		prev, prevSlot := "", int64(-1)
+		for _, e := range rec.Events() {
+			if e.Kind != obs.EvRelease {
+				continue
+			}
+			name := all[e.Task].Name
+			perTask[name]++
+			if e.Slot == prevSlot && name <= prev {
+				t.Fatalf("rm=%v, t=%d: %s released after %s", isRM, e.Slot, name, prev)
+			}
+			prev, prevSlot = name, e.Slot
+		}
+		if got := perTask["T100"]; got != 3+1 {
+			t.Fatalf("rm=%v: long-period task released %d jobs, want 4", isRM, got)
+		}
 	}
 }

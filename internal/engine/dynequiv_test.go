@@ -15,7 +15,6 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/edf"
-	"pfair/internal/rm"
 	"pfair/internal/supertask"
 	"pfair/internal/task"
 	"pfair/internal/verify"
@@ -136,12 +135,17 @@ func TestDynEquivRM(t *testing.T) {
 	set := task.Set{task.MustNew("R1", 1, 4), task.MustNew("R2", 1, 5), task.MustNew("R3", 2, 9)}
 	const horizon = 360
 
-	legacy := rm.NewSimulator(set)
+	legacy := edf.NewRMSimulator()
+	for _, tk := range set {
+		if err := legacy.Add(edf.Config{Task: tk}); err != nil {
+			t.Fatalf("add %v: %v", tk, err)
+		}
+	}
 	if err := legacy.Run(horizon); err != nil {
 		t.Fatalf("legacy run: %v", err)
 	}
 
-	plane := rm.NewSimulator(nil)
+	plane := edf.NewRMSimulator()
 	for _, tk := range set {
 		if _, err := plane.Submit(admission.Join(tk)); err != nil {
 			t.Fatalf("join %v: %v", tk, err)

@@ -165,7 +165,12 @@ func dumpRM(set task.Set, horizon int64) string {
 	var d dump
 	resp, ok := rm.ResponseTimes(set)
 	d.f("responses=%v exact=%v ll=%v hyperbolic=%v", resp, ok, rm.SchedulableLL(set), rm.SchedulableHyperbolic(set))
-	s := rm.NewSimulator(set)
+	s := edf.NewRMSimulator()
+	for _, tk := range set {
+		if err := s.Add(edf.Config{Task: tk}); err != nil {
+			d.f("add %v: %v", tk, err)
+		}
+	}
 	s.Run(horizon)
 	st := s.Stats()
 	d.f("jobs=%d completed=%d preemptions=%d ctxsw=%d misses=%d",

@@ -195,7 +195,13 @@ func checkEDF(c Case) Outcome {
 func checkRM(c Case) Outcome {
 	var v violations
 	_, exact := rm.ResponseTimes(c.Set)
-	sim := rm.NewSimulator(c.Set)
+	sim := edf.NewRMSimulator()
+	for _, t := range c.Set {
+		if err := sim.Add(edf.Config{Task: t}); err != nil {
+			v.addf("rm: add %v: %v", t, err)
+			return Outcome{Violations: v.list}
+		}
+	}
 	sim.Run(c.Horizon)
 	misses := sim.Stats().Misses
 	if exact && len(misses) > 0 {

@@ -4,7 +4,6 @@ import (
 	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/edf"
-	"pfair/internal/rm"
 	"pfair/internal/supertask"
 	"pfair/internal/task"
 	"pfair/internal/verify"
@@ -226,7 +225,7 @@ func checkEDFDynPlane(c Case, v *violations) {
 // so mid-run joins with synchronous first releases, and leaves that only
 // remove interference, may never cost an admitted task a deadline.
 func checkRMDynPlane(c Case, v *violations) {
-	sim := rm.NewSimulator(nil)
+	sim := edf.NewRMSimulator()
 	ok := runScriptPlane(c, "rm", v,
 		func(slot int64) error { return sim.Engine().Run(slot) },
 		func(req admission.Request) error { _, err := sim.Submit(req); return err },

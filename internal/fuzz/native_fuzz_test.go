@@ -30,3 +30,32 @@ func FuzzDifferential(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseReplay: ParseReplay answers any string with a key or an
+// error, never a panic, and what it accepts names a real kind and
+// prints back, through Case.Replay, to a key that parses to the same
+// coordinates.
+func FuzzParseReplay(f *testing.F) {
+	for _, key := range []string{
+		"fullutil/1/0", "rm/7/3159",
+		// Recorded dynplane failures.
+		"dynplane/-8782800724480256891/24", "dynplane/311100466133980597/21", "dynplane/-4688148371258574054/1",
+		"", "edf", "edf/1", "edf/x/1", "edf/1/+2", "nokind/1/2", "rm/1/2/3",
+	} {
+		f.Add(key)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		k, seed, trial, err := ParseReplay(key)
+		if err != nil {
+			return
+		}
+		if k < 0 || k >= numKinds {
+			t.Fatalf("%q parsed to kind %d, outside [0, %d)", key, k, numKinds)
+		}
+		c := Case{Kind: k, Seed: seed, Trial: trial}
+		k2, seed2, trial2, err := ParseReplay(c.Replay())
+		if err != nil || k2 != k || seed2 != seed || trial2 != trial {
+			t.Fatalf("%q → %q → (%v, %d, %d, %v)", key, c.Replay(), k2, seed2, trial2, err)
+		}
+	})
+}

@@ -12,7 +12,6 @@ import (
 	"pfair/internal/engine"
 	"pfair/internal/fuzz"
 	"pfair/internal/obs"
-	"pfair/internal/rm"
 	"pfair/internal/task"
 	"pfair/internal/wrr"
 )
@@ -339,53 +338,47 @@ func corePolicy(alg core.Algorithm) policyRun {
 	}}
 }
 
+// uniPolicy drives a uniprocessor simulator under one priority rule and
+// requires its trace to contain at least one dispatch.
+func uniPolicy(name string, newSim func(...engine.Option) *edf.Simulator) policyRun {
+	return policyRun{name, []fuzz.Kind{fuzz.KindDynPlane}, func(t *testing.T, c fuzz.Case, rec *obs.Recorder) {
+		sim := newSim(engine.WithRecorder(rec))
+		script := c.Script()
+		for slot := int64(0); slot < c.Horizon; slot++ {
+			if len(script[slot]) == 0 {
+				continue
+			}
+			if err := sim.Engine().Run(slot); err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range script[slot] {
+				sim.Submit(req)
+			}
+		}
+		if err := sim.Run(c.Horizon); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range rec.Events() {
+			if e.Kind == obs.EvSchedule {
+				return
+			}
+		}
+		t.Errorf("%s: the trace holds no schedule events", name)
+	}}
+}
+
 // TestChromeRoundTripPolicies: for every policy that takes a Recorder,
 // on fuzz-generated churn (joins, leaves, reweights), the trace carries
 // exactly the live events and the accounting replayed from it equals
 // the live Accounting row for row. The live table also counts EvIdle in
 // Events() and every event's Proc in Procs(); those two totals are not
-// in the trace and are not compared. rm emits no events of its own (it
-// has no trace integration), so its trace is the empty schedule.
+// in the trace and are not compared. The RM rule runs on the EDF
+// simulator, so its trace must carry dispatches too.
 func TestChromeRoundTripPolicies(t *testing.T) {
-	uni := []fuzz.Kind{fuzz.KindDynPlane}
 	policies := []policyRun{
 		corePolicy(core.PD2), corePolicy(core.PD), corePolicy(core.PF), corePolicy(core.EPDF),
-		{"edf", uni, func(t *testing.T, c fuzz.Case, rec *obs.Recorder) {
-			sim := edf.NewSimulator(engine.WithRecorder(rec))
-			script := c.Script()
-			for slot := int64(0); slot < c.Horizon; slot++ {
-				if len(script[slot]) == 0 {
-					continue
-				}
-				if err := sim.Engine().Run(slot); err != nil {
-					t.Fatal(err)
-				}
-				for _, req := range script[slot] {
-					sim.Submit(req)
-				}
-			}
-			if err := sim.Run(c.Horizon); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"rm", uni, func(t *testing.T, c fuzz.Case, rec *obs.Recorder) {
-			sim := rm.NewSimulator(nil, engine.WithRecorder(rec))
-			script := c.Script()
-			for slot := int64(0); slot < c.Horizon; slot++ {
-				if len(script[slot]) == 0 {
-					continue
-				}
-				if err := sim.Engine().Run(slot); err != nil {
-					t.Fatal(err)
-				}
-				for _, req := range script[slot] {
-					sim.Submit(req)
-				}
-			}
-			if err := sim.Run(c.Horizon); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		uniPolicy("edf", edf.NewSimulator),
+		uniPolicy("rm", edf.NewRMSimulator),
 		{"wrr", []fuzz.Kind{fuzz.KindDynamic, fuzz.KindDynPlane}, func(t *testing.T, c fuzz.Case, rec *obs.Recorder) {
 			s, err := wrr.NewScheduler(c.M, nil, engine.WithRecorder(rec))
 			if err != nil {

@@ -7,8 +7,25 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pfair/internal/edf"
 	"pfair/internal/task"
 )
+
+// simulate runs set on the RM simulator from the synchronous critical
+// instant up to horizon.
+func simulate(t *testing.T, set task.Set, horizon int64) edf.Stats {
+	t.Helper()
+	s := edf.NewRMSimulator()
+	for _, tk := range set {
+		if err := s.Add(edf.Config{Task: tk}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	return s.Stats()
+}
 
 func TestLiuLaylandBound(t *testing.T) {
 	if got := LiuLaylandBound(1); math.Abs(got-1.0) > 1e-12 {
@@ -87,9 +104,7 @@ func TestHarmonicFullUtilization(t *testing.T) {
 // TestSimulatorMatchesSingleTask sanity-checks the simulator.
 func TestSimulatorMatchesSingleTask(t *testing.T) {
 	set := task.Set{task.MustNew("T", 2, 5)}
-	s := NewSimulator(set)
-	s.Run(50)
-	st := s.Stats()
+	st := simulate(t, set, 50)
 	if st.Jobs != 10 || st.Completed != 10 || len(st.Misses) != 0 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -111,13 +126,11 @@ func TestQuickExactTestMatchesSimulation(t *testing.T) {
 			return true // hopeless overloads make hyperperiod runs slow
 		}
 		analytic := Schedulable(set)
-		s := NewSimulator(set)
 		h := set.Hyperperiod()
 		if h > 100000 {
 			return true
 		}
-		s.Run(h)
-		simulated := len(s.Stats().Misses) == 0
+		simulated := len(simulate(t, set, h).Misses) == 0
 		if analytic != simulated {
 			t.Logf("set %v: analytic=%v simulated=%v", set, analytic, simulated)
 			return false
@@ -176,9 +189,7 @@ func TestQuickPreemptionsBounded(t *testing.T) {
 		if len(set) == 0 {
 			return true
 		}
-		s := NewSimulator(set)
-		s.Run(4000)
-		st := s.Stats()
+		st := simulate(t, set, 4000)
 		return st.Preemptions <= st.Jobs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
