@@ -21,8 +21,11 @@
 //	                per task)
 //	-timeline FILE  write a human-readable slot-by-slot event log
 //	                ("-" = stdout)
-//	-metrics        print a Prometheus-text metrics snapshot after the run
-//	-taskstats      print a per-task accounting table (dispatches,
+//	-metrics        print a Prometheus-text metrics snapshot after the run:
+//	                the scheduler-wide counters plus the per-task
+//	                accounting as pfair_acct_* series; implies the trace
+//	                recorder
+//	-taskstats      print the per-task accounting as a table (dispatches,
 //	                preemptions, migrations, response times, tardiness,
 //	                exact lag extrema); implies the trace recorder
 //	-phaseprof K    profile engine phase costs on every K-th step and
@@ -54,6 +57,7 @@ import (
 	"pfair/internal/obs"
 	"pfair/internal/task"
 	"pfair/internal/trace"
+	"pfair/internal/verify"
 )
 
 func main() {
@@ -64,7 +68,7 @@ func main() {
 	windows := flag.Bool("windows", false, "print subtask windows per task")
 	tracePath := flag.String("trace", "", "write Chrome trace-event JSON (Perfetto-loadable) to this file")
 	timelinePath := flag.String("timeline", "", "write a human-readable event timeline to this file (- = stdout)")
-	metrics := flag.Bool("metrics", false, "print a Prometheus-text metrics snapshot after the run")
+	metrics := flag.Bool("metrics", false, "print a Prometheus-text metrics snapshot, per-task accounting included, after the run (implies the trace recorder)")
 	taskstats := flag.Bool("taskstats", false, "print a per-task accounting table after the run (implies the trace recorder)")
 	phaseprof := flag.Int64("phaseprof", 0, "profile engine phases on every K-th step and print the phase table (0 = off)")
 	ringCap := flag.Int("ring", obs.DefaultRingCapacity, "trace ring capacity in events")
@@ -161,19 +165,20 @@ func main() {
 		engOpts = append(engOpts, engine.WithProfiler(prof))
 	}
 	s := core.NewScheduler(*m, alg, core.Options{EarlyRelease: *er}, engOpts...)
-	rec := trace.NewRecorder()
+	var rec verify.Recorder
 	s.OnSlot(rec.Record)
 
 	// Attach the observability layer only when some consumer asked for it:
-	// unobserved runs keep the nil-recorder fast path. -taskstats needs the
-	// event stream, so it implies the recorder.
+	// unobserved runs keep the nil-recorder fast path. The per-task
+	// accounting behind -taskstats and -metrics is folded from the event
+	// stream, so either implies the recorder.
 	var orec *obs.Recorder
 	var met *obs.SchedulerMetrics
 	var acct *obs.Accounting
-	if *tracePath != "" || *timelinePath != "" || *taskstats {
+	if *tracePath != "" || *timelinePath != "" || *taskstats || *metrics {
 		orec = obs.NewRecorder(*ringCap)
 	}
-	if *taskstats {
+	if *taskstats || *metrics {
 		// Attached before any event is emitted: the accounting table sees
 		// the full stream even when the ring wraps.
 		acct = obs.NewAccounting()
@@ -209,6 +214,9 @@ func main() {
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
+	if acct != nil {
+		acct.Finalize(horizon)
+	}
 
 	names := make([]string, len(set))
 	for i, t := range set {
@@ -220,7 +228,7 @@ func main() {
 		to = 120
 		fmt.Printf("(showing first %d slots)\n", to)
 	}
-	fmt.Print(rec.Render(0, to, names...))
+	fmt.Print(trace.Schedule(rec.Slots, 0, to, names...))
 
 	st := s.Stats()
 	fmt.Printf("\nallocations=%d context-switches=%d preemptions=%d migrations=%d misses=%d\n",
@@ -234,7 +242,6 @@ func main() {
 	}
 
 	if *taskstats {
-		acct.Finalize(horizon)
 		fmt.Printf("\nper-task accounting (%d events consumed):\n", acct.Events())
 		if err := obs.WriteTaskTable(os.Stdout, acct.Snapshot()); err != nil {
 			fatal("taskstats: %v", err)
@@ -280,14 +287,12 @@ func main() {
 	}
 	if *metrics {
 		fmt.Println()
-		met.ObserveRing(orec) // nil-safe: gauges stay 0 without a recorder
+		met.ObserveRing(orec)
 		if err := met.Registry().WritePrometheus(os.Stdout); err != nil {
 			fatal("metrics: %v", err)
 		}
-		if acct != nil {
-			if err := acct.WritePrometheus(os.Stdout); err != nil {
-				fatal("metrics: %v", err)
-			}
+		if err := acct.WritePrometheus(os.Stdout); err != nil {
+			fatal("metrics: %v", err)
 		}
 		if prof != nil {
 			if err := prof.Registry().WritePrometheus(os.Stdout); err != nil {

@@ -318,8 +318,6 @@ func narrate(tr *obs.Trace, e obs.Event) string {
 		return fmt.Sprintf("slot %4d: tie-break     %s beats %s at deadline %d (b-bit rule)", e.Slot, name, tr.TaskName(int32(e.A)), e.B)
 	case obs.EvTieBreakGroup:
 		return fmt.Sprintf("slot %4d: tie-break     %s beats %s at deadline %d (group-deadline rule)", e.Slot, name, tr.TaskName(int32(e.A)), e.B)
-	case obs.EvLagExtremum:
-		return fmt.Sprintf("slot %4d: lag-extremum  %s |lag| reaches %d/%d", e.Slot, name, e.A, e.B)
 	}
 	return fmt.Sprintf("slot %4d: %s", e.Slot, e.Kind)
 }

@@ -12,6 +12,7 @@ import (
 	"pfair"
 	"pfair/internal/partition"
 	"pfair/internal/trace"
+	"pfair/internal/verify"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 
 	// PD² on two processors.
 	s := pfair.NewScheduler(2, pfair.PD2, pfair.Options{})
-	rec := trace.NewRecorder()
+	var rec verify.Recorder
 	s.OnSlot(rec.Record)
 	for _, t := range set {
 		if err := s.Join(t); err != nil {
@@ -41,7 +42,7 @@ func main() {
 	s.FinishMisses(horizon)
 
 	fmt.Println("PD² schedule, first four hyperperiods (digits = processor):")
-	fmt.Print(rec.Render(0, 12, "A", "B", "C"))
+	fmt.Print(trace.Schedule(rec.Slots, 0, 12, "A", "B", "C"))
 
 	st := s.Stats()
 	fmt.Printf("\nOver %d slots: %d allocations, %d context switches, %d migrations, %d preemptions, %d misses.\n",

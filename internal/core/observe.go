@@ -17,7 +17,11 @@ import (
 //     analyzer enforces statically and BenchmarkStepAllocsObserved pins
 //     dynamically;
 //   - identity is by dense int32 task ids assigned at admission, so hot
-//     emissions never touch strings or maps.
+//     emissions never touch strings or maps;
+//   - metrics are scheduler-wide only. Per-task facts come from one
+//     place, an obs.Accounting attached to the recorder, which folds the
+//     events the trace carries, so attaching metrics never changes the
+//     trace.
 
 // Observe attaches a trace recorder and/or metrics block to the
 // scheduler; either may be nil. The attachment lives on the engine (the
@@ -62,28 +66,24 @@ func (s *Scheduler) Recorder() *obs.Recorder { return s.rec }
 func (s *Scheduler) Metrics() *obs.SchedulerMetrics { return s.met }
 
 // registerObs assigns st a stable observability id (once) and registers
-// it with whatever sinks are attached. Cold path: runs at admission and
+// it with the attached recorder; the metrics block is scheduler-wide and
+// needs no per-task registration. Cold path: runs at admission and
 // Observe time only.
 func (s *Scheduler) registerObs(st *tstate) {
-	if s.rec == nil && s.met == nil {
+	if s.rec == nil {
 		return
 	}
 	if st.obsID < 0 {
 		st.obsID = s.obsNext
 		s.obsNext++
 	}
-	if s.rec != nil {
-		if s.rec.RegisterTask(st.obsID, st.task.Name) {
-			// First time this recorder sees the task: emit its join event,
-			// whether registration happens at admission or at a mid-run
-			// Observe. The slot is the current slot either way. The
-			// emission goes through the admission plane so every policy
-			// narrates churn identically (the event bytes are unchanged).
-			s.plane.EmitJoin(s.eng.Now(), st.obsID, st.task.Cost, st.task.Period)
-		}
-	}
-	if s.met != nil {
-		s.met.EnsureTask(st.obsID, st.task.Name, st.task.Period)
+	if s.rec.RegisterTask(st.obsID, st.task.Name) {
+		// First time this recorder sees the task: emit its join event,
+		// whether registration happens at admission or at a mid-run
+		// Observe. The slot is the current slot either way. The emission
+		// goes through the admission plane so every policy narrates churn
+		// identically (the event bytes are unchanged).
+		s.plane.EmitJoin(s.eng.Now(), st.obsID, st.task.Cost, st.task.Period)
 	}
 }
 
@@ -121,43 +121,5 @@ func (s *Scheduler) narrateBoundary(t int64, win *tstate) {
 			Task: win.obsID, Proc: -1,
 			A: int64(lose.obsID), B: win.pr.deadline,
 		})
-	}
-}
-
-// observeLags updates each live task's max-|lag| gauge after the slot
-// ending at time now, emitting an EvLagExtremum whenever a task reaches
-// a new extremum. Lag is kept exact as an integer pair: for a periodic
-// task, lag(t) = wt·(t − join) − allocated = (cost·Δt − allocated·period)
-// / period, so the numerator comparison below is the exact |lag|
-// comparison with denominator fixed per task. (For IS tasks the value is
-// the same formula against the unshifted fluid reference; per-subtask
-// deadlines are their correctness notion, but the excursion is still
-// worth plotting.) Only runs when metrics are attached; O(n) integer
-// work per slot, no allocation.
-//
-//pfair:hotpath
-func (s *Scheduler) observeLags(now int64) {
-	if met := s.met; met != nil {
-		for _, st := range s.order {
-			if st.departed {
-				continue
-			}
-			num := st.task.Cost*(now-st.joinedAt) - st.allocated*st.task.Period
-			if num < 0 {
-				num = -num
-			}
-			if tm := met.Task(st.obsID); tm != nil {
-				if num > tm.MaxAbsLagNum.Value() {
-					tm.MaxAbsLagNum.Set(num)
-					if rec := s.rec; rec != nil {
-						rec.Emit(obs.Event{
-							Slot: now - 1, Kind: obs.EvLagExtremum,
-							Task: st.obsID, Proc: -1,
-							A: num, B: st.task.Period,
-						})
-					}
-				}
-			}
-		}
 	}
 }

@@ -16,13 +16,16 @@ func countKinds(rec *obs.Recorder) map[obs.EventKind]int64 {
 	return counts
 }
 
-// TestObserveEventsMatchStats cross-checks the trace stream and metrics
-// block against the scheduler's own Stats counters: every counted action
-// must have exactly one corresponding event, so the trace is a faithful
-// expansion of the aggregate statistics.
+// TestObserveEventsMatchStats cross-checks the trace stream, metrics
+// block and per-task accounting against the scheduler's own Stats
+// counters and task state: every counted action must have exactly one
+// corresponding event, so the trace is a faithful expansion of the
+// aggregate statistics.
 func TestObserveEventsMatchStats(t *testing.T) {
 	s := newLoadedScheduler(t, 3, 20, 2.7, 7)
 	rec := obs.NewRecorder(1 << 18)
+	acct := obs.NewAccounting()
+	rec.SetAccounting(acct)
 	met := obs.NewSchedulerMetrics(nil)
 	s.Observe(rec, met)
 	s.RunUntil(1000)
@@ -73,15 +76,37 @@ func TestObserveEventsMatchStats(t *testing.T) {
 		t.Errorf("occupancy histogram sum = %d, want Stats.Allocations = %d", met.Occupancy.Sum(), st.Allocations)
 	}
 
-	// Per-task allocations must sum to the total.
-	var perTask int64
-	for _, id := range rec.TaskIDs() {
-		if tm := met.Task(id); tm != nil {
-			perTask += tm.Allocations.Value()
+	// Each task's accounting row must match its own allocation count, and
+	// the rows must sum to the scheduler-wide totals.
+	rows := acct.Snapshot()
+	if len(rows) != len(s.order) {
+		t.Fatalf("accounting has %d rows, scheduler admitted %d tasks", len(rows), len(s.order))
+	}
+	for i, st := range s.order {
+		row := rows[i]
+		if row.ID != st.obsID || row.Name != st.task.Name {
+			t.Fatalf("row %d is %s#%d, want %s#%d", i, row.Name, row.ID, st.task.Name, st.obsID)
+		}
+		if row.Dispatches != st.allocated {
+			t.Errorf("%s: %d dispatches accounted, %d allocated", row.Name, row.Dispatches, st.allocated)
 		}
 	}
-	if perTask != st.Allocations {
-		t.Errorf("per-task allocations sum to %d, total is %d", perTask, st.Allocations)
+	var sum obs.TaskStats
+	for _, row := range rows {
+		sum.Dispatches += row.Dispatches
+		sum.Preemptions += row.Preemptions
+		sum.Migrations += row.Migrations
+		sum.Misses += row.Misses
+	}
+	for name, pair := range map[string][2]int64{
+		"dispatches":  {sum.Dispatches, st.Allocations},
+		"preemptions": {sum.Preemptions, st.Preemptions},
+		"migrations":  {sum.Migrations, st.Migrations},
+		"misses":      {sum.Misses, int64(len(st.Misses))},
+	} {
+		if pair[0] != pair[1] {
+			t.Errorf("per-task %s sum to %d, Stats says %d", name, pair[0], pair[1])
+		}
 	}
 }
 
@@ -223,37 +248,83 @@ func TestObserveJoinLeave(t *testing.T) {
 	}
 }
 
-// TestObserveLagExtrema: the max-|lag| gauge must equal the numerator of
-// the last extremum event for the same task, and extrema must be
-// monotonically increasing per task.
+// TestObserveLagExtrema is an exact oracle for the accounting's lag
+// extrema: PD² runs a seeded set through a mid-run join, a leave and a
+// reweight with an Accounting attached, and after every slot the test
+// reads each live task's exact Scheduler.Lag, keeping running extrema of
+// its numerator over the task's period. After Finalize they must equal
+// every row's LagMaxNum/LagMinNum, incarnation by incarnation.
 func TestObserveLagExtrema(t *testing.T) {
-	s := newLoadedScheduler(t, 2, 10, 1.8, 11)
+	const horizon = 600
+	s := newLoadedScheduler(t, 3, 8, 2.4, 11)
 	rec := obs.NewRecorder(1 << 16)
-	met := obs.NewSchedulerMetrics(nil)
-	s.Observe(rec, met)
-	s.RunUntil(500)
+	acct := obs.NewAccounting()
+	rec.SetAccounting(acct)
+	s.Observe(rec, nil)
+	names := s.Tasks()
 
-	last := map[int32]int64{}
-	for _, e := range rec.Events() {
-		if e.Kind != obs.EvLagExtremum {
-			continue
+	type extrema struct{ max, min, den int64 }
+	oracle := map[int32]*extrema{}
+	for s.Now() < horizon {
+		switch s.Now() {
+		case 100:
+			if err := s.Join(task.MustNew("J", 2, 9)); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+		case 200:
+			if _, err := s.Leave(names[0]); err != nil {
+				t.Fatalf("leave: %v", err)
+			}
+		case 300:
+			st := s.tasks[names[1]]
+			if _, err := s.Reweight(names[1], st.task.Cost, 2*st.task.Period); err != nil {
+				t.Fatalf("reweight: %v", err)
+			}
 		}
-		if e.A <= last[e.Task] {
-			t.Fatalf("lag extremum for task %d not increasing: %d after %d", e.Task, e.A, last[e.Task])
+		s.Step()
+		for _, st := range s.order {
+			if st.departed {
+				continue
+			}
+			lag, err := s.Lag(st.task.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			num := lag.MulInt(st.task.Period)
+			if num.Den() != 1 {
+				t.Fatalf("%s: lag %v is not a multiple of 1/%d", st.task.Name, lag, st.task.Period)
+			}
+			ex := oracle[st.obsID]
+			if ex == nil {
+				// Lag is zero at the join boundary.
+				ex = &extrema{den: st.task.Period}
+				oracle[st.obsID] = ex
+			}
+			ex.max = max(ex.max, num.Num())
+			ex.min = min(ex.min, num.Num())
 		}
-		last[e.Task] = e.A
 	}
-	if len(last) == 0 {
-		t.Fatal("no lag extremum events recorded")
+	acct.Finalize(horizon)
+
+	rows := acct.Snapshot()
+	if len(rows) != len(oracle) {
+		t.Fatalf("accounting has %d rows, oracle saw %d incarnations", len(rows), len(oracle))
 	}
-	for id, num := range last {
-		tm := met.Task(id)
-		if tm == nil {
-			t.Fatalf("task %d has extremum events but no instruments", id)
+	var left, reweighted bool
+	for _, row := range rows {
+		ex := oracle[row.ID]
+		if ex == nil {
+			t.Fatalf("%s#%d: no live lag observed", row.Name, row.ID)
 		}
-		if tm.MaxAbsLagNum.Value() != num {
-			t.Errorf("task %d gauge = %d, last extremum = %d", id, tm.MaxAbsLagNum.Value(), num)
+		if row.LagDen != ex.den || row.LagMaxNum != ex.max || row.LagMinNum != ex.min {
+			t.Errorf("%s#%d: accounting lag [%d,%d]/%d, exact [%d,%d]/%d",
+				row.Name, row.ID, row.LagMinNum, row.LagMaxNum, row.LagDen, ex.min, ex.max, ex.den)
 		}
+		left = left || row.Left
+		reweighted = reweighted || row.Reweights > 0
+	}
+	if !left || !reweighted {
+		t.Fatalf("workload lost its churn: left=%v reweighted=%v", left, reweighted)
 	}
 }
 

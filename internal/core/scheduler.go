@@ -139,8 +139,7 @@ type tstate struct {
 	// stale procPrev references can be detected without a map lookup.
 	departed bool
 	// obsID is the task's dense observability id (see observe.go), −1
-	// until the task is registered with an attached recorder or metrics
-	// block.
+	// until the task is registered with an attached recorder.
 	obsID int32
 
 	allocated int64
@@ -612,9 +611,6 @@ func (s *Scheduler) Pick(t int64) {
 			if met := s.met; met != nil {
 				met.Misses.Inc()
 				met.Tardiness.Observe(t + 1 - st.deadline)
-				if tm := met.Task(st.obsID); tm != nil {
-					tm.Misses.Inc()
-				}
 			}
 		}
 		sel = append(sel, st)
@@ -648,9 +644,6 @@ func (s *Scheduler) Dispatch(t int64) {
 			}
 			if met := s.met; met != nil {
 				met.Preemptions.Inc()
-				if tm := met.Task(prev.obsID); tm != nil {
-					tm.Preemptions.Inc()
-				}
 			}
 		}
 	}
@@ -715,9 +708,6 @@ func (s *Scheduler) Dispatch(t int64) {
 			}
 			if met := s.met; met != nil {
 				met.Migrations.Inc()
-				if tm := met.Task(st.obsID); tm != nil {
-					tm.Migrations.Inc()
-				}
 			}
 		}
 		st.allocated++
@@ -733,9 +723,6 @@ func (s *Scheduler) Dispatch(t int64) {
 		}
 		if met := s.met; met != nil {
 			met.Allocations.Inc()
-			if tm := met.Task(st.obsID); tm != nil {
-				tm.Allocations.Inc()
-			}
 		}
 		assigned = append(assigned, Assignment{Proc: k, Task: st.task.Name, Subtask: st.index})
 
@@ -755,8 +742,8 @@ func (s *Scheduler) Dispatch(t int64) {
 	s.procPrev, s.procNext = procNew, s.procPrev
 }
 
-// Account is the engine accounting phase: per-slot counters, gauges, lag
-// tracking, and the OnSlot callback.
+// Account is the engine accounting phase: per-slot counters, gauges, and
+// the OnSlot callback.
 //
 //pfair:hotpath
 func (s *Scheduler) Account(t int64) {
@@ -767,8 +754,6 @@ func (s *Scheduler) Account(t int64) {
 		met.PendingLen.Set(int64(s.pending.Len()))
 		met.Occupancy.Observe(int64(len(s.assignBuf)))
 	}
-	s.observeLags(t + 1)
-
 	if s.onSlot != nil {
 		s.onSlot(t, s.assignBuf)
 	}

@@ -9,6 +9,7 @@ import (
 	"pfair/internal/supertask"
 	"pfair/internal/task"
 	"pfair/internal/trace"
+	"pfair/internal/verify"
 )
 
 // Fig5Result carries the supertask experiment's outcome.
@@ -34,39 +35,39 @@ func Fig5(horizon int64) Fig5Result { return Fig5Workers(horizon, 1) }
 // run, the reweighted run, and the trace render — fanned out over the
 // worker pool. The result is identical for any worker count.
 func Fig5Workers(horizon int64, workers int) Fig5Result {
-	build := func(reweighted bool) (*supertask.System, *trace.Recorder, error) {
+	build := func(reweighted bool) (*supertask.System, error) {
 		sys := supertask.NewSystem(2, core.PD2)
 		for _, tk := range []*task.Task{
 			task.MustNew("V", 1, 2), task.MustNew("W", 1, 3), task.MustNew("X", 1, 3),
 		} {
 			if err := sys.AddTask(tk); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		s := &supertask.Supertask{Name: "S", Components: task.Set{
 			task.MustNew("T", 1, 5), task.MustNew("U", 1, 45),
 		}}
 		if err := sys.AddSupertask(s, reweighted); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := sys.AddTask(task.MustNew("Y", 2, 9)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return sys, nil, nil
+		return sys, nil
 	}
 
 	var res Fig5Result
 	parallel.For(workers, 3, func(part int) {
 		switch part {
 		case 0:
-			sys, _, err := build(false)
+			sys, err := build(false)
 			if err != nil {
 				//pfair:allowpanic static Figure 5 workload cannot fail to build; parallel.For propagates panics
 				panic(err)
 			}
 			res.Misses = sys.Run(horizon).ComponentMisses
 		case 1:
-			sysRW, _, err := build(true)
+			sysRW, err := build(true)
 			if err != nil {
 				//pfair:allowpanic static Figure 5 workload cannot fail to build; parallel.For propagates panics
 				panic(err)
@@ -83,7 +84,7 @@ func Fig5Workers(horizon int64, workers int) Fig5Result {
 // fig5Trace renders the unreweighted schedule's first 18 slots.
 func fig5Trace() string {
 	sched := core.NewScheduler(2, core.PD2, core.Options{})
-	rec := trace.NewRecorder()
+	var rec verify.Recorder
 	sched.OnSlot(rec.Record)
 	for _, tk := range []*task.Task{
 		task.MustNew("V", 1, 2), task.MustNew("W", 1, 3), task.MustNew("X", 1, 3),
@@ -97,7 +98,7 @@ func fig5Trace() string {
 	sched.RunUntil(18)
 	var b strings.Builder
 	b.WriteString("Figure 5: PD² schedule (digits = processor), S = supertask{T:1/5, U:1/45} at weight 2/9\n")
-	b.WriteString(rec.Render(0, 18, "V", "W", "X", "Y", "S"))
+	b.WriteString(trace.Schedule(rec.Slots, 0, 18, "V", "W", "X", "Y", "S"))
 	fmt.Fprintf(&b, "S's quanta drive an internal EDF over T and U; T's job 2 needs one of S's quanta in [5,10).\n")
 	return b.String()
 }

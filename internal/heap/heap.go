@@ -4,12 +4,13 @@
 // Section 4 of the paper states that "binary heaps [were used] to implement
 // the priority queues of both schedulers" when measuring the per-invocation
 // scheduling overhead of EDF and PD² (Figure 2). This package is that
-// reference structure: the global EDF and RM simulators in internal/sim
-// use it directly. The Pfair core and the uniprocessor EDF and RM
-// simulators run on the bucketed structures of internal/calq, whose
-// extraction order is provably identical for the total priority orders
-// the schedulers use — this heap remains the baseline the calq
-// benchmarks are measured against.
+// reference structure, but no scheduler runs on it any more: the Pfair
+// core, the uniprocessor EDF/RM simulator and the global EDF/RM
+// simulators of internal/sim all use the bucketed structures of
+// internal/calq, whose extraction order is provably identical for the
+// total priority orders the schedulers use. Its only users are the
+// baselines calq is measured against: perfbench's heap.push_pop_ns probe
+// and the root BenchmarkAblationQueue.
 //
 // The heap also supports removal and priority updates of arbitrary elements
 // via the index handle recorded on each item.

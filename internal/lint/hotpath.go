@@ -247,9 +247,10 @@ func exprKey(e ast.Expr) string {
 
 // checkObsCall reports call if its receiver chain contains an obs-typed
 // value and no obs-typed prefix of the chain is in the guarded set. For
-// `met.Task(id).Preemptions.Inc()` the checked prefixes are
-// `met.Task(id).Preemptions` and `met`; guarding either satisfies the
-// rule (the intermediate call expression has no guardable key).
+// `s.met.Tardiness.Observe(v)` the checked prefixes are `s.met.Tardiness`
+// and `s.met`; guarding either satisfies the rule. An intermediate call
+// expression has no guardable key: `rec.Accounting().Apply(e)` is
+// guarded only by a check on `rec`.
 func checkObsCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, guarded map[string]bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

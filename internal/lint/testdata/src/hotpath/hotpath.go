@@ -61,8 +61,8 @@ func (s *sched) Observed(t int64) {
 	}
 	if met := s.met; met != nil {
 		met.Slots.Inc() // guard on the chain's obs-typed root suffices
-		if tm := met.Task(0); tm != nil {
-			tm.Preemptions.Inc()
+		if h := met.Tardiness; h != nil {
+			h.Observe(t) // a local bound from the chain is guarded by its own check
 		}
 	}
 	if s.met != nil && t > 0 {

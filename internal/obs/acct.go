@@ -293,10 +293,9 @@ func (a *Accounting) Apply(e Event) {
 		en.lagCandidate(e.Slot, en.Dispatches)
 	case EvTieBreakB, EvTieBreakGroup:
 		a.ensure(e.Task).TieBreakWins++
-	case EvMigrate, EvLagExtremum, EvIdle, EvNone:
-		// EvMigrate is derived from the EvSchedule stream (LastCPU), and
-		// EvLagExtremum from the dispatch boundaries; counting the
-		// narrated events too would double-book.
+	case EvMigrate, EvIdle, EvNone:
+		// EvMigrate is derived from the EvSchedule stream (LastCPU);
+		// counting the narrated event too would double-book.
 	}
 }
 
@@ -353,8 +352,8 @@ func (a *Accounting) Snapshot() []TaskStats {
 
 // WritePrometheus writes the table in Prometheus text exposition format
 // with task (and, for dispatches, cpu) labels. The pfair_acct_* families
-// are disjoint from SchedulerMetrics' pfair_task_* families, so both can
-// serve from one endpoint.
+// are the only per-task series; SchedulerMetrics' scheduler-wide families
+// are disjoint from them, so both can serve from one endpoint.
 func (a *Accounting) WritePrometheus(w io.Writer) error {
 	snap := a.Snapshot()
 	reg := NewRegistry()

@@ -134,7 +134,8 @@ func TestAccountingLeave(t *testing.T) {
 }
 
 // TestAccountingPrometheus checks the exposition: task and cpu labels,
-// disjoint pfair_acct_* namespace, escaping of hostile task names.
+// families disjoint from SchedulerMetrics', escaping of hostile task
+// names.
 func TestAccountingPrometheus(t *testing.T) {
 	a := NewAccounting()
 	feedCanned(a)
@@ -157,8 +158,12 @@ func TestAccountingPrometheus(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "pfair_task_") {
-		t.Error("accounting exposition leaked into the pfair_task_* namespace")
+	// One endpoint serves both: no family is shared with the
+	// scheduler-wide block.
+	for _, s := range NewSchedulerMetrics(nil).Registry().Snapshot() {
+		if strings.Contains(out, "# TYPE "+s.Family+" ") {
+			t.Errorf("accounting exposition reuses the scheduler family %s", s.Family)
+		}
 	}
 }
 

@@ -326,7 +326,7 @@ func (p *chromeParser) pairTwins() error {
 // the post-slot bookkeeping. Kinds it does not name rank 0.
 var kindOrder = [256]uint8{
 	EvJoin: 1, EvReweight: 2, EvRelease: 3, EvTieBreakB: 4, EvTieBreakGroup: 5, EvSchedule: 6,
-	EvIdle: 7, EvPreempt: 8, EvMigrate: 9, EvMiss: 10, EvLagExtremum: 11, EvLeave: 12,
+	EvIdle: 7, EvPreempt: 8, EvMigrate: 9, EvMiss: 10, EvLeave: 11,
 }
 
 // SortEvents puts events in the canonical order ParseChrome returns: by

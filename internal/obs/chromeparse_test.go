@@ -263,7 +263,6 @@ func TestParseChromeInvertsWriter(t *testing.T) {
 		{Slot: 4, Kind: obs.EvTieBreakGroup, Task: 0, Proc: -1, A: 3, B: 7},
 		{Slot: 4, Kind: obs.EvTieBreakB, Task: 2, Proc: -1, A: 0, B: 7},
 		{Slot: 5, Kind: obs.EvMiss, Task: 0, Proc: 0, A: 3, B: 5},
-		{Slot: 5, Kind: obs.EvLagExtremum, Task: 2, Proc: -1, A: 4, B: 5},
 		{Slot: 6, Kind: obs.EvReweight, Task: 0, Proc: -1, A: 1, B: 4},
 		{Slot: 7, Kind: obs.EvLeave, Task: 2, Proc: -1, A: 2, B: 1},
 	} {

@@ -42,7 +42,6 @@ var chromeInstants = [numEventKinds]chromeInstant{
 	EvMiss:          {"deadline-miss", "", "subtask", "deadline", ""},
 	EvTieBreakB:     {"tiebreak-bbit", "winnerId", "loserId", "deadline", ""},
 	EvTieBreakGroup: {"tiebreak-group", "winnerId", "loserId", "deadline", ""},
-	EvLagExtremum:   {"lag-extremum", "", "num", "den", ""},
 	EvReweight:      {"reweight", "", "cost", "period", ""},
 }
 

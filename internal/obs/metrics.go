@@ -65,18 +65,7 @@ type Gauge struct{ v int64 }
 //pfair:hotpath
 func (g *Gauge) Set(v int64) { g.v = v }
 
-// SetMax stores v if it exceeds the current value.
-//
-//pfair:hotpath
-func (g *Gauge) SetMax(v int64) {
-	if v > g.v {
-		g.v = v
-	}
-}
-
 // Value returns the current value.
-//
-//pfair:hotpath
 func (g *Gauge) Value() int64 { return g.v }
 
 // Histogram counts observations into fixed buckets. Bucket i counts

@@ -17,13 +17,12 @@ func TestCounterGaugeHistogram(t *testing.T) {
 
 	g := reg.Gauge("g", "", "a gauge")
 	g.Set(7)
-	g.SetMax(3) // smaller: no-op
 	if g.Value() != 7 {
 		t.Errorf("gauge = %d, want 7", g.Value())
 	}
-	g.SetMax(11)
-	if g.Value() != 11 {
-		t.Errorf("gauge = %d, want 11", g.Value())
+	g.Set(3) // a gauge moves both ways
+	if g.Value() != 3 {
+		t.Errorf("gauge = %d, want 3", g.Value())
 	}
 
 	h := reg.Histogram("h", "", "a histogram", []int64{1, 10})
@@ -68,8 +67,8 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("pfair_migrations_total", "", "migrations").Add(3)
-	reg.Counter("pfair_task_migrations_total", `task="A"`, "per task").Add(2)
-	reg.Counter("pfair_task_migrations_total", `task="B"`, "per task").Add(1)
+	reg.Counter("pfair_acct_migrations_total", `task="A"`, "per task").Add(2)
+	reg.Counter("pfair_acct_migrations_total", `task="B"`, "per task").Add(1)
 	reg.Gauge("pfair_ready_queue_len", "", "ready length").Set(4)
 	h := reg.Histogram("pfair_tardiness_slots", "", "tardiness", []int64{1, 2})
 	h.Observe(1)
@@ -84,8 +83,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# HELP pfair_migrations_total migrations",
 		"# TYPE pfair_migrations_total counter",
 		"pfair_migrations_total 3",
-		`pfair_task_migrations_total{task="A"} 2`,
-		`pfair_task_migrations_total{task="B"} 1`,
+		`pfair_acct_migrations_total{task="A"} 2`,
+		`pfair_acct_migrations_total{task="B"} 1`,
 		"# TYPE pfair_ready_queue_len gauge",
 		"pfair_ready_queue_len 4",
 		"# TYPE pfair_tardiness_slots histogram",
@@ -100,7 +99,7 @@ func TestWritePrometheus(t *testing.T) {
 		}
 	}
 	// The per-family TYPE header must appear exactly once.
-	if n := strings.Count(out, "# TYPE pfair_task_migrations_total"); n != 1 {
+	if n := strings.Count(out, "# TYPE pfair_acct_migrations_total"); n != 1 {
 		t.Errorf("TYPE header for labeled family appears %d times", n)
 	}
 }
@@ -235,28 +234,30 @@ func TestSchedulerMetrics(t *testing.T) {
 	if m.Registry() == nil {
 		t.Fatal("nil registry not defaulted")
 	}
-	m.EnsureTask(1, "B", 5)
-	m.EnsureTask(0, "A", 3)
-	m.EnsureTask(0, "A", 3) // idempotent
-	if m.Task(0) == nil || m.Task(1) == nil {
-		t.Fatal("registered tasks not retrievable")
+	if again := NewSchedulerMetrics(m.Registry()); again.Migrations != m.Migrations {
+		t.Fatal("re-registering in the same registry must return the same handles")
 	}
-	if m.Task(0) == m.Task(1) {
-		t.Fatal("distinct ids share instruments")
-	}
-	if m.Task(2) != nil || m.Task(-1) != nil {
-		t.Fatal("unregistered ids must return nil")
-	}
-	if m.Task(0).LagDen != 3 {
-		t.Errorf("LagDen = %d, want 3", m.Task(0).LagDen)
-	}
-	m.Task(0).Migrations.Inc()
+	m.Migrations.Inc()
+	m.ReadyLen.Set(4)
+	m.Occupancy.Observe(2)
 	var b strings.Builder
 	if err := m.Registry().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `pfair_task_migrations_total{task="A"} 1`) {
-		t.Errorf("per-task series missing:\n%s", b.String())
+	out := b.String()
+	for _, want := range []string{
+		"pfair_migrations_total 1",
+		"pfair_ready_queue_len 4",
+		"pfair_slot_occupancy_count 1",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, out)
+		}
+	}
+	// Per-task series come from Accounting alone: the scheduler-wide
+	// block exports no task label.
+	if strings.Contains(out, "task=") {
+		t.Errorf("scheduler metrics export a per-task series:\n%s", out)
 	}
 }
 
@@ -267,18 +268,14 @@ func TestInstrumentUpdatesZeroAlloc(t *testing.T) {
 	g := reg.Gauge("g", "", "")
 	h := reg.Histogram("h", "", "", []int64{1, 8, 64})
 	m := NewSchedulerMetrics(reg)
-	m.EnsureTask(0, "A", 3)
 	v := int64(0)
 	allocs := testing.AllocsPerRun(2000, func() {
 		c.Inc()
 		c.Add(2)
 		g.Set(v)
-		g.SetMax(v + 1)
 		h.Observe(v % 100)
-		if tm := m.Task(0); tm != nil {
-			tm.Preemptions.Inc()
-			tm.MaxAbsLagNum.SetMax(v % 7)
-		}
+		m.Preemptions.Inc()
+		m.Tardiness.Observe(v % 7)
 		v++
 	})
 	if allocs != 0 {

@@ -61,9 +61,6 @@ const (
 	// EvTieBreakGroup: a deadline tie at deadline B was decided by the
 	// group-deadline comparison; Task won against task id A.
 	EvTieBreakGroup
-	// EvLagExtremum: Task reached a new maximum |lag| of A/B (numerator
-	// A over denominator B = the task's period).
-	EvLagExtremum
 	// EvReweight: Task's weight change took effect at Slot. A = the new
 	// cost, B = the new period. Emitted by the admission plane at the
 	// boundary the change lands on; for policies that model reweighting
@@ -86,7 +83,6 @@ var eventKindNames = [numEventKinds]string{
 	EvMiss:          "deadline-miss",
 	EvTieBreakB:     "tiebreak-bbit",
 	EvTieBreakGroup: "tiebreak-group",
-	EvLagExtremum:   "lag-extremum",
 	EvReweight:      "reweight",
 }
 

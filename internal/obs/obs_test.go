@@ -129,7 +129,6 @@ func TestTimeline(t *testing.T) {
 	r.Emit(Event{Slot: 1, Kind: EvMiss, Task: 1, Proc: -1, A: 3, B: 1})
 	r.Emit(Event{Slot: 1, Kind: EvTieBreakB, Task: 0, Proc: -1, A: 1, B: 4})
 	r.Emit(Event{Slot: 2, Kind: EvIdle, Task: -1, Proc: 1})
-	r.Emit(Event{Slot: 2, Kind: EvLagExtremum, Task: 0, Proc: -1, A: 2, B: 3})
 	r.Emit(Event{Slot: 3, Kind: EvLeave, Task: 1, Proc: -1, A: 9})
 	r.Emit(Event{Slot: 3, Kind: EvPreempt, Task: 0, Proc: 0, A: 4})
 	r.Emit(Event{Slot: 3, Kind: EvTieBreakGroup, Task: 1, Proc: -1, A: 0, B: 6})
@@ -147,7 +146,6 @@ func TestTimeline(t *testing.T) {
 		"miss       B#3 (deadline 1)",
 		"tiebreak-b A over B (deadline 4)",
 		"idle       P1",
-		"lag-max    A |lag| = 2/3",
 		"leave      B (allocated 9)",
 		"preempt    A#4 (was on P0)",
 		"tiebreak-g B over A (deadline 6)",

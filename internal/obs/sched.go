@@ -1,10 +1,11 @@
 package obs
 
-// SchedulerMetrics bundles the fixed set of instruments the Pfair
-// scheduler (internal/core) updates per slot, plus a growable table of
-// per-task instruments indexed by the scheduler-assigned task id. All
-// instruments live in one Registry so a single WritePrometheus or
-// Snapshot call exports the whole scheduler.
+// SchedulerMetrics bundles the fixed set of scheduler-wide instruments
+// the Pfair scheduler (internal/core) updates per slot. All instruments
+// live in one Registry so a single WritePrometheus, Snapshot or
+// ExpvarFunc call exports the whole scheduler while it runs. Per-task
+// facts are not kept here: an Accounting attached to the trace recorder
+// derives them from the event stream (the pfair_acct_* families).
 //
 // Handles are preallocated here (cold path); the scheduler's per-slot
 // updates are bare integer operations on them.
@@ -53,23 +54,7 @@ type SchedulerMetrics struct {
 	Occupancy *Histogram
 	Tardiness *Histogram
 
-	reg   *Registry
-	tasks []*TaskMetrics // indexed by scheduler task id
-}
-
-// TaskMetrics is the per-task instrument block.
-type TaskMetrics struct {
-	Allocations *Counter
-	Migrations  *Counter
-	Preemptions *Counter
-	Misses      *Counter
-	// MaxAbsLagNum is the numerator of the largest |lag| observed, over
-	// the denominator LagDen (the task's period): lag after slot t is
-	// (cost·(t+1−join) − allocated·period) / period. Kept as an exact
-	// integer pair, per the repository's no-floats rule.
-	MaxAbsLagNum *Gauge
-	// LagDen is the fixed denominator of MaxAbsLagNum.
-	LagDen int64
+	reg *Registry
 }
 
 // occupancyBounds covers 1..16 processors exactly; larger machines fall
@@ -112,43 +97,6 @@ func NewSchedulerMetrics(reg *Registry) *SchedulerMetrics {
 
 // Registry returns the registry holding this block's instruments.
 func (m *SchedulerMetrics) Registry() *Registry { return m.reg }
-
-// EnsureTask registers the per-task instrument block for the given
-// scheduler task id (idempotent, cold path). Ids must be small and
-// dense — they index a slice.
-func (m *SchedulerMetrics) EnsureTask(id int32, name string, period int64) {
-	if id < 0 {
-		return
-	}
-	for int(id) >= len(m.tasks) {
-		m.tasks = append(m.tasks, nil)
-	}
-	if m.tasks[id] != nil {
-		return
-	}
-	labels := `task="` + EscapeLabel(name) + `"`
-	m.tasks[id] = &TaskMetrics{
-		Allocations:  m.reg.Counter("pfair_task_allocations_total", labels, "quanta allocated, per task"),
-		Migrations:   m.reg.Counter("pfair_task_migrations_total", labels, "migrations, per task"),
-		Preemptions:  m.reg.Counter("pfair_task_preemptions_total", labels, "preemptions, per task"),
-		Misses:       m.reg.Counter("pfair_task_deadline_misses_total", labels, "deadline misses, per task"),
-		MaxAbsLagNum: m.reg.Gauge("pfair_task_max_abs_lag_num", labels, "numerator of max |lag| (denominator = the task's period)"),
-		LagDen:       period,
-	}
-}
-
-// Task returns the instrument block for id, or nil for ids never passed
-// to EnsureTask. The nil return is part of the hot-path contract: the
-// scheduler guards each use, so an unregistered id degrades to a missing
-// series rather than a crash.
-//
-//pfair:hotpath
-func (m *SchedulerMetrics) Task(id int32) *TaskMetrics {
-	if id < 0 || int(id) >= len(m.tasks) {
-		return nil
-	}
-	return m.tasks[id]
-}
 
 // ObserveRing copies rec's ring occupancy (total emitted, dropped to
 // wrap) into the TraceTotal/TraceDropped gauges. Cold path — call before

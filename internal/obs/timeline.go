@@ -45,8 +45,6 @@ func WriteTimeline(w io.Writer, rec *Recorder) error {
 			_, err = fmt.Fprintf(w, "[%6d] tiebreak-b %s over %s (deadline %d)\n", e.Slot, name, rec.TaskName(int32(e.A)), e.B)
 		case EvTieBreakGroup:
 			_, err = fmt.Fprintf(w, "[%6d] tiebreak-g %s over %s (deadline %d)\n", e.Slot, name, rec.TaskName(int32(e.A)), e.B)
-		case EvLagExtremum:
-			_, err = fmt.Fprintf(w, "[%6d] lag-max    %s |lag| = %d/%d\n", e.Slot, name, e.A, e.B)
 		case EvReweight:
 			_, err = fmt.Fprintf(w, "[%6d] reweight   %s → %d/%d\n", e.Slot, name, e.A, e.B)
 		default:

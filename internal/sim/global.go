@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"math"
 
+	"pfair/internal/calq"
 	"pfair/internal/engine"
-	"pfair/internal/heap"
 	"pfair/internal/obs"
 	"pfair/internal/task"
 )
@@ -66,54 +66,58 @@ type gjob struct {
 	ts        *gtask
 	index     int64
 	deadline  int64
+	key       int64 // ready-queue key: the deadline under EDF, the task's period under RM
 	remaining int64
 	missed    bool
-	// item is the job's heap handle, allocated once at release so
-	// re-queueing a preempted or advancing job never allocates.
-	item *heap.Item[*gjob]
+	// entry is the job's ready-queue handle, embedded so it is allocated
+	// with the job: re-queueing a preempted or advancing job never
+	// allocates.
+	entry calq.Entry[*gjob]
 }
 
 // globalSim is the engine.Policy behind RunGlobal: slot-quantized global
 // EDF/RM. Selection scratch (ranBuf) is preallocated per simulation and
-// jobs carry their heap handle, so the steady-state slot loop stays
-// allocation-free; only job releases (a job object plus its handle)
-// allocate.
+// jobs embed their queue entry, so the steady-state slot loop stays
+// allocation-free; only job releases (one job record each) allocate.
 type globalSim struct {
 	m     int
+	rm    bool
 	tasks []*gtask
-	ready *heap.Heap[*gjob] // heads of task queues with remaining work
+	// ready holds the heads of task queues with remaining work, by key,
+	// ties by (name, job index).
+	ready *calq.MinQueue[*gjob]
 	// rec is cached from the engine at construction; nil = unobserved.
 	rec    *obs.Recorder
 	ranBuf []*gjob
 	stats  GlobalStats
 }
 
+// gjobLess breaks ties between jobs of equal key: by task name, then job
+// index. With the key first this is the (key, name, index) total order.
+//
+//pfair:hotpath
+func gjobLess(a, b *gjob) bool {
+	if a.ts.t.Name != b.ts.t.Name {
+		return a.ts.t.Name < b.ts.t.Name
+	}
+	return a.index < b.index
+}
+
 func newGlobalSim(set task.Set, m int, pol Policy) *globalSim {
 	g := &globalSim{
 		m:      m,
+		rm:     pol == GlobalRM,
 		tasks:  make([]*gtask, len(set)),
 		ranBuf: make([]*gjob, 0, m),
 	}
-	less := func(a, b *gjob) bool {
-		switch pol {
-		case GlobalRM:
-			if a.ts.t.Period != b.ts.t.Period {
-				return a.ts.t.Period < b.ts.t.Period
-			}
-		default:
-			if a.deadline != b.deadline {
-				return a.deadline < b.deadline
-			}
-		}
-		if a.ts.t.Name != b.ts.t.Name {
-			return a.ts.t.Name < b.ts.t.Name
-		}
-		return a.index < b.index
-	}
-	g.ready = heap.New(less)
+	// Live keys (deadlines, or periods under RM) span at most the longest
+	// period; keys outside the span cost an exact scan, never correctness.
+	var span int64
 	for i, t := range set {
 		g.tasks[i] = &gtask{t: t, id: int32(i), nextJob: 1}
+		span = max(span, t.Period)
 	}
+	g.ready = calq.NewMinQueue(min(span, calq.DefaultSpanCap), gjobLess)
 	return g
 }
 
@@ -134,10 +138,10 @@ func (g *globalSim) register(rec *obs.Recorder) {
 // misses for queued jobs whose deadlines have passed.
 //
 // Not //pfair:hotpath: releasing a job inherently allocates (the job
-// object and its heap handle). The between-releases slot path is pinned
-// at 0 allocs/op dynamically by TestGlobalStepSteadyStateZeroAllocs.
+// record, its queue entry embedded). The between-releases slot path is
+// pinned at 0 allocs/op dynamically by TestGlobalStepSteadyStateZeroAllocs.
 //
-//pfair:allowalloc releasing a job allocates the job record and its heap handle, one pair per period, off the per-slot path
+//pfair:allowalloc releasing a job allocates one job record per period, off the per-slot path
 func (g *globalSim) Release(t int64) {
 	for _, ts := range g.tasks {
 		for ts.nextRelease <= t {
@@ -147,13 +151,17 @@ func (g *globalSim) Release(t int64) {
 				deadline:  ts.nextRelease + ts.t.Period,
 				remaining: ts.t.Cost,
 			}
-			j.item = heap.NewItem(j)
+			j.key = j.deadline
+			if g.rm {
+				j.key = ts.t.Period
+			}
+			j.entry.Value = j
 			g.stats.Jobs++
 			if rec := g.rec; rec != nil {
 				rec.Emit(obs.Event{Slot: t, Kind: obs.EvRelease, Task: ts.id, Proc: -1, A: j.index, B: j.deadline})
 			}
 			if len(ts.queue) == 0 {
-				g.ready.PushItem(j.item)
+				g.ready.Add(&j.entry, j.key)
 			}
 			ts.queue = append(ts.queue, j)
 			ts.nextJob++
@@ -179,7 +187,7 @@ func (g *globalSim) Release(t int64) {
 func (g *globalSim) Pick(t int64) {
 	ran := g.ranBuf[:0]
 	for len(ran) < g.m && g.ready.Len() > 0 {
-		ran = append(ran, g.ready.Pop())
+		ran = append(ran, g.ready.PopMin())
 	}
 	g.ranBuf = ran
 }
@@ -205,10 +213,11 @@ func (g *globalSim) Dispatch(t int64) {
 			ts := j.ts
 			ts.queue = ts.queue[1:]
 			if len(ts.queue) > 0 {
-				g.ready.PushItem(ts.queue[0].item)
+				next := ts.queue[0]
+				g.ready.Add(&next.entry, next.key)
 			}
 		} else {
-			g.ready.PushItem(j.item)
+			g.ready.Add(&j.entry, j.key)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"pfair/internal/core"
+	"pfair/internal/verify"
 )
 
 // Windows renders the windows of subtasks first..last of a pattern, one
@@ -44,69 +45,49 @@ func WindowsIS(pat *core.Pattern, first, last int64, offset func(i int64) int64)
 	return b.String(), nil
 }
 
-// Recorder captures a schedule via core.Scheduler.OnSlot and renders it.
-type Recorder struct {
-	rows  map[string][]byte
-	order []string
-	slots int64
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{rows: map[string][]byte{}}
-}
-
-// Record is an OnSlot callback: each assignment paints the task's row with
-// the processor digit at the slot column.
-//
-//pfair:allowalloc the ASCII-art recorder grows per-task rows as the trace extends; diagnostic tooling, detached in measured runs
-func (r *Recorder) Record(t int64, assigned []core.Assignment) {
-	if t+1 > r.slots {
-		r.slots = t + 1
-	}
-	for _, a := range assigned {
-		row, ok := r.rows[a.Task]
-		if !ok {
-			r.order = append(r.order, a.Task)
-		}
-		for int64(len(row)) <= t {
-			row = append(row, '.')
-		}
-		c := byte('0' + a.Proc%10)
-		if a.Proc > 9 {
-			c = '+'
-		}
-		row[t] = c
-		r.rows[a.Task] = row
-	}
-}
-
-// Render draws slots [from, to) with one row per task (in first-appearance
-// order; pass names to fix the order and include never-scheduled tasks).
-func (r *Recorder) Render(from, to int64, names ...string) string {
-	if len(names) == 0 {
-		names = append([]string(nil), r.order...)
-		sort.Strings(names)
-	}
-	var b strings.Builder
-	width := 0
-	for _, n := range names {
-		if len(n) > width {
-			width = len(n)
-		}
-	}
-	writeRuler(&b, strings.Repeat(" ", width+2), to-from)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-*s |", width, n)
-		row := r.rows[n]
-		for t := from; t < to; t++ {
-			if t >= 0 && t < int64(len(row)) {
-				b.WriteByte(row[t])
-			} else {
-				b.WriteByte('.')
+// Schedule draws slots [from, to) of a schedule recorded by
+// verify.Recorder, one row per task and one column per slot: the digit of
+// the processor that ran the task in that slot ('+' above 9), or '.'.
+// Rows follow names; with none given, every task that appears in the
+// recording is drawn, in name order. A named task that never ran gets a
+// row of dots.
+func Schedule(slots []verify.Slot, from, to int64, names ...string) string {
+	blank := strings.Repeat(".", int(max(to-from, 0)))
+	rows := map[string][]byte{}
+	var seen []string
+	for _, sl := range slots {
+		for _, a := range sl.Assigned {
+			row, ok := rows[a.Task]
+			if !ok {
+				row = []byte(blank)
+				rows[a.Task] = row
+				seen = append(seen, a.Task)
+			}
+			if sl.Time >= from && sl.Time < to {
+				c := byte('0' + a.Proc%10)
+				if a.Proc > 9 {
+					c = '+'
+				}
+				row[sl.Time-from] = c
 			}
 		}
-		b.WriteString("|\n")
+	}
+	if len(names) == 0 {
+		names = seen
+		sort.Strings(names)
+	}
+	width := 0
+	for _, n := range names {
+		width = max(width, len(n))
+	}
+	var b strings.Builder
+	writeRuler(&b, strings.Repeat(" ", width+2), to-from)
+	for _, n := range names {
+		row, ok := rows[n]
+		if !ok {
+			row = []byte(blank)
+		}
+		fmt.Fprintf(&b, "%-*s |%s|\n", width, n, row)
 	}
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 
 	"pfair/internal/core"
 	"pfair/internal/task"
+	"pfair/internal/verify"
 )
 
 // TestWindowsFig1a renders the Figure 1(a) layout and spot-checks rows.
@@ -64,15 +65,16 @@ func TestWindowsRejectsBadRange(t *testing.T) {
 	}
 }
 
+// TestRecorderRender draws a verify.Recorder schedule with Schedule.
 func TestRecorderRender(t *testing.T) {
 	s := core.NewScheduler(1, core.PD2, core.Options{})
-	rec := NewRecorder()
+	var rec verify.Recorder
 	s.OnSlot(rec.Record)
 	if err := s.Join(task.MustNew("T", 1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	s.RunUntil(6)
-	out := rec.Render(0, 6)
+	out := Schedule(rec.Slots, 0, 6)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("lines: %v", lines)
@@ -85,7 +87,7 @@ func TestRecorderRender(t *testing.T) {
 
 func TestRecorderExplicitOrderAndProcDigits(t *testing.T) {
 	s := core.NewScheduler(2, core.PD2, core.Options{})
-	rec := NewRecorder()
+	var rec verify.Recorder
 	s.OnSlot(rec.Record)
 	for _, tk := range []*task.Task{task.MustNew("A", 1, 1), task.MustNew("B", 1, 1)} {
 		if err := s.Join(tk); err != nil {
@@ -93,7 +95,7 @@ func TestRecorderExplicitOrderAndProcDigits(t *testing.T) {
 		}
 	}
 	s.RunUntil(4)
-	out := rec.Render(0, 4, "B", "A", "C")
+	out := Schedule(rec.Slots, 0, 4, "B", "A", "C")
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("lines:\n%s", out)

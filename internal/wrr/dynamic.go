@@ -95,9 +95,6 @@ func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
 				s.plane.EmitJoin(now, w.id, w.t.Cost, w.t.Period)
 			}
 		}
-		if met := s.met; met != nil {
-			met.EnsureTask(w.id, w.t.Name, w.t.Period)
-		}
 		d := admission.Decision{Op: req.Op, Name: req.Task.Name, EffectiveAt: now}
 		s.plane.Commit(d)
 		return d, nil

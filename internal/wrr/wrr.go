@@ -126,9 +126,6 @@ func NewScheduler(m int, set task.Set, opts ...engine.Option) (*Scheduler, error
 				s.plane.EmitJoin(0, w.id, w.t.Cost, w.t.Period)
 			}
 		}
-		if met := s.met; met != nil {
-			met.EnsureTask(w.id, w.t.Name, w.t.Period)
-		}
 	}
 	return s, nil
 }
@@ -182,9 +179,6 @@ func (s *Scheduler) Dispatch(t int64) {
 		}
 		if met := s.met; met != nil {
 			met.Allocations.Inc()
-			if tm := met.Task(w.id); tm != nil {
-				tm.Allocations.Inc()
-			}
 		}
 		if w.rem == 0 {
 			// Job complete; next job's work becomes available at its
@@ -220,9 +214,6 @@ func (s *Scheduler) Account(t int64) {
 			}
 			if met := s.met; met != nil {
 				met.Misses.Inc()
-				if tm := met.Task(w.id); tm != nil {
-					tm.Misses.Inc()
-				}
 			}
 		}
 	}

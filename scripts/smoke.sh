@@ -7,13 +7,15 @@
 #      and non-overlapping lanes, span twins, ring accounting), requires
 #      the release/migration/join events the README promises, and must
 #      reconstruct a non-empty accounting report from the artifact.
+#      pfairsim -metrics alone must print the per-task accounting series.
 #   2. pfairsim traces the pinned EPDF counterexample, whose schedule must
 #      contain deadline-miss events; pfairtrace must name the missing
 #      task and reconstruct the PD² tie-break analysis in the miss window.
 #   3. pfairsim traces the same 8-task set under PD² with metrics on; the
 #      trace must contain b-bit tie-break events, and the
 #      pfair_tiebreak_bbit_total counter must equal the tiebreak-bbit
-#      count on pfairtrace's events line.
+#      count on pfairtrace's events line. The same run without -metrics
+#      must write a byte-identical trace: attaching metrics adds no event.
 #   4. BenchmarkStepAllocsObserved and BenchmarkStepAllocsProfiled re-pin
 #      the scheduler hot path at 0 allocs/op with a live recorder,
 #      metrics, and sampling phase profiler attached.
@@ -39,6 +41,12 @@ grep -q '^pfair_acct_dispatches_total' "$tmp/pd2.out" || {
 }
 grep -q '^pfair_engine_phase_ns_count' "$tmp/pd2.out" || {
 	echo "smoke: pfairsim -phaseprof -metrics printed no pfair_engine_phase_ns" >&2
+	exit 1
+}
+go run ./cmd/pfairsim -m 2 -alg pd2 -slots 24 -metrics \
+	A:2/3 B:2/3 C:2/3 > "$tmp/metrics.out"
+grep -q '^pfair_acct_dispatches_total' "$tmp/metrics.out" || {
+	echo "smoke: pfairsim -metrics printed no pfair_acct_dispatches_total" >&2
 	exit 1
 }
 go run ./cmd/pfairtrace -require release,migration,join \
@@ -83,6 +91,13 @@ if [ -z "$counter" ] || [ -z "$events" ] || [ "$counter" != "$events" ]; then
 	echo "smoke: pfair_tiebreak_bbit_total = ${counter:-missing}, pfairtrace counted ${events:-no} tiebreak-bbit events" >&2
 	exit 1
 fi
+go run ./cmd/pfairsim -m 5 -alg pd2 -slots 90 \
+	-trace "$tmp/tie.plain.trace.json" \
+	T0:4/9 T1:3/6 T2:1/2 T3:8/9 T4:6/10 T5:3/6 T6:9/10 T7:2/3 > /dev/null
+cmp -s "$tmp/tie.plain.trace.json" "$tmp/tie.trace.json" || {
+	echo "smoke: pfairsim -trace wrote a different file once -metrics was added" >&2
+	exit 1
+}
 
 echo "# smoke 4/4: observed and profiled hot paths stay at 0 allocs/op"
 go test -run '^$' -bench 'BenchmarkStepAllocs(Observed|Profiled)$' -benchmem \
