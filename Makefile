@@ -81,6 +81,8 @@ fuzz-native:
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzParseReplay$$' -fuzztime 10s
 	$(GO) test ./cmd/pfairtrace -run '^$$' -fuzz '^FuzzBuildReport$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPatternWindow$$' -fuzztime 10s
+	$(GO) test ./cmd/pfairsim -run '^$$' -fuzz '^FuzzParseTask$$' -fuzztime 10s
 
 # smoke exercises the observability layer end to end: pfairsim -trace on
 # the quickstart and EPDF-counterexample sets, each validated (with

@@ -50,6 +50,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"pfair/internal/core"
@@ -364,16 +365,14 @@ func validateFlags(c flagConfig) error {
 	return nil
 }
 
-// parseTask parses "name:cost/period".
+// parseTask parses "name:cost/period", where cost and period are
+// decimal integers and nothing may follow the period.
 func parseTask(s string) (*task.Task, error) {
-	var name string
-	var e, p int64
-	colon := strings.IndexByte(s, ':')
-	if colon <= 0 {
-		return nil, fmt.Errorf("bad task %q: want name:cost/period", s)
-	}
-	name = s[:colon]
-	if _, err := fmt.Sscanf(s[colon+1:], "%d/%d", &e, &p); err != nil {
+	name, rest, ok := strings.Cut(s, ":")
+	cost, period, ok2 := strings.Cut(rest, "/")
+	e, errE := strconv.ParseInt(cost, 10, 64)
+	p, errP := strconv.ParseInt(period, 10, 64)
+	if !ok || name == "" || !ok2 || errE != nil || errP != nil {
 		return nil, fmt.Errorf("bad task %q: want name:cost/period", s)
 	}
 	t := &task.Task{Name: name, Cost: e, Period: p}

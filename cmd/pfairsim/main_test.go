@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestParseTask(t *testing.T) {
 	tk, err := parseTask("video:2/3")
@@ -10,11 +13,34 @@ func TestParseTask(t *testing.T) {
 	if tk.Name != "video" || tk.Cost != 2 || tk.Period != 3 {
 		t.Fatalf("parsed %+v", tk)
 	}
-	for _, bad := range []string{"", "noval", ":2/3", "a:2", "a:x/y", "a:0/3", "a:4/3"} {
+	for _, bad := range []string{"", "noval", ":2/3", "a:2", "a:x/y", "a:0/3", "a:4/3", "A:2/3junk", "A:2/3/4", "A:2/0x3"} {
 		if _, err := parseTask(bad); err == nil {
 			t.Errorf("parseTask(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseTask: parseTask never panics, and every spec it accepts
+// re-parses from its canonical name:cost/period form to the same task.
+func FuzzParseTask(f *testing.F) {
+	for _, s := range []string{"video:2/3", "a:1/1", "A:2/3junk", "A:2/3/4", "A:2/0x3",
+		"A:9223372036854775806/9223372036854775807", "A:3000000000/6000000000", "a/b:+2/3", ":2/3", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tk, err := parseTask(s)
+		if err != nil {
+			return
+		}
+		canon := fmt.Sprintf("%s:%d/%d", tk.Name, tk.Cost, tk.Period)
+		again, err := parseTask(canon)
+		if err != nil {
+			t.Fatalf("parseTask(%q) accepted %+v, but its canonical form %q is rejected: %v", s, tk, canon, err)
+		}
+		if *again != *tk {
+			t.Fatalf("parseTask(%q) = %+v, canonical form %q re-parses to %+v", s, tk, canon, again)
+		}
+	})
 }
 
 func TestValidateFlags(t *testing.T) {

@@ -25,9 +25,7 @@
 // Import discipline: admission sits below the policies (engine imports
 // it to declare Dynamic), so it may import only task, rational, and
 // obs. The utilization and hyperbolic tests are implemented here with
-// exact arithmetic; tests that live higher in the graph (the López
-// partitioned bound, the exact global-EDF test of Goossens–Meumeu
-// Yomsi) plug in as Test hooks.
+// exact arithmetic.
 package admission
 
 import (

@@ -20,20 +20,9 @@ import (
 //   - Hyperbolic is the Bini–Buttazzo–Buttazzo bound Π(uᵢ+1) ≤ 2,
 //     sufficient for uniprocessor RM — tighter than the Liu–Layland
 //     n(2^{1/n}−1) bound the rm package also exposes.
-//   - Tests that cannot live below the policies in the import graph —
-//     partition's López bound, the exact global-EDF test of
-//     Goossens–Meumeu Yomsi (PAPERS.md) — plug in as Test values built
-//     by the policy and invoked by its Submit.
 //
 // The error a failed test returns is the admission error the caller
 // surfaces; it names the violated bound with its exact operands.
-
-// Test is a policy-supplied feasibility predicate over a request: nil
-// error means the request's prospective state is schedulable. Policies
-// whose bound lives higher in the import graph (partition, global EDF)
-// wrap it as a Test and apply it inside Submit alongside the structural
-// validation this package owns.
-type Test func(req Request) error
 
 // Utilization applies Equation (2) to a prospective change: with total
 // the current exact utilization sum, add the weight joining and sub the

@@ -19,7 +19,7 @@ import (
 // between engine steps is a slot boundary), leaves and reweights are
 // validated — and, for upward reweights, capacity-reserved — at
 // request time but land at the task's earliest safe departure slot,
-// applied by ApplyLeaves at the top of that slot. The Decision the
+// applied at the top of that slot's Release phase. The Decision the
 // ledger records carries that effective slot.
 
 // Submit implements engine.Dynamic: one entry point for every

@@ -46,8 +46,8 @@ func topM(s *Scheduler, t int64) []*tstate {
 }
 
 // leaveDue reports whether a departure takes effect at slot t. Such a
-// slot's eligible set changes inside Step (ApplyLeaves), after the
-// oracle has looked, so the oracle skips it.
+// slot's eligible set changes inside Step (at the top of Release), after
+// the oracle has looked, so the oracle skips it.
 func leaveDue(s *Scheduler, t int64) bool {
 	for _, st := range s.leaves {
 		if st.leaveAt <= t {

@@ -26,12 +26,9 @@ import (
 )
 
 // Pattern captures the Pfair window structure of a task with cost e and
-// period p. All subtask parameters are pure functions of (e, p, i); the
-// struct tabulates them for the first e subtasks, since the pattern
-// repeats with period p in time every e subtasks:
-//
-//	r(Tᵢ₊ₑ) = r(Tᵢ) + p, d(Tᵢ₊ₑ) = d(Tᵢ) + p, b(Tᵢ₊ₑ) = b(Tᵢ),
-//	D(Tᵢ₊ₑ) = D(Tᵢ) + p.
+// period p. All subtask parameters are pure functions of (e, p, i), and
+// Pattern computes them in closed form from one division of i·p by e
+// (see window); it stores nothing that grows with e or i.
 type Pattern struct {
 	e, p int64
 	// heavy and weight are fixed at construction: the scheduler's priority
@@ -40,26 +37,10 @@ type Pattern struct {
 	// dominated the PD hot path.
 	heavy  bool
 	weight rational.Rat
-	// release/deadline/bbit tables for the first period, indexed by i−1
-	// for 1 ≤ i ≤ e; all three repeat every e subtasks shifted by p. Built
-	// at construction when e ≤ patternTableMax, nil otherwise (the direct
-	// formulas remain the fallback).
-	release  []int64
-	deadline []int64
-	bbit     []uint8
-	// gd[i-1] is the group deadline of subtask i, for 1 ≤ i ≤ e (heavy
-	// tasks only): filled at construction alongside the other tables, nil
-	// for patterns too large to tabulate (GroupDeadline then uses the
-	// closed form).
-	gd []int64
+	// pq = ⌊p/e⌋ and pr = p mod e let window derive r(Tᵢ) from the same
+	// quotient as d(Tᵢ).
+	pq, pr int64
 }
-
-// patternTableMax bounds the per-period tables: a pattern with cost above
-// it (three int64 tables ≈ 100 KiB) falls back to the direct formulas and
-// the closed-form group deadline, so its memory does not grow with its
-// cost. Every workload in the paper's experiments has costs well below
-// the bound.
-const patternTableMax = 4096
 
 // NewPattern returns the window pattern for a task with the given cost and
 // period. It panics unless 0 < cost ≤ period.
@@ -71,65 +52,41 @@ func NewPattern(cost, period int64) *Pattern {
 		//pfair:allowpanic constructor contract: parameters were validated by task.New before reaching here
 		panic(fmt.Sprintf("core: invalid pattern %d/%d", cost, period))
 	}
-	pt := &Pattern{
+	return &Pattern{
 		e:      cost,
 		p:      period,
 		heavy:  2*cost >= period,
 		weight: rational.New(cost, period),
+		pq:     period / cost,
+		pr:     period % cost,
 	}
-	if cost <= patternTableMax {
-		pt.release = make([]int64, cost)
-		pt.deadline = make([]int64, cost)
-		pt.bbit = make([]uint8, cost)
-		for i := int64(1); i <= cost; i++ {
-			pt.release[i-1] = rational.FloorDiv((i-1)*period, cost)
-			pt.deadline[i-1] = rational.CeilDiv(i*period, cost)
-			if (i*period)%cost != 0 {
-				pt.bbit[i-1] = 1
-			}
-		}
-		if pt.heavy {
-			pt.fillGroupDeadlines()
-		}
-	}
-	return pt
 }
 
-// fillGroupDeadlines tabulates D(Tᵢ) for the first period in O(e) by a
-// backward pass. Writing E(j) for the first cascade event at or after
-// subtask j — the earliest k ≥ j with |w(Tₖ)| = 3 (event d(Tₖ)−1) or
-// b(Tₖ) = 0 (event d(Tₖ)) — the definition reduces to
+// window returns r(Tᵢ), d(Tᵢ) and b(Tᵢ) for subtask i ≥ 1 from one
+// division. Writing i·p = q·e + rem with 0 ≤ rem < e,
 //
-//	D(Tᵢ) = d(Tᵢ) if b(Tᵢ) = 0, else E(i+1),
+//	d(Tᵢ) = ⌈i·p/e⌉ = q + [rem ≠ 0],  b(Tᵢ) = [rem ≠ 0],
 //
-// because for a heavy task d is strictly increasing, so the walk's guard
-// d(Tₖ)−1 ≥ d(Tᵢ) holds automatically for every k > i and can never hold
-// at k = i. E satisfies E(j) = event(j) if one occurs at j, else E(j+1),
-// and b(Tₑ) = 0 grounds the recurrence within the period.
-// groupDeadlineSlow remains the executable ground truth; the tests check
-// the table and the closed form against it.
-func (pt *Pattern) fillGroupDeadlines() {
-	e := pt.e
-	pt.gd = make([]int64, e)
-	ev := make([]int64, e+1) // ev[j-1] = E(j)
-	for j := e; j >= 1; j-- {
-		d := pt.deadline[j-1]
-		switch {
-		case d-pt.release[j-1] == 3:
-			ev[j-1] = d - 1
-		case pt.bbit[j-1] == 0:
-			ev[j-1] = d
-		default:
-			ev[j-1] = ev[j] // safe: b(Tₑ) = 0, so j < e here
-		}
+// and since (i−1)·p = (q − ⌊p/e⌋)·e + (rem − p mod e),
+//
+//	r(Tᵢ) = ⌊(i−1)·p/e⌋ = q − ⌊p/e⌋ − [rem < p mod e].
+//
+// i·p must fit in int64.
+//
+//pfair:hotpath
+func (pt *Pattern) window(i int64) (r, d int64, b int) {
+	ip := i * pt.p
+	q := ip / pt.e
+	rem := ip - q*pt.e
+	r, d = q-pt.pq, q
+	if rem < pt.pr {
+		r--
 	}
-	for i := int64(1); i <= e; i++ {
-		if pt.bbit[i-1] == 0 {
-			pt.gd[i-1] = pt.deadline[i-1]
-		} else {
-			pt.gd[i-1] = ev[i]
-		}
+	if rem != 0 {
+		d++
+		b = 1
 	}
+	return r, d, b
 }
 
 // Cost returns the per-job execution cost e.
@@ -152,11 +109,8 @@ func (pt *Pattern) Heavy() bool { return pt.heavy }
 //
 //pfair:hotpath
 func (pt *Pattern) Release(i int64) int64 {
-	if pt.release != nil {
-		cycles := (i - 1) / pt.e
-		return pt.release[i-1-cycles*pt.e] + cycles*pt.p
-	}
-	return rational.FloorDiv((i-1)*pt.p, pt.e)
+	r, _, _ := pt.window(i)
+	return r
 }
 
 // Deadline returns the pseudo-deadline d(Tᵢ) = ⌈i·p/e⌉ of subtask i ≥ 1.
@@ -164,18 +118,16 @@ func (pt *Pattern) Release(i int64) int64 {
 //
 //pfair:hotpath
 func (pt *Pattern) Deadline(i int64) int64 {
-	if pt.deadline != nil {
-		cycles := (i - 1) / pt.e
-		return pt.deadline[i-1-cycles*pt.e] + cycles*pt.p
-	}
-	return rational.CeilDiv(i*pt.p, pt.e)
+	_, d, _ := pt.window(i)
+	return d
 }
 
 // WindowLength returns |w(Tᵢ)| = d(Tᵢ) − r(Tᵢ).
 //
 //pfair:hotpath
 func (pt *Pattern) WindowLength(i int64) int64 {
-	return pt.Deadline(i) - pt.Release(i)
+	r, d, _ := pt.window(i)
+	return d - r
 }
 
 // BBit returns b(Tᵢ): 1 if Tᵢ's window overlaps Tᵢ₊₁'s window and 0
@@ -184,14 +136,8 @@ func (pt *Pattern) WindowLength(i int64) int64 {
 //
 //pfair:hotpath
 func (pt *Pattern) BBit(i int64) int {
-	if pt.bbit != nil {
-		cycles := (i - 1) / pt.e
-		return int(pt.bbit[i-1-cycles*pt.e])
-	}
-	if (i*pt.p)%pt.e != 0 {
-		return 1
-	}
-	return 0
+	_, _, b := pt.window(i)
+	return b
 }
 
 // GroupDeadline returns D(Tᵢ), the time by which a cascade of forced
@@ -200,43 +146,34 @@ func (pt *Pattern) BBit(i int64) int {
 //
 // Group deadlines only matter for heavy tasks (weight ≥ 1/2, whose windows
 // have length two or three); for light tasks PD² defines D(Tᵢ) = 0.
-// Patterns above patternTableMax use GroupDeadlineClosed.
 //
 //pfair:hotpath
 func (pt *Pattern) GroupDeadline(i int64) int64 {
 	if !pt.heavy {
 		return 0
 	}
-	if pt.gd == nil {
-		return pt.GroupDeadlineClosed(i)
-	}
-	// Reduce to the first period using D(Tᵢ₊ₑ) = D(Tᵢ) + p.
-	cycles := (i - 1) / pt.e
-	return pt.gd[i-1-cycles*pt.e] + cycles*pt.p
+	return pt.groupAfter(pt.Deadline(i))
 }
 
-// GroupDeadlineClosed returns D(Tᵢ) by the closed form: the group
-// deadlines of a heavy task of weight e/p are exactly the subtask
-// deadlines of the complementary task of weight (p−e)/p, so
+// groupAfter returns the group deadline of a heavy task's subtask whose
+// pseudo-deadline is d, by the closed form: the group deadlines of a heavy
+// task of weight e/p are exactly the subtask deadlines of the
+// complementary task of weight (p−e)/p, so
 //
 //	D(Tᵢ) = ⌈k·p/(p−e)⌉ for the smallest k with that value ≥ d(Tᵢ),
 //	i.e. k = ⌈d(Tᵢ)·(p−e)/p⌉.
 //
 // Intuitively, the complement's subtasks mark the slots the cascade must
 // leave free. Weight-1 tasks have no complement and D(Tᵢ) = d(Tᵢ). The
-// iterative walk (groupDeadlineSlow) is the ground truth;
-// TestQuickGroupDeadlineClosedForm checks the two agree everywhere.
+// iterative walk (groupDeadlineSlow) is the ground truth; the tests check
+// the two agree.
 //
 //pfair:hotpath
-func (pt *Pattern) GroupDeadlineClosed(i int64) int64 {
-	if !pt.Heavy() {
-		return 0
-	}
+func (pt *Pattern) groupAfter(d int64) int64 {
 	comp := pt.p - pt.e
 	if comp == 0 {
-		return pt.Deadline(i) // weight 1: every b-bit is 0
+		return d // weight 1: every b-bit is 0
 	}
-	d := pt.Deadline(i)
 	k := rational.CeilDiv(d*comp, pt.p)
 	return rational.CeilDiv(k*pt.p, comp)
 }

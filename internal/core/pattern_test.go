@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -288,20 +290,72 @@ func TestQuickLagWindowConsistency(t *testing.T) {
 	}
 }
 
-// TestQuickGroupDeadlineClosedForm: the table and the closed form
-// (complement-task deadlines) agree with the definitional walk for every
-// heavy pattern.
+// bigWindow is the window formula evaluated independently of Pattern, in
+// math/big: r = ⌊(i−1)·p/e⌋, d = ⌈i·p/e⌉, and b = 1 iff e ∤ i·p.
+func bigWindow(e, p, i int64) (r, d int64, b int) {
+	be, bp := big.NewInt(e), big.NewInt(p)
+	num := new(big.Int).Mul(big.NewInt(i-1), bp)
+	r = new(big.Int).Div(num, be).Int64() // Euclidean: floor for e > 0
+	num.Mul(big.NewInt(i), bp)
+	q, m := new(big.Int).DivMod(num, be, new(big.Int))
+	d = q.Int64()
+	if m.Sign() != 0 {
+		d++
+		b = 1
+	}
+	return r, d, b
+}
+
+// checkWindow compares Release, Deadline and BBit of subtask i with
+// bigWindow, and, when walk is set and the pattern is heavy,
+// GroupDeadline with the definitional walk.
+func checkWindow(t *testing.T, pt *Pattern, i int64, walk bool) {
+	t.Helper()
+	r, d, b := bigWindow(pt.Cost(), pt.Period(), i)
+	if got := pt.Release(i); got != r {
+		t.Fatalf("pattern %d/%d: r(T%d) = %d, want %d", pt.Cost(), pt.Period(), i, got, r)
+	}
+	if got := pt.Deadline(i); got != d {
+		t.Fatalf("pattern %d/%d: d(T%d) = %d, want %d", pt.Cost(), pt.Period(), i, got, d)
+	}
+	if got := pt.BBit(i); got != b {
+		t.Fatalf("pattern %d/%d: b(T%d) = %d, want %d", pt.Cost(), pt.Period(), i, got, b)
+	}
+	if walk && pt.Heavy() {
+		if got, want := pt.GroupDeadline(i), pt.groupDeadlineSlow(i); got != want {
+			t.Fatalf("pattern %d/%d: D(T%d) = %d, walk gives %d", pt.Cost(), pt.Period(), i, got, want)
+		}
+	}
+}
+
+// TestWindowFormulaOracle checks the single-division window formula
+// against math/big for every pattern with 1 ≤ e ≤ p ≤ 64 over its first
+// three jobs and one more subtask, and the closed-form group deadline
+// against the definitional walk.
+func TestWindowFormulaOracle(t *testing.T) {
+	for p := int64(1); p <= 64; p++ {
+		for e := int64(1); e <= p; e++ {
+			pt := NewPattern(e, p)
+			for i := int64(1); i <= 3*e+1; i++ {
+				checkWindow(t, pt, i, true)
+			}
+		}
+	}
+}
+
+// TestQuickGroupDeadlineClosedForm checks the closed-form group deadline
+// against the definitional walk for random heavy patterns with periods
+// up to 200, beyond the exhaustive range of TestWindowFormulaOracle,
+// over the first two jobs and two more subtasks.
 func TestQuickGroupDeadlineClosedForm(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := int64(1 + r.Intn(60))
+		p := int64(1 + r.Intn(200))
 		e := (p+1)/2 + r.Int63n(p-(p+1)/2+1) // in [⌈p/2⌉, p]
 		pt := NewPattern(e, p)
 		for i := int64(1); i <= 2*e+2; i++ {
-			walk := pt.groupDeadlineSlow(i)
-			if pt.GroupDeadline(i) != walk || pt.GroupDeadlineClosed(i) != walk {
-				t.Logf("pattern %d/%d subtask %d: walk=%d table=%d closed=%d",
-					e, p, i, walk, pt.GroupDeadline(i), pt.GroupDeadlineClosed(i))
+			if got, walk := pt.GroupDeadline(i), pt.groupDeadlineSlow(i); got != walk {
+				t.Logf("pattern %d/%d subtask %d: closed=%d walk=%d", e, p, i, got, walk)
 				return false
 			}
 		}
@@ -312,25 +366,41 @@ func TestQuickGroupDeadlineClosedForm(t *testing.T) {
 	}
 }
 
-// TestUntabulatedGroupDeadline: a heavy pattern above patternTableMax
-// builds no tables, and its group deadlines (the closed form) agree with
-// the definitional walk across the first period boundary.
+// TestUntabulatedGroupDeadline checks three heavy patterns with costs far
+// above the exhaustive range, where a per-subtask table would be large,
+// at the subtasks around their first period boundary: windows against
+// math/big and the group deadline against the definitional walk.
 func TestUntabulatedGroupDeadline(t *testing.T) {
 	for _, tc := range []struct{ e, p int64 }{
-		{patternTableMax + 1, 2*patternTableMax + 1},
-		{3 * patternTableMax, 3*patternTableMax + 7},
-		{2 * patternTableMax, 4 * patternTableMax},
+		{4097, 8193},
+		{12288, 12295},
+		{8192, 16384},
 	} {
 		pt := NewPattern(tc.e, tc.p)
-		if pt.release != nil || pt.gd != nil {
-			t.Fatalf("pattern %d/%d was tabulated", tc.e, tc.p)
-		}
 		for _, i := range []int64{1, 2, 3, tc.e / 2, tc.e - 1, tc.e, tc.e + 1, tc.e + 2, 2 * tc.e} {
-			if got, walk := pt.GroupDeadline(i), pt.groupDeadlineSlow(i); got != walk {
-				t.Errorf("pattern %d/%d subtask %d: GroupDeadline=%d walk=%d", tc.e, tc.p, i, got, walk)
-			}
+			checkWindow(t, pt, i, true)
 		}
 	}
+}
+
+// FuzzPatternWindow checks the window formula against math/big for
+// fuzzed 1 ≤ e ≤ p and i ≥ 1 wherever i·p fits in int64, and the group
+// deadline against the definitional walk where the walk is short and
+// stays in range.
+func FuzzPatternWindow(f *testing.F) {
+	f.Add(int64(8), int64(11), int64(7))
+	f.Add(int64(1), int64(1), int64(1))
+	f.Add(int64(4097), int64(8193), int64(4098))
+	f.Add(int64(3_000_000_000), int64(6_000_000_000), int64(1_000_000_007))
+	f.Add(int64(9), int64(math.MaxInt64), int64(1))
+	f.Fuzz(func(t *testing.T, e, p, i int64) {
+		if e < 1 || p < e || i < 1 || i > math.MaxInt64/p {
+			t.Skip()
+		}
+		pt := NewPattern(e, p)
+		walk := e <= 4096 && i+e+2 <= math.MaxInt64/p
+		checkWindow(t, pt, i, walk)
+	})
 }
 
 // TestUntabulatedPatternMemory: a heavy task of cost 3·10⁹ and period

@@ -168,13 +168,14 @@ func Less(alg Algorithm, a, b SubtaskRef) bool {
 
 //pfair:allowalloc exported comparison wrapper materializes a prio; the scheduler's internal path fills preallocated prios
 func refPrio(r SubtaskRef) *prio {
+	_, d, b := r.Pat.window(r.Index)
 	group := int64(0)
-	if r.Pat.Heavy() {
-		group = r.Offset + r.Pat.GroupDeadline(r.Index)
+	if r.Pat.heavy {
+		group = r.Offset + r.Pat.groupAfter(d)
 	}
 	return &prio{
-		deadline: r.Offset + r.Pat.Deadline(r.Index),
-		bbit:     r.Pat.BBit(r.Index),
+		deadline: r.Offset + d,
+		bbit:     b,
 		group:    group,
 		pat:      r.Pat,
 		index:    r.Index,
@@ -197,14 +198,15 @@ const pfMaxDepth = 1 << 14
 //pfair:hotpath
 func pfCompare(a *Pattern, i, aoff int64, b *Pattern, j, boff int64, depth int) int {
 	for ; depth > 0; depth-- {
-		da, db := a.Deadline(i)+aoff, b.Deadline(j)+boff
+		_, da, ba := a.window(i)
+		_, db, bb := b.window(j)
+		da, db = da+aoff, db+boff
 		if da != db {
 			if da < db {
 				return 1
 			}
 			return -1
 		}
-		ba, bb := a.BBit(i), b.BBit(j)
 		if ba != bb {
 			if ba > bb {
 				return 1

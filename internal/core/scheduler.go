@@ -108,14 +108,11 @@ type tstate struct {
 
 	joinedAt int64
 	index    int64 // current (next unscheduled) subtask, 1-based
-	// pos and cyc locate index within the task's repeating window
-	// pattern: pos = (index−1) mod e, cyc = ⌊(index−1)/e⌋·p. They are
-	// maintained incrementally — O(1) per subtask advance — so the hot
-	// path reads the precomputed per-period tables by direct index
-	// instead of re-deriving the cycle with divisions (see
-	// refreshSubtask).
+	// pos is index's position within its job, (index−1) mod e, kept
+	// incrementally by advanceSubtask so the hot path's FirstOfJob tests
+	// (pos == 0: ERfair eligibility, preemption counting) need no
+	// division.
 	pos      int64
-	cyc      int64
 	pr       prio  // cached priority of the current subtask
 	deadline int64 // absolute deadline of the current subtask
 	elig     int64 // earliest slot the current subtask may run
@@ -135,7 +132,7 @@ type tstate struct {
 	// generation flag that turns the preemption scan's membership test
 	// over sel into an O(1) field comparison.
 	selSlot int64
-	// departed marks a tstate removed from the system (ApplyLeaves), so
+	// departed marks a tstate removed from the system (applyLeaves), so
 	// stale procPrev references can be detected without a map lookup.
 	departed bool
 	// obsID is the task's dense observability id (see observe.go), −1
@@ -169,9 +166,10 @@ type tstate struct {
 //
 // The Scheduler is an engine.Policy: the slot loop itself lives in
 // internal/engine, which owns the clock and invokes the phase methods
-// (ApplyLeaves, Release, Pick, Dispatch, Account, Next) in order each
-// slot. Step and RunUntil are kept as thin wrappers over the bound
-// engine so existing call sites read unchanged.
+// (Release, Pick, Dispatch, Account, Next) in order each slot; Release
+// first applies the departures due at the slot. Step and RunUntil are
+// kept as thin wrappers over the bound engine so existing call sites
+// read unchanged.
 //
 // Release timers live in a calendar wheel (internal/calq) keyed by
 // eligibility slot, so releasing a slot's subtasks touches one bucket
@@ -414,27 +412,32 @@ func (s *Scheduler) admit(t *task.Task, model ReleaseModel, addWeight, check boo
 	return nil
 }
 
-// offset returns the absolute window shift of subtask i: join time plus the
-// IS delay θ(i).
+// offsetOf returns the absolute window shift of subtask i: join time plus
+// the IS delay θ(i). It is small enough to inline, so a periodic task's
+// refresh pays no call for it.
 //
 //pfair:hotpath
 func (st *tstate) offsetOf(i int64) int64 {
-	off := st.joinedAt
-	if st.model != nil {
-		d := st.model.Offset(i)
-		if d < 0 {
-			//pfair:allowpanic ReleaseModel contract: offsets are cumulative delays, hence non-negative
-			panic(fmt.Sprintf("core: negative IS offset %d for %s subtask %d", d, st.task.Name, i))
-		}
-		off += d
+	if st.model == nil {
+		return st.joinedAt
 	}
-	return off
+	return st.joinedAt + st.delay(i)
 }
 
-// advanceSubtask moves st to its next subtask, maintaining the pattern
-// position incrementally: pos walks the per-period tables, cyc
-// accumulates whole periods. Together they replace the ⌊(i−1)/e⌋
-// division chain inside the Pattern accessors with one compare.
+// delay returns the IS delay θ(i) of a task with a release model.
+//
+//pfair:hotpath
+func (st *tstate) delay(i int64) int64 {
+	d := st.model.Offset(i)
+	if d < 0 {
+		//pfair:allowpanic ReleaseModel contract: offsets are cumulative delays, hence non-negative
+		panic(fmt.Sprintf("core: negative IS offset %d for %s subtask %d", d, st.task.Name, i))
+	}
+	return d
+}
+
+// advanceSubtask moves st to its next subtask, keeping pos, the
+// position within the job, by one compare.
 //
 //pfair:hotpath
 func (st *tstate) advanceSubtask() {
@@ -442,60 +445,37 @@ func (st *tstate) advanceSubtask() {
 	st.pos++
 	if st.pos == st.pat.e {
 		st.pos = 0
-		st.cyc += st.pat.p
 	}
 }
 
 // refreshSubtask recomputes the cached parameters (release, deadline,
-// b-bit, group deadline, eligibility) for st's current subtask. For
-// periodic tasks with tabulated patterns — the common case — every
-// parameter is a direct table read at the incrementally maintained
-// position pos, offset by joinedAt + cyc: O(1) with no divisions. Tasks
-// with an IS release model or an untabulated (cost > patternTableMax)
-// pattern take the general formula path.
+// b-bit, group deadline, eligibility) for st's current subtask, the same
+// way for periodic and IS tasks: the window shift offsetOf(i) plus the
+// pattern's closed-form window(i) — one division — and, for heavy tasks,
+// the group deadline groupAfter(d) — two more.
 //
 //pfair:hotpath
 func (s *Scheduler) refreshSubtask(st *tstate) {
 	i := st.index
 	pt := st.pat
-	var release int64
-	if st.model == nil && pt.release != nil {
-		base := st.joinedAt + st.cyc
-		release = base + pt.release[st.pos]
-		st.deadline = base + pt.deadline[st.pos]
-		group := int64(0)
-		if pt.heavy {
-			group = base + pt.gd[st.pos]
-		}
-		st.pr = prio{
-			deadline: st.deadline,
-			bbit:     int(pt.bbit[st.pos]),
-			group:    group,
-			pat:      pt,
-			index:    i,
-			offset:   st.joinedAt,
-			id:       st.id,
-		}
-	} else {
-		off := st.offsetOf(i)
-		release = off + pt.Release(i)
-		st.deadline = off + pt.Deadline(i)
-		group := int64(0)
-		if pt.Heavy() {
-			group = off + pt.GroupDeadline(i)
-		}
-		st.pr = prio{
-			deadline: st.deadline,
-			bbit:     pt.BBit(i),
-			group:    group,
-			pat:      pt,
-			index:    i,
-			offset:   off,
-			id:       st.id,
-		}
+	off := st.offsetOf(i)
+	r, d, b := pt.window(i)
+	st.deadline = off + d
+	group := int64(0)
+	if pt.heavy {
+		group = off + pt.groupAfter(d)
+	}
+	st.pr = prio{
+		deadline: st.deadline,
+		bbit:     b,
+		group:    group,
+		pat:      pt,
+		index:    i,
+		offset:   off,
+		id:       st.id,
 	}
 
-	elig := release
+	elig := off + r
 	if st.model != nil {
 		e := st.model.Earliness(i)
 		if e < 0 {
@@ -506,7 +486,7 @@ func (s *Scheduler) refreshSubtask(st *tstate) {
 	}
 	if s.earlyReleaseOn(st) && st.pos != 0 {
 		// ERfair: eligible as soon as the predecessor completes. pos == 0
-		// is FirstOfJob, maintained incrementally.
+		// is FirstOfJob.
 		elig = st.lastSlot + 1
 	}
 	// A subtask can never run before its predecessor, before the task
@@ -544,7 +524,8 @@ func (s *Scheduler) Step() []Assignment {
 	return s.assignBuf
 }
 
-// Release is the engine release phase: move every subtask whose
+// Release is the engine release phase. It first applies the departures
+// (and Reweight re-joins) due at slot t, then moves every subtask whose
 // eligibility has arrived from the pending wheel to the ready queue. The
 // wheel drain touches only slot t's bucket. When a recorder is attached,
 // the drained batch is first ordered by (eligibility, id) — the legacy
@@ -557,6 +538,10 @@ func (s *Scheduler) Step() []Assignment {
 //
 //pfair:hotpath
 func (s *Scheduler) Release(t int64) {
+	if len(s.leaves) != 0 {
+		//pfair:coldcall leave and rejoin processing runs only on departure slots, not in steady state
+		s.applyLeaves(t)
+	}
 	due := s.pending.Due(t)
 	rec := s.rec
 	if rec != nil {
@@ -821,23 +806,10 @@ func (s *Scheduler) Tasks() []string {
 	return names
 }
 
-// ApplyLeaves implements engine.Leaver: the engine invokes it at the top
-// of every slot to remove tasks whose departure time has arrived and
-// admit any Reweight replacements. Not intended for direct use. The
-// steady-state cost is the empty-slice check; departure slots take the
-// slow path, which allocates (rejoin buffers, admission structures) by
-// design.
-//
-//pfair:hotpath
-func (s *Scheduler) ApplyLeaves(t int64) {
-	if len(s.leaves) == 0 {
-		return
-	}
-	//pfair:coldcall leave and rejoin processing runs only on departure slots, not in steady state
-	s.applyLeaves(t)
-}
-
-// applyLeaves processes due departures and rejoins at slot t.
+// applyLeaves removes the tasks whose departure time has arrived at slot
+// t and admits any Reweight replacements. Release calls it only when a
+// departure is pending; it allocates (rejoin buffers, admission
+// structures) by design.
 func (s *Scheduler) applyLeaves(t int64) {
 	kept := s.leaves[:0]
 	var rejoins []*tstate

@@ -10,10 +10,12 @@
 // interface below; the engine owns the clock, the step loop, and the
 // observability attachment point (one nil-guarded *obs.Recorder and
 // *obs.SchedulerMetrics pair shared by every simulator). Policies that
-// need dynamic churn, end-of-run accounting, or quantum-boundary
-// awareness implement the optional hook interfaces; the engine resolves
-// them once at construction so the hot loop performs no per-step type
-// assertions.
+// need end-of-run accounting or dynamic churn implement the optional
+// Finisher and Dynamic interfaces; the engine resolves them once at
+// construction. Anything a policy must do at the top of a step (core's
+// departures, the variable-quantum simulator's boundary lattice) it does
+// at the top of its own Release, so the hot loop calls the phases and
+// nothing else.
 //
 // Two time models coexist behind the same interface:
 //
@@ -72,20 +74,6 @@ type Policy interface {
 	Next(t int64) int64
 }
 
-// Leaver is an optional hook for policies with dynamic departures: the
-// engine invokes ApplyLeaves(t) before Release so tasks whose departure
-// time has arrived are gone before new work is ingested.
-type Leaver interface {
-	ApplyLeaves(t int64)
-}
-
-// Joiner is an optional hook for policies with pending admissions (the
-// rejoin half of core's reweighting): the engine invokes ApplyJoins(t)
-// after ApplyLeaves and before Release.
-type Joiner interface {
-	ApplyJoins(t int64)
-}
-
 // Finisher is an optional hook for end-of-run accounting (recording
 // still-pending work whose deadline fell inside the horizon). It is
 // invoked by Engine.Finish, never by Run — simulations that extend a run
@@ -107,14 +95,6 @@ type Finisher interface {
 // never from inside a phase method.
 type Dynamic interface {
 	Submit(req admission.Request) (admission.Decision, error)
-}
-
-// BoundaryHook is an optional hook invoked before Release whenever the
-// engine's clock lands on a quantum boundary (a multiple of the size
-// configured with WithQuantum). The variable-quantum simulator uses it to
-// gate aligned-mode dispatch to the global boundary lattice.
-type BoundaryHook interface {
-	QuantumBoundary(t int64)
 }
 
 // maxZeroAdvance bounds consecutive zero-advance steps (Next(t) == t).
@@ -148,10 +128,7 @@ type Engine struct {
 	pol Policy
 	// Optional hooks, resolved once at New/Reset so Step performs no
 	// type assertions.
-	leaver   Leaver
-	joiner   Joiner
 	finisher Finisher
-	boundary BoundaryHook
 	dyn      Dynamic
 
 	// rec and met are the shared observability attachment point. They are
@@ -171,11 +148,10 @@ type Engine struct {
 	prof      *obs.PhaseProfiler
 	profEvery int64
 
-	quantum int64 // boundary lattice for BoundaryHook; 0 = no lattice
-	now     int64
-	steps   int64
-	zero    int64 // consecutive zero-advance steps, for the livelock bound
-	err     error // sticky failure (livelock); Step is a no-op once set
+	now   int64
+	steps int64
+	zero  int64 // consecutive zero-advance steps, for the livelock bound
+	err   error // sticky failure (livelock); Step is a no-op once set
 }
 
 // Option configures an Engine at construction.
@@ -210,16 +186,6 @@ func WithProfiler(p *obs.PhaseProfiler) Option {
 	}
 }
 
-// WithQuantum sets the quantum-boundary lattice: a policy implementing
-// BoundaryHook is notified whenever the clock lands on a multiple of q.
-func WithQuantum(q int64) Option {
-	return func(e *Engine) {
-		if q > 0 {
-			e.quantum = q
-		}
-	}
-}
-
 // New returns an engine bound to pol at time 0.
 func New(pol Policy, opts ...Option) *Engine {
 	e := &Engine{}
@@ -237,10 +203,7 @@ func (e *Engine) bind(pol Policy) {
 		panic("engine: nil policy")
 	}
 	e.pol = pol
-	e.leaver, _ = pol.(Leaver)
-	e.joiner, _ = pol.(Joiner)
 	e.finisher, _ = pol.(Finisher)
-	e.boundary, _ = pol.(BoundaryHook)
 	e.dyn, _ = pol.(Dynamic)
 }
 
@@ -299,9 +262,8 @@ func (e *Engine) Observe(rec *obs.Recorder, met *obs.SchedulerMetrics) {
 	e.rec, e.met = rec, met
 }
 
-// Step runs one engine step: hooks, the four phases, and the clock
-// advance. It is the single hot loop every simulator in the repository
-// now runs on.
+// Step runs one engine step: the four phases and the clock advance. It
+// is the single hot loop every simulator in the repository now runs on.
 //
 //pfair:hotpath
 func (e *Engine) Step() {
@@ -309,15 +271,6 @@ func (e *Engine) Step() {
 		return
 	}
 	t := e.now
-	if l := e.leaver; l != nil {
-		l.ApplyLeaves(t)
-	}
-	if j := e.joiner; j != nil {
-		j.ApplyJoins(t)
-	}
-	if b := e.boundary; b != nil && e.quantum > 0 && t%e.quantum == 0 {
-		b.QuantumBoundary(t)
-	}
 	var next int64
 	if pr := e.prof; pr != nil && e.steps%e.profEvery == 0 {
 		next = e.stepProfiled(t, pr)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/obs"
 )
 
@@ -51,15 +52,17 @@ func (p *fakePolicy) Next(t int64) int64 {
 	return t + 1
 }
 
-// fakeFull additionally implements every optional hook.
+// fakeFull additionally implements every optional hook: Finisher and
+// Dynamic.
 type fakeFull struct {
 	fakePolicy
 }
 
-func (p *fakeFull) ApplyLeaves(t int64)     { p.mark("leave", t) }
-func (p *fakeFull) ApplyJoins(t int64)      { p.mark("join", t) }
-func (p *fakeFull) Finish(h int64)          { p.mark("finish", h) }
-func (p *fakeFull) QuantumBoundary(t int64) { p.mark("boundary", t) }
+func (p *fakeFull) Finish(h int64) { p.mark("finish", h) }
+func (p *fakeFull) Submit(req admission.Request) (admission.Decision, error) {
+	p.log = append(p.log, "submit "+req.Name)
+	return admission.Decision{Op: req.Op, Name: req.Name}, nil
+}
 
 func wantLog(t *testing.T, got, want []string) {
 	t.Helper()
@@ -86,14 +89,23 @@ func TestStepPhaseOrder(t *testing.T) {
 	}
 }
 
+// TestHookOrderAndBoundary: Run invokes the four phases and nothing else,
+// even for a policy with every optional hook; a Submit between steps
+// reaches the policy at that step boundary, and Finish runs only when
+// asked, with the horizon.
 func TestHookOrderAndBoundary(t *testing.T) {
 	p := &fakeFull{}
-	e := New(p, WithQuantum(2))
+	e := New(p)
+	e.Run(2)
+	if _, err := e.Submit(admission.Request{Op: admission.OpJoin, Name: "x"}); err != nil {
+		t.Fatal(err)
+	}
 	e.Run(3)
 	wantLog(t, p.log, []string{
-		"leave@0", "join@0", "boundary@0", "release@0", "pick@0", "dispatch@0", "account@0",
-		"leave@1", "join@1", "release@1", "pick@1", "dispatch@1", "account@1",
-		"leave@2", "join@2", "boundary@2", "release@2", "pick@2", "dispatch@2", "account@2",
+		"release@0", "pick@0", "dispatch@0", "account@0",
+		"release@1", "pick@1", "dispatch@1", "account@1",
+		"submit x",
+		"release@2", "pick@2", "dispatch@2", "account@2",
 	})
 	e.Finish(3)
 	if last := p.log[len(p.log)-1]; last != "finish@3" {
@@ -103,7 +115,7 @@ func TestHookOrderAndBoundary(t *testing.T) {
 
 func TestHooksNotResolvedForPlainPolicy(t *testing.T) {
 	e := New(&fakePolicy{})
-	if e.leaver != nil || e.joiner != nil || e.finisher != nil || e.boundary != nil {
+	if e.finisher != nil || e.dyn != nil {
 		t.Fatal("plain policy must resolve no optional hooks")
 	}
 	e.Finish(10) // no Finisher: must be a no-op
@@ -230,12 +242,12 @@ func TestResetKeepsAttachments(t *testing.T) {
 	if e.Recorder() != rec || e.Metrics() != met {
 		t.Fatal("Reset must keep observability attachments")
 	}
-	if e.leaver == nil || e.boundary == nil {
+	if e.finisher == nil || e.dyn == nil {
 		t.Fatal("Reset must re-resolve optional hooks for the new policy")
 	}
 	e.Step()
-	if p2.log[0] != "leave@0" {
-		t.Fatalf("post-reset first hook = %q, want leave@0", p2.log[0])
+	if p2.log[0] != "release@0" {
+		t.Fatalf("post-reset first call = %q, want release@0", p2.log[0])
 	}
 }
 
@@ -252,17 +264,6 @@ func TestObserveSwapsAttachment(t *testing.T) {
 	e.Observe(nil, nil)
 	if e.Recorder() != nil {
 		t.Fatal("Observe(nil, nil) must detach")
-	}
-}
-
-func TestWithQuantumIgnoresNonPositive(t *testing.T) {
-	p := &fakeFull{}
-	e := New(p, WithQuantum(0))
-	e.Step()
-	for _, entry := range p.log {
-		if entry == "boundary@0" {
-			t.Fatal("quantum 0 must disable the boundary lattice")
-		}
 	}
 }
 

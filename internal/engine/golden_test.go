@@ -100,8 +100,8 @@ func dumpCore(alg core.Algorithm, opts core.Options, horizon int64) string {
 	return d.sb.String()
 }
 
-// dumpCoreDynamic exercises join/leave/reweight mid-run, the paths the
-// engine's Leaver/Joiner hooks carry.
+// dumpCoreDynamic exercises join/leave/reweight mid-run, the departures
+// and re-joins core applies at the top of its Release phase.
 func dumpCoreDynamic() string {
 	var d dump
 	s := core.NewScheduler(2, core.PD2, core.Options{})

@@ -97,13 +97,6 @@ type WeightChange struct {
 	Period int64 `json:"period"`
 }
 
-// MeanResponseTimes returns the task's mean response time as the exact
-// pair (RespSum, RespCount); callers divide at display time, per the
-// repository's no-stored-ratios rule.
-func (ts *TaskStats) MeanResponseTimes() (sum, count int64) {
-	return ts.RespSum, ts.RespCount
-}
-
 // taskAcct is the mutable per-task accumulator behind a TaskStats row.
 type taskAcct struct {
 	TaskStats

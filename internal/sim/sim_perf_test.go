@@ -62,7 +62,7 @@ func TestVQStepSteadyStateZeroAllocs(t *testing.T) {
 	}
 	const quantum = 4
 	v := newVQSim(tasks, 1, quantum, Aligned)
-	eng := engine.New(v, engine.WithQuantum(quantum))
+	eng := engine.New(v)
 	v.register(eng.Recorder())
 	eng.Run(10_000)
 	if allocs := testing.AllocsPerRun(500, func() { eng.Step() }); allocs != 0 {

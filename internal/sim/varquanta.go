@@ -102,9 +102,9 @@ func (s *vqState) startJob(j int64) {
 }
 
 // vqSim is the engine.Policy behind RunQuanta. It is event-driven: Next
-// skips to the earliest processor-free or eligibility event, and the
-// engine's quantum-boundary hook (WithQuantum) gates Aligned-mode
-// dispatch to the global boundary lattice.
+// skips to the earliest processor-free or eligibility event, and Release
+// marks the instants on the global quantum lattice, to which Aligned-mode
+// dispatch is gated.
 type vqSim struct {
 	m       int
 	quantum int64
@@ -117,9 +117,9 @@ type vqSim struct {
 	// rec is cached from the engine at construction; nil = unobserved.
 	rec *obs.Recorder
 	res VQResult
-	// boundary is set by the engine's QuantumBoundary hook for the current
-	// instant and consumed by Dispatch: Aligned mode may only start quanta
-	// while it is set.
+	// boundary is set by Release when the current instant is a multiple
+	// of quantum, and read by Dispatch: Aligned mode may only start
+	// quanta while it is set.
 	boundary bool
 }
 
@@ -160,16 +160,12 @@ func (v *vqSim) register(rec *obs.Recorder) {
 	}
 }
 
-// QuantumBoundary implements engine.BoundaryHook: it marks the current
-// instant as lying on the global quantum lattice.
-//
-//pfair:hotpath
-func (v *vqSim) QuantumBoundary(t int64) { v.boundary = true }
-
-// Release retires runs completing at t, freeing their processors.
+// Release marks whether t lies on the global quantum lattice and
+// retires runs completing at t, freeing their processors.
 //
 //pfair:hotpath
 func (v *vqSim) Release(t int64) {
+	v.boundary = v.quantum > 0 && t%v.quantum == 0
 	for k := 0; k < v.m; k++ {
 		if v.busyUntil[k] >= 0 && v.busyUntil[k] <= t {
 			v.busyTask[k].running = false
@@ -188,7 +184,7 @@ func (v *vqSim) Pick(t int64) {}
 // Dispatch hands idle processors to eligible subtasks: repeatedly give
 // the highest-priority eligible subtask to the lowest-indexed idle
 // processor. Under Aligned, quanta may only begin on global boundaries
-// (the engine's boundary hook).
+// (see Release).
 //
 //pfair:hotpath
 func (v *vqSim) Dispatch(t int64) {
@@ -244,7 +240,6 @@ func (v *vqSim) Dispatch(t int64) {
 		v.busyUntil[proc] = t + run
 		v.busyTask[proc] = best
 	}
-	v.boundary = false
 }
 
 // Account implements engine.Policy; the quantum study keeps no gauges.
@@ -329,10 +324,7 @@ func (v *vqSim) Finish(horizon int64) {
 // former RunQuantaObserved twin.)
 func RunQuanta(tasks []VQTask, m int, quantum, horizon int64, mode QuantumMode, opts ...engine.Option) VQResult {
 	v := newVQSim(tasks, m, quantum, mode)
-	engOpts := make([]engine.Option, 0, len(opts)+1)
-	engOpts = append(engOpts, engine.WithQuantum(quantum))
-	engOpts = append(engOpts, opts...)
-	eng := engine.New(v, engOpts...)
+	eng := engine.New(v, opts...)
 	v.register(eng.Recorder())
 	if err := eng.Run(horizon); err != nil {
 		//pfair:allowpanic livelock is a policy contract violation; this one-shot harness has no error channel, and silence would report a clean run that never happened
