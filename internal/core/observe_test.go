@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pfair/internal/obs"
@@ -353,5 +356,154 @@ func TestObserveMidRunAttach(t *testing.T) {
 	s.RunUntil(200)
 	if rec.Total() != total {
 		t.Error("events recorded after detach")
+	}
+}
+
+// release is one EvRelease as the release-order test compares it: the
+// scheduler's task id, the subtask index and its deadline.
+type release struct {
+	id              int
+	index, deadline int64
+}
+
+// referenceReleases predicts slot t's EvRelease run from the scheduler's
+// state before the slot's Step: every pending subtask due by t whose task
+// does not depart at t, shuffled, then ordered by the insertion sort the
+// scheduler used before it emitted from an id bitset, keyed by
+// (eligibility, id). A subtask left pending past its eligibility slot
+// would sort ahead of the slot's own releases, so the reference also
+// checks enqueue's elig == t invariant.
+func referenceReleases(s *Scheduler, t int64, rng *rand.Rand) []release {
+	var due []*tstate
+	for _, st := range s.order {
+		if st.pendItem.Queued() && st.elig <= t && !(st.leaving && st.leaveAt <= t) {
+			due = append(due, st)
+		}
+	}
+	rng.Shuffle(len(due), func(i, j int) { due[i], due[j] = due[j], due[i] })
+	dueBefore := func(a, b *tstate) bool {
+		if a.elig != b.elig {
+			return a.elig < b.elig
+		}
+		return a.id < b.id
+	}
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && dueBefore(due[j], due[j-1]); j-- {
+			due[j], due[j-1] = due[j-1], due[j]
+		}
+	}
+	out := make([]release, len(due))
+	for i, st := range due {
+		out[i] = release{st.id, st.index, st.deadline}
+	}
+	return out
+}
+
+// TestReleaseEventsInIDOrder pins the order of each slot's EvRelease run
+// on 240 synchronous tasks, whose ids span four bitset words and whose
+// periods all divide 120, so slots 120 and 240 release a burst. A
+// recorder is attached mid-run; leaves punch holes in the id space, and
+// reweights and late joins take fresh ids in a fifth word. In every slot
+// the run must be strictly increasing in task id and equal the reference
+// insertion sort's order, subtask indices and deadlines included.
+func TestReleaseEventsInIDOrder(t *testing.T) {
+	const (
+		horizon = 241
+		attach  = 30
+	)
+	periods := []int64{10, 12, 15, 20, 24, 30, 40, 60, 120}
+	s := NewScheduler(16, PD2, Options{})
+	for i := 0; i < 240; i++ {
+		if err := s.Join(task.MustNew(fmt.Sprintf("T%d", i), 1, periods[i%len(periods)])); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	rec := obs.NewRecorder(1 << 20)
+	want := map[int64][]release{}
+	for s.Now() < horizon {
+		now := s.Now()
+		switch now {
+		case attach:
+			s.Observe(rec, nil)
+		case 45:
+			for i := 0; i < 240; i += 7 {
+				if _, err := s.Leave(fmt.Sprintf("T%d", i)); err != nil {
+					t.Fatalf("leave: %v", err)
+				}
+			}
+		case 70:
+			for i := 3; i < 240; i += 11 {
+				if i%7 == 0 {
+					continue
+				}
+				if _, err := s.Reweight(fmt.Sprintf("T%d", i), 1, 2*periods[i%len(periods)]); err != nil {
+					t.Fatalf("reweight: %v", err)
+				}
+			}
+		case 90:
+			for i := 0; i < 30; i++ {
+				if err := s.Join(task.MustNew(fmt.Sprintf("J%d", i), 1, periods[i%len(periods)])); err != nil {
+					t.Fatalf("join: %v", err)
+				}
+			}
+		}
+		if now >= attach {
+			want[now] = referenceReleases(s, now, rng)
+		}
+		s.Step()
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("ring too small: dropped %d events", rec.Dropped())
+	}
+	if misses := s.Stats().Misses; len(misses) != 0 {
+		t.Fatalf("feasible set missed a deadline: %+v", misses[0])
+	}
+
+	idOf := map[int32]int{}
+	for _, st := range s.order {
+		if st.obsID >= 0 {
+			idOf[st.obsID] = st.id
+		}
+	}
+	got := map[int64][]release{}
+	for _, e := range rec.Events() {
+		if e.Kind == obs.EvRelease {
+			id, ok := idOf[e.Task]
+			if !ok {
+				t.Fatalf("release of unknown observability id: %+v", e)
+			}
+			got[e.Slot] = append(got[e.Slot], release{id, e.A, e.B})
+		}
+	}
+	maxWord := 0
+	for slot := int64(attach); slot < horizon; slot++ {
+		run := got[slot]
+		for i := 1; i < len(run); i++ {
+			if run[i].id <= run[i-1].id {
+				t.Fatalf("slot %d: release of id %d follows id %d", slot, run[i].id, run[i-1].id)
+			}
+		}
+		if !slices.Equal(run, want[slot]) {
+			t.Fatalf("slot %d: EvRelease run\n got %v\nwant %v", slot, run, want[slot])
+		}
+		if len(run) > 0 {
+			maxWord = max(maxWord, run[len(run)-1].id>>6)
+		}
+	}
+	// The workload must keep what the test relies on.
+	if len(got[120]) < 100 || len(got[240]) < 100 {
+		t.Errorf("hyperperiod bursts released %d and %d subtasks, want ≥ 100 each", len(got[120]), len(got[240]))
+	}
+	if maxWord < 4 {
+		t.Errorf("highest released id is in bitset word %d, want ≥ 4", maxWord)
+	}
+	var left, rejoined bool
+	for _, st := range s.order {
+		left = left || (st.departed && st.rejoin == nil)
+		rejoined = rejoined || (st.departed && st.rejoin != nil)
+	}
+	if !left || !rejoined {
+		t.Fatalf("workload lost its churn: left=%v reweighted=%v", left, rejoined)
 	}
 }

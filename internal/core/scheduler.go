@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"pfair/internal/admission"
@@ -183,15 +184,19 @@ type Scheduler struct {
 	alg  Algorithm
 	opts Options
 
-	eng    *engine.Engine
-	nextID int
-	tasks  map[string]*tstate
-	order  []*tstate // join order, for deterministic iteration
+	eng   *engine.Engine
+	tasks map[string]*tstate
+	// order holds every admitted task, departed ones included, in join
+	// order; a task's id is its index here.
+	order  []*tstate
 	weight *rational.Acc
 
 	ready     *calq.MinQueue[*tstate] // eligible subtasks, by deadline then less
 	pending   *calq.Wheel[*tstate]    // future subtasks, by eligibility slot
 	maxPeriod int64
+	// relBits is Release's id bitset for ordering EvRelease events: one
+	// bit per task id, grown at admission, all zero between slots.
+	relBits []uint64
 
 	procPrev []*tstate // task run in the previous slot, per processor
 	leaves   []*tstate // tasks with a pending departure
@@ -378,7 +383,7 @@ func (s *Scheduler) admit(t *task.Task, model ReleaseModel, addWeight, check boo
 		task:     t,
 		pat:      NewPattern(t.Cost, t.Period),
 		model:    model,
-		id:       s.nextID,
+		id:       len(s.order),
 		joinedAt: s.eng.Now(),
 		index:    1,
 		lastProc: -1,
@@ -386,9 +391,9 @@ func (s *Scheduler) admit(t *task.Task, model ReleaseModel, addWeight, check boo
 		selSlot:  -1,
 		obsID:    -1,
 	}
+	st.pr.pat, st.pr.id = st.pat, st.id
 	st.readyEntry = calq.NewEntry(st)
 	st.pendItem = calq.NewItem(st)
-	s.nextID++
 	if p := t.Period; p > s.maxPeriod {
 		s.maxPeriod = p
 		span := p
@@ -406,6 +411,9 @@ func (s *Scheduler) admit(t *task.Task, model ReleaseModel, addWeight, check boo
 	// Each task owns at most one pending-wheel entry, so the task count
 	// bounds any Due batch; reserving here keeps Release allocation-free.
 	s.pending.Reserve(len(s.order))
+	for len(s.relBits)<<6 < len(s.order) {
+		s.relBits = append(s.relBits, 0)
+	}
 	s.registerObs(st)
 	s.refreshSubtask(st)
 	s.enqueue(st)
@@ -465,15 +473,14 @@ func (s *Scheduler) refreshSubtask(st *tstate) {
 	if pt.heavy {
 		group = off + pt.groupAfter(d)
 	}
-	st.pr = prio{
-		deadline: st.deadline,
-		bbit:     b,
-		group:    group,
-		pat:      pt,
-		index:    i,
-		offset:   off,
-		id:       st.id,
-	}
+	// Field by field: the pattern and id were set at admission, and a
+	// whole-struct store of the pointer-holding prio costs a write
+	// barrier check and a stack copy on every advance.
+	st.pr.deadline = st.deadline
+	st.pr.bbit = b
+	st.pr.group = group
+	st.pr.index = i
+	st.pr.offset = off
 
 	elig := off + r
 	if st.model != nil {
@@ -527,14 +534,16 @@ func (s *Scheduler) Step() []Assignment {
 // Release is the engine release phase. It first applies the departures
 // (and Reweight re-joins) due at slot t, then moves every subtask whose
 // eligibility has arrived from the pending wheel to the ready queue. The
-// wheel drain touches only slot t's bucket. When a recorder is attached,
-// the drained batch is first ordered by (eligibility, id) — the legacy
-// pending-heap pop order — so EvRelease events are emitted bit-identical
-// to the heap implementation. Without a recorder the sort is skipped:
-// the ready queue pops the exact priority-minimum sequence under the
-// total order regardless of insertion order, so the batch's order is
-// unobservable — and the sort was a measurable share of the unobserved
-// Fig2b hot path.
+// wheel drain touches only slot t's bucket, in unspecified order; the
+// ready queue pops the same sequence whatever the insertion order, since
+// less is total.
+//
+// With a recorder attached, the slot's EvRelease events are emitted in
+// task-id order without a comparison: each drained id is marked in
+// relBits, and the marked words are walked low to high, each set bit
+// mapping back to its task through s.order, and cleared as they are
+// walked. Every entry Due(t) drains has elig == t (enqueue's invariant),
+// so id order is (eligibility, id) order.
 //
 //pfair:hotpath
 func (s *Scheduler) Release(t int64) {
@@ -543,30 +552,27 @@ func (s *Scheduler) Release(t int64) {
 		s.applyLeaves(t)
 	}
 	due := s.pending.Due(t)
-	rec := s.rec
-	if rec != nil {
-		for i := 1; i < len(due); i++ {
-			for j := i; j > 0 && dueBefore(due[j], due[j-1]); j-- {
-				due[j], due[j-1] = due[j-1], due[j]
+	for _, st := range due {
+		s.ready.Add(st.readyEntry, st.deadline)
+	}
+	if rec := s.rec; rec != nil {
+		set := s.relBits
+		lo, hi := len(set), -1
+		for _, st := range due {
+			w := st.id >> 6
+			set[w] |= 1 << uint(st.id&63)
+			lo, hi = min(lo, w), max(hi, w)
+		}
+		for w := lo; w <= hi; w++ {
+			word := set[w]
+			set[w] = 0
+			for word != 0 {
+				st := s.order[w<<6|bits.TrailingZeros64(word)]
+				word &= word - 1
+				rec.Emit(obs.Event{Slot: t, Kind: obs.EvRelease, Task: st.obsID, Proc: -1, A: st.index, B: st.deadline})
 			}
 		}
 	}
-	for _, st := range due {
-		s.ready.Add(st.readyEntry, st.deadline)
-		if rec != nil {
-			rec.Emit(obs.Event{Slot: t, Kind: obs.EvRelease, Task: st.obsID, Proc: -1, A: st.index, B: st.deadline})
-		}
-	}
-}
-
-// dueBefore is the legacy pending-queue order: eligibility, then id.
-//
-//pfair:hotpath
-func dueBefore(a, b *tstate) bool {
-	if a.elig != b.elig {
-		return a.elig < b.elig
-	}
-	return a.id < b.id
 }
 
 // Pick is the engine selection phase: pop the m highest-priority eligible

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"pfair/internal/engine"
 	"pfair/internal/obs"
 	"pfair/internal/parallel"
+	"pfair/internal/task"
 	"pfair/internal/taskgen"
 )
 
@@ -96,16 +98,55 @@ func BenchmarkStepAllocsObserved(b *testing.B) {
 
 // TestStepObservedZeroAllocs is the test-mode twin of
 // BenchmarkStepAllocsObserved, so `go test` alone (CI tier 1) catches an
-// allocating emission site without running benchmarks.
+// allocating emission site without running benchmarks. The second case
+// runs 300 tasks at M=16, so the release bitset spans five words, and
+// admits one more task after warm-up, right before the measured steps.
 func TestStepObservedZeroAllocs(t *testing.T) {
-	s := newLoadedScheduler(t, 2, 100, 1.9, 42)
-	s.Observe(obs.NewRecorder(1<<12), obs.NewSchedulerMetrics(nil))
-	s.RunUntil(2000)
-	if allocs := testing.AllocsPerRun(500, func() { s.Step() }); allocs != 0 {
-		t.Fatalf("observed Step allocates %v/op in steady state, want 0", allocs)
+	for _, tc := range []struct {
+		m, n int
+		util float64
+		join bool
+	}{
+		{2, 100, 1.9, false},
+		{16, 300, 12, true},
+	} {
+		s := newLoadedScheduler(t, tc.m, tc.n, tc.util, 42)
+		s.Observe(obs.NewRecorder(1<<12), obs.NewSchedulerMetrics(nil))
+		s.RunUntil(2000)
+		if tc.join {
+			if err := s.Join(task.MustNew("late", 1, 10)); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+			if words := len(s.relBits); words < 5 {
+				t.Fatalf("%d tasks fill %d bitset words, want ≥ 5", len(s.order), words)
+			}
+		}
+		if allocs := testing.AllocsPerRun(500, func() { s.Step() }); allocs != 0 {
+			t.Errorf("m=%d n=%d: observed Step allocates %v/op in steady state, want 0", tc.m, tc.n, allocs)
+		}
+		if s.Recorder().Total() == 0 {
+			t.Fatalf("m=%d n=%d: recorder attached but no events recorded", tc.m, tc.n)
+		}
 	}
-	if s.Recorder().Total() == 0 {
-		t.Fatal("recorder attached but no events recorded")
+}
+
+// BenchmarkReleaseBurstObserved measures the observed Step on 1,000
+// synchronous unit-cost tasks at M=16: periods 60 and 120, so every 60th
+// slot releases 500 subtasks and every 120th all 1,000, each emitted as
+// an EvRelease in task-id order. One op is one slot.
+func BenchmarkReleaseBurstObserved(b *testing.B) {
+	s := NewScheduler(16, PD2, Options{})
+	for i := 0; i < 1000; i++ {
+		if err := s.Join(task.MustNew(fmt.Sprintf("T%d", i), 1, int64(60*(1+i%2)))); err != nil {
+			b.Fatalf("join: %v", err)
+		}
+	}
+	s.Observe(obs.NewRecorder(obs.DefaultRingCapacity), nil)
+	s.RunUntil(240)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }
 

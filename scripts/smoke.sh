@@ -19,6 +19,11 @@
 #   4. BenchmarkStepAllocsObserved and BenchmarkStepAllocsProfiled re-pin
 #      the scheduler hot path at 0 allocs/op with a live recorder,
 #      metrics, and sampling phase profiler attached.
+#   5. pfairsim traces 100 synchronous tasks on 8 CPUs for two
+#      hyperperiods, so each slot-120 burst releases every task and the
+#      task ids span two words of the scheduler's release bitset;
+#      pfairtrace must validate the trace, find its release and join
+#      events, and report it complete.
 #
 # Usage: scripts/smoke.sh
 set -eu
@@ -27,7 +32,7 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "# smoke 1/4: PD² quickstart trace + forensic report"
+echo "# smoke 1/5: PD² quickstart trace + forensic report"
 go run ./cmd/pfairsim -m 2 -alg pd2 -slots 24 \
 	-trace "$tmp/pd2.trace.json" -metrics -taskstats -phaseprof 4 \
 	A:2/3 B:2/3 C:2/3 > "$tmp/pd2.out"
@@ -65,7 +70,7 @@ grep -q '"tasks"' "$tmp/pd2.report.json" || {
 	exit 1
 }
 
-echo "# smoke 2/4: EPDF counterexample traces misses; pfairtrace explains them"
+echo "# smoke 2/5: EPDF counterexample traces misses; pfairtrace explains them"
 go run ./cmd/pfairsim -m 5 -alg epdf -slots 180 \
 	-trace "$tmp/epdf.trace.json" \
 	T0:4/9 T1:3/6 T2:1/2 T3:8/9 T4:6/10 T5:3/6 T6:9/10 T7:2/3 > /dev/null
@@ -80,7 +85,7 @@ grep -q 'b-bit' "$tmp/epdf.report" || {
 	exit 1
 }
 
-echo "# smoke 3/4: PD² tie-break counters equal tie-break events"
+echo "# smoke 3/5: PD² tie-break counters equal tie-break events"
 go run ./cmd/pfairsim -m 5 -alg pd2 -slots 90 -metrics \
 	-trace "$tmp/tie.trace.json" \
 	T0:4/9 T1:3/6 T2:1/2 T3:8/9 T4:6/10 T5:3/6 T6:9/10 T7:2/3 > "$tmp/tie.out"
@@ -99,7 +104,7 @@ cmp -s "$tmp/tie.plain.trace.json" "$tmp/tie.trace.json" || {
 	exit 1
 }
 
-echo "# smoke 4/4: observed and profiled hot paths stay at 0 allocs/op"
+echo "# smoke 4/5: observed and profiled hot paths stay at 0 allocs/op"
 go test -run '^$' -bench 'BenchmarkStepAllocs(Observed|Profiled)$' -benchmem \
 	-benchtime=0.2s -count=1 ./internal/core | tee "$tmp/bench.out"
 awk '/^BenchmarkStepAllocs/ {
@@ -111,5 +116,18 @@ awk '/^BenchmarkStepAllocs/ {
 }
 END { if (found < 2) { print "smoke: expected both alloc benchmarks to run" > "/dev/stderr"; exit 1 } }
 ' "$tmp/bench.out"
+
+echo "# smoke 5/5: a 100-task synchronous release burst traces complete"
+set100="$(awk 'BEGIN { n = split("10 12 15 20 24 30 40 60 120", p, " ")
+	for (i = 0; i < 100; i++) printf "T%d:1/%d ", i, p[i % n + 1] }')"
+# $set100 is left unquoted: the shell splits it into one argument per task.
+go run ./cmd/pfairsim -m 8 -alg pd2 -slots 240 \
+	-trace "$tmp/burst.trace.json" $set100 > /dev/null
+go run ./cmd/pfairtrace -require release,join \
+	"$tmp/burst.trace.json" > "$tmp/burst.report"
+grep -q 'trace is complete' "$tmp/burst.report" || {
+	echo "smoke: pfairtrace did not confirm the burst trace complete" >&2
+	exit 1
+}
 
 echo "smoke OK"
