@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-scale bench-guard bench-guard-scale fuzz fuzz-short fuzz-native smoke taskstats engine-equiv dyn-equiv check
+.PHONY: build vet lint test race perfbench-test bench bench-scale bench-guard bench-guard-scale fuzz fuzz-short fuzz-native smoke taskstats engine-equiv dyn-equiv check
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-test vets and tests the benchmark under perfbench/. It is a
+# module of its own (go.mod replaces pfair with this tree), so neither
+# `go build ./...` nor `go test ./...` at the root reaches it; without
+# this target a change to an internal API it calls surfaces only when
+# the benchmark runs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the scheduler hot-path benchmarks and writes BENCH_core.json
 # (name, ns/op, allocs/op per benchmark) for machine consumption, and
@@ -116,4 +124,4 @@ engine-equiv:
 dyn-equiv:
 	$(GO) test ./internal/engine -run 'TestDynEquiv' -count=1
 
-check: build vet lint test race fuzz-short smoke engine-equiv dyn-equiv bench-guard bench-guard-scale bench
+check: build vet lint test race perfbench-test fuzz-short smoke engine-equiv dyn-equiv bench-guard bench-guard-scale bench

@@ -281,12 +281,16 @@ func (w *Wheel[T]) Due(t int64) []T {
 	return w.due
 }
 
-// NextOccupied returns the smallest slot among all queued items and
-// whether the wheel is non-empty. The common case — every queued slot
-// within one revolution ahead of from — costs one bitmap probe plus one
-// bucket scan; round mixing (or slots behind from) is detected by
-// comparing the candidate against the bucket minimum and answered by an
-// exact scan over the occupied buckets.
+// NextOccupied returns a queued slot and whether the wheel is non-empty.
+// The slot is the smallest queued slot ≥ from, or, when the exact-scan
+// fallback runs, the smallest queued slot of all. So when no queued slot
+// lies behind from the result is the wheel's minimum; otherwise a slot
+// behind from may be missed (with slots 3 and 700 queued, from 4 gives
+// 700). The common case costs one bitmap probe from from's bucket plus
+// one scan of the first occupied bucket; when that bucket's minimum is
+// not the candidate slot the probe implies (round mixing, or an item
+// behind from in that bucket), the answer is an exact scan over the
+// occupied buckets.
 //
 //pfair:hotpath
 func (w *Wheel[T]) NextOccupied(from int64) (int64, bool) {

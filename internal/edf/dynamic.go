@@ -165,6 +165,7 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 // not resurrect it.
 func (s *Simulator) remove(ts *tstate) {
 	s.relWheel.Remove(ts.relItem)
+	s.relStale = true
 	if s.running != nil && s.running.ts == ts {
 		s.freeJob(s.running)
 		s.running = nil

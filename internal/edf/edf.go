@@ -34,6 +34,7 @@ package edf
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -162,13 +163,24 @@ type Simulator struct {
 	// ready holds the ready jobs by their key (deadline or period), ties
 	// by (rank, index) — the order of a (key, Name, index) comparison.
 	ready *calq.MinQueue[*job]
-	// Release timers live in the calendar wheel: Next finds the earliest
-	// armed release by bitmap probe and Release drains one bucket, so the
-	// timer path costs O(1) per event. The wheel spans the longest period
-	// up to calq.DefaultSpanCap; sparser timers cost an exact scan in
-	// NextOccupied, never correctness.
+	// Release timers live in the calendar wheel, which spans the longest
+	// period up to calq.DefaultSpanCap; sparser timers cost an exact scan
+	// in NextOccupied, never correctness. No timer is ever armed behind
+	// s.now: Add arms at the engine instant, which s.now never passes, a
+	// release re-arms a period ahead, and Next never steps past the
+	// earliest timer. So NextOccupied(s.now) is the wheel's smallest
+	// queued slot, a value that moves only when the wheel does, and
+	// nextRel caches it: relStale is set where the wheel changes (a
+	// non-empty releaseDue, Add, remove), and Next probes the wheel again
+	// only then — once per release instant, not once per event.
 	relWheel *calq.Wheel[*tstate]
-	running  *job
+	nextRel  int64 // earliest armed release, MaxInt64 if none; valid unless relStale
+	relStale bool
+	// relBits is releaseDue's rank bitset for ordering a release batch:
+	// one bit per live task, grown in insertRank, all zero between
+	// events.
+	relBits []uint64
+	running *job
 	// free is the pool of retired job records, reused by releaseOne.
 	free    []*job
 	stats   Stats
@@ -192,7 +204,7 @@ func NewSimulator(opts ...engine.Option) *Simulator { return newSimulator(false,
 func NewRMSimulator(opts ...engine.Option) *Simulator { return newSimulator(true, opts) }
 
 func newSimulator(rm bool, opts []engine.Option) *Simulator {
-	s := &Simulator{rm: rm, tasks: make(map[string]*tstate)}
+	s := &Simulator{rm: rm, tasks: make(map[string]*tstate), nextRel: math.MaxInt64}
 	s.ready = calq.NewMinQueue(1, jobLess)
 	s.relWheel = calq.NewWheel[*tstate](1)
 	s.plane = admission.NewPlane()
@@ -298,6 +310,7 @@ func (s *Simulator) Add(cfg Config) error {
 	s.relWheel.Reserve(len(s.tasks))
 	s.ready.EnsureSpan(span)
 	s.relWheel.Add(ts.relItem, ts.nextRelease)
+	s.relStale = true
 	return nil
 }
 
@@ -311,6 +324,9 @@ func (s *Simulator) insertRank(ts *tstate) {
 	copy(s.byName[i+1:], s.byName[i:])
 	s.byName[i] = ts
 	s.renumber(i)
+	for len(s.relBits)<<6 < len(s.byName) {
+		s.relBits = append(s.relBits, 0)
+	}
 }
 
 // removeRank drops a departing task from name order and renumbers the
@@ -416,15 +432,27 @@ func (s *Simulator) Account(t int64) {}
 //
 //pfair:hotpath
 func (s *Simulator) Next(t int64) int64 {
-	nextRel := int64(math.MaxInt64)
-	if nr, ok := s.relWheel.NextOccupied(s.now); ok {
-		nextRel = nr
-	}
 	event, _ := s.pendingEvent()
-	if event < nextRel {
-		return event
+	if nextRel := s.nextRelease(); nextRel < event {
+		return nextRel
 	}
-	return nextRel
+	return event
+}
+
+// nextRelease returns the earliest armed release, or MaxInt64 when no
+// timer is armed, probing the wheel only when relStale says it changed
+// since the last probe.
+//
+//pfair:hotpath
+func (s *Simulator) nextRelease() int64 {
+	if s.relStale {
+		s.relStale = false
+		s.nextRel = math.MaxInt64
+		if nr, ok := s.relWheel.NextOccupied(s.now); ok {
+			s.nextRel = nr
+		}
+	}
+	return s.nextRel
 }
 
 // atHorizon closes out a Run: the running job executes up to the horizon,
@@ -463,19 +491,36 @@ func (s *Simulator) advance(to int64) {
 }
 
 // releaseDue releases every job whose time has come and re-arms the
-// release timers. It drains the single due bucket and sorts the batch by
-// rank, i.e. by name, since every drained timer shares the instant s.now.
+// release timers. It drains the single due bucket and releases the batch
+// in rank order, i.e. name order, without a comparison: each drained
+// task's rank is marked in relBits, and the marked words are walked low
+// to high, each set bit mapping back to its task through byName, and
+// cleared as they are walked. Every drained timer shares the instant
+// s.now and ranks are unique among the live tasks, so this is the order
+// a sort by (release, name) gives. Releasing a job changes no rank.
 //
 //pfair:hotpath
 func (s *Simulator) releaseDue() {
 	due := s.relWheel.Due(s.now)
-	for i := 1; i < len(due); i++ {
-		for j := i; j > 0 && due[j].rank < due[j-1].rank; j-- {
-			due[j], due[j-1] = due[j-1], due[j]
-		}
+	if len(due) == 0 {
+		return
 	}
+	s.relStale = true
+	set := s.relBits
+	lo, hi := len(set), -1
 	for _, ts := range due {
-		s.releaseOne(ts)
+		w := ts.rank >> 6
+		set[w] |= 1 << uint(ts.rank&63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	for w := lo; w <= hi; w++ {
+		word := set[w]
+		set[w] = 0
+		for word != 0 {
+			ts := s.byName[w<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			s.releaseOne(ts)
+		}
 	}
 }
 
@@ -615,26 +660,26 @@ func (s *Simulator) dispatch() {
 		start = time.Now() //pfair:allowtime overhead measurement, gated behind the measure flag
 	}
 	s.stats.Invocations++
-	if top, _, ok := s.ready.PeekMin(); ok {
-		switch {
-		case s.running == nil:
-			s.ready.PopMin()
+	if s.running == nil {
+		// Idle: the ready minimum takes the processor, one queue probe.
+		if s.ready.Len() > 0 {
+			top := s.ready.PopMin()
 			s.running = top
 			s.stats.ContextSwitches++
 			if rec := s.rec; rec != nil {
 				rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvSchedule, Task: top.ts.obsID, Proc: 0, A: top.index})
 			}
-		case jobLess(top, s.running):
-			s.ready.PopMin()
-			s.ready.Add(&s.running.entry, s.running.key)
-			s.stats.Preemptions++
-			s.stats.ContextSwitches++
-			if rec := s.rec; rec != nil {
-				rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvPreempt, Task: s.running.ts.obsID, Proc: 0, A: s.running.index})
-				rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvSchedule, Task: top.ts.obsID, Proc: 0, A: top.index})
-			}
-			s.running = top
 		}
+	} else if top, _, ok := s.ready.PeekMin(); ok && jobLess(top, s.running) {
+		s.ready.PopMin()
+		s.ready.Add(&s.running.entry, s.running.key)
+		s.stats.Preemptions++
+		s.stats.ContextSwitches++
+		if rec := s.rec; rec != nil {
+			rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvPreempt, Task: s.running.ts.obsID, Proc: 0, A: s.running.index})
+			rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvSchedule, Task: top.ts.obsID, Proc: 0, A: top.index})
+		}
+		s.running = top
 	}
 	if s.measure {
 		s.stats.SchedulingTime += time.Since(start) //pfair:allowtime overhead measurement, gated behind the measure flag
