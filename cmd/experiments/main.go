@@ -4,14 +4,17 @@
 //
 // Usage:
 //
-//	experiments [flags] fig1|fig2a|fig2b|fig3|fig4|fig5|quantum|phases|all
+//	experiments [flags] fig1|fig2a|fig2b|fig3|fig4|fig5|response|fairness|sync|quantum|phases|all
+//
+// One experiment per run; with none, all of them run. An unknown name or
+// a second positional argument prints the usage text and exits 2.
 //
 // Flags:
 //
 //	-sets N     task sets per data point (default: scaled-down defaults)
 //	-horizon H  slots simulated per set in the Figure 2 measurement
 //	-full       use the paper's full protocol (1000 sets/point, 10⁶-slot
-//	            horizons) — fig3/fig4 take about a minute of CPU, fig2a/
+//	            horizons) — fig3/fig4 take about 20 s of CPU, fig2a/
 //	            fig2b hours serially; both divide by -workers
 //	-seed S     base RNG seed
 //	-workers N  goroutines per sweep (default: one per CPU; 1 = the old
@@ -24,12 +27,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	rtrace "runtime/trace"
+	"slices"
+	"strings"
 	"time"
 
 	"pfair/internal/experiments"
@@ -37,34 +43,65 @@ import (
 )
 
 func main() {
-	sets := flag.Int("sets", 0, "task sets per data point (0 = default)")
-	horizon := flag.Int64("horizon", 0, "slots per set for fig2 (0 = default)")
-	full := flag.Bool("full", false, "run the paper's full protocol (slow)")
-	seed := flag.Int64("seed", 0, "base RNG seed (0 = default)")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines per sweep (1 = serial)")
-	measured := flag.Bool("measured", false, "fig3/fig4: measure scheduling costs on this machine first (the paper's methodology) instead of the calibrated default models")
-	gotrace := flag.String("gotrace", "", "write a runtime/trace of the run to this file (one region per figure)")
-	metrics := flag.Bool("metrics", false, "print per-figure wall-time and allocation summaries to stderr")
-	every := flag.Int64("every", 0, "phases: profile one engine step in every N (0 = default)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// experimentNames lists the subcommands in the order `all` runs them.
+var experimentNames = []string{"fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5", "response", "fairness", "sync", "quantum", "phases", "all"}
+
+// run is the command with its arguments and output streams made explicit,
+// so tests can drive it. It returns the process exit status: 0 on
+// success, 1 when an experiment fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: experiments [flags] %s\n", strings.Join(experimentNames, "|"))
+		fs.PrintDefaults()
+	}
+	sets := fs.Int("sets", 0, "task sets per data point (0 = default)")
+	horizon := fs.Int64("horizon", 0, "slots per set for fig2 (0 = default)")
+	full := fs.Bool("full", false, "run the paper's full protocol (slow)")
+	seed := fs.Int64("seed", 0, "base RNG seed (0 = default)")
+	workers := fs.Int("workers", runtime.NumCPU(), "worker goroutines per sweep (1 = serial)")
+	measured := fs.Bool("measured", false, "fig3/fig4: measure scheduling costs on this machine first (the paper's methodology) instead of the calibrated default models")
+	gotrace := fs.String("gotrace", "", "write a runtime/trace of the run to this file (one region per figure)")
+	metrics := fs.Bool("metrics", false, "print per-figure wall-time and allocation summaries to stderr")
+	every := fs.Int64("every", 0, "phases: profile one engine step in every N (0 = default)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	cmd := "all"
+	if fs.NArg() > 0 {
+		cmd = fs.Arg(0)
+	}
+	if !slices.Contains(experimentNames, cmd) {
+		fmt.Fprintf(stderr, "unknown experiment %q\n", cmd)
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() > 1 {
+		fmt.Fprintf(stderr, "one experiment per run; got %q\n", fs.Args())
+		fs.Usage()
+		return 2
+	}
 
 	if *gotrace != "" {
 		f, err := os.Create(*gotrace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gotrace:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "gotrace:", err)
+			return 1
 		}
 		if err := rtrace.Start(f); err != nil {
-			fmt.Fprintln(os.Stderr, "gotrace:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "gotrace:", err)
+			return 1
 		}
 		defer f.Close()
 		defer rtrace.Stop()
-	}
-
-	cmd := "all"
-	if flag.NArg() > 0 {
-		cmd = flag.Arg(0)
 	}
 
 	f2 := experiments.DefaultFig2Config()
@@ -97,8 +134,9 @@ func main() {
 	// `go tool trace` when -gotrace is set) and, with -metrics, reports a
 	// summary registry of wall time and allocator movement to stderr —
 	// enough to see which figure dominates a slow `experiments all` run.
-	run := func(name string, fn func()) {
-		if cmd != name && cmd != "all" {
+	status := 0
+	figure := func(name string, fn func()) {
+		if (cmd != name && cmd != "all") || status != 0 {
 			return
 		}
 		var before runtime.MemStats
@@ -116,34 +154,28 @@ func main() {
 		reg.Gauge("experiments_allocs", fmt.Sprintf("figure=%q", name), "heap allocations during the sweep").Set(int64(after.Mallocs - before.Mallocs))
 		reg.Gauge("experiments_alloc_bytes", fmt.Sprintf("figure=%q", name), "bytes allocated during the sweep").Set(int64(after.TotalAlloc - before.TotalAlloc))
 		reg.Gauge("experiments_workers", fmt.Sprintf("figure=%q", name), "worker goroutines configured").Set(int64(*workers))
-		fmt.Fprintf(os.Stderr, "# metrics %s\n", name)
-		if err := reg.WriteSummary(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
+		fmt.Fprintf(stderr, "# metrics %s\n", name)
+		if err := reg.WriteSummary(stderr); err != nil {
+			fmt.Fprintln(stderr, "metrics:", err)
 		}
 	}
-	known := map[string]bool{"fig1": true, "fig2a": true, "fig2b": true, "fig3": true, "fig4": true, "fig5": true, "quantum": true, "response": true, "sync": true, "fairness": true, "phases": true, "all": true}
-	if !known[cmd] {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", cmd)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	run("fig1", func() {
+	figure("fig1", func() {
 		for _, fig := range []func() (string, error){experiments.Fig1a, experiments.Fig1b} {
 			out, err := fig()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "fig1:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "fig1:", err)
+				status = 1
+				return
 			}
-			fmt.Print(out)
-			fmt.Println()
+			fmt.Fprint(stdout, out)
+			fmt.Fprintln(stdout)
 		}
 	})
-	run("fig2a", func() {
-		experiments.RenderFig2a(os.Stdout, experiments.Fig2a(f2))
+	figure("fig2a", func() {
+		experiments.RenderFig2a(stdout, experiments.Fig2a(f2))
 	})
-	run("fig2b", func() {
-		experiments.RenderFig2b(os.Stdout, experiments.Fig2b(f2))
+	figure("fig2b", func() {
+		experiments.RenderFig2b(stdout, experiments.Fig2b(f2))
 	})
 	// Figures 3 and 4 are two renderings of one sweep: `all` computes it
 	// (and, with -measured, the cost models) once, for whichever of the
@@ -162,15 +194,15 @@ func main() {
 			}
 			fig34 = experiments.Fig3(f3)
 		}
-		fmt.Print(modelsLine)
-		render(os.Stdout, f3.Ns, fig34)
+		fmt.Fprint(stdout, modelsLine)
+		render(stdout, f3.Ns, fig34)
 	}
-	run("fig3", func() { runFig34(experiments.RenderFig3) })
-	run("fig4", func() { runFig34(experiments.RenderFig4) })
-	run("fig5", func() {
-		experiments.RenderFig5(os.Stdout, experiments.Fig5Workers(90, *workers))
+	figure("fig3", func() { runFig34(experiments.RenderFig3) })
+	figure("fig4", func() { runFig34(experiments.RenderFig4) })
+	figure("fig5", func() {
+		experiments.RenderFig5(stdout, experiments.Fig5Workers(90, *workers))
 	})
-	run("response", func() {
+	figure("response", func() {
 		rc := experiments.DefaultResponseConfig()
 		if *sets > 0 {
 			rc.Sets = *sets
@@ -179,17 +211,17 @@ func main() {
 			rc.Seed = *seed
 		}
 		rc.Workers = *workers
-		experiments.RenderResponse(os.Stdout, experiments.ResponseTimes(rc))
+		experiments.RenderResponse(stdout, experiments.ResponseTimes(rc))
 	})
-	run("fairness", func() {
+	figure("fairness", func() {
 		fc := experiments.DefaultFairnessConfig()
 		if *seed != 0 {
 			fc.Seed = *seed
 		}
 		fc.Workers = *workers
-		experiments.RenderFairness(os.Stdout, experiments.Fairness(fc))
+		experiments.RenderFairness(stdout, experiments.Fairness(fc))
 	})
-	run("sync", func() {
+	figure("sync", func() {
 		sc := experiments.DefaultSyncConfig()
 		if *sets > 0 {
 			sc.Sets = *sets
@@ -198,12 +230,12 @@ func main() {
 			sc.Seed = *seed
 		}
 		sc.Workers = *workers
-		experiments.RenderSync(os.Stdout, experiments.SyncComparison(sc), sc.Sets)
+		experiments.RenderSync(stdout, experiments.SyncComparison(sc), sc.Sets)
 	})
-	run("quantum", func() {
-		experiments.RenderQuantum(os.Stdout, experiments.QuantumSweep(qs))
+	figure("quantum", func() {
+		experiments.RenderQuantum(stdout, experiments.QuantumSweep(qs))
 	})
-	run("phases", func() {
+	figure("phases", func() {
 		pc := experiments.DefaultPhasesConfig()
 		if *horizon > 0 {
 			pc.Horizon = *horizon
@@ -214,6 +246,7 @@ func main() {
 		if *every > 0 {
 			pc.Every = *every
 		}
-		experiments.RenderPhases(os.Stdout, pc, experiments.Phases(pc))
+		experiments.RenderPhases(stdout, pc, experiments.Phases(pc))
 	})
+	return status
 }

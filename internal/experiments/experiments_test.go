@@ -240,6 +240,37 @@ func TestQuantumSweepShape(t *testing.T) {
 	}
 }
 
+// TestQuantumCountIsExact pins two sets on which a float64 sum of the
+// quantum-rounded weights rounds up past the exact ⌈Σ wt⌉ and so counted
+// one processor too many: set 168 of seed 3 at q = 500 µs (10 for 9), in
+// the -sets 200 and -full sweeps, and set 20 of seed 18 at q = 5000 µs
+// (12 for 11). The sweep's count must be MinProcsPD2's.
+func TestQuantumCountIsExact(t *testing.T) {
+	for _, c := range []struct {
+		seed, set, quantum int64
+		want               int
+	}{
+		{seed: 3, set: 168, quantum: 500, want: 9},
+		{seed: 18, set: 20, quantum: 5000, want: 11},
+	} {
+		cfg := DefaultQuantumSweepConfig()
+		g := taskgen.New(taskgen.SubSeed(c.seed, seedQuantum, c.set))
+		set := mustSet(g.Set("T", cfg.N, cfg.TotalUtil, taskgen.DefaultPeriodsUS))
+		params := PaperParams(cfg.N, g.CacheDelays(set, 100))
+		params.Quantum = c.quantum
+		exact := overhead.MinProcsPD2(set, params).Processors
+		got := minProcsAtQuantum(set, params)
+		if exact != c.want || got.Processors != c.want {
+			t.Errorf("seed %d set %d q=%d: sweep counts %d, MinProcsPD2 %d; want %d",
+				c.seed, c.set, c.quantum, got.Processors, exact, c.want)
+		}
+		// The split is taken at that count, where every task is feasible.
+		if got.roundingLoss <= 0 || got.inflationLoss <= 0 {
+			t.Errorf("seed %d set %d: losses %+v", c.seed, c.set, got)
+		}
+	}
+}
+
 func TestDefaultConfigs(t *testing.T) {
 	f2 := DefaultFig2Config()
 	if len(f2.Ns) == 0 || f2.SetsPerN <= 0 || f2.Horizon <= 0 {

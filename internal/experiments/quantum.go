@@ -94,46 +94,22 @@ type quantumResult struct {
 	inflationLoss float64
 }
 
-// minProcsAtQuantum mirrors overhead.MinProcsPD2 but additionally splits
-// the added weight into inflation (Equation (3)) and rounding (cost →
-// whole quanta) components. Periods in the default menu are multiples of
-// every quantum in the sweep.
+// minProcsAtQuantum takes the processor count from overhead.MinProcsPD2
+// and splits the weight added at that count into inflation (Equation (3))
+// and rounding (cost → whole quanta) components. Periods in the default
+// menu are multiples of every quantum in the sweep.
 func minProcsAtQuantum(set task.Set, p overhead.Params) quantumResult {
-	m := int(set.TotalWeight().Ceil())
-	if m < 1 {
-		m = 1
+	m := overhead.MinProcsPD2(set, p).Processors
+	if m < 0 {
+		return quantumResult{Processors: -1}
 	}
-	for round := 0; round < 32; round++ {
-		s := p.SchedPD2(m, len(set))
-		baseU, inflU, roundU := 0.0, 0.0, 0.0
-		need := 0.0
-		ok := true
-		for _, t := range set {
-			infl, _, good := overhead.InflatePD2(t.Cost, t.Period, p, s, p.CacheDelay(t))
-			if !good {
-				ok = false
-				break
-			}
-			w := overhead.PD2Weight(infl, t.Period, p.Quantum).Float()
-			baseU += t.Utilization()
-			inflU += float64(infl-t.Cost) / float64(t.Period)
-			roundU += w - float64(infl)/float64(t.Period)
-			need += w
-		}
-		if !ok {
-			return quantumResult{Processors: -1}
-		}
-		needM := int(need)
-		if float64(needM) < need {
-			needM++
-		}
-		if needM < 1 {
-			needM = 1
-		}
-		if needM == m {
-			return quantumResult{Processors: m, roundingLoss: roundU, inflationLoss: inflU}
-		}
-		m = needM
+	s := p.SchedPD2(m, len(set))
+	inflU, roundU := 0.0, 0.0
+	for _, t := range set {
+		infl, _, _ := overhead.InflatePD2(t.Cost, t.Period, p, s, p.CacheDelay(t))
+		w := overhead.PD2Weight(infl, t.Period, p.Quantum).Float()
+		inflU += float64(infl-t.Cost) / float64(t.Period)
+		roundU += w - float64(infl)/float64(t.Period)
 	}
-	return quantumResult{Processors: m}
+	return quantumResult{Processors: m, roundingLoss: roundU, inflationLoss: inflU}
 }

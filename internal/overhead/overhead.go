@@ -143,47 +143,51 @@ type Result struct {
 // S_PD² itself grows with the processor count, the computation iterates:
 // start from the overhead-free bound and recompute until the count is
 // self-consistent.
+//
+// Both exact sums run over one common denominator (rational.Fixed): the
+// lcm of the periods for the starting bound ⌈Σ e/p⌉, and the lcm of the
+// p/q for the quantum-rounded weights, which the first round computes and
+// every later round keeps. Each task's cache delay is read once.
 func MinProcsPD2(set task.Set, p Params) Result {
 	if err := p.Validate(); err != nil {
 		//pfair:allowpanic experiment parameters are static tables; Validate failures are programmer errors
 		panic(err)
 	}
 	res := Result{BaseUtil: set.TotalUtilization()}
-	m := int(set.TotalWeight().Ceil())
-	if m < 1 {
-		m = 1
+	// The paper's task sets have at most 1000 tasks; their delays stay on
+	// the stack, and append moves a larger set's to the heap.
+	var dbuf [1024]int64
+	delays := dbuf[:0]
+	var base rational.Fixed
+	for _, t := range set {
+		delays = append(delays, p.CacheDelay(t))
+		base.AddFrac(t.Cost, t.Period)
 	}
+	m := max(int(base.Ceil()), 1)
+	var total rational.Fixed
 	for round := 0; round < 32; round++ {
 		s := p.SchedPD2(m, len(set))
-		total := rational.NewAcc()
+		total.SetInt(0)
 		maxIters := 0
-		for _, t := range set {
-			infl, iters, ok := InflatePD2(t.Cost, t.Period, p, s, p.CacheDelay(t))
+		for i, t := range set {
+			infl, iters, ok := InflatePD2(t.Cost, t.Period, p, s, delays[i])
 			if iters > maxIters {
 				maxIters = iters
 			}
 			if !ok {
 				return Result{Processors: -1, BaseUtil: res.BaseUtil, Iterations: iters}
 			}
-			total.Add(PD2Weight(infl, t.Period, p.Quantum))
+			total.AddFrac(rational.CeilDiv(infl, p.Quantum), t.Period/p.Quantum)
 		}
-		need := int(total.Ceil())
-		if need < 1 {
-			need = 1
-		}
+		need := max(int(total.Ceil()), 1)
 		res.Iterations = maxIters
 		res.InflatedUtil = total.Float()
 		if need == m {
 			res.Processors = m
 			return res
 		}
-		if need < m {
-			// Overheads only grow with m, so a smaller need at larger m
-			// is self-consistent already; keep the smaller answer and
-			// re-verify.
-			m = need
-			continue
-		}
+		// Overheads only grow with m, so a smaller need at larger m is
+		// self-consistent already; either way, re-verify at need.
 		m = need
 	}
 	res.Processors = m
@@ -202,19 +206,30 @@ func MinProcsPD2(set task.Set, p Params) Result {
 // spare capacity and the cache delays that can bound a later task's
 // maxD (ffBin). Each task's inflated utilization is fixed once placed,
 // so the reported total is summed during placement.
+//
+// Every spare capacity, and each candidate's utilization at maxD = 0,
+// is held over one common denominator, the lcm of the periods
+// (rational.Fixed), so a probe is one integer compare and no utilization
+// is reduced by a gcd.
 func MinProcsEDFFF(set task.Set, p Params) Result {
 	if err := p.Validate(); err != nil {
 		//pfair:allowpanic experiment parameters are static tables; Validate failures are programmer errors
 		panic(err)
 	}
 	res := Result{BaseUtil: set.TotalUtilization()}
+	var one rational.Fixed // 1 over the lcm of the periods
+	for _, t := range set {
+		one.Over(t.Period)
+	}
+	one.SetInt(1)
 	var bins []ffBin
-	util := rational.NewAcc()
+	var util, u0 rational.Fixed
+	u0.Set(&one) // over one's denominator, so a probe compares numerators
 	for _, t := range set.SortByPeriodDecreasing() {
-		u0 := rational.New(InflateEDF(t.Cost, p, 0), t.Period)
-		i, u, ok := 0, rational.Rat{}, false
+		u0.SetInt(0).AddFrac(InflateEDF(t.Cost, p, 0), t.Period)
+		i, e, ok := 0, int64(0), false
 		for ; i < len(bins); i++ {
-			if u, ok = bins[i].fits(t, p, u0); ok {
+			if e, ok = bins[i].fits(t, p, &u0); ok {
 				break
 			}
 		}
@@ -222,13 +237,13 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 			// Open a processor; a task that does not fit even an empty
 			// one fits no count.
 			bins = append(bins, ffBin{})
-			bins[i].spare.SetInt(1)
-			if u, ok = bins[i].fits(t, p, u0); !ok {
+			bins[i].spare.Set(&one)
+			if e, ok = bins[i].fits(t, p, &u0); !ok {
 				return Result{Processors: -1, BaseUtil: res.BaseUtil}
 			}
 		}
-		bins[i].place(t.Period, p.CacheDelay(t), u)
-		util.Add(u)
+		bins[i].place(t.Period, p.CacheDelay(t), e)
+		util.AddFrac(e, t.Period)
 	}
 	res.Processors = len(bins)
 	res.InflatedUtil = util.Float()
@@ -241,10 +256,10 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 // tasks with a strictly larger period: dAbove when its period equals
 // last, max(dAbove, dAt) when it is smaller.
 type ffBin struct {
-	spare  rational.Acc // 1 − Σ inflated utilization, exact
-	dAbove int64        // max D among tasks with period > last
-	dAt    int64        // max D among tasks with period == last
-	last   int64        // period of the most recently placed task
+	spare  rational.Fixed // 1 − Σ inflated utilization, exact
+	dAbove int64          // max D among tasks with period > last
+	dAt    int64          // max D among tasks with period == last
+	last   int64          // period of the most recently placed task
 }
 
 // maxD returns the largest cache delay among the processor's tasks with
@@ -257,32 +272,33 @@ func (b *ffBin) maxD(per int64) int64 {
 }
 
 // fits reports whether t fits in b's spare capacity and returns its
-// inflated utilization on b. The spare capacity never exceeds one, so
-// this also rules out an inflated cost above the period.
+// inflated cost on b. The spare capacity never exceeds one, so this also
+// rules out an inflated cost above the period.
 //
 // u0 is t's inflated utilization at maxD = 0. maxD is never negative, so
 // u0 bounds the inflated utilization from below, and a processor with
-// less spare capacity is rejected before the inflation and its gcd are
-// computed. In a first-fit scan that is the usual outcome: 97% of the
-// probes in the Figure 3/4 sweep stop there.
-func (b *ffBin) fits(t *task.Task, p Params, u0 rational.Rat) (rational.Rat, bool) {
+// less spare capacity is rejected by one compare over the common
+// denominator, before the inflation is computed. In a first-fit scan
+// that is the usual outcome: 97% of the probes in the Figure 3/4 sweep
+// stop there.
+func (b *ffBin) fits(t *task.Task, p Params, u0 *rational.Fixed) (int64, bool) {
 	if b.spare.Cmp(u0) < 0 {
-		return u0, false
+		return 0, false
 	}
-	u := rational.New(InflateEDF(t.Cost, p, b.maxD(t.Period)), t.Period)
-	return u, b.spare.Cmp(u) >= 0
+	e := InflateEDF(t.Cost, p, b.maxD(t.Period))
+	return e, b.spare.CmpFrac(e, t.Period) >= 0
 }
 
 // place records a task of period per and cache delay d accepted with
-// inflated utilization u.
-func (b *ffBin) place(per, d int64, u rational.Rat) {
+// inflated cost e.
+func (b *ffBin) place(per, d, e int64) {
 	if per < b.last {
 		b.dAbove = max(b.dAbove, b.dAt)
 		b.dAt = 0
 	}
 	b.last = per
 	b.dAt = max(b.dAt, d)
-	b.spare.Sub(u)
+	b.spare.SubFrac(e, per)
 }
 
 // Losses decomposes the schedulability loss of one task set at the

@@ -380,28 +380,57 @@ func referenceEDFFF(set task.Set, p Params) (Result, *rational.Acc) {
 	return res, util
 }
 
+// refKind is one kind of random set the reference comparisons draw.
+type refKind struct {
+	name  string
+	menu  []int64
+	n     func(r *rand.Rand) int
+	hog   bool // add a task that fits no processor
+	spill bool // the exact sums should overflow int64
+}
+
+// refSet draws one set of kind k, at a total utilization between n/30
+// and n/3 as in Figure 3, with its cache delays and paperParams whose
+// S_EDF is drawn from [1, 3].
+func refSet(t *testing.T, r *rand.Rand, k refKind) (task.Set, Params) {
+	t.Helper()
+	g := taskgen.New(r.Int63())
+	n := k.n(r)
+	target := float64(n) * (1.0/30 + r.Float64()*(1.0/3-1.0/30))
+	set, err := g.SetCapped("T", n, target, 0.9, k.menu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.hog {
+		per := k.menu[r.Intn(len(k.menu))]
+		hog := task.MustNew("hog", per-int64(r.Intn(12)), per) // inflation adds ≥ 12
+		at := r.Intn(len(set) + 1)
+		set = append(set[:at], append(task.Set{hog}, set[at:]...)...)
+	}
+	delays := g.CacheDelays(set, 100)
+	p := paperParams(0)
+	p.SchedEDF = 1 + r.Int63n(3)
+	p.CacheDelay = func(t *task.Task) int64 { return delays[t.Name] }
+	return set, p
+}
+
+var (
+	fig3Menu = []int64{50000, 100000, 200000, 250000, 500000, 1000000}
+	primes   = []int64{99991, 99989, 99971, 99961, 99929, 99923, 99907, 99901, 99881, 99877, 99871, 99859}
+)
+
 // TestMinProcsEDFFFMatchesReference checks the O(1)-per-probe EDF-FF
 // against referenceEDFFF on random sets of four kinds: the Figure 3/4
 // period menu; co-prime periods, whose exact sums outgrow int64 so
-// rational.Acc spills to math/big; many tasks sharing two periods, so
-// equal-period ties decide maxD; and sets with a task whose inflated cost
-// exceeds its period on any processor. Processor counts must match and
-// InflatedUtil must match bit for bit.
+// rational.Fixed and rational.Acc spill to math/big; many tasks sharing
+// two periods, so equal-period ties decide maxD; and sets with a task
+// whose inflated cost exceeds its period on any processor. Processor
+// counts must match and InflatedUtil must match bit for bit.
 func TestMinProcsEDFFFMatchesReference(t *testing.T) {
-	fig3Menu := []int64{50000, 100000, 200000, 250000, 500000, 1000000}
-	primes := []int64{99991, 99989, 99971, 99961, 99929, 99923, 99907, 99901, 99881, 99877, 99871, 99859}
-	shared := []int64{100000, 200000}
-	type kind struct {
-		name  string
-		menu  []int64
-		n     func(r *rand.Rand) int
-		hog   bool // append a task that fits no processor
-		spill bool // the exact inflated sum should overflow int64
-	}
-	kinds := []kind{
+	kinds := []refKind{
 		{name: "fig3-menu", menu: fig3Menu, n: func(r *rand.Rand) int { return 5 + r.Intn(120) }},
 		{name: "coprime", menu: primes, n: func(r *rand.Rand) int { return 20 + r.Intn(60) }, spill: true},
-		{name: "shared-period", menu: shared, n: func(r *rand.Rand) int { return 50 + r.Intn(150) }},
+		{name: "shared-period", menu: []int64{100000, 200000}, n: func(r *rand.Rand) int { return 50 + r.Intn(150) }},
 		{name: "unplaceable", menu: fig3Menu, n: func(r *rand.Rand) int { return 5 + r.Intn(60) }, hog: true},
 	}
 	for ki, k := range kinds {
@@ -410,28 +439,10 @@ func TestMinProcsEDFFFMatchesReference(t *testing.T) {
 			spilled := 0
 			const sets = 150
 			for i := 0; i < sets; i++ {
-				g := taskgen.New(r.Int63())
-				n := k.n(r)
-				target := float64(n) * (1.0/30 + r.Float64()*(1.0/3-1.0/30))
-				set, err := g.SetCapped("T", n, target, 0.9, k.menu)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if k.hog {
-					per := k.menu[r.Intn(len(k.menu))]
-					hog := task.MustNew("hog", per-int64(r.Intn(12)), per) // inflation adds ≥ 12
-					at := r.Intn(len(set) + 1)
-					set = append(set[:at], append(task.Set{hog}, set[at:]...)...)
-				}
-				delays := g.CacheDelays(set, 100)
-				p := paperParams(0)
-				p.SchedEDF = 1 + r.Int63n(3)
-				p.CacheDelay = func(t *task.Task) int64 { return delays[t.Name] }
-
+				set, p := refSet(t, r, k)
 				got := MinProcsEDFFF(set, p)
 				want, util := referenceEDFFF(set, p)
-				if got.Processors != want.Processors || got.BaseUtil != want.BaseUtil ||
-					math.Float64bits(got.InflatedUtil) != math.Float64bits(want.InflatedUtil) {
+				if !sameResult(got, want) {
 					t.Fatalf("set %d (n=%d): got %+v, reference %+v", i, len(set), got, want)
 				}
 				if k.hog && got.Processors != -1 {
@@ -445,6 +456,119 @@ func TestMinProcsEDFFFMatchesReference(t *testing.T) {
 			}
 			if k.spill && spilled < sets/2 {
 				t.Errorf("only %d of %d co-prime sets overflowed int64; the big path is untested", spilled, sets)
+			}
+		})
+	}
+}
+
+// referenceMinProcsPD2 is MinProcsPD2 as it was before its sums moved to
+// one common denominator: every weight reduced by a gcd into a
+// rational.Acc, the starting bound from set.TotalWeight, and each task's
+// cache delay read in every round. It is the oracle for MinProcsPD2.
+func referenceMinProcsPD2(set task.Set, p Params) Result {
+	if err := p.Validate(); err != nil {
+		//pfair:allowpanic experiment parameters are static tables; Validate failures are programmer errors
+		panic(err)
+	}
+	res := Result{BaseUtil: set.TotalUtilization()}
+	m := int(set.TotalWeight().Ceil())
+	if m < 1 {
+		m = 1
+	}
+	for round := 0; round < 32; round++ {
+		s := p.SchedPD2(m, len(set))
+		total := rational.NewAcc()
+		maxIters := 0
+		for _, t := range set {
+			infl, iters, ok := InflatePD2(t.Cost, t.Period, p, s, p.CacheDelay(t))
+			if iters > maxIters {
+				maxIters = iters
+			}
+			if !ok {
+				return Result{Processors: -1, BaseUtil: res.BaseUtil, Iterations: iters}
+			}
+			total.Add(PD2Weight(infl, t.Period, p.Quantum))
+		}
+		need := int(total.Ceil())
+		if need < 1 {
+			need = 1
+		}
+		res.Iterations = maxIters
+		res.InflatedUtil = total.Float()
+		if need == m {
+			res.Processors = m
+			return res
+		}
+		if need < m {
+			// Overheads only grow with m, so a smaller need at larger m
+			// is self-consistent already; keep the smaller answer and
+			// re-verify.
+			m = need
+			continue
+		}
+		m = need
+	}
+	res.Processors = m
+	return res
+}
+
+// sameResult reports whether two Results agree in every field, the
+// floats bit for bit.
+func sameResult(a, b Result) bool {
+	return a.Processors == b.Processors && a.Iterations == b.Iterations &&
+		math.Float64bits(a.BaseUtil) == math.Float64bits(b.BaseUtil) &&
+		math.Float64bits(a.InflatedUtil) == math.Float64bits(b.InflatedUtil)
+}
+
+// TestMinProcsPD2MatchesReference checks MinProcsPD2 against
+// referenceMinProcsPD2 on the four kinds of
+// TestMinProcsEDFFFMatchesReference, with an S_PD² that grows with the
+// processor count so the fixed point over m takes several rounds. PD²
+// needs periods that are multiples of the quantum, so the co-prime kind
+// uses 1000·p for the primes p; its p/q and its periods both have lcms
+// far past int64. Every Result field must match, InflatedUtil bit for
+// bit.
+func TestMinProcsPD2MatchesReference(t *testing.T) {
+	coprime := make([]int64, len(primes))
+	for i, p := range primes {
+		coprime[i] = 1000 * p
+	}
+	kinds := []refKind{
+		{name: "fig3-menu", menu: fig3Menu, n: func(r *rand.Rand) int { return 5 + r.Intn(500) }},
+		{name: "coprime", menu: coprime, n: func(r *rand.Rand) int { return 20 + r.Intn(60) }, spill: true},
+		{name: "shared-period", menu: []int64{100000, 200000}, n: func(r *rand.Rand) int { return 50 + r.Intn(150) }},
+		{name: "unplaceable", menu: fig3Menu, n: func(r *rand.Rand) int { return 5 + r.Intn(60) }, hog: true},
+	}
+	for ki, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(ki + 1)))
+			spilled, infeasible, multiRound := 0, 0, 0
+			const sets = 150
+			for i := 0; i < sets; i++ {
+				set, p := refSet(t, r, k)
+				perProc := int64(r.Intn(3))
+				p.SchedPD2 = func(m, n int) int64 { return 2 + int64(6*n)/1000 + perProc*int64(m-1) }
+				got, want := MinProcsPD2(set, p), referenceMinProcsPD2(set, p)
+				if !sameResult(got, want) {
+					t.Fatalf("set %d (n=%d): got %+v, reference %+v", i, len(set), got, want)
+				}
+				if got.Processors < 0 {
+					infeasible++
+				} else if int64(got.Processors) > set.TotalWeight().Ceil() {
+					multiRound++
+				}
+				if _, fits := set.TotalWeight().Rat(); !fits {
+					spilled++
+				}
+			}
+			if k.spill && spilled < sets/2 {
+				t.Errorf("only %d of %d co-prime sets overflowed int64; the big path is untested", spilled, sets)
+			}
+			if k.hog && infeasible != sets {
+				t.Errorf("%d of %d sets with a hog were feasible", sets-infeasible, sets)
+			}
+			if !k.hog && multiRound == 0 {
+				t.Error("no set needed more than its overhead-free bound; the fixed point over m is untested")
 			}
 		})
 	}

@@ -22,6 +22,11 @@
 // arithmetic, allocation-free, for as long as the value fits; the first
 // operation that would overflow moves the value to math/big, where it
 // stays exact. Which representation is live never shows in a result.
+//
+// Fixed holds such a sum over one common denominator when every operand's
+// denominator divides a small lcm, as the utilizations of a set of
+// periods do: it adds, subtracts and compares int64 numerators without a
+// gcd, and spills to an Acc when the lcm or a numerator leaves int64.
 package rational
 
 import (
