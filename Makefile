@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race perfbench-test bench bench-scale bench-guard bench-guard-scale fuzz fuzz-short fuzz-native smoke taskstats engine-equiv dyn-equiv check
+.PHONY: build vet lint test race perfbench-test bench bench-guard fuzz fuzz-short fuzz-native smoke taskstats engine-equiv dyn-equiv check
 
 build:
 	$(GO) build ./...
@@ -38,33 +38,16 @@ perfbench-test:
 # bench runs the scheduler hot-path benchmarks and writes BENCH_core.json
 # (name, ns/op, allocs/op per benchmark) for machine consumption, and
 # appends a dated entry to BENCH_core.trajectory.json. Refuses a dirty
-# tree (BENCH_ALLOW_DIRTY=1 overrides).
+# tree (BENCH_ALLOW_DIRTY=1 overrides). It rewrites tracked files, so it
+# is a standalone target, not part of check.
 bench:
-	sh scripts/bench.sh BENCH_core.json
-
-# bench-scale runs the million-task scale benchmarks (PD² on one ready
-# queue, supertask hierarchy) at a fixed iteration count and writes
-# BENCH_scale.json with slots/s throughput alongside ns/op. Three
-# repeats, pinning the slowest: these benchmarks are bimodal on
-# single-CPU boxes (~2.5x fast vs slow mode, DESIGN.md §10), and a
-# baseline caught in the fast mode makes bench-guard-scale flake.
-bench-scale:
-	sh scripts/bench.sh BENCH_scale.json 'BenchmarkScale' 500x 3
+	sh scripts/bench.sh
 
 # bench-guard reruns the BENCH_core.json set with fixed iteration counts
 # and fails on a >30% ns/op regression — or any allocs/op growth —
 # against the checked-in baseline.
 bench-guard:
-	sh scripts/bench_guard.sh BENCH_core.json
-
-# bench-guard-scale is the same gate over the BENCH_scale.json baseline
-# (plus its slots/s floor), with the iteration count scripts/bench.sh
-# used to generate it. Four repeats and a doubled threshold: against the
-# slow-mode baseline the 100% ceiling absorbs the benchmark's observed
-# ~2.5x bimodal swing while still failing the order-of-magnitude
-# regressions the gate exists for.
-bench-guard-scale:
-	BENCH_GUARD_THRESHOLD=$${BENCH_GUARD_THRESHOLD:-100} sh scripts/bench_guard.sh BENCH_scale.json 'BenchmarkScale' 500x 4
+	sh scripts/bench_guard.sh
 
 # fuzz runs the differential scheduling oracle: 150 task systems per kind
 # (1200 total) across every scheduler pairing, with shrunken reproducers
@@ -125,4 +108,4 @@ engine-equiv:
 dyn-equiv:
 	$(GO) test ./internal/engine -run 'TestDynEquiv' -count=1
 
-check: build vet lint test race perfbench-test fuzz-short smoke engine-equiv dyn-equiv bench-guard bench-guard-scale bench
+check: build vet lint test race perfbench-test fuzz-short smoke engine-equiv dyn-equiv bench-guard

@@ -111,15 +111,6 @@ func Reweight(name string, newCost, newPeriod int64) Request {
 // Finish returns an OpFinish request for the named task.
 func Finish(name string) Request { return Request{Op: OpFinish, Name: name} }
 
-// TaskName returns the name the request targets: Task.Name for OpJoin,
-// Name otherwise.
-func (r Request) TaskName() string {
-	if r.Op == OpJoin && r.Task != nil {
-		return r.Task.Name
-	}
-	return r.Name
-}
-
 // Validate checks the request's structural shape — the right fields for
 // the Op, a valid task or parameters — without consulting any policy
 // state. Policies call it first in Submit so every implementation

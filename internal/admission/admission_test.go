@@ -78,7 +78,6 @@ func TestAdmission(t *testing.T) {
 		{"reweight to zero period", errText(Reweight("A", 1, 0).Validate()), `admission: reweight of "A" to 1/0: want 1 ≤ cost ≤ period`},
 		{"reweight above one", errText(Reweight("A", 3, 2).Validate()), `admission: reweight of "A" to 3/2: want 1 ≤ cost ≤ period`},
 		{"unknown op", errText(Request{Op: numOps, Name: "A"}.Validate()), "admission: unknown op 4"},
-		{"request names", []string{Join(a).TaskName(), Leave("L").TaskName(), Request{Op: OpJoin, Name: "N"}.TaskName()}, []string{"A", "L", "N"}},
 		{"op names", []string{OpJoin.String(), OpLeave.String(), OpReweight.String(), OpFinish.String(), Op(numOps).String()}, []string{"join", "leave", "reweight", "finish", "unknown"}},
 
 		// Utilization: Equation (2), exact at the boundary.

@@ -41,7 +41,7 @@ func TestSpanBucketsAtCap(t *testing.T) {
 func TestWheelSpanCapBoundary(t *testing.T) {
 	const now = int64(5)
 	w := NewWheel[int64](DefaultSpanCap)
-	rev := w.Span()
+	rev := w.mask + 1
 	if rev != 2*DefaultSpanCap {
 		t.Fatalf("Span() = %d, want %d", rev, int64(2*DefaultSpanCap))
 	}
@@ -67,7 +67,7 @@ func TestWheelSpanCapBoundary(t *testing.T) {
 	if due := w.Due(now); len(due) != 1 || due[0] != now {
 		t.Fatalf("Due(%d) = %v, want exactly [%d]; the round-(now+W) bucket mate must stay queued", now, due, now)
 	}
-	if !c.Queued() {
+	if !c.queued {
 		t.Fatal("item one full revolution ahead was drained a round early")
 	}
 
@@ -79,7 +79,7 @@ func TestWheelSpanCapBoundary(t *testing.T) {
 	if due := w.Due(now + DefaultSpanCap); len(due) != 1 || due[0] != now+DefaultSpanCap {
 		t.Fatalf("Due at the boundary slot = %v, want exactly [%d]", due, now+DefaultSpanCap)
 	}
-	if b.Queued() {
+	if b.queued {
 		t.Fatal("boundary item still queued after its drain")
 	}
 
@@ -104,7 +104,7 @@ func TestWheelSpanCapBoundary(t *testing.T) {
 func TestMinQueueSpanCapBoundary(t *testing.T) {
 	const lo = int64(3)
 	q := NewMinQueue[int64](DefaultSpanCap, func(a, b int64) bool { return a < b })
-	rev := q.Span()
+	rev := q.mask + 1
 	add := func(key int64) *Entry[int64] {
 		e := NewEntry(key)
 		q.Add(e, key)
@@ -143,7 +143,7 @@ func TestMinQueueSpanCapBoundary(t *testing.T) {
 // mixing only degrades the probe to the exact scan, never the order.
 func TestMinQueueCapClampedSpread(t *testing.T) {
 	q := NewMinQueue[int64](DefaultSpanCap, func(a, b int64) bool { return a < b })
-	rev := q.Span()
+	rev := q.mask + 1
 	keys := []int64{
 		0, 1,
 		DefaultSpanCap - 1, DefaultSpanCap, DefaultSpanCap + 1,

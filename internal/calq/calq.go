@@ -127,10 +127,6 @@ func NewItem[T any](v T) *Item[T] { return &Item[T]{Value: v} }
 // Queued reports whether the item is currently in a wheel.
 func (it *Item[T]) Queued() bool { return it.queued }
 
-// Slot returns the absolute slot the item was queued under (meaningful
-// while Queued).
-func (it *Item[T]) Slot() int64 { return it.slot }
-
 // Wheel is a calendar queue keyed by absolute slot: bucket slot mod W
 // holds every queued item for that residue as an unordered intrusive
 // list. Due(t) drains the single bucket for slot t, so releasing the
@@ -152,9 +148,6 @@ func NewWheel[T any](span int64) *Wheel[T] {
 	w.grow(spanBuckets(span))
 	return w
 }
-
-// Span returns the current bucket count W.
-func (w *Wheel[T]) Span() int64 { return w.mask + 1 }
 
 // Len returns the number of queued items.
 //
@@ -364,13 +357,6 @@ type Entry[T any] struct {
 // NewEntry returns an unqueued entry carrying v.
 func NewEntry[T any](v T) *Entry[T] { return &Entry[T]{Value: v} }
 
-// Queued reports whether the entry is currently in a queue.
-func (e *Entry[T]) Queued() bool { return e.queued }
-
-// Key returns the key the entry was queued under (meaningful while
-// Queued).
-func (e *Entry[T]) Key() int64 { return e.key }
-
 // MinQueue is a bucketed priority queue: entries hash by integer key
 // (pseudo-deadline) into key mod W buckets, each bucket an intrusive
 // pairing heap ordered by (key, less). PopMin locates the minimum-key
@@ -405,9 +391,6 @@ func NewMinQueue[T any](span int64, less func(a, b T) bool) *MinQueue[T] {
 	q.grow(spanBuckets(span))
 	return q
 }
-
-// Span returns the current bucket count W.
-func (q *MinQueue[T]) Span() int64 { return q.mask + 1 }
 
 // Len returns the number of queued entries.
 //

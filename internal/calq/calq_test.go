@@ -1,6 +1,7 @@
 package calq
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -76,7 +77,7 @@ func TestWheelDueBasic(t *testing.T) {
 // yields the current round's items.
 func TestWheelWrapAround(t *testing.T) {
 	w := NewWheel[int64](40) // 128 buckets
-	span := w.Span()
+	span := w.mask + 1
 	// Arm a "task" per slot residue with period exactly one revolution,
 	// so every Due hits a bucket that was filled in a previous round.
 	const n = 16
@@ -110,7 +111,7 @@ func TestWheelWrapAround(t *testing.T) {
 // drained at its slot.
 func TestWheelRoundMixing(t *testing.T) {
 	w := NewWheel[string](64) // 128 buckets
-	span := w.Span()
+	span := w.mask + 1
 	near := NewItem("near")
 	far := NewItem("far")
 	w.Add(near, 5)
@@ -125,8 +126,8 @@ func TestWheelRoundMixing(t *testing.T) {
 	if got, ok := w.NextOccupied(6); !ok || got != 5+span {
 		t.Fatalf("NextOccupied after drain = %d,%v, want %d,true", got, ok, 5+span)
 	}
-	if !far.Queued() || near.Queued() {
-		t.Fatalf("queued flags: near=%v far=%v", near.Queued(), far.Queued())
+	if !far.queued || near.queued {
+		t.Fatalf("queued flags: near=%v far=%v", near.queued, far.queued)
 	}
 }
 
@@ -161,7 +162,7 @@ func TestWheelSparse(t *testing.T) {
 // than lost.
 func TestWheelPastCurrentFuture(t *testing.T) {
 	w := NewWheel[string](64)
-	span := w.Span()
+	span := w.mask + 1
 	cursor := int64(200)
 
 	past := NewItem("past")
@@ -177,7 +178,7 @@ func TestWheelPastCurrentFuture(t *testing.T) {
 		t.Fatalf("Due(cursor) = %v, want [current]", due)
 	}
 	w.Remove(leaver)
-	if leaver.Queued() {
+	if leaver.queued {
 		t.Fatal("leaver still queued after Remove")
 	}
 	if due := w.Due(cursor + 17); len(due) != 1 || due[0] != "future" {
@@ -204,8 +205,8 @@ func TestWheelEnsureSpanRehash(t *testing.T) {
 		w.Add(it, int64(i*7))
 	}
 	w.EnsureSpan(5000) // 16384 buckets
-	if w.Span() < 10000 {
-		t.Fatalf("Span = %d, want ≥ 10000", w.Span())
+	if w.mask+1 < 10000 {
+		t.Fatalf("span = %d buckets, want ≥ 10000", w.mask+1)
 	}
 	if w.Len() != 50 {
 		t.Fatalf("Len after rehash = %d, want 50", w.Len())
@@ -230,6 +231,30 @@ func TestWheelEnsureSpanRehash(t *testing.T) {
 // TestWheelAgainstReference fuzzes the wheel against a trivial slice
 // scan: the old O(n) structure the calendar queue replaces. Release
 // order within a slot is unordered in both, so sets are compared.
+// TestWheelReserveGrowsGeometrically pins Reserve's amortized growth.
+// Admission calls Reserve once per join with n one larger each time;
+// growing to exactly n would reallocate and copy the drain scratch on
+// every join, quadratic across a large admission burst (DESIGN.md §10).
+// Doubling changes the capacity about log₂ n times.
+func TestWheelReserveGrowsGeometrically(t *testing.T) {
+	const n = 1 << 16
+	limit := bits.Len(n) + 1
+	w := NewWheel[int](64)
+	changes, last := 0, cap(w.due)
+	for i := 1; i <= n; i++ {
+		w.Reserve(i)
+		if c := cap(w.due); c != last {
+			changes, last = changes+1, c
+		}
+		if cap(w.due) < i {
+			t.Fatalf("Reserve(%d) left capacity %d", i, cap(w.due))
+		}
+		if changes > limit {
+			t.Fatalf("capacity changed %d times by Reserve(%d), want ≤ %d over %d calls (geometric growth)", changes, i, limit, n)
+		}
+	}
+}
+
 func TestWheelAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	w := NewWheel[int](30) // small: force wrap-around and round mixing
@@ -261,7 +286,7 @@ func TestWheelAgainstReference(t *testing.T) {
 			for _, v := range due {
 				got[v] = true
 			}
-			bucketMask := w.Span() - 1
+			bucketMask := w.mask
 			want := 0
 			for i := range refs {
 				if refs[i].live && refs[i].slot <= cursor && refs[i].slot&bucketMask == cursor&bucketMask {
@@ -349,7 +374,7 @@ func TestMinQueueRoundMixing(t *testing.T) {
 		// Remove a few arbitrary live entries.
 		for i := 0; i < 10; i++ {
 			j := rng.Intn(len(entries))
-			if entries[j].Queued() {
+			if entries[j].queued {
 				v := entries[j].Value
 				q.Remove(entries[j])
 				for k := range live {
@@ -392,8 +417,8 @@ func TestMinQueueEnsureSpanRehash(t *testing.T) {
 		want = append(want, v)
 	}
 	q.EnsureSpan(4000)
-	if q.Span() < 8000 {
-		t.Fatalf("Span = %d, want ≥ 8000", q.Span())
+	if q.mask+1 < 8000 {
+		t.Fatalf("span = %d buckets, want ≥ 8000", q.mask+1)
 	}
 	sort.Slice(want, func(i, j int) bool { return qvLess(want[i], want[j]) })
 	for i, wv := range want {
@@ -442,8 +467,8 @@ func TestMinQueueRetain(t *testing.T) {
 		t.Fatalf("Len = %d after Retain, want %d", q.Len(), len(kept))
 	}
 	for _, e := range entries {
-		if e.Queued() != (e.Value.id%3 != 0) {
-			t.Fatalf("entry %+v queued = %v after Retain", e.Value, e.Queued())
+		if e.queued != (e.Value.id%3 != 0) {
+			t.Fatalf("entry %+v queued = %v after Retain", e.Value, e.queued)
 		}
 	}
 	if allocs := testing.AllocsPerRun(10, func() { q.Retain(func(qv) bool { return true }) }); allocs != 0 {

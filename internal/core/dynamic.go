@@ -21,16 +21,8 @@ import (
 //     last-scheduled subtask;
 //   - heavy T: leave strictly after its next group deadline.
 
-// EarliestLeave returns the earliest slot at which the named task may
-// depart without endangering other tasks' deadlines.
-func (s *Scheduler) EarliestLeave(name string) (int64, error) {
-	st, ok := s.tasks[name]
-	if !ok {
-		return 0, fmt.Errorf("core: no task %q", name)
-	}
-	return s.earliestLeave(st), nil
-}
-
+// earliestLeave returns the earliest slot at which st may depart without
+// endangering other tasks' deadlines.
 func (s *Scheduler) earliestLeave(st *tstate) int64 {
 	if !st.hasScheduled {
 		// The task has never received a quantum: its lag is

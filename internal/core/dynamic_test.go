@@ -134,22 +134,26 @@ func TestISEarlinessKeepsDeadline(t *testing.T) {
 	}
 }
 
-// TestLeaveRuleLight: a light task's earliest leave is d(Tᵢ) + b(Tᵢ) of its
+// TestLeaveRuleLight: a light task leaves at d(Tᵢ) + b(Tᵢ) of its
 // last-scheduled subtask.
 func TestLeaveRuleLight(t *testing.T) {
-	s := NewScheduler(1, PD2, Options{})
-	if err := s.Join(task.MustNew("T", 2, 5)); err != nil { // light, b(T1)=1
-		t.Fatal(err)
+	join := func() *Scheduler {
+		s := NewScheduler(1, PD2, Options{})
+		if err := s.Join(task.MustNew("T", 2, 5)); err != nil { // light, b(T1)=1
+			t.Fatal(err)
+		}
+		return s
 	}
 	// Before any allocation, leaving is immediate.
-	at, err := s.EarliestLeave("T")
+	at, err := join().Leave("T")
 	if err != nil || at != 0 {
-		t.Fatalf("EarliestLeave before scheduling = %d, %v; want 0", at, err)
+		t.Fatalf("Leave before scheduling = %d, %v; want 0", at, err)
 	}
+	s := join()
 	s.Step() // schedules T1 at slot 0
 	pt := NewPattern(2, 5)
 	want := pt.Deadline(1) + int64(pt.BBit(1))
-	at, err = s.EarliestLeave("T")
+	at, err = s.Leave("T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func TestLeaveRuleHeavy(t *testing.T) {
 	s.Step() // schedules T1 at slot 0
 	pt := NewPattern(8, 11)
 	want := pt.GroupDeadline(1) + 1
-	at, err := s.EarliestLeave("T")
+	at, err := s.Leave("T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +389,6 @@ func TestLeaveUnknownTask(t *testing.T) {
 	s := NewScheduler(1, PD2, Options{})
 	if _, err := s.Leave("ghost"); err == nil {
 		t.Error("Leave of unknown task succeeded")
-	}
-	if _, err := s.EarliestLeave("ghost"); err == nil {
-		t.Error("EarliestLeave of unknown task succeeded")
 	}
 	if _, err := s.Reweight("ghost", 1, 2); err == nil {
 		t.Error("Reweight of unknown task succeeded")

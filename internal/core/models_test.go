@@ -238,8 +238,8 @@ func TestAsynchronousPeriodic(t *testing.T) {
 }
 
 // TestExportedHelpers covers the small exported surface used by external
-// simulators and callers: Less/SubtaskRef, the Periodic model, Tardiness,
-// and Processors.
+// simulators and callers: Less/SubtaskRef, the Periodic model, and
+// Processors.
 func TestExportedHelpers(t *testing.T) {
 	a := SubtaskRef{Pat: NewPattern(1, 2), Index: 1, ID: 0}
 	b := SubtaskRef{Pat: NewPattern(1, 3), Index: 1, ID: 1}
@@ -254,13 +254,6 @@ func TestExportedHelpers(t *testing.T) {
 	var p Periodic
 	if p.Offset(5) != 0 || p.Earliness(5) != 0 {
 		t.Error("Periodic model must be all zeros")
-	}
-
-	if (Miss{Deadline: 7, ScheduledAt: 9}).Tardiness() != 3 {
-		t.Error("Tardiness: completion at 10 vs deadline 7 should be 3")
-	}
-	if (Miss{Deadline: 7, ScheduledAt: -1}).Tardiness() != -1 {
-		t.Error("unscheduled Tardiness should be -1")
 	}
 
 	s := NewScheduler(3, PD2, Options{})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pfair/internal/obs"
+	"pfair/internal/rational"
 	"pfair/internal/task"
 )
 
@@ -293,7 +294,7 @@ func TestObserveLagExtrema(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			num := lag.MulInt(st.task.Period)
+			num := lag.Mul(rational.FromInt(st.task.Period))
 			if num.Den() != 1 {
 				t.Fatalf("%s: lag %v is not a multiple of 1/%d", st.task.Name, lag, st.task.Period)
 			}

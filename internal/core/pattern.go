@@ -122,14 +122,6 @@ func (pt *Pattern) Deadline(i int64) int64 {
 	return d
 }
 
-// WindowLength returns |w(Tᵢ)| = d(Tᵢ) − r(Tᵢ).
-//
-//pfair:hotpath
-func (pt *Pattern) WindowLength(i int64) int64 {
-	r, d, _ := pt.window(i)
-	return d - r
-}
-
 // BBit returns b(Tᵢ): 1 if Tᵢ's window overlaps Tᵢ₊₁'s window and 0
 // otherwise. Consecutive windows overlap by exactly one slot iff
 // r(Tᵢ₊₁) = d(Tᵢ) − 1, which holds iff i·p is not a multiple of e.
@@ -184,7 +176,7 @@ func (pt *Pattern) groupAfter(d int64) int64 {
 func (pt *Pattern) groupDeadlineSlow(i int64) int64 {
 	di := pt.Deadline(i)
 	for k := i; ; k++ {
-		if pt.WindowLength(k) == 3 && pt.Deadline(k)-1 >= di {
+		if pt.Deadline(k)-pt.Release(k) == 3 && pt.Deadline(k)-1 >= di {
 			return pt.Deadline(k) - 1
 		}
 		if pt.BBit(k) == 0 {

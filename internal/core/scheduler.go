@@ -72,15 +72,6 @@ type Miss struct {
 	ScheduledAt int64
 }
 
-// Tardiness returns by how many slots the subtask completed late, or −1 if
-// it never completed.
-func (m Miss) Tardiness() int64 {
-	if m.ScheduledAt < 0 {
-		return -1
-	}
-	return m.ScheduledAt + 1 - m.Deadline
-}
-
 // Stats aggregates counters over a run.
 type Stats struct {
 	// Slots is the number of scheduler invocations (one per slot).

@@ -52,11 +52,6 @@ type CBS struct {
 	Period int64
 }
 
-// Utilization returns the server's bandwidth Budget/Period.
-//
-//pfair:allowfloat reporting helper; admission uses the exact integer test Σ budget·lcm/period
-func (c CBS) Utilization() float64 { return float64(c.Budget) / float64(c.Period) }
-
 // Config describes one task admitted to the simulator.
 type Config struct {
 	Task *task.Task

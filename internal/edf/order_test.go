@@ -169,7 +169,7 @@ func TestLongPeriodBeyondSpanCap(t *testing.T) {
 	}
 	late := task.MustNew("T3", 1500, 3*long/2)
 	all := append(set.Clone(), late) // add order, so obs ids index it
-	if !rm.Schedulable(all) {
+	if _, ok := rm.ResponseTimes(all); !ok {
 		t.Fatal("test set should be RM-schedulable")
 	}
 	const joinAt, horizon = 10, 3*long + 7

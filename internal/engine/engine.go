@@ -225,16 +225,6 @@ func (e *Engine) Now() int64 { return e.now }
 // Steps returns the number of policy invocations so far.
 func (e *Engine) Steps() int64 { return e.steps }
 
-// Err returns the engine's sticky failure, or nil. It is set when the
-// livelock backstop trips (a *LivelockError); once set, Step is a no-op
-// and Run returns it immediately, so drivers that step the engine
-// directly can poll it after their loop.
-func (e *Engine) Err() error { return e.err }
-
-// Dynamic returns the bound policy's admission-plane capability, or nil
-// when the policy does not accept mid-run churn.
-func (e *Engine) Dynamic() Dynamic { return e.dyn }
-
 // Submit forwards a dynamic-task request to the bound policy's
 // admission plane. Policies without the Dynamic capability reject every
 // request with a diagnostic error rather than panicking, so generic

@@ -201,10 +201,10 @@ func TestLivelockBackstop(t *testing.T) {
 		t.Fatalf("Now() = %d after livelock at t=0, want 0", e.Now())
 	}
 
-	// The error is sticky: Err() reports it, further Steps are no-ops,
+	// The error is sticky: the engine keeps it, further Steps are no-ops,
 	// and a repeated Run returns it again without re-spinning.
-	if e.Err() != err {
-		t.Fatalf("Err() = %v, want the Run error", e.Err())
+	if e.err != err {
+		t.Fatalf("sticky error = %v, want the Run error", e.err)
 	}
 	steps := e.Steps()
 	e.Step()
@@ -217,8 +217,8 @@ func TestLivelockBackstop(t *testing.T) {
 
 	// Reset clears the failure along with the clock.
 	e.Reset(&fakePolicy{})
-	if e.Err() != nil {
-		t.Fatalf("Err() after Reset = %v, want nil", e.Err())
+	if e.err != nil {
+		t.Fatalf("sticky error after Reset = %v, want nil", e.err)
 	}
 	if err := e.Run(3); err != nil {
 		t.Fatalf("Run after Reset = %v, want clean run", err)

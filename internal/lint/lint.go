@@ -299,20 +299,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgFunc reports whether call invokes the package-level function
-// path.name (methods do not match).
-func isPkgFunc(info *types.Info, call *ast.CallExpr, path, name string) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == path && fn.Name() == name
-}
-
 // isFloat reports whether t's core type is a floating-point basic type.
 func isFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)

@@ -15,9 +15,7 @@ import (
 var rationalPanicAllowlist = map[string]bool{
 	"New":         true, // zero denominator, or a value out of int64 range in lowest terms
 	"Rat.Div":     true, // division by zero
-	"FloorDiv":    true, // requires b > 0
 	"CeilDiv":     true, // requires b > 0
-	"GCD":         true, // the one unrepresentable result, 2⁶³
 	"LCM":         true, // int64 overflow
 	"bigFallback": true, // result unrepresentable even in lowest terms
 	"Acc.Ceil":    true, // ⌈Σwt⌉ cannot exceed the task count, so overflow is a caller bug

@@ -129,9 +129,6 @@ func NewAccounting() *Accounting {
 // Events returns the number of events consumed.
 func (a *Accounting) Events() int64 { return a.events }
 
-// Procs returns the number of CPUs seen in the stream (max index + 1).
-func (a *Accounting) Procs() int { return int(a.procs) }
-
 // get returns the accumulator for id, or nil when the table has no row
 // yet. Hot path: one bounds check and one load.
 //

@@ -54,8 +54,8 @@ func TestAccountingAggregates(t *testing.T) {
 	if ts.MaxTardiness != 2 {
 		t.Errorf("MaxTardiness = %d, want 2", ts.MaxTardiness)
 	}
-	if a.Procs() != 2 {
-		t.Errorf("Procs = %d, want 2", a.Procs())
+	if a.procs != 2 {
+		t.Errorf("procs = %d, want 2", a.procs)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -310,32 +309,6 @@ func writeBucket(w io.Writer, e *metricEntry, le string, cum int64) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", e.family, labels, cum)
 	return err
-}
-
-// ExpvarFunc returns an expvar.Func exposing the registry as a JSON
-// object keyed by full series name. Publish it under a name of your
-// choice: expvar.Publish("pfair", reg.ExpvarFunc()). (Publication is
-// left to the caller because expvar.Publish panics on duplicate names —
-// a process-global concern the registry cannot arbitrate.)
-func (r *Registry) ExpvarFunc() expvar.Func {
-	return func() any {
-		snap := r.Snapshot()
-		m := make(map[string]any, len(snap))
-		for _, s := range snap {
-			switch s.Kind {
-			case KindHistogram:
-				m[s.Name()] = map[string]any{
-					"count":   s.Value,
-					"sum":     s.Sum,
-					"bounds":  s.BucketBounds,
-					"buckets": s.BucketCounts,
-				}
-			default:
-				m[s.Name()] = s.Value
-			}
-		}
-		return m // encoding/json sorts map keys: deterministic output
-	}
 }
 
 // WriteSummary writes a compact human-readable "name value" listing of

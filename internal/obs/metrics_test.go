@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -184,29 +183,6 @@ func TestWritePrometheusHelpOnce(t *testing.T) {
 	}
 	if n := strings.Count(out, "# TYPE f_total"); n != 1 {
 		t.Errorf("TYPE appears %d times, want 1:\n%s", n, out)
-	}
-}
-
-func TestExpvarFunc(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("c_total", "", "").Add(2)
-	h := reg.Histogram("h", "", "", []int64{10})
-	h.Observe(4)
-
-	raw, err := json.Marshal(reg.ExpvarFunc()())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["c_total"] != float64(2) {
-		t.Errorf("c_total = %v", m["c_total"])
-	}
-	hist, ok := m["h"].(map[string]any)
-	if !ok || hist["count"] != float64(1) || hist["sum"] != float64(4) {
-		t.Errorf("h = %v", m["h"])
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obs is the observability layer shared by every scheduler in
 // this repository: a slot-level trace recorder, a metrics registry, and
-// exporters (Chrome trace-event JSON for Perfetto, Prometheus text,
-// expvar, and a human-readable timeline).
+// exporters (Chrome trace-event JSON for Perfetto, Prometheus text, and a
+// human-readable timeline).
 //
 // The paper's entire argument rests on measuring scheduling behaviour —
 // migrations, preemptions, lag excursions, quantum overheads — so the
@@ -217,9 +217,6 @@ func (r *Recorder) TaskIDs() []int32 {
 	}
 	return ids
 }
-
-// Cap returns the ring capacity in events.
-func (r *Recorder) Cap() int { return len(r.buf) }
 
 // Total returns the number of events ever emitted, including ones the
 // ring has since overwritten.

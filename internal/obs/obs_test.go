@@ -14,8 +14,8 @@ func TestRecorderRoundsCapacity(t *testing.T) {
 		{1024, 1024},
 		{1025, 2048},
 	} {
-		if got := NewRecorder(tc.in).Cap(); got != tc.want {
-			t.Errorf("NewRecorder(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewRecorder(tc.in).buf); got != tc.want {
+			t.Errorf("NewRecorder(%d) ring holds %d events, want %d", tc.in, got, tc.want)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package obs
 
 // SchedulerMetrics bundles the fixed set of scheduler-wide instruments
 // the Pfair scheduler (internal/core) updates per slot. All instruments
-// live in one Registry so a single WritePrometheus, Snapshot or
-// ExpvarFunc call exports the whole scheduler while it runs. Per-task
+// live in one Registry so a single WritePrometheus or Snapshot call
+// exports the whole scheduler while it runs. Per-task
 // facts are not kept here: an Accounting attached to the trace recorder
 // derives them from the event stream (the pfair_acct_* families).
 //

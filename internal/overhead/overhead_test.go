@@ -87,7 +87,7 @@ func TestInflatePD2PanicsOnBadPeriod(t *testing.T) {
 
 func TestPD2Weight(t *testing.T) {
 	// 1536 µs in 1 ms quanta = 2 quanta per 10 slots → 1/5.
-	if got := PD2Weight(1536, 10000, 1000); !got.Equal(rational.New(1, 5)) {
+	if got := PD2Weight(1536, 10000, 1000); got.Cmp(rational.New(1, 5)) != 0 {
 		t.Errorf("PD2Weight = %v, want 1/5", got)
 	}
 }

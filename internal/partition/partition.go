@@ -3,20 +3,18 @@
 // first-fit, best-fit, worst-fit, and next-fit, their decreasing-order
 // offline variants (FFD, BFD), an exact branch-and-bound packer for small
 // sets, and the analytical utilization bounds (the (M+1)/2 worst case for
-// every heuristic, the Lopez et al. bound parameterized by the maximum
-// task utilization, and the Oh–Baker RM-FF bound).
+// every heuristic and the Lopez et al. bound parameterized by the maximum
+// task utilization).
 //
 // The acceptance test is pluggable, so the same heuristics serve EDF
 // partitioning (utilization ≤ 1 per processor, exact for implicit
-// deadlines), RM partitioning (Liu–Layland or exact response-time
-// analysis), and the overhead-inflated tests of Section 4.
+// deadlines) and the overhead-inflated tests of Section 4.
 package partition
 
 import (
 	"fmt"
 
 	"pfair/internal/rational"
-	"pfair/internal/rm"
 	"pfair/internal/task"
 )
 
@@ -30,18 +28,6 @@ type AcceptanceTest func(assigned task.Set, candidate *task.Task) bool
 func EDFTest(assigned task.Set, candidate *task.Task) bool {
 	total := assigned.TotalWeight().Add(candidate.Weight())
 	return total.CmpInt(1) <= 0
-}
-
-// RMLLTest is the Liu–Layland sufficient test for RM.
-func RMLLTest(assigned task.Set, candidate *task.Task) bool {
-	return rm.SchedulableLL(append(assigned.Clone(), candidate))
-}
-
-// RMExactTest is the exact response-time test for RM ([25]); using it makes
-// partitioning a variable-sized bin-packing problem, the complication
-// Section 3 notes EDF avoids.
-func RMExactTest(assigned task.Set, candidate *task.Task) bool {
-	return rm.Schedulable(append(assigned.Clone(), candidate))
 }
 
 // Heuristic selects the processor-choice rule.
@@ -257,12 +243,4 @@ func LopezBound(m int, umax rational.Rat) (rational.Rat, error) {
 	}
 	beta := rational.One().Div(umax).Floor()
 	return rational.New(beta*int64(m)+1, beta+1), nil
-}
-
-// OhBakerBound returns the RM-FF guaranteed utilization m·(2^{1/2} − 1) ≈
-// 0.41·m of Oh and Baker [30], the figure the paper quotes when arguing
-// that partitioning with RM wastes more than half the platform.
-func OhBakerBound(m int) float64 {
-	//pfair:allowfloat √2 − 1 is irrational; the bound is reporting-only, never an admission test
-	return float64(m) * 0.41421356237309503 // √2 − 1
 }

@@ -1,9 +1,6 @@
 package rational
 
-import (
-	"math"
-	"math/big"
-)
+import "math/big"
 
 // Acc is an exact rational accumulator of unbounded precision.
 //
@@ -113,37 +110,6 @@ func (a *Acc) MulRat(r Rat) *Acc {
 	}
 	var t big.Rat
 	a.spill.Mul(a.spill, setBig(&t, r))
-	return a
-}
-
-// MulAcc multiplies by another accumulator's value.
-func (a *Acc) MulAcc(b *Acc) *Acc {
-	if b.spill == nil {
-		return a.MulRat(b.r)
-	}
-	a.promote()
-	a.spill.Mul(a.spill, b.spill)
-	return a
-}
-
-// QuoAcc divides the accumulator by another accumulator's value. Like
-// math/big, it panics on a zero divisor — a programmer error on par with
-// integer division by zero.
-func (a *Acc) QuoAcc(b *Acc) *Acc {
-	if a.spill == nil && b.spill == nil {
-		d := b.r.normalized()
-		if d.num != 0 && d.num != math.MinInt64 {
-			if q, ok := mulChecked(a.r, Rat{d.den, d.num}.canon()); ok {
-				a.r = q
-				return a
-			}
-		}
-	}
-	// A zero divisor lands here too, and big.Rat.Quo panics on it.
-	var t big.Rat
-	div := b.bigOf(&t)
-	a.promote()
-	a.spill.Quo(a.spill, div)
 	return a
 }
 

@@ -67,7 +67,7 @@ func TestAccAddAcc(t *testing.T) {
 func TestAccRatRoundTrip(t *testing.T) {
 	a := NewAcc().Add(New(8, 11)).Sub(New(1, 11))
 	r, ok := a.Rat()
-	if !ok || !r.Equal(New(7, 11)) {
+	if !ok || r.Cmp(New(7, 11)) != 0 {
 		t.Errorf("Rat = %v (%v)", r, ok)
 	}
 	// A sum whose reduced denominator exceeds int64 does not fit: build
@@ -100,7 +100,7 @@ func TestQuickAccMatchesRat(t *testing.T) {
 			return false
 		}
 		got, ok := acc.Rat()
-		return ok && got.Equal(sum)
+		return ok && got.Cmp(sum) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -42,26 +42,6 @@ func TestKernelEdgeCases(t *testing.T) {
 		}
 	}
 
-	gcds := []struct{ a, b, want int64 }{
-		{min, 6, 2},
-		{6, min, 2},
-		{min, -(1 << 40), 1 << 40},
-		{min, 1, 1},
-		{0, 0, 0},
-		{0, -7, 7},
-		{-12, 18, 6},
-	}
-	for _, c := range gcds {
-		if got := GCD(c.a, c.b); got != c.want {
-			t.Errorf("GCD(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-	for _, c := range [][2]int64{{min, 0}, {0, min}, {min, min}} {
-		if !mustPanic(func() { GCD(c[0], c[1]) }) {
-			t.Errorf("GCD(%d, %d) did not panic; 2⁶³ does not fit int64", c[0], c[1])
-		}
-	}
-
 	for _, c := range [][2]int64{{min, -1}, {-1, min}, {min, 2}, {2, min}, {1 << 32, 1 << 31}} {
 		if p, ok := mulOK(c[0], c[1]); ok {
 			t.Errorf("mulOK(%d, %d) = %d, true; want overflow", c[0], c[1], p)
@@ -83,10 +63,10 @@ func TestKernelEdgeCases(t *testing.T) {
 	// Negating, subtracting or dividing by a MinInt64 numerator needs
 	// 2⁶³ on the way; each answer is exact or an out-of-range panic.
 	m := FromInt(min)
-	if got := FromInt(-1).Sub(m); !got.Equal(FromInt(math.MaxInt64)) {
+	if got := FromInt(-1).Sub(m); got.Cmp(FromInt(math.MaxInt64)) != 0 {
 		t.Errorf("−1 − MinInt64 = %v, want MaxInt64", got)
 	}
-	if got := FromInt(-2).Div(m); !got.Equal(New(1, 1<<62)) {
+	if got := FromInt(-2).Div(m); got.Cmp(New(1, 1<<62)) != 0 {
 		t.Errorf("−2 / MinInt64 = %v, want 1/2⁶²", got)
 	}
 	if !mustPanic(func() { m.Neg() }) {

@@ -179,9 +179,6 @@ func mulChecked(r, s Rat) (Rat, bool) {
 	return New(num, den), true
 }
 
-// MulInt returns r · n.
-func (r Rat) MulInt(n int64) Rat { return r.Mul(FromInt(n)) }
-
 // Div returns r / s. It panics if s is zero.
 func (r Rat) Div(s Rat) Rat {
 	s = s.normalized()
@@ -229,12 +226,6 @@ func (r Rat) Cmp(s Rat) int {
 //
 //pfair:hotpath
 func (r Rat) Less(s Rat) bool { return r.Cmp(s) < 0 }
-
-// LessEq reports whether r ≤ s.
-func (r Rat) LessEq(s Rat) bool { return r.Cmp(s) <= 0 }
-
-// Equal reports whether r == s.
-func (r Rat) Equal(s Rat) bool { return r.Cmp(s) == 0 }
 
 // Sign returns −1, 0, or +1 according to the sign of r.
 func (r Rat) Sign() int {
@@ -300,20 +291,6 @@ func Sum(rs []Rat) Rat {
 	return total
 }
 
-// FloorDiv returns ⌊a/b⌋ for b > 0, exact for all int64 a.
-//
-//pfair:hotpath
-func FloorDiv(a, b int64) int64 {
-	if b <= 0 {
-		panic("rational: FloorDiv requires b > 0")
-	}
-	q := a / b
-	if a%b != 0 && a < 0 {
-		q--
-	}
-	return q
-}
-
 // CeilDiv returns ⌈a/b⌉ for b > 0, exact for all int64 a.
 //
 //pfair:hotpath
@@ -326,17 +303,6 @@ func CeilDiv(a, b int64) int64 {
 		q++
 	}
 	return q
-}
-
-// GCD returns the greatest common divisor of |a| and |b| (gcd(0,0) = 0).
-// It panics when that is 2⁶³, which int64 cannot hold: GCD(math.MinInt64,
-// 0) and GCD(math.MinInt64, math.MinInt64).
-func GCD(a, b int64) int64 {
-	g := gcd(mag(a), mag(b))
-	if g > math.MaxInt64 {
-		panic("rational: GCD of 2⁶³ overflows int64")
-	}
-	return int64(g)
 }
 
 // LCM returns the least common multiple of |a| and |b|. It panics on

@@ -300,7 +300,7 @@ func TestLongPeriodBeyondSpanCap(t *testing.T) {
 		task.MustNew("T100", 1000, long),
 	}
 	late := task.MustNew("T3", 1500, 3*long/2)
-	if !Schedulable(append(set.Clone(), late)) {
+	if !schedulable(append(set.Clone(), late)) {
 		t.Fatal("test set should be RM-schedulable")
 	}
 	const joinAt, horizon = 10, 3*long + 7

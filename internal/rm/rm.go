@@ -9,8 +9,9 @@
 // (RM-FF, Section 3) and notes its drawbacks: the guaranteed multiprocessor
 // utilization under RM-FF is only 41% (Oh & Baker [30]), and using the
 // exact test instead of the 69% utilization bound turns partitioning into a
-// variable-sized-bin-packing problem. This package provides both tests so
-// internal/partition can exhibit exactly that trade-off.
+// variable-sized-bin-packing problem. The differential fuzz campaign
+// checks the bounds against the exact test and the exact test against the
+// simulator.
 package rm
 
 import (
@@ -102,10 +103,4 @@ func ResponseTimes(set task.Set) (responses []int64, schedulable bool) {
 		responses[i] = resp[t.Name]
 	}
 	return responses, schedulable
-}
-
-// Schedulable applies the exact test.
-func Schedulable(set task.Set) bool {
-	_, ok := ResponseTimes(set)
-	return ok
 }

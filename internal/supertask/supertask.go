@@ -78,69 +78,6 @@ func accWeight(acc *rational.Acc, name string) (rational.Rat, error) {
 	return w, nil
 }
 
-// Collapse greedily partitions set into supertasks, each holding as many
-// consecutive components as fit one processor: a task joins the current
-// group while the group's admission weight — cumulative weight, plus the
-// Holman–Anderson 1/p_min inflation when reweighted is true — stays ≤ 1,
-// and otherwise starts a new group. Supertasks are named prefix0,
-// prefix1, … in group order. The partition is a pure function of the set
-// order, so collapsed scale runs stay reproducible.
-//
-// Collapsing is how Section 5.5 tames the comparator's view of a large
-// system: the global scheduler arbitrates among the supertasks (one per
-// ≤1 processor of load) instead of among every component, and the shard
-// tier then partitions those supertasks per CPU.
-//
-// An error is returned when a single task cannot form a feasible group
-// by itself (weight 1 under reweighting, or a weight that does not
-// reduce to an int64 rational).
-func Collapse(prefix string, set task.Set, reweighted bool) ([]*Supertask, error) {
-	var out []*Supertask
-	var cur task.Set
-	acc := rational.NewAcc()
-	pmin := int64(0)
-
-	fits := func(t *task.Task) bool {
-		trial := acc.Clone().Add(t.Weight())
-		if reweighted {
-			p := pmin
-			if p == 0 || t.Period < p {
-				p = t.Period
-			}
-			trial.Add(rational.New(1, p))
-		}
-		if _, ok := trial.Rat(); !ok {
-			return false
-		}
-		return trial.CmpInt(1) <= 0
-	}
-	flush := func() {
-		if len(cur) == 0 {
-			return
-		}
-		out = append(out, &Supertask{Name: fmt.Sprintf("%s%d", prefix, len(out)), Components: cur})
-		cur = nil
-		acc = rational.NewAcc()
-		pmin = 0
-	}
-
-	for _, t := range set {
-		if !fits(t) {
-			flush()
-			if !fits(t) {
-				return nil, fmt.Errorf("supertask: %v cannot form a feasible supertask alone (reweighted=%v)", t, reweighted)
-			}
-		}
-		cur = append(cur, t)
-		acc.Add(t.Weight())
-		if pmin == 0 || t.Period < pmin {
-			pmin = t.Period
-		}
-	}
-	flush()
-	return out, nil
-}
-
 // ComponentMiss records a component job that was not complete by its
 // deadline.
 type ComponentMiss struct {

@@ -65,7 +65,7 @@ func TestFig5ReweightingFixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.Equal(rational.New(19, 45)) {
+	if w.Cmp(rational.New(19, 45)) != 0 {
 		t.Fatalf("reweighted weight = %v, want 19/45", w)
 	}
 	sys := fig5System(t, true)
@@ -84,7 +84,7 @@ func TestWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.Equal(rational.New(2, 9)) {
+	if w.Cmp(rational.New(2, 9)) != 0 {
 		t.Errorf("Weight = %v, want 2/9", w)
 	}
 	// Overweight bundles are rejected.

@@ -150,19 +150,6 @@ func (s Set) TotalUtilization() float64 {
 	return u
 }
 
-// MaxUtilization returns the largest single-task utilization u_max, the
-// parameter of the Lopez et al. partitioning bound. It returns 0 for an
-// empty set.
-func (s Set) MaxUtilization() rational.Rat {
-	max := rational.Zero()
-	for _, t := range s {
-		if max.Less(t.Weight()) {
-			max = t.Weight()
-		}
-	}
-	return max
-}
-
 // Hyperperiod returns the least common multiple of the tasks' periods. A
 // synchronous periodic schedule repeats with this period, so simulating one
 // hyperperiod suffices to verify it. It panics on int64 overflow; callers
@@ -227,10 +214,12 @@ func (s Set) Clone() Set {
 // SortByPeriodDecreasing returns a copy sorted by decreasing period, the
 // order in which Section 4 requires tasks to be partitioned so that each
 // task's max-D(U) inflation term is known when it is placed. Ties break by
-// name for determinism.
+// name for determinism. (period desc, name asc) is a total order only
+// because names are unique, which Set.Validate enforces; that is what lets
+// an unstable sort give the same result as a stable one.
 func (s Set) SortByPeriodDecreasing() Set {
 	c := s.Clone()
-	slices.SortStableFunc(c, func(a, b *Task) int {
+	slices.SortFunc(c, func(a, b *Task) int {
 		if d := cmp.Compare(b.Period, a.Period); d != 0 {
 			return d
 		}

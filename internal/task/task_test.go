@@ -1,9 +1,12 @@
 package task
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +52,7 @@ func TestWeightAndHeavy(t *testing.T) {
 	}
 	for _, c := range cases {
 		tk := MustNew("T", c.e, c.p)
-		if got := tk.Weight(); !got.Equal(rational.New(c.e, c.p)) {
+		if got := tk.Weight(); got.Cmp(rational.New(c.e, c.p)) != 0 {
 			t.Errorf("Weight(%d/%d) = %v", c.e, c.p, got)
 		}
 		if got := tk.Heavy(); got != c.heavy {
@@ -84,16 +87,6 @@ func TestHyperperiod(t *testing.T) {
 	}
 	if got := (Set{}).Hyperperiod(); got != 1 {
 		t.Errorf("empty Hyperperiod = %d, want 1", got)
-	}
-}
-
-func TestMaxUtilization(t *testing.T) {
-	s := Set{MustNew("A", 1, 4), MustNew("B", 3, 5), MustNew("C", 1, 2)}
-	if got := s.MaxUtilization(); !got.Equal(rational.New(3, 5)) {
-		t.Errorf("MaxUtilization = %v, want 3/5", got)
-	}
-	if got := (Set{}).MaxUtilization(); !got.IsZero() {
-		t.Errorf("empty MaxUtilization = %v, want 0", got)
 	}
 }
 
@@ -199,35 +192,68 @@ func TestQuickMinProcessorsFeasibility(t *testing.T) {
 func TestSortsMatchSliceStable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
-		var s Set
+		// dup repeats names, which the stable utilization sort must keep
+		// in input order; SortByPeriodDecreasing is defined only for
+		// unique names (Set.Validate), so it sorts uniq instead.
+		var dup, uniq Set
 		for i := 0; i < 1+r.Intn(40); i++ {
 			p := []int64{2, 3, 4, 6, 12}[r.Intn(5)]
-			s = append(s, MustNew(fmt.Sprintf("T%d", r.Intn(8)), 1+r.Int63n(p), p))
+			k, e := r.Intn(8), 1+r.Int63n(p)
+			dup = append(dup, MustNew(fmt.Sprintf("T%d", k), e, p))
+			uniq = append(uniq, MustNew(fmt.Sprintf("T%d.%d", k, i), e, p))
 		}
-		byPeriod := s.Clone()
+		byPeriod := uniq.Clone()
 		sort.SliceStable(byPeriod, func(i, j int) bool {
 			if byPeriod[i].Period != byPeriod[j].Period {
 				return byPeriod[i].Period > byPeriod[j].Period
 			}
 			return byPeriod[i].Name < byPeriod[j].Name
 		})
-		byUtil := s.Clone()
+		byUtil := dup.Clone()
 		sort.SliceStable(byUtil, func(i, j int) bool {
 			wi, wj := byUtil[i].Weight(), byUtil[j].Weight()
-			if !wi.Equal(wj) {
+			if wi.Cmp(wj) != 0 {
 				return wj.Less(wi)
 			}
 			return byUtil[i].Name < byUtil[j].Name
 		})
 		for name, c := range map[string][2]Set{
-			"SortByPeriodDecreasing":      {s.SortByPeriodDecreasing(), byPeriod},
-			"SortByUtilizationDecreasing": {s.SortByUtilizationDecreasing(), byUtil},
+			"SortByPeriodDecreasing":      {uniq.SortByPeriodDecreasing(), byPeriod},
+			"SortByUtilizationDecreasing": {dup.SortByUtilizationDecreasing(), byUtil},
 		} {
 			for i := range c[1] {
 				if c[0][i] != c[1][i] {
 					t.Fatalf("trial %d: %s position %d is %p %v, sort.SliceStable has %p %v", trial, name, i, c[0][i], c[0][i], c[1][i], c[1][i])
 				}
 			}
+		}
+	}
+}
+
+// TestSortByPeriodDecreasingManyTies pins the unstable sort against
+// slices.SortStableFunc, the sort it replaced, on validated sets where
+// most tasks share one of two periods: every tie is broken by the unique
+// names alone.
+func TestSortByPeriodDecreasingManyTies(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 100; trial++ {
+		var s Set
+		for _, i := range r.Perm(1 + r.Intn(300)) {
+			p := []int64{100, 100, 100, 250, 250, 40}[r.Intn(6)]
+			s = append(s, MustNew(fmt.Sprintf("t%d", i), 1+r.Int63n(p), p))
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		want := s.Clone()
+		slices.SortStableFunc(want, func(a, b *Task) int {
+			if d := cmp.Compare(b.Period, a.Period); d != 0 {
+				return d
+			}
+			return strings.Compare(a.Name, b.Name)
+		})
+		if got := s.SortByPeriodDecreasing(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d tasks): unstable sort differs from the stable one", trial, len(s))
 		}
 	}
 }

@@ -1,27 +1,15 @@
 #!/bin/sh
-# bench.sh — run a scheduler benchmark set and emit a machine-readable
-# JSON baseline, so CI (or a reviewer) can diff performance across
-# commits. The default set is the hot-path benchmarks (BENCH_core.json);
-# pass a different output and pattern for other sets, e.g. the scale run:
-#
-#	scripts/bench.sh BENCH_scale.json 'BenchmarkScale' 500x 3
+# bench.sh — run the scheduler hot-path benchmarks and emit a
+# machine-readable JSON baseline, BENCH_core.json, so CI (or a reviewer)
+# can diff performance across commits.
 #
 # The file is an object: a "meta" block stamping the provenance of the
 # numbers (git commit, Go version, GOMAXPROCS) followed by a "benchmarks"
-# array with name, ns/op, and allocs/op per benchmark — plus slots/s for
-# benchmarks that report that throughput metric. Apart from the measured
-# timings and the stamp itself the output is byte-stable: same
+# array with name, ns/op, and allocs/op per benchmark. Apart from the
+# measured timings and the stamp itself the output is byte-stable: same
 # benchmarks, same order, same formatting on every run.
 #
-# With count > 1 the baseline pins the SLOWEST repeat per benchmark
-# (max ns/op, max allocs/op, min slots/s). Baselines exist to catch
-# regressions: bench_guard.sh compares its best repeat against this
-# file, so pinning a lucky fast repeat turns machine bimodality into
-# intermittent CI failures. The scale benchmarks on single-CPU boxes
-# swing ~2.5x run to run (see DESIGN.md §10); a conservative baseline
-# plus the guard's widened scale threshold absorbs that.
-#
-# Every run also appends a dated entry to <output>.trajectory.json, an
+# Every run also appends a dated entry to BENCH_core.trajectory.json, an
 # append-only JSON array recording the repo's performance history commit
 # by commit. Re-running on the SAME commit replaces that commit's last
 # entry instead of appending a duplicate: regenerating a baseline while
@@ -35,15 +23,12 @@
 # still stamped dirty; dirty entries are never deduplicated, since they
 # do not represent the commit they name).
 #
-# Usage: scripts/bench.sh [output.json] [bench-regex] [benchtime] [count]
+# Usage: scripts/bench.sh
 set -eu
 
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_core.json}"
-pattern="${2:-BenchmarkFig2aPD2|BenchmarkFig2bPD2|BenchmarkFig1Windows}"
-benchtime="${3:-0.2s}"
-count="${4:-1}"
-traj="${out%.json}.trajectory.json"
+out=BENCH_core.json
+traj=BENCH_core.trajectory.json
 raw="$(mktemp -p . bench.XXXXXX.txt)"
 trap 'rm -f "$raw"' EXIT
 
@@ -65,41 +50,21 @@ goversion="$(go env GOVERSION)"
 # GOMAXPROCS defaults to the online CPU count unless the env overrides it.
 maxprocs="${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)}"
 
-go test -run '^$' -bench "$pattern" \
-	-benchmem -benchtime="$benchtime" -count="$count" . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkFig2aPD2|BenchmarkFig2bPD2|BenchmarkFig1Windows' \
+	-benchmem -benchtime=0.2s . | tee "$raw"
 
-# benchcollect is shared awk source: parse one `BenchmarkX ...` line and
-# fold it into the per-name aggregate, keeping the conservative repeat
-# (max ns/op, max allocs/op, min slots/s — with count=1 this is the
-# identity). Values stay the strings go printed so formatting survives.
-benchcollect='
+# benchjson is shared awk source: render one `BenchmarkX ...` line as a
+# JSON object. Values stay the strings go printed so formatting survives.
+benchjson='
 	name = $1
 	sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix: names are machine-independent
-	nsop = ""; allocs = ""; slots = ""
+	nsop = ""; allocs = "null"
 	for (i = 2; i <= NF; i++) {
 		if ($(i) == "ns/op")     nsop   = $(i - 1)
 		if ($(i) == "allocs/op") allocs = $(i - 1)
-		if ($(i) == "slots/s")   slots  = $(i - 1)
 	}
 	if (nsop == "") next
-	if (!(name in max_ns)) {
-		order[++nnames] = name
-		max_ns[name] = nsop; max_al[name] = allocs; min_sl[name] = slots
-	} else {
-		if (nsop + 0 > max_ns[name] + 0) max_ns[name] = nsop
-		if (allocs != "" && (max_al[name] == "" || allocs + 0 > max_al[name] + 0)) max_al[name] = allocs
-		if (slots != "" && (min_sl[name] == "" || slots + 0 < min_sl[name] + 0)) min_sl[name] = slots
-	}
-'
-# benchjson emits the aggregate for order[k] as one JSON object.
-# Benchmarks that b.ReportMetric a slots/s throughput get a
-# slots_per_sec field; others omit it, keeping the core baseline format
-# unchanged.
-benchjson='
-	name = order[k]
-	printf "{\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s", name, max_ns[name], (max_al[name] == "" ? "null" : max_al[name])
-	if (min_sl[name] != "") printf ", \"slots_per_sec\": %s", min_sl[name]
-	printf "}"
+	entry = sprintf("{\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s}", name, nsop, allocs)
 '
 
 awk -v commit="$commit" -v dirty="$dirty" -v gover="$goversion" -v procs="$maxprocs" '
@@ -109,14 +74,10 @@ BEGIN {
 	print "  \"benchmarks\": ["
 }
 /^Benchmark/ {
-'"$benchcollect"'
+'"$benchjson"'
+	printf "%s    %s", (n++ ? ",\n" : ""), entry
 }
 END {
-	for (k = 1; k <= nnames; k++) {
-		if (k > 1) print ","
-		printf "    "
-'"$benchjson"'
-	}
 	print "\n  ]\n}"
 }
 ' "$raw" > "$out"
@@ -131,13 +92,10 @@ BEGIN {
 	printf "{\"date\": \"%s\", \"commit\": \"%s\", \"dirty\": %s, \"go\": \"%s\", \"benchmarks\": [", date, commit, dirty, gover
 }
 /^Benchmark/ {
-'"$benchcollect"'
+'"$benchjson"'
+	printf "%s%s", (n++ ? ", " : ""), entry
 }
 END {
-	for (k = 1; k <= nnames; k++) {
-		if (k > 1) printf ", "
-'"$benchjson"'
-	}
 	printf "]}"
 }
 ' "$raw")"
