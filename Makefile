@@ -14,7 +14,8 @@ vet:
 # lint runs pfairlint, the repo's own invariant analyzers (exact
 # arithmetic, determinism, zero-alloc hot path and its call-graph
 # closure, float taint flow, no library panics, checked fallible
-# results, annotation staleness). See DESIGN.md for the invariants and
+# results, reach: no code only tests call, annotation staleness). See
+# DESIGN.md for the invariants and
 # the //pfair: annotation grammar. Set LINT_ONLY=name[,name...] to run
 # a subset of analyzers: `make lint LINT_ONLY=hotclosure,staleannot`.
 LINT_ONLY ?=

@@ -6,8 +6,9 @@
 //
 //	experiments [flags] fig1|fig2a|fig2b|fig3|fig4|fig5|response|fairness|sync|quantum|phases|all
 //
-// One experiment per run; with none, all of them run. An unknown name or
-// a second positional argument prints the usage text and exits 2.
+// One experiment per run; with none, all of them run. An unknown name, a
+// second positional argument, a negative -sets, -horizon or -every, or
+// -workers below 1 prints the usage text and exits 2.
 //
 // Flags:
 //
@@ -73,6 +74,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+
+	for _, f := range []struct {
+		msg string
+		bad bool
+	}{
+		{"-sets must not be negative", *sets < 0},
+		{"-horizon must not be negative", *horizon < 0},
+		{"-every must not be negative", *every < 0},
+		{"-workers must be at least 1", *workers < 1},
+	} {
+		if f.bad {
+			fmt.Fprintln(stderr, f.msg)
+			fs.Usage()
+			return 2
+		}
 	}
 
 	cmd := "all"

@@ -6,14 +6,19 @@ import (
 	"testing"
 )
 
-// TestRunRejectsBadArguments: an unknown experiment and a second
-// positional argument are usage errors: exit 2, the usage text on
-// stderr, nothing on stdout.
+// TestRunRejectsBadArguments: an unknown experiment, a second
+// positional argument, a negative size and fewer than one worker are
+// usage errors: exit 2, the usage text on stderr, nothing on stdout.
 func TestRunRejectsBadArguments(t *testing.T) {
 	for _, args := range [][]string{
 		{"fig9"},
 		{"fig1", "fig3"},
 		{"-sets", "2", "quantum", "extra"},
+		{"-sets", "-3", "-workers", "1", "fig3"},
+		{"-horizon", "-5", "fig2a"},
+		{"-every", "-1", "phases"},
+		{"-workers", "0", "fig3"},
+		{"-workers", "-2", "fig3"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -9,9 +9,10 @@
 //	pfairlint [-only name[,name...]] [-json] [-list] [packages...]
 //
 // The analyzers: ratfloat, determinism, hotpath, nopanic, errcheckrat
-// run per package; hotclosure, floatflow, and staleannot run over the
-// whole loaded program (hotclosure and floatflow follow the
-// interprocedural call graph built by internal/lint/callgraph). See
+// run per package; hotclosure, floatflow, reach, and staleannot run over
+// the whole loaded program (hotclosure, floatflow and reach follow the
+// interprocedural call graph built by internal/lint/callgraph; reach
+// reports functions no root reaches, so lint the whole module). See
 // internal/lint for the invariant each enforces and the //pfair: source
 // annotations that grant justified exceptions.
 //

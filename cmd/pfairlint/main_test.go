@@ -112,3 +112,32 @@ func TestRunLoadError(t *testing.T) {
 		t.Errorf("stderr missing load error, got:\n%s", stderr.String())
 	}
 }
+
+// TestRunOnlyReach runs the reach analyzer alone over a module whose
+// public API lives in pfair.go at its root: the function the API calls
+// is reached, the one nothing calls is reported, and no other analyzer
+// runs.
+func TestRunOnlyReach(t *testing.T) {
+	dir := writeModule(t, "package p\n\nfunc Used() int { return 1 }\n\nfunc Unused() int { panic(\"boom\") }\n")
+	api := "package pfair\n\nimport \"pfair/internal/p\"\n\n// One is the module's API.\nfunc One() int { return p.Used() }\n"
+	if err := os.WriteFile(filepath.Join(dir, "pfair.go"), []byte(api), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(dir, []string{"-only", "reach", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	out := stderr.String()
+	if !strings.Contains(out, "[reach] pfair/internal/p.Unused is reached by no root") {
+		t.Errorf("stderr missing the unreached function, got:\n%s", out)
+	}
+	if strings.Contains(out, "p.Used ") || strings.Contains(out, "pfair.One") {
+		t.Errorf("reached functions reported, got:\n%s", out)
+	}
+	if strings.Contains(out, "[nopanic]") {
+		t.Errorf("-only reach ran other analyzers, got:\n%s", out)
+	}
+	if !strings.Contains(out, "1 violation(s)") {
+		t.Errorf("want exactly one violation, got:\n%s", out)
+	}
+}

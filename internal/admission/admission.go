@@ -49,11 +49,6 @@ const (
 	// the safe slot plus an admission-checked rejoin with the new
 	// parameters at that instant.
 	OpReweight
-	// OpFinish is a voluntary completion: the task declares it has no
-	// more work and departs under the same safe-slot rules as OpLeave.
-	// Policies treat it as OpLeave; the ledger keeps the two apart so a
-	// forensic reader can tell shedding from completion.
-	OpFinish
 
 	numOps = iota
 )
@@ -62,7 +57,6 @@ var opNames = [numOps]string{
 	OpJoin:     "join",
 	OpLeave:    "leave",
 	OpReweight: "reweight",
-	OpFinish:   "finish",
 }
 
 func (o Op) String() string {
@@ -79,7 +73,7 @@ type Request struct {
 	Op Op
 	// Task is the task to admit (OpJoin only).
 	Task *task.Task
-	// Name names the target task (OpLeave/OpReweight/OpFinish).
+	// Name names the target task (OpLeave/OpReweight).
 	Name string
 	// NewCost and NewPeriod are the replacement parameters (OpReweight
 	// only).
@@ -108,9 +102,6 @@ func Reweight(name string, newCost, newPeriod int64) Request {
 	return Request{Op: OpReweight, Name: name, NewCost: newCost, NewPeriod: newPeriod}
 }
 
-// Finish returns an OpFinish request for the named task.
-func Finish(name string) Request { return Request{Op: OpFinish, Name: name} }
-
 // Validate checks the request's structural shape — the right fields for
 // the Op, a valid task or parameters — without consulting any policy
 // state. Policies call it first in Submit so every implementation
@@ -122,18 +113,14 @@ func (r Request) Validate() error {
 			return fmt.Errorf("admission: join request carries no task")
 		}
 		return r.Task.Validate()
-	case OpLeave, OpFinish:
+	case OpLeave, OpReweight:
 		if r.Name == "" {
 			return fmt.Errorf("admission: %s request names no task", r.Op)
 		}
 		if r.Task != nil || r.Model != nil {
 			return fmt.Errorf("admission: %s request must not carry a task or model", r.Op)
 		}
-	case OpReweight:
-		if r.Name == "" {
-			return fmt.Errorf("admission: reweight request names no task")
-		}
-		if r.NewCost < 1 || r.NewPeriod < 1 || r.NewCost > r.NewPeriod {
+		if r.Op == OpReweight && (r.NewCost < 1 || r.NewPeriod < 1 || r.NewCost > r.NewPeriod) {
 			return fmt.Errorf("admission: reweight of %q to %d/%d: want 1 ≤ cost ≤ period", r.Name, r.NewCost, r.NewPeriod)
 		}
 	default:

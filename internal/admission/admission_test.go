@@ -42,7 +42,7 @@ func TestAdmission(t *testing.T) {
 		{Op: OpJoin, Name: "A", EffectiveAt: 0},
 		{Op: OpReweight, Name: "A", EffectiveAt: 4},
 		{Op: OpLeave, Name: "A", EffectiveAt: 9},
-		{Op: OpFinish, Name: "B", EffectiveAt: 9},
+		{Op: OpLeave, Name: "B", EffectiveAt: 9},
 	}
 	for _, p := range []*Plane{observed, bare} {
 		for _, d := range decisions {
@@ -68,17 +68,17 @@ func TestAdmission(t *testing.T) {
 		{"leave", errText(Leave("A").Validate()), ""},
 		{"leave without name", errText(Leave("").Validate()), "admission: leave request names no task"},
 		{"leave with task", errText(Request{Op: OpLeave, Name: "A", Task: a}.Validate()), "admission: leave request must not carry a task or model"},
-		{"finish", errText(Finish("A").Validate()), ""},
-		{"finish without name", errText(Finish("").Validate()), "admission: finish request names no task"},
-		{"finish with model", errText(Request{Op: OpFinish, Name: "A", Model: 1}.Validate()), "admission: finish request must not carry a task or model"},
+		{"leave with model", errText(Request{Op: OpLeave, Name: "A", Model: 1}.Validate()), "admission: leave request must not carry a task or model"},
 		{"reweight", errText(Reweight("A", 2, 5).Validate()), ""},
 		{"reweight to weight one", errText(Reweight("A", 5, 5).Validate()), ""},
 		{"reweight without name", errText(Reweight("", 1, 2).Validate()), "admission: reweight request names no task"},
+		{"reweight with task", errText(Request{Op: OpReweight, Name: "A", NewCost: 1, NewPeriod: 2, Task: a}.Validate()), "admission: reweight request must not carry a task or model"},
+		{"reweight with model", errText(Request{Op: OpReweight, Name: "A", NewCost: 1, NewPeriod: 2, Model: 1}.Validate()), "admission: reweight request must not carry a task or model"},
 		{"reweight to zero cost", errText(Reweight("A", 0, 2).Validate()), `admission: reweight of "A" to 0/2: want 1 ≤ cost ≤ period`},
 		{"reweight to zero period", errText(Reweight("A", 1, 0).Validate()), `admission: reweight of "A" to 1/0: want 1 ≤ cost ≤ period`},
 		{"reweight above one", errText(Reweight("A", 3, 2).Validate()), `admission: reweight of "A" to 3/2: want 1 ≤ cost ≤ period`},
-		{"unknown op", errText(Request{Op: numOps, Name: "A"}.Validate()), "admission: unknown op 4"},
-		{"op names", []string{OpJoin.String(), OpLeave.String(), OpReweight.String(), OpFinish.String(), Op(numOps).String()}, []string{"join", "leave", "reweight", "finish", "unknown"}},
+		{"unknown op", errText(Request{Op: numOps, Name: "A"}.Validate()), "admission: unknown op 3"},
+		{"op names", []string{OpJoin.String(), OpLeave.String(), OpReweight.String(), Op(numOps).String()}, []string{"join", "leave", "reweight", "unknown"}},
 
 		// Utilization: Equation (2), exact at the boundary.
 		{"utilization reaching M exactly", errText(Utilization(total, third, rational.Zero(), 2)), ""},

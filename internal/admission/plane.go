@@ -43,7 +43,7 @@ func (p *Plane) Commit(d Decision) {
 		switch d.Op {
 		case OpJoin:
 			met.Joins.Inc()
-		case OpLeave, OpFinish:
+		case OpLeave:
 			met.Leaves.Inc()
 		case OpReweight:
 			met.Reweights.Inc()

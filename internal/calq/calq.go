@@ -125,6 +125,8 @@ type Item[T any] struct {
 func NewItem[T any](v T) *Item[T] { return &Item[T]{Value: v} }
 
 // Queued reports whether the item is currently in a wheel.
+//
+//pfair:keep test seam: core's observe tests read wheel membership through it
 func (it *Item[T]) Queued() bool { return it.queued }
 
 // Wheel is a calendar queue keyed by absolute slot: bucket slot mod W

@@ -49,7 +49,7 @@ func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
 		s.plane.Commit(d)
 		return d, nil
 
-	case admission.OpLeave, admission.OpFinish:
+	case admission.OpLeave:
 		at, already, err := s.leave(req.Name)
 		if err != nil {
 			return admission.Decision{}, s.plane.Reject(req.Op, err)

@@ -50,7 +50,7 @@ func (s *Scheduler) Leave(name string) (int64, error) {
 	return d.EffectiveAt, err
 }
 
-// leave is the plane's OpLeave/OpFinish apply: it schedules the
+// leave is the plane's OpLeave apply: it schedules the
 // departure and reports whether the task was already leaving (the call
 // is idempotent; repeats return the pending slot without re-ledgering).
 func (s *Scheduler) leave(name string) (at int64, already bool, err error) {
@@ -100,7 +100,6 @@ func (s *Scheduler) reweight(name string, newCost, newPeriod int64) (int64, erro
 		Name:     st.task.Name,
 		Cost:     newCost,
 		Period:   newPeriod,
-		Kind:     st.task.Kind,
 		Critical: st.task.Critical,
 	}
 	if err := nt.Validate(); err != nil {

@@ -2,9 +2,8 @@ package core
 
 import "fmt"
 
-// This file provides ready-made ReleaseModel implementations for the task
-// classes of Section 2: sporadic tasks (minimum rather than exact job
-// separation) and scripted intra-sporadic behaviour.
+// This file provides the sporadic ReleaseModel of Section 2: minimum
+// rather than exact job separation.
 
 // SporadicModel delays whole jobs: job j is released Gap(j) slots after
 // its earliest permitted time, so consecutive releases are separated by at
@@ -15,26 +14,18 @@ type SporadicModel struct {
 	// punctual release). It must be non-negative. Gaps accumulate: a
 	// late job shifts all later jobs.
 	Gap func(job int64) int64
-	// Cost is the task's per-job cost e, needed to map subtasks to jobs.
+	// Cost is the task's per-job cost e (positive), needed to map
+	// subtasks to jobs.
 	Cost int64
 
 	memo []int64 // memo[j-1] = cumulative offset of job j
-}
-
-// NewSporadicModel returns a sporadic release model for a task with the
-// given per-job cost.
-func NewSporadicModel(cost int64, gap func(job int64) int64) *SporadicModel {
-	if cost <= 0 {
-		//pfair:allowpanic constructor contract: cost is a static workload parameter, like NewPattern's
-		panic("core: sporadic model needs a positive cost")
-	}
-	return &SporadicModel{Gap: gap, Cost: cost}
 }
 
 // Offset implements ReleaseModel: subtask i belongs to job ⌈i/e⌉ and
 // carries that job's cumulative delay.
 //
 //pfair:hotpath
+//pfair:keep §2 sporadic claim: TestSporadicPD2NoMisses runs PD² on sporadic tasks through this model (DESIGN.md §3)
 func (m *SporadicModel) Offset(i int64) int64 {
 	job := (i-1)/m.Cost + 1
 	for int64(len(m.memo)) < job {
@@ -59,36 +50,5 @@ func (m *SporadicModel) Offset(i int64) int64 {
 // Earliness implements ReleaseModel (sporadic tasks are never early).
 //
 //pfair:hotpath
+//pfair:keep §2 sporadic claim: the other half of the model TestSporadicPD2NoMisses runs
 func (m *SporadicModel) Earliness(int64) int64 { return 0 }
-
-// ScriptModel is a ReleaseModel driven by explicit per-subtask tables,
-// convenient for constructing exact scenarios (such as Figure 1(b)) and
-// for tests.
-type ScriptModel struct {
-	// Offsets maps a subtask index to its cumulative IS delay θ(i);
-	// missing indices inherit the largest offset at a smaller index
-	// (offsets are non-decreasing).
-	Offsets map[int64]int64
-	// Early maps a subtask index to its earliness.
-	Early map[int64]int64
-}
-
-// Offset implements ReleaseModel.
-//
-//pfair:hotpath
-func (m *ScriptModel) Offset(i int64) int64 {
-	best := int64(0)
-	for k, v := range m.Offsets { //pfair:orderinvariant max over all entries is commutative
-		if k <= i && v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// Earliness implements ReleaseModel.
-//
-//pfair:hotpath
-func (m *ScriptModel) Earliness(i int64) int64 {
-	return m.Early[i]
-}

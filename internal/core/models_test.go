@@ -12,7 +12,7 @@ import (
 func TestSporadicModelOffsets(t *testing.T) {
 	// Task with cost 3: jobs are subtasks {1,2,3}, {4,5,6}, …
 	gaps := map[int64]int64{2: 4, 4: 1}
-	m := NewSporadicModel(3, func(j int64) int64 { return gaps[j] })
+	m := &SporadicModel{Cost: 3, Gap: func(j int64) int64 { return gaps[j] }}
 	// Job 1: no delay. Job 2: +4. Job 3: +4. Job 4: +5.
 	wants := []struct{ i, off int64 }{
 		{1, 0}, {3, 0}, {4, 4}, {6, 4}, {7, 4}, {9, 4}, {10, 5}, {12, 5},
@@ -27,17 +27,8 @@ func TestSporadicModelOffsets(t *testing.T) {
 	}
 }
 
-func TestSporadicModelPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-positive cost")
-		}
-	}()
-	NewSporadicModel(0, nil)
-}
-
 func TestSporadicModelNegativeGapPanics(t *testing.T) {
-	m := NewSporadicModel(2, func(int64) int64 { return -1 })
+	m := &SporadicModel{Cost: 2, Gap: func(int64) int64 { return -1 }}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for negative gap")
@@ -51,7 +42,7 @@ func TestSporadicModelNegativeGapPanics(t *testing.T) {
 func TestSporadicSeparation(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	e, p := int64(2), int64(5)
-	m := NewSporadicModel(e, func(j int64) int64 { return r.Int63n(4) })
+	m := &SporadicModel{Cost: e, Gap: func(j int64) int64 { return r.Int63n(4) }}
 	pat := NewPattern(e, p)
 	prev := int64(-1 << 60)
 	for j := int64(1); j <= 50; j++ {
@@ -78,9 +69,9 @@ func TestSporadicPD2NoMisses(t *testing.T) {
 		for k, tk := range set {
 			seed := int64(trial*100 + k)
 			gaps := rand.New(rand.NewSource(seed))
-			if err := s.JoinModel(tk, NewSporadicModel(tk.Cost, func(int64) int64 {
+			if err := s.JoinModel(tk, &SporadicModel{Cost: tk.Cost, Gap: func(int64) int64 {
 				return gaps.Int63n(5)
-			})); err != nil {
+			}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -89,31 +80,6 @@ func TestSporadicPD2NoMisses(t *testing.T) {
 		if n := len(s.Stats().Misses); n != 0 {
 			t.Fatalf("trial %d: sporadic PD² missed %d (first %+v)", trial, n, s.Stats().Misses[0])
 		}
-	}
-}
-
-func TestScriptModel(t *testing.T) {
-	m := &ScriptModel{
-		Offsets: map[int64]int64{5: 1, 9: 3},
-		Early:   map[int64]int64{3: 2},
-	}
-	if got := m.Offset(4); got != 0 {
-		t.Errorf("Offset(4) = %d", got)
-	}
-	if got := m.Offset(5); got != 1 {
-		t.Errorf("Offset(5) = %d", got)
-	}
-	if got := m.Offset(8); got != 1 {
-		t.Errorf("Offset(8) = %d", got)
-	}
-	if got := m.Offset(20); got != 3 {
-		t.Errorf("Offset(20) = %d", got)
-	}
-	if got := m.Earliness(3); got != 2 {
-		t.Errorf("Earliness(3) = %d", got)
-	}
-	if got := m.Earliness(4); got != 0 {
-		t.Errorf("Earliness(4) = %d", got)
 	}
 }
 
@@ -165,56 +131,6 @@ func TestAllocationAccounting(t *testing.T) {
 	}
 }
 
-// TestMixedPfairERfair: per-task early release (mixed systems, after [4]).
-// The eager task runs its job's subtasks back-to-back; the strict task
-// stays inside its Pfair windows; no deadlines are missed.
-func TestMixedPfairERfair(t *testing.T) {
-	s := NewScheduler(1, PD2, Options{}) // global default: strict Pfair
-	if err := s.JoinEarlyRelease(task.MustNew("eager", 2, 8), nil, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Join(task.MustNew("strict", 2, 8)); err != nil {
-		t.Fatal(err)
-	}
-	slotsOf := map[string][]int64{}
-	s.OnSlot(func(tt int64, assigned []Assignment) {
-		for _, a := range assigned {
-			slotsOf[a.Task] = append(slotsOf[a.Task], tt)
-		}
-	})
-	s.RunUntil(8)
-	s.FinishMisses(8)
-	if n := len(s.Stats().Misses); n != 0 {
-		t.Fatalf("mixed system missed %d", n)
-	}
-	// eager's second subtask (Pfair window [4,8)) must run before slot 4:
-	// early release made it eligible as soon as the first completed.
-	es := slotsOf["eager"]
-	if len(es) != 2 || es[1] >= 4 {
-		t.Fatalf("eager slots %v; second subtask should run before its Pfair release 4", es)
-	}
-	// strict's second subtask cannot run before slot 4.
-	ss := slotsOf["strict"]
-	if len(ss) != 2 || ss[1] < 4 {
-		t.Fatalf("strict slots %v; second subtask ran before its window", ss)
-	}
-	// A per-task false override under a global ERfair default works too.
-	s2 := NewScheduler(1, PD2, Options{EarlyRelease: true})
-	if err := s2.JoinEarlyRelease(task.MustNew("strict", 2, 8), nil, false); err != nil {
-		t.Fatal(err)
-	}
-	slots2 := []int64{}
-	s2.OnSlot(func(tt int64, assigned []Assignment) {
-		for range assigned {
-			slots2 = append(slots2, tt)
-		}
-	})
-	s2.RunUntil(8)
-	if len(slots2) != 2 || slots2[1] < 4 {
-		t.Fatalf("override-to-strict slots %v", slots2)
-	}
-}
-
 // TestAsynchronousPeriodic: tasks joining at staggered times model
 // asynchronous periodic systems (first releases at arbitrary offsets);
 // PD² keeps them miss-free.
@@ -238,8 +154,7 @@ func TestAsynchronousPeriodic(t *testing.T) {
 }
 
 // TestExportedHelpers covers the small exported surface used by external
-// simulators and callers: Less/SubtaskRef, the Periodic model, and
-// Processors.
+// simulators and callers: Less/SubtaskRef and Processors.
 func TestExportedHelpers(t *testing.T) {
 	a := SubtaskRef{Pat: NewPattern(1, 2), Index: 1, ID: 0}
 	b := SubtaskRef{Pat: NewPattern(1, 3), Index: 1, ID: 1}
@@ -249,11 +164,6 @@ func TestExportedHelpers(t *testing.T) {
 	heavy := SubtaskRef{Pat: NewPattern(8, 11), Index: 1, Offset: 2, ID: 2}
 	if Less(PD2, heavy, heavy) {
 		t.Error("Less not irreflexive")
-	}
-
-	var p Periodic
-	if p.Offset(5) != 0 || p.Earliness(5) != 0 {
-		t.Error("Periodic model must be all zeros")
 	}
 
 	s := NewScheduler(3, PD2, Options{})
@@ -270,23 +180,6 @@ func TestExportedHelpers(t *testing.T) {
 	}
 	if !lag.Less(rational.One()) || !rational.One().Neg().Less(lag) {
 		t.Errorf("lag %v outside (-1,1)", lag)
-	}
-}
-
-// TestJoinEarlyReleaseErrors: invalid and duplicate joins fail cleanly.
-func TestJoinEarlyReleaseErrors(t *testing.T) {
-	s := NewScheduler(1, PD2, Options{})
-	if err := s.JoinEarlyRelease(&task.Task{Name: "bad", Cost: 0, Period: 2}, nil, true); err == nil {
-		t.Error("invalid task accepted")
-	}
-	if err := s.JoinEarlyRelease(task.MustNew("A", 1, 2), nil, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.JoinEarlyRelease(task.MustNew("A", 1, 2), nil, false); err == nil {
-		t.Error("duplicate accepted")
-	}
-	if err := s.JoinEarlyRelease(task.MustNew("B", 2, 3), nil, true); err == nil {
-		t.Error("overload accepted")
 	}
 }
 

@@ -59,9 +59,6 @@ func (s *Scheduler) AllocObsID() int32 {
 	return id
 }
 
-// Recorder returns the attached trace recorder, or nil.
-func (s *Scheduler) Recorder() *obs.Recorder { return s.rec }
-
 // Metrics returns the attached metrics block, or nil.
 func (s *Scheduler) Metrics() *obs.SchedulerMetrics { return s.met }
 

@@ -173,6 +173,8 @@ func (pt *Pattern) groupAfter(d int64) int64 {
 // groupDeadlineSlow walks the subtask sequence to apply the definition
 // directly. For a heavy task every window has length 2 or 3, and a cascade
 // ends within one period, so the walk terminates within e+1 steps.
+//
+//pfair:keep oracle: the window walk the closed-form GroupDeadline is tested against
 func (pt *Pattern) groupDeadlineSlow(i int64) int64 {
 	di := pt.Deadline(i)
 	for k := i; ; k++ {
@@ -187,19 +189,6 @@ func (pt *Pattern) groupDeadlineSlow(i int64) int64 {
 			panic(fmt.Sprintf("core: group deadline walk did not terminate for %d/%d subtask %d", pt.e, pt.p, i))
 		}
 	}
-}
-
-// JobIndex returns the 1-based index of the job containing subtask i: job j
-// consists of subtasks (j−1)·e+1 … j·e.
-func (pt *Pattern) JobIndex(i int64) int64 {
-	return (i-1)/pt.e + 1
-}
-
-// FirstOfJob reports whether subtask i is the first subtask of its job.
-// Under ERfair scheduling only non-first subtasks may be released early,
-// because early release is defined within a job (Section 2).
-func (pt *Pattern) FirstOfJob(i int64) bool {
-	return (i-1)%pt.e == 0
 }
 
 // Lag returns lag(T, t) = wt(T)·t − allocated for a task that has received

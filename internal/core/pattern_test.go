@@ -90,20 +90,6 @@ func TestLightGroupDeadlineZero(t *testing.T) {
 	}
 }
 
-func TestJobIndexFirstOfJob(t *testing.T) {
-	pt := NewPattern(3, 5)
-	wantJob := []int64{1, 1, 1, 2, 2, 2, 3}
-	wantFirst := []bool{true, false, false, true, false, false, true}
-	for k, i := 0, int64(1); i <= 7; i, k = i+1, k+1 {
-		if got := pt.JobIndex(i); got != wantJob[k] {
-			t.Errorf("JobIndex(%d) = %d, want %d", i, got, wantJob[k])
-		}
-		if got := pt.FirstOfJob(i); got != wantFirst[k] {
-			t.Errorf("FirstOfJob(%d) = %v, want %v", i, got, wantFirst[k])
-		}
-	}
-}
-
 func TestLag(t *testing.T) {
 	pt := NewPattern(2, 3)
 	// At t=3 the fluid schedule has given exactly 2 quanta.

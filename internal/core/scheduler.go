@@ -29,19 +29,6 @@ type ReleaseModel interface {
 	Earliness(i int64) int64
 }
 
-// Periodic is the nil ReleaseModel made explicit: no delays, no earliness.
-type Periodic struct{}
-
-// Offset implements ReleaseModel.
-//
-//pfair:hotpath
-func (Periodic) Offset(int64) int64 { return 0 }
-
-// Earliness implements ReleaseModel.
-//
-//pfair:hotpath
-func (Periodic) Earliness(int64) int64 { return 0 }
-
 // Options configures a Scheduler.
 type Options struct {
 	// EarlyRelease enables the work-conserving ERfair variant: a subtask
@@ -101,7 +88,7 @@ type tstate struct {
 	joinedAt int64
 	index    int64 // current (next unscheduled) subtask, 1-based
 	// pos is index's position within its job, (index−1) mod e, kept
-	// incrementally by advanceSubtask so the hot path's FirstOfJob tests
+	// incrementally by advanceSubtask so the hot path's first-of-job tests
 	// (pos == 0: ERfair eligibility, preemption counting) need no
 	// division.
 	pos      int64
@@ -109,9 +96,6 @@ type tstate struct {
 	deadline int64 // absolute deadline of the current subtask
 	elig     int64 // earliest slot the current subtask may run
 	missed   bool  // current subtask already recorded as missed
-	// earlyRelease overrides the scheduler-wide ERfair option for this
-	// task when non-nil (mixed Pfair/ERfair systems).
-	earlyRelease *bool
 
 	// Queue handles, allocated once at admission and reused for every
 	// insertion so the per-slot loop stays allocation-free: readyEntry
@@ -322,39 +306,6 @@ func (s *Scheduler) JoinModel(t *task.Task, model ReleaseModel) error {
 	return err
 }
 
-// JoinEarlyRelease admits a task with a per-task early-release override,
-// supporting mixed Pfair/ERfair systems (Anderson & Srinivasan [4]): some
-// tasks may be scheduled eagerly within their jobs while others keep
-// strict Pfair eligibility, independent of the scheduler-wide
-// Options.EarlyRelease default. Optimality is unaffected — early release
-// only widens eligibility, never the windows.
-func (s *Scheduler) JoinEarlyRelease(t *task.Task, model ReleaseModel, earlyRelease bool) error {
-	if err := s.admit(t, model, true, true); err != nil {
-		return s.plane.Reject(admission.OpJoin, err)
-	}
-	s.plane.Commit(admission.Decision{Op: admission.OpJoin, Name: t.Name, EffectiveAt: s.eng.Now()})
-	er := earlyRelease
-	s.tasks[t.Name].earlyRelease = &er
-	s.refreshSubtask(s.tasks[t.Name])
-	// Requeue under the corrected eligibility.
-	st := s.tasks[t.Name]
-	s.ready.Remove(st.readyEntry)
-	s.pending.Remove(st.pendItem)
-	s.enqueue(st)
-	return nil
-}
-
-// earlyReleaseOn reports whether st schedules eagerly: its own override if
-// set, else the scheduler-wide option.
-//
-//pfair:hotpath
-func (s *Scheduler) earlyReleaseOn(st *tstate) bool {
-	if st.earlyRelease != nil {
-		return *st.earlyRelease
-	}
-	return s.opts.EarlyRelease
-}
-
 // admit installs a task. addWeight controls whether the task's weight is
 // added to the running total (false when a Reweight already reserved it);
 // check controls whether Equation (2) gates the admission (false for
@@ -482,9 +433,9 @@ func (s *Scheduler) refreshSubtask(st *tstate) {
 		}
 		elig -= e
 	}
-	if s.earlyReleaseOn(st) && st.pos != 0 {
+	if s.opts.EarlyRelease && st.pos != 0 {
 		// ERfair: eligible as soon as the predecessor completes. pos == 0
-		// is FirstOfJob.
+		// is the first subtask of its job.
 		elig = st.lastSlot + 1
 	}
 	// A subtask can never run before its predecessor, before the task
@@ -745,10 +696,6 @@ func (s *Scheduler) Account(t int64) {
 //
 //pfair:hotpath
 func (s *Scheduler) Next(t int64) int64 { return t + 1 }
-
-// Finish implements engine.Finisher by delegating to FinishMisses, so
-// engine-level drivers can close out a run without knowing the policy.
-func (s *Scheduler) Finish(horizon int64) { s.FinishMisses(horizon) }
 
 // RunUntil steps the scheduler until Now() == horizon. The returned
 // error is non-nil only when the engine's livelock backstop trips

@@ -91,7 +91,7 @@ func BenchmarkStepAllocsObserved(b *testing.B) {
 	if allocs := testing.AllocsPerRun(100, func() { s.Step() }); allocs != 0 {
 		b.Fatalf("observed Step allocates %v/op in steady state, want 0", allocs)
 	}
-	if s.Recorder().Total() == 0 {
+	if s.Engine().Recorder().Total() == 0 {
 		b.Fatal("recorder attached but no events recorded")
 	}
 }
@@ -124,7 +124,7 @@ func TestStepObservedZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(500, func() { s.Step() }); allocs != 0 {
 			t.Errorf("m=%d n=%d: observed Step allocates %v/op in steady state, want 0", tc.m, tc.n, allocs)
 		}
-		if s.Recorder().Total() == 0 {
+		if s.Engine().Recorder().Total() == 0 {
 			t.Fatalf("m=%d n=%d: recorder attached but no events recorded", tc.m, tc.n)
 		}
 	}
@@ -220,7 +220,7 @@ func TestStepProfiledZeroAllocs(t *testing.T) {
 			t.Errorf("phase %s has %d observations, want one per sample (%d)", name, h.Count(), prof.Samples.Value())
 		}
 	}
-	acct := s.Recorder().Accounting()
+	acct := s.Engine().Recorder().Accounting()
 	if acct == nil || acct.Events() == 0 {
 		t.Fatal("accounting table attached but consumed no events")
 	}

@@ -117,7 +117,7 @@ func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
 		s.plane.Commit(d)
 		return d, nil
 
-	case admission.OpLeave, admission.OpFinish:
+	case admission.OpLeave:
 		ts, ok := s.tasks[req.Name]
 		if !ok {
 			return admission.Decision{}, s.plane.Reject(req.Op,

@@ -76,14 +76,6 @@ type Miss struct {
 	FinishedAt int64
 }
 
-// Lateness returns how late the job finished, or −1 if it never did.
-func (m Miss) Lateness() int64 {
-	if m.FinishedAt < 0 {
-		return -1
-	}
-	return m.FinishedAt - m.Deadline
-}
-
 // Stats aggregates counters over a run.
 type Stats struct {
 	Jobs            int64 // jobs released
@@ -235,6 +227,8 @@ func (s *Simulator) MeasureOverhead(on bool) { s.measure = on }
 // dispatches, preemptions, and deadline misses are emitted on the single
 // processor lane 0; Event.Slot carries the simulator's abstract time
 // units. Tasks added before and after the call are registered alike.
+//
+//pfair:keep test seam: edf, rm and engine tests attach a recorder after construction
 func (s *Simulator) SetRecorder(rec *obs.Recorder) {
 	s.eng.Observe(rec, s.eng.Metrics())
 	s.rec = rec
@@ -245,9 +239,6 @@ func (s *Simulator) SetRecorder(rec *obs.Recorder) {
 		}
 	}
 }
-
-// Recorder returns the attached trace recorder, or nil.
-func (s *Simulator) Recorder() *obs.Recorder { return s.rec }
 
 func (s *Simulator) registerObs(ts *tstate) {
 	if s.rec == nil {

@@ -326,13 +326,3 @@ func TestMeasureOverhead(t *testing.T) {
 		t.Fatal("no scheduling time recorded")
 	}
 }
-
-// TestLatenessAccessor covers the Miss helper.
-func TestLatenessAccessor(t *testing.T) {
-	if (Miss{Deadline: 10, FinishedAt: 13}).Lateness() != 3 {
-		t.Error("Lateness mismatch")
-	}
-	if (Miss{Deadline: 10, FinishedAt: -1}).Lateness() != -1 {
-		t.Error("unfinished Lateness should be -1")
-	}
-}

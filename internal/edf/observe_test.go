@@ -64,8 +64,8 @@ func TestSimulatorRecorder(t *testing.T) {
 	if counts[obs.EvMiss] == 0 {
 		t.Error("overrun workload produced no miss events")
 	}
-	if s.Recorder() != rec {
-		t.Error("Recorder() accessor mismatch")
+	if s.Engine().Recorder() != rec {
+		t.Error("SetRecorder did not attach the recorder to the engine")
 	}
 
 	// Attaching after Add must register the already-added tasks too.

@@ -21,13 +21,13 @@
 //
 //   - slot-driven policies (core, sim global, wrr, supertask) return
 //     t+1 from Next and do all their work once per slot;
-//   - event-driven policies (edf, rm, sim varquanta) return the time of
-//     their next release/completion event, so the engine skips idle
-//     spans in O(1). Next may return t itself to request an immediate
-//     re-invocation at the same instant (the EDF constant-bandwidth
-//     server needs this when a zero-budget head job is dispatched); the
-//     engine bounds such zero-advance streaks to catch livelocked
-//     policies deterministically.
+//   - event-driven policies (edf.Simulator under its EDF or RM rule,
+//     sim varquanta) return the time of their next release/completion
+//     event, so the engine skips idle spans in O(1). Next may return t
+//     itself to request an immediate re-invocation at the same instant
+//     (the EDF constant-bandwidth server needs this when a zero-budget
+//     head job is dispatched); the engine bounds such zero-advance
+//     streaks to catch livelocked policies deterministically.
 //
 // Allocation discipline: the engine allocates nothing after New — Step is
 // annotated //pfair:hotpath and holds only field reads, interface calls,
@@ -160,11 +160,15 @@ type Option func(*Engine)
 // WithRecorder attaches a trace recorder (nil = unobserved). This is the
 // single attachment point that replaced the per-simulator *Observed entry
 // points: every policy reads the recorder from its engine at bind time.
+//
+//pfair:keep test seam: the engine goldens and the sim, wrr, supertask and obs tests attach recorders through it
 func WithRecorder(rec *obs.Recorder) Option {
 	return func(e *Engine) { e.rec = rec }
 }
 
 // WithMetrics attaches a metrics block (nil = unobserved).
+//
+//pfair:keep test seam: engine and wrr tests attach a metrics block through it
 func WithMetrics(met *obs.SchedulerMetrics) Option {
 	return func(e *Engine) { e.met = met }
 }
@@ -243,6 +247,8 @@ func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 func (e *Engine) Metrics() *obs.SchedulerMetrics { return e.met }
 
 // Profiler returns the attached phase profiler, or nil.
+//
+//pfair:keep test seam: engine and core tests read the attached phase profiler
 func (e *Engine) Profiler() *obs.PhaseProfiler { return e.prof }
 
 // Observe swaps the observability attachment (either may be nil).
@@ -336,8 +342,8 @@ func (e *Engine) livelock(t int64) {
 // beyond the horizon are not simulated; if the policy's final Next
 // overshoots, the clock is clamped to the horizon so a later Run resumes
 // exactly where this one stopped. Event-driven simulators that must
-// process events landing exactly on the horizon (edf, rm) do so in their
-// own wrappers after Run returns.
+// process events landing exactly on the horizon (edf.Simulator, under
+// either rule) do so in their own wrappers after Run returns.
 //
 // Run returns a non-nil error — a *LivelockError — when the policy
 // exceeds the zero-advance bound; the error is sticky, so a subsequent

@@ -22,5 +22,5 @@ func runQuantaObserved(vts []sim.VQTask, m int, q, horizon int64, mode sim.Quant
 }
 
 func runFaults(sc faults.Scenario, shed bool) (faults.Outcome, error) {
-	return faults.Run(sc, shed)
+	return faults.NewDriver().Run(sc, shed)
 }

@@ -147,13 +147,6 @@ func (d *Driver) Run(s Scenario, shed bool) (Outcome, error) {
 	return out, nil
 }
 
-// Run executes the scenario under PD² on a throwaway driver. When shed
-// is true and the survivors cannot carry the full load, non-critical
-// tasks are reweighted down proportionally until the system fits.
-func Run(s Scenario, shed bool) (Outcome, error) {
-	return NewDriver().Run(s, shed)
-}
-
 // shedPlan computes new (cost, period) pairs for non-critical tasks so
 // that critical weight + shed non-critical weight fits on the survivors.
 // Each non-critical task keeps its period and has its cost scaled by the

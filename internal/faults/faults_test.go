@@ -26,7 +26,7 @@ func TestTransparentFailure(t *testing.T) {
 			crit("c1", 2, 3), task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 3), task.MustNew("n3", 1, 3),
 		}, // Σwt = 2 = M − K
 	}
-	out, err := Run(sc, true)
+	out, err := NewDriver().Run(sc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestOverloadWithShedding(t *testing.T) {
 			task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 2), task.MustNew("n3", 1, 3),
 		}, // Σwt = 1/3+1/4+2/3+1/2+1/3 ≈ 2.08 → overload on 2 survivors
 	}
-	out, err := Run(sc, true)
+	out, err := NewDriver().Run(sc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestOverloadWithoutShedding(t *testing.T) {
 			task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 2), task.MustNew("n3", 1, 3),
 		},
 	}
-	out, err := Run(sc, false)
+	out, err := NewDriver().Run(sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSheddingPlanFits(t *testing.T) {
 }
 
 func TestRunRejectsFullFailure(t *testing.T) {
-	if _, err := Run(Scenario{M: 2, Fail: 2, Tasks: task.Set{task.MustNew("a", 1, 2)}, Horizon: 10}, false); err == nil {
+	if _, err := NewDriver().Run(Scenario{M: 2, Fail: 2, Tasks: task.Set{task.MustNew("a", 1, 2)}, Horizon: 10}, false); err == nil {
 		t.Error("failing every processor accepted")
 	}
 }
@@ -145,7 +145,7 @@ func TestDriverReuseMatchesFreshRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		want, err := Run(v.sc, v.shed)
+		want, err := NewDriver().Run(v.sc, v.shed)
 		if err != nil {
 			t.Fatalf("fresh run %d: %v", i, err)
 		}

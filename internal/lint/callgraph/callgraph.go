@@ -302,7 +302,7 @@ func (b *builder) markCallPositions() {
 				if !ok {
 					return true
 				}
-				if id := calleeIdent(call.Fun); id != nil {
+				if id := CalleeIdent(call.Fun); id != nil {
 					b.callFunIdents[id] = true
 				}
 				return true
@@ -311,19 +311,19 @@ func (b *builder) markCallPositions() {
 	}
 }
 
-// calleeIdent unwraps a call's Fun to the identifier naming what is
+// CalleeIdent unwraps a call's Fun to the identifier naming what is
 // invoked: the Ident itself, a selector's Sel, or the same through a
 // generic instantiation's index expression.
-func calleeIdent(fun ast.Expr) *ast.Ident {
+func CalleeIdent(fun ast.Expr) *ast.Ident {
 	switch f := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		return f
 	case *ast.SelectorExpr:
 		return f.Sel
 	case *ast.IndexExpr:
-		return calleeIdent(f.X)
+		return CalleeIdent(f.X)
 	case *ast.IndexListExpr:
-		return calleeIdent(f.X)
+		return CalleeIdent(f.X)
 	}
 	return nil
 }
@@ -347,7 +347,7 @@ func (b *builder) markAddressTaken() {
 			if selection.Kind() != types.MethodVal || b.callFunIdents[sel.Sel] {
 				continue
 			}
-			if iface := interfaceOf(selection.Recv()); iface != nil {
+			if iface := InterfaceOf(selection.Recv()); iface != nil {
 				for _, impl := range b.implementations(iface, sel.Sel.Name) {
 					b.markTaken(impl)
 				}
@@ -362,7 +362,7 @@ func (b *builder) markTaken(fn *types.Func) {
 	// An interface method object itself has no body; mark loaded
 	// implementations so dynamic calls can reach them.
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if iface := interfaceOf(sig.Recv().Type()); iface != nil {
+		if iface := InterfaceOf(sig.Recv().Type()); iface != nil {
 			for _, impl := range b.implementations(iface, fn.Name()) {
 				b.ensureNode(impl).AddressTaken = true
 			}
@@ -382,9 +382,9 @@ func (b *builder) ensureNode(fn *types.Func) *Node {
 	return n
 }
 
-// interfaceOf returns t's underlying interface, unwrapping one pointer,
+// InterfaceOf returns t's underlying interface, unwrapping one pointer,
 // or nil.
-func interfaceOf(t types.Type) *types.Interface {
+func InterfaceOf(t types.Type) *types.Interface {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -576,7 +576,7 @@ func (b *builder) candidates(pkg *Package, e ast.Expr) ([]*types.Func, bool) {
 	case *ast.SelectorExpr:
 		if fn, ok := pkg.Info.Uses[e.Sel].(*types.Func); ok {
 			if sel, ok := pkg.Info.Selections[e]; ok && sel.Kind() == types.MethodVal {
-				if iface := interfaceOf(sel.Recv()); iface != nil {
+				if iface := InterfaceOf(sel.Recv()); iface != nil {
 					return b.implementations(iface, e.Sel.Name), true
 				}
 			}
@@ -630,7 +630,7 @@ func (b *builder) flowArgs(pkg *Package, call *ast.CallExpr) bool {
 	if tv, ok := pkg.Info.Types[ast.Unparen(call.Fun)]; ok && tv.IsType() {
 		return false
 	}
-	id := calleeIdent(call.Fun)
+	id := CalleeIdent(call.Fun)
 	if id == nil {
 		return false
 	}
@@ -685,7 +685,7 @@ func (b *builder) resolveCall(pkg *Package, caller *Node, call *ast.CallExpr) {
 	if tv, ok := pkg.Info.Types[fun]; ok && tv.IsType() {
 		return
 	}
-	if id := calleeIdent(fun); id != nil {
+	if id := CalleeIdent(fun); id != nil {
 		if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
 			return
 		}
@@ -693,7 +693,7 @@ func (b *builder) resolveCall(pkg *Package, caller *Node, call *ast.CallExpr) {
 	// Interface dispatch: a method call whose receiver is interface-typed.
 	if sel, ok := fun.(*ast.SelectorExpr); ok {
 		if selection, ok := pkg.Info.Selections[sel]; ok && selection.Kind() == types.MethodVal {
-			if iface := interfaceOf(selection.Recv()); iface != nil {
+			if iface := InterfaceOf(selection.Recv()); iface != nil {
 				for _, impl := range b.implementations(iface, sel.Sel.Name) {
 					b.addEdge(caller, impl, call, Interface)
 				}
@@ -709,7 +709,7 @@ func (b *builder) resolveCall(pkg *Package, caller *Node, call *ast.CallExpr) {
 		}
 	}
 	// Static: the callee identifier resolves to a *types.Func.
-	if id := calleeIdent(fun); id != nil {
+	if id := CalleeIdent(fun); id != nil {
 		if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
 			b.addEdge(caller, fn, call, Static)
 			return

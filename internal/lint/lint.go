@@ -16,10 +16,8 @@
 //     need an explicit justification.
 //   - errcheckrat: fallible rational/taskgen/partition results must not
 //     be silently discarded.
-//   - staleannot: every //pfair: annotation must still have its
-//     triggering construct; unknown directives are typos.
 //
-// Two more run over the whole loaded program and the call graph built
+// Four more run over the whole loaded program and the call graph built
 // by internal/lint/callgraph:
 //
 //   - hotclosure: the transitive closure of calls from //pfair:hotpath
@@ -29,6 +27,13 @@
 //   - floatflow: float64 taint followed interprocedurally into integer
 //     and rational state; a reasoned //pfair:allowfloat at the sink is
 //     an audited, sanitizing boundary.
+//   - reach: every function no root (main, init, pfair.go, the names
+//     perfbench selects, //pfair:keep <reason>) reaches is reported;
+//     interface calls reach a method only once its receiver type is
+//     instantiated in reached code (rapid type analysis).
+//   - staleannot: every //pfair: annotation must still have its
+//     triggering construct, a keep must still be needed; unknown
+//     directives are typos.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library
@@ -48,6 +53,9 @@
 //	                                laundering boundaries)
 //	//pfair:allowtime <reason>      permit wall-clock reads (measurement
 //	                                paths gated off during simulation)
+//	//pfair:keep <reason>           keep a function no root reaches (a
+//	                                paper claim's root, a test oracle, a
+//	                                seam other packages' tests drive)
 //
 // A line annotation covers its own source line and the line it
 // immediately precedes; the marker forms also apply to a whole function
@@ -125,6 +133,14 @@ type ProgramPass struct {
 
 	diags  *[]Diagnostic
 	passes map[*Package]*Pass
+	facts  *programFacts
+}
+
+// programFacts holds what the program analyzers of one RunAnalyzers
+// call compute once and share.
+type programFacts struct {
+	reach     *reachResult
+	reachDone bool
 }
 
 // Pass returns the per-package Pass for pkg, so program analyzers can

@@ -23,6 +23,8 @@ func TestAnalyzers(t *testing.T) {
 		{Analyzer: lint.ErrCheckRat, Pattern: "./testdata/src/errcheckrat"},
 		{Analyzer: lint.HotClosure, Pattern: "./testdata/src/hotclosure"},
 		{Analyzer: lint.FloatFlow, Pattern: "./testdata/src/floatflow"},
+		{Analyzer: lint.Reach, Pattern: "./testdata/src/reach"},
 		{Analyzer: lint.StaleAnnot, Pattern: "./testdata/src/staleannot"},
+		{Analyzer: lint.StaleAnnot, Pattern: "./testdata/src/keep"},
 	})
 }

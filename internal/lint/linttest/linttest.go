@@ -39,6 +39,8 @@ type Case struct {
 // type-checked standard library is shared across cases, which is what
 // makes running five analyzer suites affordable — then checks each
 // analyzer against its package in a subtest named after the analyzer.
+//
+//pfair:keep test seam: internal/lint's tests check every analyzer against its testdata through it
 func Run(t *testing.T, dir string, cases []Case) {
 	t.Helper()
 	patterns := make([]string, 0, len(cases))

@@ -24,6 +24,9 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+	// Module and ModuleDir are the path and root directory of the
+	// module the package belongs to ("" outside a module).
+	Module, ModuleDir string
 }
 
 // Load resolves the given go-list package patterns (e.g. "./...") in dir,
@@ -65,13 +68,14 @@ type listPackage struct {
 	Dir        string
 	Name       string
 	GoFiles    []string
+	Module     *struct{ Path, Dir string }
 }
 
 // goList shells out to the go command to expand patterns into package
 // metadata. Build-constraint filtering and module resolution are the go
 // command's; the loader only consumes the resulting file lists.
 func goList(dir string, patterns []string) ([]*listPackage, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles", "--"}, patterns...)
+	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Module", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -126,6 +130,9 @@ func (ld *loader) check(path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, err)
 	}
 	p := &Package{Path: path, Fset: ld.fset, Files: files, Pkg: tpkg, Info: info}
+	if m.Module != nil {
+		p.Module, p.ModuleDir = m.Module.Path, m.Module.Dir
+	}
 	ld.checked[path] = p
 	return p, nil
 }
@@ -193,6 +200,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	if len(program) > 0 {
 		graph := buildGraph(pkgs)
+		facts := &programFacts{}
 		var fset *token.FileSet
 		if len(pkgs) > 0 {
 			fset = pkgs[0].Fset
@@ -204,6 +212,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Pkgs:     pkgs,
 				Graph:    graph,
 				diags:    &diags,
+				facts:    facts,
 			})
 		}
 	}

@@ -18,6 +18,7 @@ var knownDirectives = map[string]string{
 	"orderinvariant": "map iteration",
 	"allowalloc":     "function that allocates (doc-comment form)",
 	"coldcall":       "call expression",
+	"keep":           "function no root reaches (doc-comment form)",
 }
 
 // StaleAnnot audits every //pfair: annotation in the program: a
@@ -38,6 +39,10 @@ var knownDirectives = map[string]string{
 //   - hotpath and allowalloc are whole-function markers: a line form
 //     attached to anything but a function's doc comment marks nothing
 //     and is reported;
+//   - keep is a whole-function marker too, and must carry a reason; a
+//     keep on a function that a real root (main, init, pfair.go,
+//     perfbench) already reaches is stale — the function no longer needs
+//     keeping, and the annotation would hide the day it does;
 //   - a //pfair: directive whose name is not in the grammar is reported
 //     (a typo like //pfair:allowpannic suppresses nothing silently).
 //
@@ -49,11 +54,28 @@ var knownDirectives = map[string]string{
 var StaleAnnot = &Analyzer{
 	Name: "staleannot",
 	Doc: "flag //pfair: annotations whose triggering construct no longer " +
-		"exists (dead suppressions) and directives outside the known grammar",
-	Run: runStaleAnnot,
+		"exists (dead suppressions, keeps on reached functions) and directives " +
+		"outside the known grammar",
+	RunProgram: runStaleAnnot,
 }
 
-func runStaleAnnot(pass *Pass) {
+func runStaleAnnot(pass *ProgramPass) {
+	for _, pkg := range pass.Pkgs {
+		staleInPackage(pass.Pass(pkg))
+	}
+	r := pass.reach()
+	if r == nil {
+		return
+	}
+	for _, n := range pass.Graph.DeclaredNodes() {
+		if r.roots[n] && funcHasDirective(n.Decl, "keep") {
+			pass.Reportf(n.Decl.Name.Pos(), "stale //pfair:keep on %s: a root already reaches it — remove the annotation", n.Name())
+		}
+	}
+}
+
+// staleInPackage audits the annotations of one package.
+func staleInPackage(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
@@ -80,7 +102,7 @@ func checkDirective(pass *Pass, file *ast.File, c *ast.Comment, group *ast.Comme
 		checkDocForm(pass, file, c, fd, name)
 		return
 	}
-	if name == "hotpath" || name == "allowalloc" {
+	if name == "hotpath" || name == "allowalloc" || name == "keep" {
 		pass.Reportf(c.Pos(), "//pfair:%s marks whole functions; attach it to the function's doc comment", name)
 		return
 	}
@@ -105,6 +127,10 @@ func checkDocForm(pass *Pass, file *ast.File, c *ast.Comment, fd *ast.FuncDecl, 
 		}
 	case "coldcall":
 		pass.Reportf(c.Pos(), "//pfair:coldcall applies to call lines, not whole functions; annotate the cold call site itself")
+	case "keep":
+		if !funcDirectiveReason(fd, "keep") {
+			pass.Reportf(fd.Name.Pos(), "//pfair:keep on %s needs a reason naming the claim, oracle or seam it serves", fd.Name.Name)
+		}
 	default:
 		if fd.Body == nil {
 			pass.Reportf(c.Pos(), "stale //pfair:%s: the function has no body", name)

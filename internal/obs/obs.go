@@ -175,6 +175,8 @@ func (r *Recorder) SetAccounting(acct *Accounting) {
 }
 
 // Accounting returns the attached accounting table, or nil.
+//
+//pfair:keep test seam: core's accounting tests read the per-task table through it
 func (r *Recorder) Accounting() *Accounting { return r.acct }
 
 // RegisterTask associates a task id (assigned by the scheduler) with a
@@ -210,6 +212,8 @@ func (r *Recorder) TaskName(id int32) string {
 }
 
 // TaskIDs returns every registered task id in ascending order.
+//
+//pfair:keep test seam: obs and core tests map task names to recorder ids
 func (r *Recorder) TaskIDs() []int32 {
 	ids := make([]int32, 0, len(r.names))
 	for id := range r.names {

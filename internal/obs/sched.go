@@ -27,8 +27,8 @@ type SchedulerMetrics struct {
 	TieBreakGroup *Counter
 
 	// Joins, Leaves, and Reweights count transactions the admission
-	// plane accepted (Plane.Commit), by operation — OpFinish folds into
-	// Leaves; AdmissionRejects counts the refused ones (Plane.Reject).
+	// plane accepted (Plane.Commit), by operation; AdmissionRejects
+	// counts the refused ones (Plane.Reject).
 	// All are cold-path: they move only when a dynamic operation is
 	// submitted, never per slot.
 	Joins            *Counter

@@ -234,6 +234,8 @@ func MinProcessorsExact(set task.Set, accept AcceptanceTest) (int, bool) {
 // with umax = 1 it degenerates to the (m+1)/2 worst case of Section 3.
 // A umax outside (0, 1] — reachable from generated task parameters, e.g.
 // the maximum utilization of an empty set — is reported as an error.
+//
+//pfair:keep §3 bound claim: TestLopezBound checks the (βM+1)/(β+1) utilization bound (DESIGN.md §3)
 func LopezBound(m int, umax rational.Rat) (rational.Rat, error) {
 	if m < 1 {
 		return rational.Zero(), fmt.Errorf("partition: LopezBound needs m ≥ 1, got %d", m)

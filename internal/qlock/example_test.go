@@ -6,21 +6,6 @@ import (
 	"pfair/internal/qlock"
 )
 
-// ExampleDeferral shows the Section 5.1 rule: a critical section that
-// cannot complete before the quantum boundary is deferred to the task's
-// next quantum.
-func ExampleDeferral() {
-	const quantum = 1000 // µs
-	// 40 µs section requested 30 µs into the quantum: fits, no delay.
-	fmt.Println(qlock.Deferral(30, 40, quantum))
-	// Same section requested 980 µs in: cannot finish by the boundary,
-	// so it waits the remaining 20 µs and runs at the next quantum start.
-	fmt.Println(qlock.Deferral(980, 40, quantum))
-	// Output:
-	// 0
-	// 20
-}
-
 // ExampleRetryBound gives the lock-free retry bound on a four-processor
 // system where each processor commits at most one interfering operation
 // per window.

@@ -20,29 +20,11 @@
 // discrete simulator that verifies both against brute-force interleaving.
 package qlock
 
-import "fmt"
-
 // FitsInQuantum reports whether a critical section of the given length,
 // started at the given offset inside a quantum of size q, completes at or
 // before the boundary.
 func FitsInQuantum(offset, length, q int64) bool {
 	return offset >= 0 && length > 0 && offset+length <= q
-}
-
-// Deferral returns how long a request issued at the given offset must wait
-// before entering a critical section of the given length: zero if it fits
-// in the current quantum, otherwise the time to the boundary (the section
-// starts at offset 0 of the task's next quantum). It panics if the section
-// can never fit (length > q).
-func Deferral(offset, length, q int64) int64 {
-	if length > q {
-		//pfair:allowpanic analysis precondition, per the doc comment: such a section deadlocks by definition
-		panic(fmt.Sprintf("qlock: section of length %d can never fit in quantum %d", length, q))
-	}
-	if FitsInQuantum(offset, length, q) {
-		return 0
-	}
-	return q - offset
 }
 
 // MaxDeferral returns the worst-case deferral for sections up to csMax
@@ -74,6 +56,8 @@ func MaxBlocking(m int, csMax int64) int64 {
 // completes at most opsPerWindow interfering operations during the
 // operation's window, the operation succeeds within (m−1)·opsPerWindow + 1
 // attempts.
+//
+//pfair:keep §5.1 lock-free claim: retries are bounded by (m−1)·k+1 under Pfair synchrony (DESIGN.md §3)
 func RetryBound(m int, opsPerWindow int64) int64 {
 	if m < 1 || opsPerWindow < 0 {
 		//pfair:allowpanic analysis precondition: parameters are static configuration values
@@ -89,6 +73,8 @@ func RetryBound(m int, opsPerWindow int64) int64 {
 // tick), so an attempt fails exactly when another processor committed
 // in between. It returns the number of attempts each processor needed;
 // the maximum is RetryBound(m, 1) = m, achieved by the last processor.
+//
+//pfair:keep §5.1 lock-free claim: the simulation TestSimulateLockFree checks RetryBound against (DESIGN.md §3)
 func SimulateLockFree(m int) []int64 {
 	attempts := make([]int64, m)
 	done := make([]bool, m)
@@ -144,6 +130,8 @@ type ProcResult struct {
 // start of critical sections that are not guaranteed to complete by the
 // quantum boundary"). A request that fits but gets queued behind other
 // holders re-checks the rule when it reaches the head of the queue.
+//
+//pfair:keep oracle: the brute-force lock simulation MaxBlocking and MaxDeferral are tested against
 func SimulateQuantum(scripts [][]Request, q int64) []ProcResult {
 	m := len(scripts)
 	results := make([]ProcResult, m)
@@ -183,7 +171,7 @@ func SimulateQuantum(scripts [][]Request, q int64) []ProcResult {
 			}
 			end := start + r.Length
 			if end > q {
-				//pfair:allowpanic invariant: Deferral already pushed the section into a fresh quantum
+				//pfair:allowpanic invariant: the FitsInQuantum check above already pushed the section into a fresh quantum
 				panic("qlock: invariant violated — lock held across the boundary")
 			}
 			held[r.Lock] = end

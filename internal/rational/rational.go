@@ -282,15 +282,6 @@ func (r Rat) String() string {
 	return fmt.Sprintf("%d/%d", r.num, r.den)
 }
 
-// Sum returns the sum of rs, or zero for an empty slice.
-func Sum(rs []Rat) Rat {
-	total := Zero()
-	for _, r := range rs {
-		total = total.Add(r)
-	}
-	return total
-}
-
 // CeilDiv returns ⌈a/b⌉ for b > 0, exact for all int64 a.
 //
 //pfair:hotpath

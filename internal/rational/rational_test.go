@@ -182,16 +182,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	rs := []Rat{New(1, 2), New(1, 3), New(1, 6)}
-	if got := Sum(rs); got.Cmp(One()) != 0 {
-		t.Errorf("Sum = %v, want 1", got)
-	}
-	if got := Sum(nil); !got.IsZero() {
-		t.Errorf("Sum(nil) = %v, want 0", got)
-	}
-}
-
 // randRat generates rationals with moderate components so quick-check
 // arithmetic cannot overflow even after a few combined operations.
 func randRat(r *rand.Rand) Rat {

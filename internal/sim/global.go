@@ -258,6 +258,8 @@ func (g *globalSim) Finish(horizon int64) {
 // Dhall-effect runs export to the same Perfetto timeline as the Pfair
 // schedulers. Task ids are the indices into set. (This replaces the former
 // RunGlobalObserved twin.)
+//
+//pfair:keep §1 Dhall claim: TestDhallEffect runs global EDF and RM through it (DESIGN.md §3)
 func RunGlobal(set task.Set, m int, pol Policy, horizon int64, opts ...engine.Option) GlobalStats {
 	g := newGlobalSim(set, m, pol)
 	eng := engine.New(g, opts...)
@@ -274,6 +276,8 @@ func RunGlobal(set task.Set, m int, pol Policy, horizon int64, opts ...engine.Op
 // m light tasks of utilization 1/light and one heavy task of utilization
 // just under one. Its total utilization is ≈ m/light + 1, far below m, yet
 // global EDF and RM both miss the heavy task's deadlines.
+//
+//pfair:keep §1 Dhall claim: the M light + 1 heavy task set TestDhallEffect schedules (DESIGN.md §3)
 func DhallSet(m int, light int64) task.Set {
 	set := make(task.Set, 0, m+1)
 	for i := 0; i < m; i++ {
@@ -286,6 +290,8 @@ func DhallSet(m int, light int64) task.Set {
 
 // MaxLateness returns the largest completion lateness implied by the
 // misses (for reporting; unfinished jobs count as at least one slot late).
+//
+//pfair:keep §1 Dhall claim: the lateness TestDhallEffect reports (DESIGN.md §3)
 func (g GlobalStats) MaxLateness(horizon int64) int64 {
 	max := int64(math.MinInt64)
 	if len(g.Misses) == 0 {

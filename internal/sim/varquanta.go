@@ -322,6 +322,8 @@ func (v *vqSim) Finish(horizon int64) {
 // in B, making quantum drift under Variable mode directly visible on the
 // timeline. Task ids are the indices into tasks. (This replaces the
 // former RunQuantaObserved twin.)
+//
+//pfair:keep §4 open-problem claim: TestVariableQuantaMisses shows variable-length quanta miss deadlines (DESIGN.md §3)
 func RunQuanta(tasks []VQTask, m int, quantum, horizon int64, mode QuantumMode, opts ...engine.Option) VQResult {
 	v := newVQSim(tasks, m, quantum, mode)
 	eng := engine.New(v, opts...)

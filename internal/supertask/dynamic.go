@@ -65,7 +65,7 @@ func JoinRequest(st *Supertask, reweighted bool) (admission.Request, error) {
 
 // Submit implements engine.Dynamic. Supertask joins (Model carrying a
 // supertask Model) are admitted as a bundle; every other request —
-// ordinary task joins, leaves, reweights, finishes, by either kind of
+// ordinary task joins, leaves and reweights, by either kind of
 // name — is forwarded to the underlying scheduler's admission plane,
 // with supertask-level bookkeeping layered on its decision. Structural
 // errors detected before the scheduler is consulted (a duplicate
@@ -90,7 +90,7 @@ func (sys *System) Submit(req admission.Request) (admission.Decision, error) {
 		return d, err
 	}
 	switch req.Op {
-	case admission.OpLeave, admission.OpFinish:
+	case admission.OpLeave:
 		if ss, ok := sys.supers[req.Name]; ok {
 			ss.leaveAt = d.EffectiveAt
 		}

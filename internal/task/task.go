@@ -14,8 +14,9 @@
 //     subtasks within a job, generalizing the sporadic model (Section 2).
 //
 // Only the release pattern differs; cost, period, and weight are common, so
-// they live here and the pattern-specific behaviour lives with each
-// scheduler.
+// they live here. The release pattern lives with the scheduler: a
+// core.ReleaseModel (nil for periodic, core.SporadicModel, or any IS
+// model) given at join time.
 package task
 
 import (
@@ -27,31 +28,6 @@ import (
 	"pfair/internal/rational"
 )
 
-// Kind identifies a task's release pattern.
-type Kind int
-
-const (
-	// Periodic tasks release jobs exactly Period apart.
-	Periodic Kind = iota
-	// Sporadic tasks release jobs at least Period apart.
-	Sporadic
-	// IntraSporadic tasks allow sporadic separation between subtasks
-	// within a job (the IS model of Section 2).
-	IntraSporadic
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Periodic:
-		return "periodic"
-	case Sporadic:
-		return "sporadic"
-	case IntraSporadic:
-		return "intra-sporadic"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Task is a recurrent real-time task. Tasks are immutable once created;
 // schedulers keep their own mutable per-task state.
 type Task struct {
@@ -61,8 +37,6 @@ type Task struct {
 	Cost int64
 	// Period is the (exact or minimum) separation p between job releases.
 	Period int64
-	// Kind is the release pattern; the zero value is Periodic.
-	Kind Kind
 	// Critical marks tasks that must keep their full rate under overload
 	// reweighting (Section 5.4). Purely advisory metadata.
 	Critical bool

@@ -123,15 +123,6 @@ func TestSorts(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if Periodic.String() != "periodic" || Sporadic.String() != "sporadic" || IntraSporadic.String() != "intra-sporadic" {
-		t.Error("Kind.String mismatch")
-	}
-	if Kind(42).String() != "Kind(42)" {
-		t.Error("unknown Kind.String mismatch")
-	}
-}
-
 // TestQuickTotalWeightMatchesFloat cross-checks the exact rational total
 // against float accumulation on random sets.
 func TestQuickTotalWeightMatchesFloat(t *testing.T) {

@@ -211,6 +211,8 @@ func GPSTimes(flows []Flow, packets []Packet) (starts, finishes []float64, err e
 }
 
 // GPSFinishTimes returns only the fluid completion times.
+//
+//pfair:keep oracle: the fluid GPS finish times the WFQ and WF²Q finish bounds are tested against
 func GPSFinishTimes(flows []Flow, packets []Packet) ([]float64, error) {
 	_, fin, err := GPSTimes(flows, packets)
 	return fin, err

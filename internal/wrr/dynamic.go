@@ -99,7 +99,7 @@ func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
 		s.plane.Commit(d)
 		return d, nil
 
-	case admission.OpLeave, admission.OpFinish:
+	case admission.OpLeave:
 		w := s.find(req.Name)
 		if w == nil {
 			return admission.Decision{}, s.plane.Reject(req.Op,
