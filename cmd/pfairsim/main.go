@@ -219,17 +219,14 @@ func main() {
 		acct.Finalize(horizon)
 	}
 
-	names := make([]string, len(set))
-	for i, t := range set {
-		names[i] = t.Name
-	}
 	fmt.Printf("%s on %d processor(s), %d slots (digits = processor):\n", alg, *m, horizon)
 	to := horizon
 	if to > 120 {
 		to = 120
 		fmt.Printf("(showing first %d slots)\n", to)
 	}
-	fmt.Print(trace.Schedule(rec.Slots, 0, to, names...))
+	// No task departs, so Tasks() lists every task id's name in id order.
+	fmt.Print(trace.Schedule(rec.Slots, 0, to, s.Tasks()))
 
 	st := s.Stats()
 	fmt.Printf("\nallocations=%d context-switches=%d preemptions=%d migrations=%d misses=%d\n",
@@ -239,7 +236,7 @@ func main() {
 			fmt.Printf("  … %d more\n", len(st.Misses)-10)
 			break
 		}
-		fmt.Printf("  miss: %s subtask %d deadline %d scheduled %d\n", miss.Task, miss.Subtask, miss.Deadline, miss.ScheduledAt)
+		fmt.Printf("  miss: %s subtask %d deadline %d scheduled %d\n", s.Name(miss.Task), miss.Subtask, miss.Deadline, miss.ScheduledAt)
 	}
 
 	if *taskstats {

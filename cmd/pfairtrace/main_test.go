@@ -130,7 +130,7 @@ func TestMissWindowNamesTask(t *testing.T) {
 	if len(traced) == 0 {
 		t.Fatal("EPDF counterexample no longer misses; test needs a new workload")
 	}
-	wantTask := traced[0].Task
+	wantTask := s.Name(traced[0].Task)
 
 	rep, err := report(data)
 	if err != nil {

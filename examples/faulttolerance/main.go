@@ -6,15 +6,18 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pfair/internal/edf"
 	"pfair/internal/faults"
 	"pfair/internal/task"
 )
 
-func main() {
+func run(w io.Writer) error {
 	crit := func(name string, e, p int64) *task.Task {
 		t := task.MustNew(name, e, p)
 		t.Critical = true
@@ -36,15 +39,15 @@ func main() {
 		},
 	}, true)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("Scenario 1: 2 of 4 processors fail at t=100, Σwt = 2 ≤ M−K.")
-	fmt.Printf("  reweighted: %v, misses before/critical/non-critical: %d/%d/%d\n",
+	fmt.Fprintln(w, "Scenario 1: 2 of 4 processors fail at t=100, Σwt = 2 ≤ M−K.")
+	fmt.Fprintf(w, "  reweighted: %v, misses before/critical/non-critical: %d/%d/%d\n",
 		out1.Names(), out1.MissesBefore, out1.CriticalMissesAfterSettle, out1.NonCriticalMisses)
 	if out1.CriticalMissesAfterSettle+out1.NonCriticalMisses+out1.MissesBefore != 0 {
-		log.Fatal("transparent failure was not transparent")
+		return errors.New("transparent failure was not transparent")
 	}
-	fmt.Println("  → the loss was absorbed transparently, as the paper predicts.")
+	fmt.Fprintln(w, "  → the loss was absorbed transparently, as the paper predicts.")
 
 	// Scenario 2: overload. 1 of 3 processors fails under Σwt ≈ 2.08;
 	// non-critical tasks are reweighted down so critical tasks survive.
@@ -57,20 +60,20 @@ func main() {
 	}
 	out2, err := drv.Run(sc, true)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nScenario 2: 1 of 3 processors fails under Σwt ≈ 2.08 → overload on 2.")
-	fmt.Printf("  shed plan (new cost/period): ")
+	fmt.Fprintln(w, "\nScenario 2: 1 of 3 processors fails under Σwt ≈ 2.08 → overload on 2.")
+	fmt.Fprintf(w, "  shed plan (new cost/period): ")
 	for _, n := range out2.Names() {
 		ep := out2.Reweighted[n]
-		fmt.Printf("%s→%d/%d ", n, ep[0], ep[1])
+		fmt.Fprintf(w, "%s→%d/%d ", n, ep[0], ep[1])
 	}
-	fmt.Printf("\n  critical misses after settling: %d, non-critical (transient): %d\n",
+	fmt.Fprintf(w, "\n  critical misses after settling: %d, non-critical (transient): %d\n",
 		out2.CriticalMissesAfterSettle, out2.NonCriticalMisses)
 	if out2.CriticalMissesAfterSettle != 0 {
-		log.Fatal("critical tasks were not protected")
+		return errors.New("critical tasks were not protected")
 	}
-	fmt.Println("  → graceful degradation: critical tasks kept their full rates.")
+	fmt.Fprintln(w, "  → graceful degradation: critical tasks kept their full rates.")
 
 	// Contrast: EDF under the same relative overload on one processor.
 	sim := edf.NewSimulator()
@@ -80,7 +83,7 @@ func main() {
 		{Task: task.MustNew("video", 2, 3)},
 	} {
 		if err := sim.Add(cfg); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	sim.Run(3000)
@@ -88,8 +91,15 @@ func main() {
 	for _, m := range sim.Stats().Misses {
 		missed[m.Task]++
 	}
-	fmt.Printf("\nContrast — plain EDF at utilization %.2f on one processor misses per task: %v\n",
+	fmt.Fprintf(w, "\nContrast — plain EDF at utilization %.2f on one processor misses per task: %v\n",
 		1.0/3+1.0/4+2.0/3, missed)
-	fmt.Println("EDF under overload harms arbitrary tasks (Section 5.4: \"EDF has been shown to perform")
-	fmt.Println("poorly under overload\"); Pfair reweighting chooses who slows down.")
+	fmt.Fprintln(w, "EDF under overload harms arbitrary tasks (Section 5.4: \"EDF has been shown to perform")
+	fmt.Fprintln(w, "poorly under overload\"); Pfair reweighting chooses who slows down.")
+	return nil
+}
+
+func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -17,15 +17,18 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pfair"
 	"pfair/internal/edf"
 	"pfair/internal/task"
 )
 
-func main() {
+func run(w io.Writer) error {
 	const horizon = 4000 // ms
 
 	apps := []*task.Task{
@@ -45,25 +48,23 @@ func main() {
 
 	// 1. Plain EDF.
 	plain := edf.NewSimulator()
-	mustAdd(plain, edf.Config{Task: handler, ActualCost: flood})
-	for _, a := range apps {
-		mustAdd(plain, edf.Config{Task: a})
+	if err := addAll(plain, edf.Config{Task: handler, ActualCost: flood}, apps); err != nil {
+		return err
 	}
 	plain.Run(horizon)
-	fmt.Printf("EDF, no isolation:   misses per task = %v\n", victimMisses(plain.Stats()))
+	fmt.Fprintf(w, "EDF, no isolation:   misses per task = %v\n", victimMisses(plain.Stats()))
 
 	// 2. EDF with a CBS around the handler.
 	served := edf.NewSimulator()
-	mustAdd(served, edf.Config{
+	if err := addAll(served, edf.Config{
 		Task: handler, ActualCost: flood,
 		Server: &edf.CBS{Budget: 2, Period: 10},
-	})
-	for _, a := range apps {
-		mustAdd(served, edf.Config{Task: a})
+	}, apps); err != nil {
+		return err
 	}
 	served.Run(horizon)
 	st := served.Stats()
-	fmt.Printf("EDF + CBS:           misses per task = %v (handler deadline postponements: %d)\n",
+	fmt.Fprintf(w, "EDF + CBS:           misses per task = %v (handler deadline postponements: %d)\n",
 		victimMisses(st), st.Postponements)
 
 	// 3. PD²: the handler is admitted at weight 2/10 and structurally
@@ -72,31 +73,47 @@ func main() {
 	s := pfair.NewScheduler(1, pfair.PD2, pfair.Options{})
 	for _, t := range append([]*task.Task{handler}, apps...) {
 		if err := s.Join(t); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
+	// The handler joined first, so its task id is 0.
+	const handlerID = 0
 	handlerQuanta := int64(0)
 	s.OnSlot(func(tt int64, assigned []pfair.Assignment) {
 		for _, a := range assigned {
-			if a.Task == "net-rx" {
+			if a.Task == handlerID {
 				handlerQuanta++
 			}
 		}
 	})
 	s.RunUntil(horizon)
 	s.FinishMisses(horizon)
-	fmt.Printf("PD²:                 misses = %d; net-rx received %d/%d ms — exactly its 2/10 share\n",
+	fmt.Fprintf(w, "PD²:                 misses = %d; net-rx received %d/%d ms — exactly its 2/10 share\n",
 		len(s.Stats().Misses), handlerQuanta, horizon)
 
 	if len(s.Stats().Misses) != 0 {
-		log.Fatal("PD² isolation failed")
+		return errors.New("PD² isolation failed")
 	}
-	fmt.Println("\nFairness provides temporal isolation by construction; EDF needs an")
-	fmt.Println("added mechanism (CBS) to get the same guarantee.")
+	fmt.Fprintln(w, "\nFairness provides temporal isolation by construction; EDF needs an")
+	fmt.Fprintln(w, "added mechanism (CBS) to get the same guarantee.")
+	return nil
 }
 
-func mustAdd(s *edf.Simulator, cfg edf.Config) {
-	if err := s.Add(cfg); err != nil {
+// addAll adds the handler's configuration, then each application task.
+func addAll(s *edf.Simulator, handler edf.Config, apps []*task.Task) error {
+	if err := s.Add(handler); err != nil {
+		return err
+	}
+	for _, a := range apps {
+		if err := s.Add(edf.Config{Task: a}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func main() {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

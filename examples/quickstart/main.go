@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pfair"
 	"pfair/internal/partition"
@@ -15,7 +17,7 @@ import (
 	"pfair/internal/verify"
 )
 
-func main() {
+func run(w io.Writer) error {
 	set := pfair.Set{
 		pfair.MustNewTask("A", 2, 3),
 		pfair.MustNewTask("B", 2, 3),
@@ -24,9 +26,9 @@ func main() {
 
 	// Partitioning fails: even the exact bin-packer needs 3 processors.
 	exact, _ := partition.MinProcessorsExact(set, partition.EDFTest)
-	fmt.Printf("Total weight: %s → %d processors suffice for Pfair scheduling.\n",
+	fmt.Fprintf(w, "Total weight: %s → %d processors suffice for Pfair scheduling.\n",
 		set.TotalWeight(), set.MinProcessors())
-	fmt.Printf("Exact partitioning needs %d processors — partitioning is inherently suboptimal.\n\n", exact)
+	fmt.Fprintf(w, "Exact partitioning needs %d processors — partitioning is inherently suboptimal.\n\n", exact)
 
 	// PD² on two processors.
 	s := pfair.NewScheduler(2, pfair.PD2, pfair.Options{})
@@ -34,21 +36,29 @@ func main() {
 	s.OnSlot(rec.Record)
 	for _, t := range set {
 		if err := s.Join(t); err != nil {
-			log.Fatalf("admitting %v: %v", t, err)
+			return fmt.Errorf("admitting %v: %w", t, err)
 		}
 	}
 	const horizon = 3000
 	s.RunUntil(horizon)
 	s.FinishMisses(horizon)
 
-	fmt.Println("PD² schedule, first four hyperperiods (digits = processor):")
-	fmt.Print(trace.Schedule(rec.Slots, 0, 12, "A", "B", "C"))
+	fmt.Fprintln(w, "PD² schedule, first four hyperperiods (digits = processor):")
+	// The set joined in order, so row i is task id i.
+	fmt.Fprint(w, trace.Schedule(rec.Slots, 0, 12, []string{"A", "B", "C"}))
 
 	st := s.Stats()
-	fmt.Printf("\nOver %d slots: %d allocations, %d context switches, %d migrations, %d preemptions, %d misses.\n",
+	fmt.Fprintf(w, "\nOver %d slots: %d allocations, %d context switches, %d migrations, %d preemptions, %d misses.\n",
 		horizon, st.Allocations, st.ContextSwitches, st.Migrations, st.Preemptions, len(st.Misses))
 
 	lagA, _ := s.Lag("A")
-	fmt.Printf("Exact lag of A at t=%d: %s (the Pfair invariant keeps every lag in (−1, 1)).\n",
+	fmt.Fprintf(w, "Exact lag of A at t=%d: %s (the Pfair invariant keeps every lag in (−1, 1)).\n",
 		horizon, lagA)
+	return nil
+}
+
+func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -11,9 +11,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"pfair"
 	"pfair/internal/core"
@@ -26,24 +29,35 @@ type jitterModel struct {
 	lateEvery int64 // ~1 in lateEvery subtasks is late
 	maxLate   int64
 	maxEarly  int64
+
+	memo []int64 // memo[k-1] = cumulative delay of subtask k
 }
 
 //pfair:hotpath
-func (j jitterModel) Offset(i int64) int64 {
-	// Cumulative delay: walk the per-subtask late draws up to i. Each
-	// subtask's draw is deterministic in (seed, index).
-	total := int64(0)
-	for k := int64(1); k <= i; k++ {
+func (j *jitterModel) Offset(i int64) int64 {
+	// Cumulative delay: the sum of the per-subtask late draws up to i,
+	// extended as the run reaches later subtasks. Each subtask's draw is
+	// deterministic in (seed, index).
+	for int64(len(j.memo)) < i {
+		k := int64(len(j.memo)) + 1
+		total := int64(0)
+		if k > 1 {
+			total = j.memo[k-2]
+		}
 		r := rand.New(rand.NewSource(j.seed + k))
 		if r.Int63n(j.lateEvery) == 0 {
 			total += 1 + r.Int63n(j.maxLate)
 		}
+		j.memo = append(j.memo, total)
 	}
-	return total
+	if i < 1 {
+		return 0
+	}
+	return j.memo[i-1]
 }
 
 //pfair:hotpath
-func (j jitterModel) Earliness(i int64) int64 {
+func (j *jitterModel) Earliness(i int64) int64 {
 	r := rand.New(rand.NewSource(^j.seed + i))
 	if r.Int63n(j.lateEvery) == 0 {
 		return r.Int63n(j.maxEarly + 1)
@@ -51,7 +65,7 @@ func (j jitterModel) Earliness(i int64) int64 {
 	return 0
 }
 
-func main() {
+func run(w io.Writer) error {
 	// Four streams: two HD (weight 2/3 ≈ a frame every 1.5 slots), one
 	// SD (1/3), one audio (1/5). Σ wt = 2/3+2/3+1/3+1/5 = 1.866… ≤ 2.
 	streams := []struct {
@@ -63,14 +77,15 @@ func main() {
 
 	s := pfair.NewScheduler(2, pfair.PD2, pfair.Options{})
 	for i, st := range streams {
-		model := jitterModel{seed: int64(100 + i), lateEvery: 7, maxLate: 3, maxEarly: 2}
+		model := &jitterModel{seed: int64(100 + i), lateEvery: 7, maxLate: 3, maxEarly: 2}
 		if err := s.JoinModel(pfair.MustNewTask(st.name, st.e, st.p), model); err != nil {
-			log.Fatalf("admitting %s: %v", st.name, err)
+			return fmt.Errorf("admitting %s: %w", st.name, err)
 		}
 	}
 
 	const horizon = 2000
-	delivered := map[string]int64{}
+	// The streams joined in order, so a stream's task id is its index.
+	delivered := make([]int64, len(streams))
 	s.OnSlot(func(t int64, assigned []core.Assignment) {
 		for _, a := range assigned {
 			delivered[a.Task]++
@@ -79,14 +94,21 @@ func main() {
 	s.RunUntil(horizon)
 	s.FinishMisses(horizon)
 
-	fmt.Printf("Video server: 4 jittery IS streams on 2 processors for %d slots.\n\n", horizon)
-	for _, st := range streams {
-		fmt.Printf("  %-6s weight %d/%d  delivered %4d quanta\n", st.name, st.e, st.p, delivered[st.name])
+	fmt.Fprintf(w, "Video server: 4 jittery IS streams on 2 processors for %d slots.\n\n", horizon)
+	for i, st := range streams {
+		fmt.Fprintf(w, "  %-6s weight %d/%d  delivered %4d quanta\n", st.name, st.e, st.p, delivered[i])
 	}
 	st := s.Stats()
-	fmt.Printf("\nDeadline misses: %d (PD² is optimal for intra-sporadic systems).\n", len(st.Misses))
-	fmt.Printf("Context switches: %d, migrations: %d.\n", st.ContextSwitches, st.Migrations)
+	fmt.Fprintf(w, "\nDeadline misses: %d (PD² is optimal for intra-sporadic systems).\n", len(st.Misses))
+	fmt.Fprintf(w, "Context switches: %d, migrations: %d.\n", st.ContextSwitches, st.Migrations)
 	if len(st.Misses) > 0 {
-		log.Fatal("unexpected misses — the IS optimality property was violated")
+		return errors.New("unexpected misses — the IS optimality property was violated")
+	}
+	return nil
+}
+
+func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }

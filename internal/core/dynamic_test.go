@@ -111,7 +111,7 @@ func TestISEarlinessKeepsDeadline(t *testing.T) {
 	var slots []int64
 	s.OnSlot(func(tt int64, assigned []Assignment) {
 		for _, a := range assigned {
-			if a.Task == "T" {
+			if s.Name(a.Task) == "T" {
 				slots = append(slots, tt)
 			}
 		}
@@ -236,10 +236,16 @@ func TestReweight(t *testing.T) {
 	if n := len(s.Stats().Misses); n != 0 {
 		t.Fatalf("reweighting caused %d misses: %+v", n, s.Stats().Misses[0])
 	}
-	// The replacement keeps the name and the new weight.
+	// The replacement keeps the name and the new weight, under a new id
+	// after the three joins; the departed incarnation keeps its id and
+	// name.
 	st := s.tasks["render"]
 	if st == nil || st.task.Cost != 1 || st.task.Period != 3 {
 		t.Fatalf("render not reweighted: %+v", st)
+	}
+	if st.id != 3 || s.Name(3) != "render" || s.Name(0) != "render" || s.Name(1) != "bg" {
+		t.Fatalf("render's new incarnation has id %d; Name(0..3) = %q %q %q %q",
+			st.id, s.Name(0), s.Name(1), s.Name(2), s.Name(3))
 	}
 	// Upward reweight beyond capacity must fail fast: 2/3 + 1/2 already
 	// committed, so raising render to weight 1 needs 13/6 > 2.
@@ -378,7 +384,7 @@ func TestFailProcessorsOverload(t *testing.T) {
 	s.RunUntil(600)
 	s.FinishMisses(600)
 	for _, m := range s.Stats().Misses {
-		if m.Task == "critical" && m.Deadline > 60 {
+		if s.Name(m.Task) == "critical" && m.Deadline > 60 {
 			t.Fatalf("critical task still missing after reweighting settled: %+v", m)
 		}
 	}

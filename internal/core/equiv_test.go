@@ -23,7 +23,7 @@ func assignString(t int64, assigned []Assignment) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d:", t)
 	for _, a := range assigned {
-		fmt.Fprintf(&b, " %d=%s/%d", a.Proc, a.Task, a.Subtask)
+		fmt.Fprintf(&b, " %d=%d/%d", a.Proc, a.Task, a.Subtask)
 	}
 	return b.String()
 }

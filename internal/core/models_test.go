@@ -111,7 +111,7 @@ func TestAllocationAccounting(t *testing.T) {
 		alloc := map[string]int64{}
 		s.OnSlot(func(tt int64, assigned []Assignment) {
 			for _, a := range assigned {
-				alloc[a.Task]++
+				alloc[s.Name(a.Task)]++
 			}
 		})
 		for _, tk := range set {

@@ -42,16 +42,18 @@ type Options struct {
 	NoAffinity bool
 }
 
-// Assignment records one processor allocation in one slot.
+// Assignment records one processor allocation in one slot. Task is the
+// task's id (see Scheduler.Name).
 type Assignment struct {
 	Proc    int
-	Task    string
+	Task    int
 	Subtask int64
 }
 
 // Miss records a subtask that could not be scheduled within its window.
+// Task is the task's id (see Scheduler.Name).
 type Miss struct {
-	Task     string
+	Task     int
 	Subtask  int64
 	Deadline int64
 	// ScheduledAt is the slot in which the subtask was eventually
@@ -533,7 +535,7 @@ func (s *Scheduler) Pick(t int64) {
 			// The window has closed; the subtask runs tardily.
 			st.missed = true
 			s.stats.Misses = append(s.stats.Misses, Miss{
-				Task:        st.task.Name,
+				Task:        st.id,
 				Subtask:     st.index,
 				Deadline:    st.deadline,
 				ScheduledAt: t,
@@ -657,7 +659,7 @@ func (s *Scheduler) Dispatch(t int64) {
 		if met := s.met; met != nil {
 			met.Allocations.Inc()
 		}
-		assigned = append(assigned, Assignment{Proc: k, Task: st.task.Name, Subtask: st.index})
+		assigned = append(assigned, Assignment{Proc: k, Task: st.id, Subtask: st.index})
 
 		// Advance to the next subtask.
 		st.advanceSubtask()
@@ -717,7 +719,7 @@ func (s *Scheduler) FinishMisses(horizon int64) {
 		}
 		if st.deadline <= horizon && !st.missed {
 			s.stats.Misses = append(s.stats.Misses, Miss{
-				Task:        st.task.Name,
+				Task:        st.id,
 				Subtask:     st.index,
 				Deadline:    st.deadline,
 				ScheduledAt: -1,
@@ -738,6 +740,11 @@ func (s *Scheduler) Lag(name string) (rational.Rat, error) {
 	}
 	return st.pat.Lag(s.eng.Now()-st.joinedAt, st.allocated), nil
 }
+
+// Name returns the name of the task with the given id: its index in
+// s.order, which counts every admission, so a departed task keeps its id
+// and a reweight's new incarnation gets a new one.
+func (s *Scheduler) Name(id int) string { return s.order[id].task.Name }
 
 // Tasks returns the names of all currently admitted tasks in join order.
 func (s *Scheduler) Tasks() []string {

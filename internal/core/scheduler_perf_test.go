@@ -248,7 +248,7 @@ func TestStepInvariantsConcurrent(t *testing.T) {
 				fail("more assignments than processors")
 			}
 			procSeen := map[int]bool{}
-			taskSeen := map[string]bool{}
+			taskSeen := map[int]bool{}
 			for _, a := range assigned {
 				if a.Proc < 0 || a.Proc >= m {
 					fail("assignment to a nonexistent processor")

@@ -28,17 +28,19 @@ func randomFeasibleSet(r *rand.Rand, m int, maxTasks int, maxPeriod int64) task.
 }
 
 // lagChecker verifies the Pfair condition −1 < lag < 1 after every slot for
-// synchronous periodic tasks.
+// synchronous periodic tasks that join in set order, so set[id] is the
+// task with that id.
 type lagChecker struct {
 	t     *testing.T
-	pats  map[string]*Pattern
-	alloc map[string]int64
+	set   task.Set
+	pats  []*Pattern
+	alloc []int64
 }
 
 func newLagChecker(t *testing.T, set task.Set) *lagChecker {
-	lc := &lagChecker{t: t, pats: map[string]*Pattern{}, alloc: map[string]int64{}}
+	lc := &lagChecker{t: t, set: set, alloc: make([]int64, len(set))}
 	for _, tk := range set {
-		lc.pats[tk.Name] = NewPattern(tk.Cost, tk.Period)
+		lc.pats = append(lc.pats, NewPattern(tk.Cost, tk.Period))
 	}
 	return lc
 }
@@ -48,10 +50,10 @@ func (lc *lagChecker) onSlot(t int64, assigned []Assignment) {
 		lc.alloc[a.Task]++
 	}
 	one := rational.One()
-	for name, pt := range lc.pats {
-		lag := pt.Lag(t+1, lc.alloc[name])
+	for id, pt := range lc.pats {
+		lag := pt.Lag(t+1, lc.alloc[id])
 		if !lag.Less(one) || !one.Neg().Less(lag) {
-			lc.t.Errorf("task %s lag %v at time %d violates (-1, 1)", name, lag, t+1)
+			lc.t.Errorf("task %s lag %v at time %d violates (-1, 1)", lc.set[id].Name, lag, t+1)
 		}
 	}
 }
@@ -260,7 +262,7 @@ func TestWeightOneTaskRunsEverySlot(t *testing.T) {
 	fullSlots := int64(0)
 	s.OnSlot(func(tt int64, assigned []Assignment) {
 		for _, a := range assigned {
-			if a.Task == "full" {
+			if s.Name(a.Task) == "full" {
 				fullSlots++
 			}
 		}
@@ -305,7 +307,7 @@ func TestDeterminism(t *testing.T) {
 		out := ""
 		s.OnSlot(func(tt int64, assigned []Assignment) {
 			for _, a := range assigned {
-				out += fmt.Sprintf("%d:%d=%s/%d;", tt, a.Proc, a.Task, a.Subtask)
+				out += fmt.Sprintf("%d:%d=%d/%d;", tt, a.Proc, a.Task, a.Subtask)
 			}
 		})
 		for _, tk := range set {
@@ -328,10 +330,10 @@ func TestNoParallelism(t *testing.T) {
 	set := randomFeasibleSet(r, 4, 10, 9)
 	s := NewScheduler(4, PD2, Options{EarlyRelease: true})
 	s.OnSlot(func(tt int64, assigned []Assignment) {
-		seen := map[string]bool{}
+		seen := map[int]bool{}
 		for _, a := range assigned {
 			if seen[a.Task] {
-				t.Fatalf("task %s scheduled twice in slot %d", a.Task, tt)
+				t.Fatalf("task %s scheduled twice in slot %d", s.Name(a.Task), tt)
 			}
 			seen[a.Task] = true
 		}
@@ -349,9 +351,9 @@ func TestNoParallelism(t *testing.T) {
 func TestSubtasksInWindows(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	set := randomFeasibleSet(r, 2, 6, 11)
-	pats := map[string]*Pattern{}
+	var pats []*Pattern // indexed by id: the set joins in order
 	for _, tk := range set {
-		pats[tk.Name] = NewPattern(tk.Cost, tk.Period)
+		pats = append(pats, NewPattern(tk.Cost, tk.Period))
 	}
 	s := NewScheduler(2, PD2, Options{})
 	s.OnSlot(func(tt int64, assigned []Assignment) {
@@ -359,7 +361,7 @@ func TestSubtasksInWindows(t *testing.T) {
 			pt := pats[a.Task]
 			if tt < pt.Release(a.Subtask) || tt >= pt.Deadline(a.Subtask) {
 				t.Fatalf("subtask %s/%d scheduled at %d outside window [%d,%d)",
-					a.Task, a.Subtask, tt, pt.Release(a.Subtask), pt.Deadline(a.Subtask))
+					s.Name(a.Task), a.Subtask, tt, pt.Release(a.Subtask), pt.Deadline(a.Subtask))
 			}
 		}
 	})

@@ -49,21 +49,27 @@ func (d *dump) events(rec *obs.Recorder) {
 	}
 }
 
-func (d *dump) coreStats(st core.Stats) {
+// coreStats dumps a core run's counters and misses; name resolves a
+// miss's task id, so the dump shows names.
+func (d *dump) coreStats(st core.Stats, name func(id int) string) {
 	d.f("slots=%d allocations=%d ctxsw=%d migrations=%d preemptions=%d misses=%d",
 		st.Slots, st.Allocations, st.ContextSwitches, st.Migrations, st.Preemptions, len(st.Misses))
 	for _, m := range st.Misses {
-		d.f("  miss task=%s subtask=%d deadline=%d scheduled=%d", m.Task, m.Subtask, m.Deadline, m.ScheduledAt)
+		d.f("  miss task=%s subtask=%d deadline=%d scheduled=%d", name(m.Task), m.Subtask, m.Deadline, m.ScheduledAt)
 	}
 }
 
-// slotLogger captures the OnSlot callback stream.
-type slotLogger struct{ d *dump }
+// slotLogger captures the OnSlot callback stream, with task ids resolved
+// to names through s.
+type slotLogger struct {
+	d *dump
+	s *core.Scheduler
+}
 
 func (l *slotLogger) log(t int64, assigned []core.Assignment) {
 	var sb strings.Builder
 	for _, a := range assigned {
-		fmt.Fprintf(&sb, " %d:%s/%d", a.Proc, a.Task, a.Subtask)
+		fmt.Fprintf(&sb, " %d:%s/%d", a.Proc, l.s.Name(a.Task), a.Subtask)
 	}
 	l.d.f("slot %d%s", t, sb.String())
 }
@@ -82,7 +88,7 @@ func dumpCore(alg core.Algorithm, opts core.Options, horizon int64) string {
 	s := core.NewScheduler(2, alg, opts)
 	rec := obs.NewRecorder(1 << 15)
 	s.Observe(rec, nil)
-	lg := &slotLogger{&d}
+	lg := &slotLogger{&d, s}
 	s.OnSlot(lg.log)
 	for _, t := range goldenSet() {
 		if err := s.Join(t); err != nil {
@@ -91,7 +97,7 @@ func dumpCore(alg core.Algorithm, opts core.Options, horizon int64) string {
 	}
 	s.RunUntil(horizon)
 	s.FinishMisses(horizon)
-	d.coreStats(s.Stats())
+	d.coreStats(s.Stats(), s.Name)
 	for _, name := range s.Tasks() {
 		lag, err := s.Lag(name)
 		d.f("lag %s = %v err=%v", name, lag, err)
@@ -105,7 +111,7 @@ func dumpCore(alg core.Algorithm, opts core.Options, horizon int64) string {
 func dumpCoreDynamic() string {
 	var d dump
 	s := core.NewScheduler(2, core.PD2, core.Options{})
-	lg := &slotLogger{&d}
+	lg := &slotLogger{&d, s}
 	s.OnSlot(lg.log)
 	join := func(name string, e, p int64) {
 		if err := s.Join(task.MustNew(name, e, p)); err != nil {
@@ -125,7 +131,7 @@ func dumpCoreDynamic() string {
 	join("C", 2, 5)
 	s.RunUntil(90)
 	s.FinishMisses(90)
-	d.coreStats(s.Stats())
+	d.coreStats(s.Stats(), s.Name)
 	d.f("tasks=%s", strings.Join(s.Tasks(), ","))
 	return d.sb.String()
 }
@@ -286,7 +292,7 @@ func dumpSupertask(reweighted bool) string {
 		}
 	}
 	res := sys.Run(450)
-	d.coreStats(res.Scheduler)
+	d.coreStats(res.Scheduler, sys.Name)
 	d.f("component-misses=%d", len(res.ComponentMisses))
 	for _, m := range res.ComponentMisses {
 		d.f("  miss super=%s comp=%s job=%d deadline=%d", m.Supertask, m.Component, m.Job, m.Deadline)

@@ -71,9 +71,14 @@ func Fairness(cfg FairnessConfig) []FairnessPoint {
 				return
 			}
 			lt := newLagTracker(set)
+			// WRR reports allocations by name.
+			index := make(map[string]int, len(set))
+			for i, t := range set {
+				index[t.Name] = i
+			}
 			w.OnSlot(func(t int64, allocated []string) {
 				for _, name := range allocated {
-					lt.alloc[name]++
+					lt.alloc[index[name]]++
 				}
 				lt.scan(t)
 			})
@@ -117,17 +122,18 @@ func fairnessPD2(set task.Set, cfg FairnessConfig, name string, earlyRelease boo
 	}
 }
 
-// lagTracker maintains exact lags from slot assignments.
+// lagTracker maintains exact lags from slot assignments, per task in set
+// order (the core task id, as the set joins in order).
 type lagTracker struct {
-	pats     map[string]*core.Pattern
-	alloc    map[string]int64
+	pats     []*core.Pattern
+	alloc    []int64
 	max, min rational.Rat
 }
 
 func newLagTracker(set task.Set) *lagTracker {
-	lt := &lagTracker{pats: map[string]*core.Pattern{}, alloc: map[string]int64{}}
-	for _, t := range set {
-		lt.pats[t.Name] = core.NewPattern(t.Cost, t.Period)
+	lt := &lagTracker{pats: make([]*core.Pattern, len(set)), alloc: make([]int64, len(set))}
+	for i, t := range set {
+		lt.pats[i] = core.NewPattern(t.Cost, t.Period)
 	}
 	return lt
 }
@@ -142,8 +148,8 @@ func (lt *lagTracker) onSlot(t int64, assigned []core.Assignment) {
 
 //pfair:hotpath
 func (lt *lagTracker) scan(t int64) {
-	for name, pat := range lt.pats { //pfair:orderinvariant max over all tasks is commutative
-		lag := pat.Lag(t+1, lt.alloc[name])
+	for i, pat := range lt.pats {
+		lag := pat.Lag(t+1, lt.alloc[i])
 		if lt.max.Less(lag) {
 			lt.max = lag
 		}

@@ -98,7 +98,8 @@ func fig5Trace() string {
 	sched.RunUntil(18)
 	var b strings.Builder
 	b.WriteString("Figure 5: PD² schedule (digits = processor), S = supertask{T:1/5, U:1/45} at weight 2/9\n")
-	b.WriteString(trace.Schedule(rec.Slots, 0, 18, "V", "W", "X", "Y", "S"))
+	// Rows in the paper's order V, W, X, Y, S: S (id 3) joined before Y.
+	b.WriteString(trace.Schedule(rec.Slots, 0, 18, []string{"V", "W", "X", "S", "Y"}, 0, 1, 2, 4, 3))
 	fmt.Fprintf(&b, "S's quanta drive an internal EDF over T and U; T's job 2 needs one of S's quanta in [5,10).\n")
 	return b.String()
 }

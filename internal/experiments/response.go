@@ -92,22 +92,19 @@ func ResponseTimes(cfg ResponseConfig) []ResponsePoint {
 // one, minus the job's release (j−1)·p.
 func meanResponse(set task.Set, m int, horizon int64, earlyRelease bool) (float64, bool) {
 	s := core.NewScheduler(m, core.PD2, core.Options{EarlyRelease: earlyRelease})
-	costs := map[string]int64{}
-	periods := map[string]int64{}
 	var resp stats.Sample
+	// The set joins in order, so a task's id is its index in set.
 	s.OnSlot(func(t int64, assigned []core.Assignment) {
 		for _, a := range assigned {
-			e := costs[a.Task]
-			if a.Subtask%e == 0 {
-				job := a.Subtask / e
-				release := (job - 1) * periods[a.Task]
+			tk := set[a.Task]
+			if a.Subtask%tk.Cost == 0 {
+				job := a.Subtask / tk.Cost
+				release := (job - 1) * tk.Period
 				resp.Add(float64(t + 1 - release))
 			}
 		}
 	})
 	for _, tk := range set {
-		costs[tk.Name] = tk.Cost
-		periods[tk.Name] = tk.Period
 		if err := s.Join(tk); err != nil {
 			return 0, false
 		}

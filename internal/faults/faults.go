@@ -128,15 +128,12 @@ func (d *Driver) Run(s Scenario, shed bool) (Outcome, error) {
 	}
 	sched.FinishMisses(s.Horizon)
 
-	critical := map[string]bool{}
-	for _, t := range s.Tasks {
-		critical[t.Name] = t.Critical
-	}
+	// Ids past the set are reweight incarnations of non-critical tasks.
 	for _, m := range sched.Stats().Misses {
 		switch {
 		case m.Deadline <= s.FailAt:
 			out.MissesBefore++
-		case critical[m.Task]:
+		case m.Task < len(s.Tasks) && s.Tasks[m.Task].Critical:
 			if m.Deadline > s.FailAt+s.SettleSlack {
 				out.CriticalMissesAfterSettle++
 			}

@@ -69,6 +69,12 @@ func (v *violations) addVerify(label string, errs []error) {
 	}
 }
 
+// missText formats a core miss the way %+v would if it carried its task's
+// name rather than its id.
+func missText(m core.Miss, name func(id int) string) string {
+	return fmt.Sprintf("{Task:%s Subtask:%d Deadline:%d ScheduledAt:%d}", name(m.Task), m.Subtask, m.Deadline, m.ScheduledAt)
+}
+
 // recorders recycles trace storage across runs and cases, so recording
 // a schedule allocates only when a run outgrows every earlier one. A
 // recorder goes back to the pool only once nothing reads its Slots.
@@ -82,22 +88,23 @@ func getRecorder() *verify.Recorder {
 }
 
 // runPfair drives one Pfair scheduler over the whole set (all tasks join
-// at slot 0) and returns the trace recorded into rec, which it resets
-// first, and the final stats. A join rejection is itself a violation for
-// the full-utilization kinds: their sets satisfy Σwt = M by construction.
-func runPfair(set task.Set, m int, alg core.Algorithm, horizon int64, rec *verify.Recorder, v *violations) ([]verify.Slot, core.Stats) {
+// at slot 0), recording its trace into rec, which it resets first, and
+// returns the scheduler, or nil if a join was rejected. A rejection is
+// itself a violation for the full-utilization kinds: their sets satisfy
+// Σwt = M by construction.
+func runPfair(set task.Set, m int, alg core.Algorithm, horizon int64, rec *verify.Recorder, v *violations) *core.Scheduler {
 	s := core.NewScheduler(m, alg, core.Options{})
 	rec.Reset()
 	s.OnSlot(rec.Record)
 	for _, t := range set {
 		if err := s.Join(t); err != nil {
 			v.addf("%v: join %v rejected: %v", alg, t, err)
-			return nil, core.Stats{}
+			return nil
 		}
 	}
 	s.RunUntil(horizon)
 	s.FinishMisses(horizon)
-	return rec.Slots, s.Stats()
+	return s
 }
 
 // checkFullUtil: PD² (or its mutant), PD, and PF are all optimal, so on a
@@ -109,14 +116,14 @@ func checkFullUtil(c Case, mutant core.Algorithm) Outcome {
 	rec := getRecorder()
 	defer recorders.Put(rec)
 	for _, alg := range []core.Algorithm{mutant, core.PD, core.PF} {
-		slots, stats := runPfair(c.Set, c.M, alg, c.Horizon, rec, &v)
-		if slots == nil {
+		s := runPfair(c.Set, c.M, alg, c.Horizon, rec, &v)
+		if s == nil {
 			continue
 		}
-		if n := len(stats.Misses); n > 0 {
-			v.addf("%v: %d deadline misses on a full-utilization set, first %+v", alg, n, stats.Misses[0])
+		if misses := s.Stats().Misses; len(misses) > 0 {
+			v.addf("%v: %d deadline misses on a full-utilization set, first %s", alg, len(misses), missText(misses[0], s.Name))
 		}
-		v.addVerify(alg.String(), verify.Check(c.Set, slots, verify.Options{
+		v.addVerify(alg.String(), verify.Check(c.Set, rec.Slots, verify.Options{
 			Processors: c.M,
 			Horizon:    c.Horizon,
 		}))
@@ -132,27 +139,25 @@ func checkEPDF(c Case) Outcome {
 	var v violations
 	rec := getRecorder()
 	defer recorders.Put(rec)
-	slots, stats := runPfair(c.Set, c.M, core.PD2, c.Horizon, rec, &v)
-	if slots != nil {
-		if n := len(stats.Misses); n > 0 {
-			v.addf("PD2 baseline: %d misses on a full-utilization set, first %+v", n, stats.Misses[0])
+	if s := runPfair(c.Set, c.M, core.PD2, c.Horizon, rec, &v); s != nil {
+		if misses := s.Stats().Misses; len(misses) > 0 {
+			v.addf("PD2 baseline: %d misses on a full-utilization set, first %s", len(misses), missText(misses[0], s.Name))
 		}
 	}
 	explained := 0
-	slots, stats = runPfair(c.Set, c.M, core.EPDF, c.Horizon, rec, &v)
-	if slots != nil {
-		switch {
-		case len(stats.Misses) == 0:
-			v.addVerify("EPDF", verify.Check(c.Set, slots, verify.Options{
+	if s := runPfair(c.Set, c.M, core.EPDF, c.Horizon, rec, &v); s != nil {
+		switch misses := s.Stats().Misses; {
+		case len(misses) == 0:
+			v.addVerify("EPDF", verify.Check(c.Set, rec.Slots, verify.Options{
 				Processors: c.M,
 				Horizon:    c.Horizon,
 			}))
 		case c.M <= 2:
-			v.addf("EPDF: %d misses on %d processors, but EPDF is optimal for M ≤ 2; first %+v",
-				len(stats.Misses), c.M, stats.Misses[0])
+			v.addf("EPDF: %d misses on %d processors, but EPDF is optimal for M ≤ 2; first %s",
+				len(misses), c.M, missText(misses[0], s.Name))
 		default:
 			explained = 1 // a fresh counterexample to EPDF optimality
-			v.addVerify("EPDF(tardy)", verify.Check(c.Set, slots, verify.Options{
+			v.addVerify("EPDF(tardy)", verify.Check(c.Set, rec.Slots, verify.Options{
 				Processors: c.M,
 				AllowTardy: true,
 				SkipLag:    true,
@@ -273,53 +278,44 @@ func checkPartition(c Case) Outcome {
 // the trace must verify with each task's windows shifted by its join
 // slot. Join rejections are legitimate — an overweight joiner is exactly
 // what the admission test is for — and simply leave the task out.
+// The verified set lists the tasks in admission (id) order.
 func checkDynamic(c Case, mutant core.Algorithm) Outcome {
 	var v violations
 	s := core.NewScheduler(c.M, mutant, core.Options{})
 	rec := getRecorder()
 	defer recorders.Put(rec)
 	s.OnSlot(rec.Record)
-	// Each slot's joins and leaves, in set order; a task with no Joins
-	// entry joins at slot 0.
+	// Each slot's joins, in set order; a task with no Joins entry joins
+	// at slot 0. An admitted task's leave is scheduled as it joins.
 	joins := map[int64][]*task.Task{}
-	leaves := map[int64][]string{}
 	for _, t := range c.Set {
 		at := c.Joins[t.Name]
 		joins[at] = append(joins[at], t)
 	}
-	for _, t := range c.Set {
-		if at, ok := c.Leaves[t.Name]; ok {
-			leaves[at] = append(leaves[at], t.Name)
-		}
-	}
-	admitted := map[string]int64{}
+	leaves := map[int64][]string{}
+	var vset task.Set
+	var offs []func(int64) int64
 	for slot := int64(0); slot < c.Horizon; slot++ {
 		for _, t := range joins[slot] {
 			if err := s.Join(t); err == nil {
-				admitted[t.Name] = slot
+				vset = append(vset, t)
+				join := slot
+				offs = append(offs, func(int64) int64 { return join })
+				if at, ok := c.Leaves[t.Name]; ok {
+					leaves[at] = append(leaves[at], t.Name)
+				}
 			}
 		}
 		for _, name := range leaves[slot] {
-			if _, in := admitted[name]; in {
-				if _, err := s.Leave(name); err != nil {
-					v.addf("dynamic: leave %s: %v", name, err)
-				}
+			if _, err := s.Leave(name); err != nil {
+				v.addf("dynamic: leave %s: %v", name, err)
 			}
 		}
 		s.Step()
 	}
 	s.FinishMisses(c.Horizon)
-	if n := len(s.Stats().Misses); n > 0 {
-		v.addf("dynamic: %d misses under admitted joins and safe leaves, first %+v", n, s.Stats().Misses[0])
-	}
-	var vset task.Set
-	offs := map[string]func(int64) int64{}
-	for _, t := range c.Set {
-		if at, ok := admitted[t.Name]; ok {
-			vset = append(vset, t)
-			join := at
-			offs[t.Name] = func(int64) int64 { return join }
-		}
+	if misses := s.Stats().Misses; len(misses) > 0 {
+		v.addf("dynamic: %d misses under admitted joins and safe leaves, first %s", len(misses), missText(misses[0], s.Name))
 	}
 	v.addVerify("dynamic", verify.Check(vset, rec.Slots, verify.Options{
 		Processors: c.M,
@@ -327,19 +323,6 @@ func checkDynamic(c Case, mutant core.Algorithm) Outcome {
 		Offsets:    offs,
 	}))
 	return Outcome{Violations: v.list}
-}
-
-// slotsEqual compares one recorded slot of two schedules.
-func slotsEqual(a, b verify.Slot) bool {
-	if a.Time != b.Time || len(a.Assigned) != len(b.Assigned) {
-		return false
-	}
-	for i := range a.Assigned {
-		if a.Assigned[i] != b.Assigned[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkIS runs the set under its intra-sporadic delay tables. PD² remains
@@ -352,12 +335,12 @@ func checkIS(c Case, mutant core.Algorithm) Outcome {
 	defer recorders.Put(rec)
 	s.OnSlot(rec.Record)
 	var vset task.Set
-	offs := map[string]func(int64) int64{}
+	var offs []func(int64) int64
 	for _, t := range c.Set {
 		m := isModel{c.Delays[t.Name]}
 		if err := s.JoinModel(t, m); err == nil {
 			vset = append(vset, t)
-			offs[t.Name] = m.Offset
+			offs = append(offs, m.Offset)
 		}
 	}
 	if len(vset) == 0 {
@@ -366,8 +349,8 @@ func checkIS(c Case, mutant core.Algorithm) Outcome {
 	}
 	s.RunUntil(c.Horizon)
 	s.FinishMisses(c.Horizon)
-	if n := len(s.Stats().Misses); n > 0 {
-		v.addf("is: %d misses on a feasible IS system, first %+v", n, s.Stats().Misses[0])
+	if misses := s.Stats().Misses; len(misses) > 0 {
+		v.addf("is: %d misses on a feasible IS system, first %s", len(misses), missText(misses[0], s.Name))
 	}
 	v.addVerify("is", verify.Check(vset, rec.Slots, verify.Options{
 		Processors: c.M,

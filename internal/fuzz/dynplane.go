@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"slices"
+
 	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/edf"
@@ -130,7 +132,7 @@ func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
 		return
 	}
 	for i := range legacy.slots {
-		if !slotsEqual(legacy.slots[i], plane.slots[i]) {
+		if l, p := legacy.slots[i], plane.slots[i]; l.Time != p.Time || !slices.Equal(l.Assigned, p.Assigned) {
 			v.addf("dynplane/core: schedules diverge at slot %d: legacy %v vs Submit %v",
 				legacy.slots[i].Time, legacy.slots[i].Assigned, plane.slots[i].Assigned)
 			break
@@ -319,9 +321,9 @@ func checkSupertaskDynPlane(c Case, mutant core.Algorithm, v *violations) {
 		submit(admission.Leave("S0"))
 	}
 	res := sys.Run(c.Horizon)
-	if n := len(res.Scheduler.Misses); n > 0 {
-		v.addf("dynplane/supertask: %d global misses under a plane-admitted bundle, first %+v",
-			n, res.Scheduler.Misses[0])
+	if misses := res.Scheduler.Misses; len(misses) > 0 {
+		v.addf("dynplane/supertask: %d global misses under a plane-admitted bundle, first %s",
+			len(misses), missText(misses[0], sys.Name))
 	}
 	if got := len(sys.AdmissionLog()); got != accepted {
 		v.addf("dynplane/supertask: ledger has %d transactions, %d requests were accepted", got, accepted)

@@ -425,7 +425,9 @@ func (b *builder) implementations(iface *types.Interface, method string) []*type
 // declared function (or to another tracked object) adds candidates to
 // the receiving object, to a fixed point. The result lets a call of
 // h.less resolve to the comparators actually stored in less rather than
-// to every two-argument function in the program.
+// to every two-argument function in the program. A tuple assignment (a
+// multi-value call, a comma-ok map read or type assertion) is not split:
+// its function-typed targets escape.
 func (b *builder) trackFuncValues() {
 	b.funcVals = map[types.Object][]*types.Func{}
 	b.funcSeen = map[types.Object]map[*types.Func]bool{}
@@ -438,19 +440,27 @@ func (b *builder) trackFuncValues() {
 				ast.Inspect(file, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.AssignStmt:
-						if len(n.Lhs) == len(n.Rhs) {
-							for i := range n.Lhs {
-								if b.flowInto(pkg, targetObject(pkg, n.Lhs[i]), n.Rhs[i]) {
+						for i, lhs := range n.Lhs {
+							obj := targetObject(pkg, lhs)
+							if len(n.Lhs) != len(n.Rhs) {
+								if b.escape(obj) {
 									changed = true
 								}
+							} else if b.flowInto(pkg, obj, n.Rhs[i]) {
+								changed = true
 							}
 						}
 					case *ast.ValueSpec:
-						if len(n.Names) == len(n.Values) {
-							for i := range n.Names {
-								if b.flowInto(pkg, pkg.Info.Defs[n.Names[i]], n.Values[i]) {
+						for i, name := range n.Names {
+							obj := pkg.Info.Defs[name]
+							switch {
+							case len(n.Values) == 0: // the zero value: no function
+							case len(n.Names) != len(n.Values):
+								if b.escape(obj) {
 									changed = true
 								}
+							case b.flowInto(pkg, obj, n.Values[i]):
+								changed = true
 							}
 						}
 					case *ast.CompositeLit:
@@ -525,6 +535,23 @@ func (b *builder) flowInto(pkg *Package, obj types.Object, rhs ast.Expr) bool {
 		}
 	}
 	return grew
+}
+
+// escape marks a function-typed obj escaped, reporting whether it was
+// not already: it received a value the tracker cannot see.
+func (b *builder) escape(obj types.Object) bool {
+	if obj == nil {
+		return false
+	}
+	if _, isSig := obj.Type().Underlying().(*types.Signature); !isSig {
+		return false
+	}
+	obj = canonObj(obj)
+	if b.escaped[obj] {
+		return false
+	}
+	b.escaped[obj] = true
+	return true
 }
 
 func (b *builder) addFuncVal(obj types.Object, fn *types.Func) bool {

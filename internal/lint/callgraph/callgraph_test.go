@@ -138,6 +138,50 @@ func Closure() int {
 func unused2() int { return 0 }
 `
 
+// dSrc pins the tuple forms the points-to pass cannot split: a
+// multi-value call, a comma-ok map read and a comma-ok type assertion,
+// each assigned over a tracked value, and a multi-value var declaration.
+const dSrc = `package d
+
+type S struct{ fn func() }
+
+func known()        {}
+func unknownAlloc() {}
+func fromMap()      {}
+
+func lookup() (func(), error) { return unknownAlloc, nil }
+
+func Entry() {
+	s := S{fn: known}
+	s.fn, _ = lookup()
+	s.fn()
+}
+
+var registry = map[string]func(){"m": fromMap}
+
+func MapRead() {
+	f := known
+	var ok bool
+	f, ok = registry["m"]
+	if ok {
+		f()
+	}
+}
+
+func Assert(x any) {
+	g := known
+	g, _ = x.(func())
+	g()
+}
+
+func Spec() {
+	var h, err = lookup()
+	_ = err
+	h = known
+	h()
+}
+`
+
 type fixture struct{ path, src string }
 
 // build type-checks the fixtures in order and builds the call graph over
@@ -315,6 +359,25 @@ func TestFallback(t *testing.T) {
 	} {
 		if got := node(t, g, name).AddressTaken; got != taken {
 			t.Errorf("%s.AddressTaken = %v, want %v", name, got, taken)
+		}
+	}
+}
+
+// TestTupleAssignEscapes: a function-typed target of a tuple assignment
+// holds a value the points-to pass cannot see, so its call falls back to
+// every address-taken function of its signature. Entry's s.fn() runs
+// unknownAlloc, not only the known stored in the literal.
+func TestTupleAssignEscapes(t *testing.T) {
+	g := build(t, []fixture{{"d", dSrc}}, "d")
+	all := []string{"dynamic d.known", "dynamic d.unknownAlloc", "dynamic d.fromMap"}
+	for caller, want := range map[string][]string{
+		"d.Entry":   append([]string{"static d.lookup"}, all...),
+		"d.MapRead": all,
+		"d.Assert":  all,
+		"d.Spec":    append([]string{"static d.lookup"}, all...),
+	} {
+		if got := out(node(t, g, caller)); !slices.Equal(got, want) {
+			t.Errorf("%s calls %v, want %v", caller, got, want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 
@@ -31,22 +32,29 @@ type Package struct {
 
 // Load resolves the given go-list package patterns (e.g. "./...") in dir,
 // then parses and type-checks every matched package using only the
-// standard library: module and stdlib imports resolve through the
-// compiler's source importer, and packages matched by the patterns are
-// checked once and shared between importers. Test files are not loaded;
-// the analyzers guard library code, and test helpers are free to use
-// floats, maps, and panics.
+// standard library. Packages matched by the patterns are checked from
+// source, once, and shared between importers; every other import
+// (stdlib, or a module package outside the patterns) is read from the
+// compiler export data `go list -export` builds or finds in the build
+// cache. Test files are not loaded; the analyzers guard library code,
+// and test helpers are free to use floats, maps, and panics.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	metas, err := goList(dir, patterns)
+	metas, exports, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
 	ld := &loader{
-		fset:     fset,
-		metas:    map[string]*listPackage{},
-		checked:  map[string]*Package{},
-		fallback: importer.ForCompiler(fset, "source", nil),
+		fset:    fset,
+		metas:   map[string]*listPackage{},
+		checked: map[string]*Package{},
+		exports: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			file, ok := exports[path]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(file)
+		}),
 	}
 	for _, m := range metas {
 		ld.metas[m.ImportPath] = m
@@ -69,43 +77,61 @@ type listPackage struct {
 	Name       string
 	GoFiles    []string
 	Module     *struct{ Path, Dir string }
+	// DepOnly marks a dependency the patterns did not match; Export is
+	// its compiled export data file.
+	DepOnly bool
+	Export  string
+	Error   *struct{ Err string }
 }
 
 // goList shells out to the go command to expand patterns into package
-// metadata. Build-constraint filtering and module resolution are the go
-// command's; the loader only consumes the resulting file lists.
-func goList(dir string, patterns []string) ([]*listPackage, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles,Module", "--"}, patterns...)
+// metadata, plus the export data file of every dependency outside them,
+// keyed by import path. Build-constraint filtering, module resolution
+// and compiling the dependencies are the go command's; the loader only
+// consumes the resulting file lists. A matched package that does not
+// compile is still returned, so the type checker reports why; an error
+// on an entry with no files to check (an unresolvable pattern or import)
+// fails the listing.
+func goList(dir string, patterns []string) ([]*listPackage, map[string]string, error) {
+	args := append([]string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,Name,GoFiles,Module,DepOnly,Export,Error", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 	var metas []*listPackage
+	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var m listPackage
 		if err := dec.Decode(&m); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
+			return nil, nil, fmt.Errorf("lint: decoding go list output: %v", err)
 		}
-		if len(m.GoFiles) == 0 {
-			continue
+		switch {
+		case m.Error != nil && len(m.GoFiles) == 0:
+			return nil, nil, fmt.Errorf("lint: go list %v: %s", patterns, m.Error.Err)
+		case m.DepOnly:
+			if m.Export != "" {
+				exports[m.ImportPath] = m.Export
+			}
+		case len(m.GoFiles) > 0:
+			metas = append(metas, &m)
 		}
-		metas = append(metas, &m)
 	}
-	return metas, nil
+	return metas, exports, nil
 }
 
 type loader struct {
-	fset     *token.FileSet
-	metas    map[string]*listPackage
-	checked  map[string]*Package
-	fallback types.Importer
+	fset    *token.FileSet
+	metas   map[string]*listPackage
+	checked map[string]*Package
+	exports types.Importer
 }
 
 // check parses and type-checks the listed package at path, memoized so
@@ -151,7 +177,7 @@ func NewInfo() *types.Info {
 // loaderImporter resolves imports during type checking: packages in the
 // lint target set are checked by the loader itself (so their identities
 // are shared), everything else — stdlib and module packages outside the
-// patterns — falls back to the source importer.
+// patterns — comes from export data.
 type loaderImporter loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {
@@ -167,10 +193,7 @@ func (li *loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode)
 		}
 		return p.Pkg, nil
 	}
-	if from, ok := ld.fallback.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, srcDir, mode)
-	}
-	return ld.fallback.Import(path)
+	return ld.exports.(types.ImporterFrom).ImportFrom(path, srcDir, mode)
 }
 
 // RunAnalyzers applies every analyzer to every package — per-package

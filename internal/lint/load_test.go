@@ -93,3 +93,30 @@ func TestSortDiagnostics(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadDependencyFromExportData: a module package outside the
+// patterns is not checked from source; the matched package still sees
+// its exported types, read from the go command's export data.
+func TestLoadDependencyFromExportData(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod": "module m\n\ngo 1.24\n",
+		"a/a.go": "package a\n\nimport (\n\t\"fmt\"\n\n\t\"m/b\"\n)\n\nfunc F() string { return fmt.Sprint(b.V{N: 1}.Double()) }\n",
+		"b/b.go": "package b\n\ntype V struct{ N int }\n\nfunc (v V) Double() int { return 2 * v.N }\n",
+	})
+	pkgs, err := Load(dir, []string{"./a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "m/a" {
+		t.Fatalf("loaded %d packages, want only m/a", len(pkgs))
+	}
+	imported := false
+	for _, imp := range pkgs[0].Pkg.Imports() {
+		if imp.Path() == "m/b" && imp.Scope().Lookup("V") != nil {
+			imported = true
+		}
+	}
+	if !imported {
+		t.Errorf("m/a's imports %v lack m/b with its type V", pkgs[0].Pkg.Imports())
+	}
+}

@@ -91,7 +91,7 @@ func (sys *System) Submit(req admission.Request) (admission.Decision, error) {
 	}
 	switch req.Op {
 	case admission.OpLeave:
-		if ss, ok := sys.supers[req.Name]; ok {
+		if ss := sys.lookup(req.Name); ss != nil {
 			ss.leaveAt = d.EffectiveAt
 		}
 	}

@@ -136,6 +136,8 @@ type sstate struct {
 	// while it is live. From that slot on, afterSlot stops charging
 	// component deadline misses: the bundle departed with its supertask.
 	leaveAt int64
+	// served and wasted are the counts Run reports in Result.
+	served, wasted int64
 }
 
 // System couples a global PD² (or other Pfair) scheduler with supertask
@@ -145,9 +147,12 @@ type sstate struct {
 // loop.
 type System struct {
 	sched   *core.Scheduler
-	supers  map[string]*sstate
 	ordered []*sstate // sorted by supertask name, maintained on insert
-	res     Result
+	// byID maps each scheduler task id seen so far to the supertask it
+	// represents, nil for an ordinary task. A reweight's new incarnation
+	// is a new id mapped to the same bundle.
+	byID []*sstate
+	res  Result
 	// rec is cached from the engine; nil when unobserved. Component-level
 	// events (join/schedule/miss) are emitted alongside the scheduler's
 	// own, with ids drawn from the same dense allocator.
@@ -159,19 +164,18 @@ type System struct {
 // trace carries both the supertasks' Pfair events and component-level
 // schedule/miss events (component ids are registered as "super/comp").
 func NewSystem(m int, alg core.Algorithm, opts ...engine.Option) *System {
-	sys := &System{
-		sched:  core.NewScheduler(m, alg, core.Options{}, opts...),
-		supers: make(map[string]*sstate),
-	}
+	sys := &System{sched: core.NewScheduler(m, alg, core.Options{}, opts...)}
 	sys.rec = sys.sched.Engine().Recorder()
 	sys.sched.OnSlot(sys.afterSlot)
-	sys.res.Served = make(map[string]int64)
-	sys.res.Wasted = make(map[string]int64)
 	return sys
 }
 
 // Engine returns the engine the system's scheduler runs on.
 func (sys *System) Engine() *engine.Engine { return sys.sched.Engine() }
+
+// Name returns the name of the scheduler task with the given id, as a
+// Result.Scheduler miss carries it.
+func (sys *System) Name(id int) string { return sys.sched.Name(id) }
 
 // AddTask admits an ordinary migrating Pfair task.
 func (sys *System) AddTask(t *task.Task) error { return sys.sched.Join(t) }
@@ -179,7 +183,7 @@ func (sys *System) AddTask(t *task.Task) error { return sys.sched.Join(t) }
 // AddSupertask admits a supertask competing with its cumulative weight, or
 // with the Holman–Anderson inflated weight when reweighted is true.
 func (sys *System) AddSupertask(st *Supertask, reweighted bool) error {
-	if _, dup := sys.supers[st.Name]; dup {
+	if sys.lookup(st.Name) != nil {
 		return fmt.Errorf("supertask %q already added", st.Name)
 	}
 	if err := st.Components.Validate(); err != nil {
@@ -207,7 +211,6 @@ func (sys *System) AddSupertask(st *Supertask, reweighted bool) error {
 		// the current slot for supertasks joining mid-run.
 		ss.comps = append(ss.comps, &compState{t: c, obsID: -1, rem: c.Cost, off: sys.sched.Now()})
 	}
-	sys.supers[st.Name] = ss
 	// Keep ordered sorted by name so the ComponentMisses sequence is a
 	// pure function of the workload, without re-sorting every slot.
 	at := sort.Search(len(sys.ordered), func(i int) bool { return sys.ordered[i].st.Name >= st.Name })
@@ -216,6 +219,23 @@ func (sys *System) AddSupertask(st *Supertask, reweighted bool) error {
 	sys.ordered[at] = ss
 	sys.registerComponents(ss)
 	return nil
+}
+
+// lookup returns the supertask with the given name, or nil.
+func (sys *System) lookup(name string) *sstate {
+	i := sort.Search(len(sys.ordered), func(i int) bool { return sys.ordered[i].st.Name >= name })
+	if i < len(sys.ordered) && sys.ordered[i].st.Name == name {
+		return sys.ordered[i]
+	}
+	return nil
+}
+
+// resolve extends byID through id, mapping each new scheduler id to the
+// supertask of the same name, if any.
+func (sys *System) resolve(id int) {
+	for k := len(sys.byID); k <= id; k++ {
+		sys.byID = append(sys.byID, sys.lookup(sys.sched.Name(k)))
+	}
 }
 
 // registerComponents assigns trace ids to ss's components and announces
@@ -244,6 +264,15 @@ func (sys *System) Run(horizon int64) Result {
 		panic(err)
 	}
 	sys.res.Scheduler = sys.sched.Stats()
+	sys.res.Served, sys.res.Wasted = map[string]int64{}, map[string]int64{}
+	for _, ss := range sys.ordered {
+		if ss.served > 0 {
+			sys.res.Served[ss.st.Name] = ss.served
+		}
+		if ss.wasted > 0 {
+			sys.res.Wasted[ss.st.Name] = ss.wasted
+		}
+	}
 	return sys.res
 }
 
@@ -256,8 +285,12 @@ func (sys *System) Run(horizon int64) Result {
 //pfair:hotpath
 func (sys *System) afterSlot(t int64, assigned []core.Assignment) {
 	for _, a := range assigned {
-		if ss, ok := sys.supers[a.Task]; ok {
-			sys.res.Served[a.Task]++
+		if a.Task >= len(sys.byID) {
+			//pfair:coldcall runs once per task id, in the first slot that id is scheduled
+			sys.resolve(a.Task)
+		}
+		if ss := sys.byID[a.Task]; ss != nil {
+			ss.served++
 			sys.serve(ss, t, int32(a.Proc))
 		}
 	}
@@ -298,7 +331,7 @@ func (sys *System) serve(ss *sstate, t int64, proc int32) {
 		}
 	}
 	if pick == nil {
-		sys.res.Wasted[ss.st.Name]++
+		ss.wasted++
 		return
 	}
 	if rec := sys.rec; rec != nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/rational"
 	"pfair/internal/task"
@@ -214,5 +215,34 @@ func TestAddErrors(t *testing.T) {
 	big := &Supertask{Name: "B", Components: task.Set{task.MustNew("b", 9, 10)}}
 	if err := sys.AddSupertask(big, false); err == nil {
 		t.Error("supertask exceeding remaining capacity accepted")
+	}
+}
+
+// TestReweightedSupertaskServed: a dynamic reweight gives the supertask's
+// representative a new scheduler task id; the quanta that new
+// incarnation receives still go to the same bundle and counters.
+func TestReweightedSupertaskServed(t *testing.T) {
+	sys := NewSystem(1, core.PD2)
+	if err := sys.AddTask(task.MustNew("A", 1, 4)); err != nil {
+		t.Fatal(err)
+	}
+	st := &Supertask{Name: "S", Components: task.Set{task.MustNew("a", 1, 10), task.MustNew("b", 1, 5)}}
+	if err := sys.AddSupertask(st, false); err != nil {
+		t.Fatal(err)
+	}
+	// Weight 3/10 for 100 slots, then 1/2 for 200: 30 + 100 quanta, of
+	// which the components can use 30 + 60.
+	if got := sys.Run(100).Served["S"]; got != 30 {
+		t.Fatalf("S served %d quanta before the reweight, want 30", got)
+	}
+	if _, err := sys.Submit(admission.Reweight("S", 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	res := sys.Run(300)
+	if got, wasted := res.Served["S"], res.Wasted["S"]; got != 130 || wasted != 40 {
+		t.Errorf("S served %d and wasted %d quanta by slot 300, want 130 and 40", got, wasted)
+	}
+	if len(res.ComponentMisses) != 0 || len(res.Scheduler.Misses) != 0 {
+		t.Errorf("misses after the reweight: %d component, %d global", len(res.ComponentMisses), len(res.Scheduler.Misses))
 	}
 }

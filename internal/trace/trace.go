@@ -5,7 +5,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pfair/internal/core"
@@ -48,46 +47,40 @@ func WindowsIS(pat *core.Pattern, first, last int64, offset func(i int64) int64)
 // Schedule draws slots [from, to) of a schedule recorded by
 // verify.Recorder, one row per task and one column per slot: the digit of
 // the processor that ran the task in that slot ('+' above 9), or '.'.
-// Rows follow names; with none given, every task that appears in the
-// recording is drawn, in name order. A named task that never ran gets a
-// row of dots.
-func Schedule(slots []verify.Slot, from, to int64, names ...string) string {
-	blank := strings.Repeat(".", int(max(to-from, 0)))
-	rows := map[string][]byte{}
-	var seen []string
+// labels[id] names the row of the task whose Assignment.Task is id. rows
+// lists the ids to draw, top to bottom, each an index into labels; with
+// none given, every labelled id is drawn in id order. A task that never
+// ran gets a row of dots, and an assignment whose id has no label is not
+// drawn.
+func Schedule(slots []verify.Slot, from, to int64, labels []string, rows ...int) string {
+	width := int(max(to-from, 0))
+	cells := []byte(strings.Repeat(".", len(labels)*width))
 	for _, sl := range slots {
 		for _, a := range sl.Assigned {
-			row, ok := rows[a.Task]
-			if !ok {
-				row = []byte(blank)
-				rows[a.Task] = row
-				seen = append(seen, a.Task)
+			if sl.Time < from || sl.Time >= to || a.Task < 0 || a.Task >= len(labels) {
+				continue
 			}
-			if sl.Time >= from && sl.Time < to {
-				c := byte('0' + a.Proc%10)
-				if a.Proc > 9 {
-					c = '+'
-				}
-				row[sl.Time-from] = c
+			c := byte('0' + a.Proc%10)
+			if a.Proc > 9 {
+				c = '+'
 			}
+			cells[a.Task*width+int(sl.Time-from)] = c
 		}
 	}
-	if len(names) == 0 {
-		names = seen
-		sort.Strings(names)
+	if len(rows) == 0 {
+		rows = make([]int, len(labels))
+		for id := range rows {
+			rows[id] = id
+		}
 	}
-	width := 0
-	for _, n := range names {
-		width = max(width, len(n))
+	labelWidth := 0
+	for _, id := range rows {
+		labelWidth = max(labelWidth, len(labels[id]))
 	}
 	var b strings.Builder
-	writeRuler(&b, strings.Repeat(" ", width+2), to-from)
-	for _, n := range names {
-		row, ok := rows[n]
-		if !ok {
-			row = []byte(blank)
-		}
-		fmt.Fprintf(&b, "%-*s |%s|\n", width, n, row)
+	writeRuler(&b, strings.Repeat(" ", labelWidth+2), to-from)
+	for _, id := range rows {
+		fmt.Fprintf(&b, "%-*s |%s|\n", labelWidth, labels[id], cells[id*width:(id+1)*width])
 	}
 	return b.String()
 }

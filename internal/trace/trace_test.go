@@ -74,7 +74,7 @@ func TestRecorderRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunUntil(6)
-	out := Schedule(rec.Slots, 0, 6)
+	out := Schedule(rec.Slots, 0, 6, []string{"T"})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("lines: %v", lines)
@@ -95,7 +95,8 @@ func TestRecorderExplicitOrderAndProcDigits(t *testing.T) {
 		}
 	}
 	s.RunUntil(4)
-	out := Schedule(rec.Slots, 0, 4, "B", "A", "C")
+	// C (id 2) never joined, so it never runs.
+	out := Schedule(rec.Slots, 0, 4, []string{"A", "B", "C"}, 1, 0, 2)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("lines:\n%s", out)

@@ -39,13 +39,20 @@ func optionVariants(opts Options) []Options {
 	return out
 }
 
-func at(proc int, name string, sub int64) core.Assignment {
-	return core.Assignment{Proc: proc, Task: name, Subtask: sub}
+func at(proc, id int, sub int64) core.Assignment {
+	return core.Assignment{Proc: proc, Task: id, Subtask: sub}
 }
+
+// Ids of corruptionBase's tasks, and two no task has.
+const (
+	idA, idB, idC = 0, 1, 2
+	ghost         = 3 // len(set)
+	phantom       = -1
+)
 
 // TestCheckMatchesReference runs the hand-built differential corpus:
 // every corruption of TestCorruptionsDetected and the inputs where
-// name-keyed and index-keyed bookkeeping could part ways.
+// map-keyed and slice-indexed bookkeeping could part ways.
 func TestCheckMatchesReference(t *testing.T) {
 	set, base, opts := corruptionBase(t)
 	for _, o := range optionVariants(opts) {
@@ -55,18 +62,17 @@ func TestCheckMatchesReference(t *testing.T) {
 		}
 	}
 
-	// Duplicate names: the last entry's pattern wins, and both entries
-	// share one allocation count and one expected subtask.
-	dup := task.Set{set[0], set[1], set[2], task.MustNew("A", 1, 2), task.MustNew("B", 1, 3)}
+	// A set longer than the trace's ids: the extra tasks never run.
+	long := task.Set{set[0], set[1], set[2], task.MustNew("A", 1, 2), task.MustNew("B", 1, 3)}
 	for _, o := range optionVariants(opts) {
-		sameErrors(t, "duplicate names", dup, base, o)
+		sameErrors(t, "unscheduled ids", long, base, o)
 	}
 
-	// An unknown task twice in one slot is both unknown (twice) and in
-	// parallel with itself.
+	// An unknown id is reported once per assignment, and nothing else
+	// is checked for it.
 	ghosts := cloneSlots(base)
-	ghosts[3].Assigned = append(ghosts[3].Assigned, at(7, "ghost", 1), at(8, "ghost", 1))
-	ghosts[4].Assigned = append(ghosts[4].Assigned, at(7, "ghost", 2), at(7, "phantom", 1))
+	ghosts[3].Assigned = append(ghosts[3].Assigned, at(7, ghost, 1), at(8, ghost, 1))
+	ghosts[4].Assigned = append(ghosts[4].Assigned, at(7, ghost, 2), at(7, phantom, 1))
 	for _, procs := range []int{0, 2, 9} {
 		o := opts
 		o.Processors = procs
@@ -77,10 +83,10 @@ func TestCheckMatchesReference(t *testing.T) {
 	// Processors that are negative or past M, repeated within a slot,
 	// with capacity checks off (Processors 0) and on.
 	odd := []Slot{
-		{Time: 0, Assigned: []core.Assignment{at(-1, "A", 1), at(-1, "B", 1)}},
-		{Time: 1, Assigned: []core.Assignment{at(2, "C", 1), at(2, "A", 2), at(-3, "B", 2)}},
-		{Time: 2, Assigned: []core.Assignment{at(0, "A", 3), at(-1, "C", 2), at(1, "B", 3), at(1, "C", 3)}},
-		{Time: 3, Assigned: []core.Assignment{at(9, "A", 4), at(-1, "B", 4)}},
+		{Time: 0, Assigned: []core.Assignment{at(-1, idA, 1), at(-1, idB, 1)}},
+		{Time: 1, Assigned: []core.Assignment{at(2, idC, 1), at(2, idA, 2), at(-3, idB, 2)}},
+		{Time: 2, Assigned: []core.Assignment{at(0, idA, 3), at(-1, idC, 2), at(1, idB, 3), at(1, idC, 3)}},
+		{Time: 3, Assigned: []core.Assignment{at(9, idA, 4), at(-1, idB, 4)}},
 	}
 	for _, procs := range []int{-1, 0, 1, 2, 3} {
 		for _, o := range optionVariants(Options{Processors: procs, Horizon: 6}) {
@@ -91,31 +97,32 @@ func TestCheckMatchesReference(t *testing.T) {
 	// Times that repeat or go backwards: per-slot duplicate checks must
 	// keep the two slots apart even when their times are equal.
 	back := []Slot{
-		{Time: 0, Assigned: []core.Assignment{at(0, "A", 1), at(1, "C", 1)}},
-		{Time: 0, Assigned: []core.Assignment{at(0, "A", 2), at(1, "B", 1)}},
-		{Time: 5, Assigned: []core.Assignment{at(0, "C", 2)}},
-		{Time: 3, Assigned: []core.Assignment{at(0, "A", 3), at(1, "C", 3)}},
-		{Time: 3, Assigned: []core.Assignment{at(1, "A", 4)}},
+		{Time: 0, Assigned: []core.Assignment{at(0, idA, 1), at(1, idC, 1)}},
+		{Time: 0, Assigned: []core.Assignment{at(0, idA, 2), at(1, idB, 1)}},
+		{Time: 5, Assigned: []core.Assignment{at(0, idC, 2)}},
+		{Time: 3, Assigned: []core.Assignment{at(0, idA, 3), at(1, idC, 3)}},
+		{Time: 3, Assigned: []core.Assignment{at(1, idA, 4)}},
 		{Time: 8},
 	}
 	for _, o := range optionVariants(Options{Processors: 2, Horizon: 12}) {
 		sameErrors(t, "non-increasing times", set, back, o)
 	}
 
-	// Offsets: nil as a whole, an empty map, a nil entry, a missing
-	// entry.
+	// Offsets: nil as a whole, an empty slice, a nil entry, entries
+	// missing past the end, and more entries than tasks.
 	shift := func(i int64) int64 { return i / 2 }
-	for _, offs := range []map[string]func(int64) int64{
+	for _, offs := range [][]func(int64) int64{
 		nil,
 		{},
-		{"A": nil, "B": shift},
-		{"C": shift},
+		{nil, shift},
+		{nil, nil, shift},
+		{shift, shift, shift, shift, shift},
 	} {
 		o := opts
 		o.Offsets = offs
 		for _, v := range optionVariants(o) {
 			sameErrors(t, "offsets", set, base, v)
-			sameErrors(t, "offsets, duplicate names", dup, base, v)
+			sameErrors(t, "offsets, unscheduled ids", long, base, v)
 		}
 	}
 
@@ -125,7 +132,7 @@ func TestCheckMatchesReference(t *testing.T) {
 	sameErrors(t, "starvation flood", starved, nil, Options{Processors: 1, Horizon: 100000})
 	var bad []Slot
 	for i := int64(0); i < 400; i++ {
-		bad = append(bad, Slot{Time: i / 2, Assigned: []core.Assignment{at(5, "ghost", i), at(5, "ghost", i)}})
+		bad = append(bad, Slot{Time: i / 2, Assigned: []core.Assignment{at(5, ghost, i), at(5, ghost, i)}})
 	}
 	for _, o := range optionVariants(Options{Processors: 2, Horizon: 300}) {
 		sameErrors(t, "per-slot flood", starved, bad, o)

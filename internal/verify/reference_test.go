@@ -9,8 +9,9 @@ import (
 )
 
 // referenceCheck is the map-and-rational Check the dense-index one
-// replaced, kept verbatim as the differential oracle: Check must return
-// the same error strings, in the same order, on every input.
+// replaced, kept as the differential oracle: Check must return the same
+// error strings, in the same order, on every input. Its maps are keyed by
+// task id, set[id] being the task with that id, as Check reads it.
 func referenceCheck(set task.Set, slots []Slot, opts Options) []error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -19,22 +20,22 @@ func referenceCheck(set task.Set, slots []Slot, opts Options) []error {
 		}
 	}
 
-	pats := make(map[string]*core.Pattern, len(set))
-	for _, t := range set {
-		pats[t.Name] = core.NewPattern(t.Cost, t.Period)
+	pats := make(map[int]*core.Pattern, len(set))
+	for id, t := range set {
+		pats[id] = core.NewPattern(t.Cost, t.Period)
 	}
-	offset := func(name string, i int64) int64 {
-		if opts.Offsets == nil || opts.Offsets[name] == nil {
+	offset := func(id int, i int64) int64 {
+		if id >= len(opts.Offsets) || opts.Offsets[id] == nil {
 			return 0
 		}
-		return opts.Offsets[name](i)
+		return opts.Offsets[id](i)
 	}
 
-	next := make(map[string]int64, len(set))     // expected next subtask
-	seqBroken := make(map[string]bool, len(set)) // sequence error already reported
-	alloc := make(map[string]int64, len(set))
-	for _, t := range set {
-		next[t.Name] = 1
+	next := make(map[int]int64, len(set))     // expected next subtask
+	seqBroken := make(map[int]bool, len(set)) // sequence error already reported
+	alloc := make(map[int]int64, len(set))
+	for id := range set {
+		next[id] = 1
 	}
 	one := rational.One()
 
@@ -51,8 +52,8 @@ func referenceCheck(set task.Set, slots []Slot, opts Options) []error {
 		for u := from; u <= to && len(errs) < maxErrors; u++ {
 			// Iterate the declared task order so the first maxErrors
 			// reported failures are deterministic.
-			for _, t := range set {
-				lag := pats[t.Name].Lag(u, alloc[t.Name])
+			for id, t := range set {
+				lag := pats[id].Lag(u, alloc[id])
 				if !lag.Less(one) || !one.Neg().Less(lag) {
 					fail("slot %d: task %s lag %v outside (-1, 1)", u-1, t.Name, lag)
 				}
@@ -73,7 +74,7 @@ func referenceCheck(set task.Set, slots []Slot, opts Options) []error {
 			fail("slot %d: %d allocations on %d processors", s.Time, len(s.Assigned), opts.Processors)
 		}
 		procs := map[int]bool{}
-		tasks := map[string]bool{}
+		tasks := map[int]bool{}
 		for _, a := range s.Assigned {
 			if procs[a.Proc] {
 				fail("slot %d: processor %d assigned twice", s.Time, a.Proc)
@@ -82,16 +83,17 @@ func referenceCheck(set task.Set, slots []Slot, opts Options) []error {
 			if opts.Processors > 0 && (a.Proc < 0 || a.Proc >= opts.Processors) {
 				fail("slot %d: processor %d out of range", s.Time, a.Proc)
 			}
+			pat, ok := pats[a.Task]
+			if !ok {
+				fail("slot %d: unknown task id %d", s.Time, a.Task)
+				continue
+			}
+			name := set[a.Task].Name
 			if tasks[a.Task] {
-				fail("slot %d: task %s scheduled in parallel with itself", s.Time, a.Task)
+				fail("slot %d: task %s scheduled in parallel with itself", s.Time, name)
 			}
 			tasks[a.Task] = true
 
-			pat, ok := pats[a.Task]
-			if !ok {
-				fail("slot %d: unknown task %s", s.Time, a.Task)
-				continue
-			}
 			// On a mismatch, report once and keep counting allocations
 			// (next advances by one per quantum received, not to the
 			// recorded index): resynchronizing to a.Subtask+1 would turn
@@ -100,7 +102,7 @@ func referenceCheck(set task.Set, slots []Slot, opts Options) []error {
 			if want := next[a.Task]; a.Subtask != want && !seqBroken[a.Task] {
 				seqBroken[a.Task] = true
 				fail("slot %d: task %s ran subtask %d, expected %d (suppressing later sequence errors for this task)",
-					s.Time, a.Task, a.Subtask, want)
+					s.Time, name, a.Subtask, want)
 			}
 			next[a.Task]++
 			alloc[a.Task]++
@@ -110,7 +112,7 @@ func referenceCheck(set task.Set, slots []Slot, opts Options) []error {
 				r := off + pat.Release(a.Subtask)
 				d := off + pat.Deadline(a.Subtask)
 				if s.Time < r || s.Time >= d {
-					fail("slot %d: subtask %s/%d outside window [%d,%d)", s.Time, a.Task, a.Subtask, r, d)
+					fail("slot %d: subtask %s/%d outside window [%d,%d)", s.Time, name, a.Subtask, r, d)
 				}
 			}
 		}
@@ -123,10 +125,10 @@ func referenceCheck(set task.Set, slots []Slot, opts Options) []error {
 	}
 
 	if !opts.AllowTardy && opts.Horizon > 0 {
-		for _, t := range set {
-			pat := pats[t.Name]
-			i := next[t.Name]
-			if off := offset(t.Name, i); off+pat.Deadline(i) <= opts.Horizon {
+		for id, t := range set {
+			pat := pats[id]
+			i := next[id]
+			if off := offset(id, i); off+pat.Deadline(i) <= opts.Horizon {
 				fail("subtask %s/%d (deadline %d) never scheduled before horizon %d",
 					t.Name, i, off+pat.Deadline(i), opts.Horizon)
 			}

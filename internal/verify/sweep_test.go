@@ -24,7 +24,8 @@ func (d delayModel) Offset(i int64) int64 {
 func (delayModel) Earliness(int64) int64 { return 0 }
 
 // traceOf runs a fuzz case's PD² schedule the way its oracle does and
-// returns the verified set, the trace and the oracle's options.
+// returns the verified set (the admitted tasks in admission order, so
+// set[id] is the task with that id), the trace and the oracle's options.
 func traceOf(c fuzz.Case) (task.Set, []verify.Slot, verify.Options) {
 	s := core.NewScheduler(c.M, core.PD2, core.Options{})
 	var rec verify.Recorder
@@ -40,43 +41,36 @@ func traceOf(c fuzz.Case) (task.Set, []verify.Slot, verify.Options) {
 	case fuzz.KindIS:
 		var vset task.Set
 		opts.SkipLag = true
-		opts.Offsets = map[string]func(int64) int64{}
 		for _, t := range c.Set {
 			m := delayModel(c.Delays[t.Name])
 			if s.JoinModel(t, m) == nil {
 				vset = append(vset, t)
-				opts.Offsets[t.Name] = m.Offset
+				opts.Offsets = append(opts.Offsets, m.Offset)
 			}
 		}
 		s.RunUntil(c.Horizon)
 		return vset, rec.Slots, opts
 	}
 	// KindDynamic: scripted joins (absent = slot 0) and leaves.
-	admitted := map[string]int64{}
+	opts.Horizon = 0
+	opts.SkipLag = true
+	admitted := map[string]bool{}
+	var vset task.Set
 	for slot := int64(0); slot < c.Horizon; slot++ {
 		for _, t := range c.Set {
 			if c.Joins[t.Name] == slot && s.Join(t) == nil {
-				admitted[t.Name] = slot
+				admitted[t.Name] = true
+				vset = append(vset, t)
+				at := slot
+				opts.Offsets = append(opts.Offsets, func(int64) int64 { return at })
 			}
 		}
 		for _, t := range c.Set {
-			if at, ok := c.Leaves[t.Name]; ok && at == slot {
-				if _, in := admitted[t.Name]; in {
-					_, _ = s.Leave(t.Name) // a refused leave only keeps the task
-				}
+			if at, ok := c.Leaves[t.Name]; ok && at == slot && admitted[t.Name] {
+				_, _ = s.Leave(t.Name) // a refused leave only keeps the task
 			}
 		}
 		s.Step()
-	}
-	var vset task.Set
-	opts.Horizon = 0
-	opts.SkipLag = true
-	opts.Offsets = map[string]func(int64) int64{}
-	for _, t := range c.Set {
-		if at, ok := admitted[t.Name]; ok {
-			vset = append(vset, t)
-			opts.Offsets[t.Name] = func(int64) int64 { return at }
-		}
 	}
 	return vset, rec.Slots, opts
 }
@@ -90,17 +84,18 @@ func corrupt(rng *rand.Rand, set task.Set, slots []verify.Slot) []verify.Slot {
 	if len(out) == 0 {
 		return out
 	}
-	name := func() string {
+	// id draws a task id, one in five of them unknown: -1 or len(set).
+	id := func() int {
 		if len(set) == 0 || rng.Intn(5) == 0 {
-			return "ghost"
+			return []int{-1, len(set)}[rng.Intn(2)]
 		}
-		return set[rng.Intn(len(set))].Name
+		return rng.Intn(len(set))
 	}
 	for n := 1 + rng.Intn(3); n > 0; n-- {
 		i := rng.Intn(len(out))
 		s := &out[i]
 		if len(s.Assigned) == 0 {
-			s.Assigned = append(s.Assigned, core.Assignment{Proc: rng.Intn(3), Task: name(), Subtask: 1 + rng.Int63n(5)})
+			s.Assigned = append(s.Assigned, core.Assignment{Proc: rng.Intn(3), Task: id(), Subtask: 1 + rng.Int63n(5)})
 			continue
 		}
 		j := rng.Intn(len(s.Assigned))
@@ -113,7 +108,7 @@ func corrupt(rng *rand.Rand, set task.Set, slots []verify.Slot) []verify.Slot {
 		case 2:
 			a.Proc = rng.Intn(8) - 2
 		case 3:
-			a.Task = name()
+			a.Task = id()
 		case 4:
 			// Subtasks stay ≥ 1: referenceCheck indexes Pattern's
 			// window tables by i−1 and panics below that, where Check

@@ -1,8 +1,8 @@
 // Package verify independently validates recorded multiprocessor
 // schedules against the definitions of Section 2. It shares no code with
 // the scheduler's own bookkeeping: it recomputes windows, allocations,
-// and lags from the raw (slot, processor, task, subtask) trace, so a bug
-// in the scheduler's internal state cannot hide itself.
+// and lags from the raw (slot, processor, task id, subtask) trace, so a
+// bug in the scheduler's internal state cannot hide itself.
 //
 // Its users are its own cross-validation tests (PD², PD, PF and ERfair
 // schedules), the fuzz oracles (internal/fuzz checks every Pfair kind's
@@ -14,6 +14,7 @@
 //
 //   - capacity: at most M allocations per slot, one task per processor;
 //   - no intra-slot parallelism: a task at most once per slot;
+//   - known tasks: every task id indexes the set;
 //   - sequence: each task's subtasks appear in order 1, 2, 3, … with no
 //     gaps or repeats;
 //   - windows: every subtask runs inside [r(Tᵢ), d(Tᵢ)) shifted by its
@@ -101,8 +102,9 @@ type Options struct {
 	// schedules, whose lag bounds differ from Equation (1)).
 	SkipLag bool
 	// Offsets optionally gives each task's per-subtask window shift
-	// (join time + IS delay). Nil means synchronous periodic (offset 0).
-	Offsets map[string]func(i int64) int64
+	// (join time + IS delay), by task id. A missing or nil entry means
+	// synchronous periodic (offset 0).
+	Offsets []func(i int64) int64
 }
 
 // maxErrors caps the number of violations Check collects; a single root
@@ -114,9 +116,9 @@ const maxErrors = 1024
 // violation found (nil means the schedule is valid), truncating after
 // maxErrors entries.
 //
-// Task names are resolved to dense indices once per call; all per-task
-// state lives in slices. Entries of set that share a name share one
-// index, and the last such entry's pattern is the one checked against.
+// set[id] is the task with core id id: pass the scheduler's admitted
+// tasks in admission order. An id outside [0, len(set)) is an unknown
+// task.
 func Check(set task.Set, slots []Slot, opts Options) []error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -125,33 +127,16 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 		}
 	}
 
-	index := make(map[string]int, len(set))
-	ent := make([]int, len(set)) // ent[i] is set[i]'s task index
-	for i, t := range set {
-		k, ok := index[t.Name]
-		if !ok {
-			k = len(index)
-			index[t.Name] = k
-		}
-		ent[i] = k
-	}
-	n := len(index)
+	n := len(set)
 	pats := make([]*core.Pattern, n)
-	var offs []func(int64) int64
-	if opts.Offsets != nil {
-		offs = make([]func(int64) int64, n)
-	}
-	for i, t := range set {
-		pats[ent[i]] = core.NewPattern(t.Cost, t.Period)
-		if offs != nil {
-			offs[ent[i]] = opts.Offsets[t.Name]
-		}
+	for k, t := range set {
+		pats[k] = core.NewPattern(t.Cost, t.Period)
 	}
 	offset := func(k int, i int64) int64 {
-		if offs == nil || offs[k] == nil {
+		if k >= len(opts.Offsets) || opts.Offsets[k] == nil {
 			return 0
 		}
-		return offs[k](i)
+		return opts.Offsets[k](i)
 	}
 	// alloc counts the quanta each task received so far. The subtask a
 	// task is expected to run next is always alloc+1: both advance by one
@@ -174,12 +159,12 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 			return
 		}
 		for u := from; u <= to && len(errs) < maxErrors; u++ {
-			// Iterate the declared task order so the first maxErrors
+			// Iterate the set in id order so the first maxErrors
 			// reported failures are deterministic.
-			for i, k := range ent {
-				e, p := pats[k].Cost(), pats[k].Period()
+			for k, pat := range pats {
+				e, p := pat.Cost(), pat.Period()
 				if num := e*u - alloc[k]*p; num >= p || num <= -p {
-					fail("slot %d: task %s lag %v outside (-1, 1)", u-1, set[i].Name, rational.New(num, p))
+					fail("slot %d: task %s lag %v outside (-1, 1)", u-1, set[k].Name, rational.New(num, p))
 				}
 			}
 		}
@@ -188,8 +173,7 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 	// Per-slot duplicate detection: seen[x] == pos+1 means x already
 	// occurred in slots[pos]. Stamping by position rather than Time keeps
 	// slots with repeated times apart. Processors outside
-	// [0, opts.Processors) use procOut, made on first need; task names not
-	// in set get indices from n upwards, so they are stamped too.
+	// [0, opts.Processors) use procOut, made on first need.
 	procSeen := make([]int, max(opts.Processors, 0))
 	var procOut map[int]int
 	taskSeen := make([]int, n)
@@ -225,21 +209,16 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 			if opts.Processors > 0 && (a.Proc < 0 || a.Proc >= opts.Processors) {
 				fail("slot %d: processor %d out of range", s.Time, a.Proc)
 			}
-			k, ok := index[a.Task]
-			if !ok {
-				k = len(taskSeen)
-				index[a.Task] = k
-				taskSeen = append(taskSeen, 0)
+			k := a.Task
+			if k < 0 || k >= n {
+				fail("slot %d: unknown task id %d", s.Time, k)
+				continue
 			}
 			if taskSeen[k] == stamp {
-				fail("slot %d: task %s scheduled in parallel with itself", s.Time, a.Task)
+				fail("slot %d: task %s scheduled in parallel with itself", s.Time, set[k].Name)
 			}
 			taskSeen[k] = stamp
 
-			if k >= n {
-				fail("slot %d: unknown task %s", s.Time, a.Task)
-				continue
-			}
 			// On a mismatch, report once and keep counting allocations
 			// (the expected subtask advances by one per quantum
 			// received, not to the recorded index): resynchronizing to
@@ -248,20 +227,20 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 			if want := alloc[k] + 1; a.Subtask != want && !seqBroken[k] {
 				seqBroken[k] = true
 				fail("slot %d: task %s ran subtask %d, expected %d (suppressing later sequence errors for this task)",
-					s.Time, a.Task, a.Subtask, want)
+					s.Time, set[k].Name, a.Subtask, want)
 			}
 			alloc[k]++
 
 			if !opts.AllowTardy && a.Subtask < 1 {
 				// Windows are defined from subtask 1 on.
-				fail("slot %d: subtask %s/%d has no window (subtasks start at 1)", s.Time, a.Task, a.Subtask)
+				fail("slot %d: subtask %s/%d has no window (subtasks start at 1)", s.Time, set[k].Name, a.Subtask)
 			} else if !opts.AllowTardy {
 				pat := pats[k]
 				off := offset(k, a.Subtask)
 				r := off + pat.Release(a.Subtask)
 				d := off + pat.Deadline(a.Subtask)
 				if s.Time < r || s.Time >= d {
-					fail("slot %d: subtask %s/%d outside window [%d,%d)", s.Time, a.Task, a.Subtask, r, d)
+					fail("slot %d: subtask %s/%d outside window [%d,%d)", s.Time, set[k].Name, a.Subtask, r, d)
 				}
 			}
 		}
@@ -274,12 +253,11 @@ func Check(set task.Set, slots []Slot, opts Options) []error {
 	}
 
 	if !opts.AllowTardy && opts.Horizon > 0 {
-		for i, k := range ent {
-			pat := pats[k]
+		for k, pat := range pats {
 			next := alloc[k] + 1
 			if off := offset(k, next); off+pat.Deadline(next) <= opts.Horizon {
 				fail("subtask %s/%d (deadline %d) never scheduled before horizon %d",
-					set[i].Name, next, off+pat.Deadline(next), opts.Horizon)
+					set[k].Name, next, off+pat.Deadline(next), opts.Horizon)
 			}
 		}
 	}

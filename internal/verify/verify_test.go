@@ -127,7 +127,7 @@ var corruptions = []struct {
 		return sl
 	}},
 	{"unknown task", func(sl []Slot) []Slot {
-		sl[0].Assigned[0].Task = "ghost"
+		sl[0].Assigned[0].Task = ghost
 		return sl
 	}},
 	{"non-increasing time", func(sl []Slot) []Slot {
@@ -167,7 +167,7 @@ func TestLagViolationDetected(t *testing.T) {
 // horizon completion check.
 func TestCompletionCheck(t *testing.T) {
 	set := task.Set{task.MustNew("A", 1, 2)}
-	slots := []Slot{{Time: 0, Assigned: []core.Assignment{{Proc: 0, Task: "A", Subtask: 1}}}}
+	slots := []Slot{{Time: 0, Assigned: []core.Assignment{at(0, idA, 1)}}}
 	errs := Check(set, slots, Options{Processors: 1, Horizon: 10, SkipLag: true})
 	if len(errs) == 0 {
 		t.Fatal("missing subtasks passed the completion check")
@@ -182,8 +182,8 @@ func TestCompletionCheck(t *testing.T) {
 func TestOffsetsShiftWindows(t *testing.T) {
 	set := task.Set{task.MustNew("A", 1, 2)}
 	// Subtask 2's window shifts by 3: [2,4) → [5,7).
-	off := map[string]func(int64) int64{
-		"A": func(i int64) int64 {
+	off := []func(int64) int64{
+		func(i int64) int64 {
 			if i >= 2 {
 				return 3
 			}
@@ -191,8 +191,8 @@ func TestOffsetsShiftWindows(t *testing.T) {
 		},
 	}
 	slots := []Slot{
-		{Time: 0, Assigned: []core.Assignment{{Proc: 0, Task: "A", Subtask: 1}}},
-		{Time: 5, Assigned: []core.Assignment{{Proc: 0, Task: "A", Subtask: 2}}},
+		{Time: 0, Assigned: []core.Assignment{at(0, idA, 1)}},
+		{Time: 5, Assigned: []core.Assignment{at(0, idA, 2)}},
 	}
 	errs := Check(set, slots, Options{Processors: 1, Horizon: 6, Offsets: off, SkipLag: true})
 	if len(errs) != 0 {
@@ -266,8 +266,8 @@ func TestAllAlgorithmsCrossValidated(t *testing.T) {
 func TestLagCheckedInTraceGaps(t *testing.T) {
 	set := task.Set{task.MustNew("A", 1, 2)}
 	slots := []Slot{
-		{Time: 0, Assigned: []core.Assignment{{Proc: 0, Task: "A", Subtask: 1}}},
-		{Time: 9, Assigned: []core.Assignment{{Proc: 0, Task: "A", Subtask: 2}}},
+		{Time: 0, Assigned: []core.Assignment{at(0, idA, 1)}},
+		{Time: 9, Assigned: []core.Assignment{at(0, idA, 2)}},
 	}
 	errs := Check(set, slots, Options{Processors: 1, Horizon: 10, AllowTardy: true})
 	found := false
@@ -305,7 +305,7 @@ func TestSequenceMismatchReportedOnce(t *testing.T) {
 		if i >= 3 {
 			sub = i + 2 // subtask 4 skipped: 1,2,3,5,6,…
 		}
-		slots = append(slots, Slot{Time: 2 * i, Assigned: []core.Assignment{{Proc: 0, Task: "A", Subtask: sub}}})
+		slots = append(slots, Slot{Time: 2 * i, Assigned: []core.Assignment{at(0, idA, sub)}})
 	}
 	errs := Check(set, slots, Options{Processors: 1, SkipLag: true, AllowTardy: true})
 	seq := 0
@@ -372,15 +372,15 @@ func TestRecordAllocsAmortized(t *testing.T) {
 // recorder must copy rather than alias the caller's slice.
 func TestRecordSlotsIndependent(t *testing.T) {
 	var r Recorder
-	buf := []core.Assignment{at(0, "A", 1), at(1, "B", 1)}
+	buf := []core.Assignment{at(0, idA, 1), at(1, idB, 1)}
 	r.Record(0, buf)
-	buf[0].Task = "changed"
-	r.Record(1, []core.Assignment{at(0, "C", 1)})
+	buf[0].Task = ghost
+	r.Record(1, []core.Assignment{at(0, idC, 1)})
 	r.Record(2, nil)
-	_ = append(r.Slots[0].Assigned, at(2, "X", 9))
+	_ = append(r.Slots[0].Assigned, at(2, ghost, 9))
 	want := []Slot{
-		{Time: 0, Assigned: []core.Assignment{at(0, "A", 1), at(1, "B", 1)}},
-		{Time: 1, Assigned: []core.Assignment{at(0, "C", 1)}},
+		{Time: 0, Assigned: []core.Assignment{at(0, idA, 1), at(1, idB, 1)}},
+		{Time: 1, Assigned: []core.Assignment{at(0, idC, 1)}},
 		{Time: 2, Assigned: []core.Assignment{}},
 	}
 	if !reflect.DeepEqual(r.Slots, want) {
@@ -438,8 +438,8 @@ func TestSubtaskBelowOneReported(t *testing.T) {
 	set := task.Set{task.MustNew("A", 1, 2), task.MustNew("B", 1, 2)}
 	for _, sub := range []int64{0, -3} {
 		slots := []Slot{
-			{Time: 0, Assigned: []core.Assignment{at(0, "A", sub), at(1, "B", 1)}},
-			{Time: 1, Assigned: []core.Assignment{at(0, "A", sub)}},
+			{Time: 0, Assigned: []core.Assignment{at(0, idA, sub), at(1, idB, 1)}},
+			{Time: 1, Assigned: []core.Assignment{at(0, idA, sub)}},
 		}
 		for _, tardy := range []bool{false, true} {
 			errs := Check(set, slots, Options{Processors: 2, Horizon: 2, SkipLag: true, AllowTardy: tardy})
@@ -461,6 +461,37 @@ func TestSubtaskBelowOneReported(t *testing.T) {
 			if windows != wantWindows || seq != 1 {
 				t.Errorf("subtask %d, AllowTardy %v: %d window errors (want %d), %d sequence errors (want 1): %v",
 					sub, tardy, windows, wantWindows, seq, errs)
+			}
+		}
+	}
+}
+
+// TestUnknownTaskIDs: an id outside [0, len(set)) — negative, equal to
+// len(set), or any id against an empty set — is reported as an unknown
+// task, without indexing the set out of range.
+func TestUnknownTaskIDs(t *testing.T) {
+	set := task.Set{task.MustNew("A", 1, 2), task.MustNew("B", 1, 2)}
+	for _, tc := range []struct {
+		set task.Set
+		id  int
+	}{
+		{set, -1},
+		{set, -7},
+		{set, len(set)},
+		{nil, 0},
+		{nil, -1},
+		{task.Set{}, 3},
+	} {
+		slots := []Slot{{Time: 0, Assigned: []core.Assignment{at(0, tc.id, 1)}}}
+		for _, o := range optionVariants(Options{Processors: 1, Horizon: 2, Offsets: []func(int64) int64{nil}}) {
+			errs := Check(tc.set, slots, o)
+			want := fmt.Sprintf("slot 0: unknown task id %d", tc.id)
+			found := false
+			for _, e := range errs {
+				found = found || e.Error() == want
+			}
+			if !found {
+				t.Errorf("set of %d, id %d, %+v: no %q in %v", len(tc.set), tc.id, o, want, errs)
 			}
 		}
 	}

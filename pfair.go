@@ -76,10 +76,12 @@ func NewScheduler(m int, alg Algorithm, opts Options) *Scheduler {
 	return core.NewScheduler(m, alg, opts)
 }
 
-// Assignment records one processor allocation in one slot.
+// Assignment records one processor allocation in one slot. Its Task is
+// the task's id in join order; Scheduler.Name resolves it.
 type Assignment = core.Assignment
 
-// Miss records a subtask scheduled (or abandoned) after its window closed.
+// Miss records a subtask scheduled (or abandoned) after its window
+// closed. Its Task is the task's id, as in Assignment.
 type Miss = core.Miss
 
 // Stats aggregates scheduling counters over a run.
