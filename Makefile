@@ -102,10 +102,11 @@ engine-equiv:
 
 # dyn-equiv runs the admission-plane equivalence suite: for every policy
 # (PD² core, EDF, RM, WRR, supertask) the unified Submit entry point and
-# the legacy per-policy entry points must produce identical schedules,
-# stats, and ledgers over the same churn script. EDF and RM are the two
-# priority rules of edf.Simulator, each checked Add vs Submit
-# (DESIGN.md §13).
+# the legacy per-policy entry points must produce identical accept
+# sequences, schedules and stats over the same churn script, and on
+# PD² a leave that lands on a pending reweight must cancel it. EDF and
+# RM are the two priority rules of edf.Simulator, each checked Add vs
+# Submit (DESIGN.md §13).
 dyn-equiv:
 	$(GO) test ./internal/engine -run 'TestDynEquiv' -count=1
 

@@ -6,11 +6,12 @@
 // each event is a constant-time admission test, and no deadline is ever
 // missed while Σ wt ≤ M.
 //
-// Every operation goes through the unified admission plane: build a
-// pfair.Request with Join/Leave/Reweight and hand it to Scheduler.Submit.
-// The returned Decision says when the transaction took effect and what
-// the system weight became — and the same Request values would drive the
-// EDF, RM, WRR, or supertask simulators unchanged.
+// Every operation goes through one entry point: build a pfair.Request
+// with Join/Leave/Reweight and hand it to Scheduler.Submit. The returned
+// Decision says which operation was accepted for which task and the slot
+// at which it takes effect: the current slot for a join, the task's safe
+// departure slot for a leave or a reweight — and the same Request values
+// would drive the EDF, RM, WRR, or supertask simulators unchanged.
 package main
 
 import (
@@ -24,6 +25,9 @@ import (
 
 func run(w io.Writer) error {
 	s := pfair.NewScheduler(2, pfair.PD2, pfair.Options{})
+	// accepted counts the transactions Submit accepted; a refused one
+	// ends the run with its error.
+	accepted := 0
 
 	// Initial scene: renderer at weight 2/5, physics at 1/3, audio 1/5.
 	for _, t := range []*pfair.Task{
@@ -34,9 +38,10 @@ func run(w io.Writer) error {
 		if _, err := s.Submit(pfair.Join(t)); err != nil {
 			return fmt.Errorf("join %v: %w", t, err)
 		}
+		accepted++
 	}
 
-	// The runtime script: each entry is one admission-plane transaction,
+	// The runtime script: each entry is one Submit transaction,
 	// submitted when the scheduler clock reaches its slot.
 	script := []struct {
 		at  int64
@@ -60,6 +65,7 @@ func run(w io.Writer) error {
 				return fmt.Errorf("t=%d %s: %w", s.Now(), ev.why, err)
 			}
 			fmt.Fprintf(w, "t=%4d  %-28s %s\n", s.Now(), ev.why+":", d)
+			accepted++
 			next++
 		}
 		s.Step()
@@ -68,8 +74,7 @@ func run(w io.Writer) error {
 
 	fmt.Fprintf(w, "\nFinal tasks: %v\n", s.Tasks())
 	fmt.Fprintf(w, "Total weight now: %s\n", s.TotalWeight())
-	fmt.Fprintf(w, "Admission ledger: %d transactions, %d rejected\n",
-		len(s.AdmissionLog()), s.AdmissionRejects())
+	fmt.Fprintf(w, "Admission ledger: %d transactions, 0 rejected\n", accepted)
 	st := s.Stats()
 	fmt.Fprintf(w, "Over %d slots: %d allocations, %d misses.\n", horizon, st.Allocations, len(st.Misses))
 	if len(st.Misses) != 0 {

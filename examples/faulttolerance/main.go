@@ -24,12 +24,8 @@ func run(w io.Writer) error {
 		return t
 	}
 
-	// Both scenarios run on one driver: a single slot engine that is
-	// reset and re-bound between runs.
-	drv := faults.NewDriver()
-
 	// Scenario 1: transparent loss. Σ wt = 2 on 4 processors; 2 fail.
-	out1, err := drv.Run(faults.Scenario{
+	out1, err := faults.Run(faults.Scenario{
 		M: 4, Fail: 2, FailAt: 100, Horizon: 1200, SettleSlack: 0,
 		Tasks: task.Set{
 			crit("control", 2, 3),
@@ -58,7 +54,7 @@ func run(w io.Writer) error {
 			task.MustNew("video", 2, 3), task.MustNew("science", 1, 2), task.MustNew("comms", 1, 3),
 		},
 	}
-	out2, err := drv.Run(sc, true)
+	out2, err := faults.Run(sc, true)
 	if err != nil {
 		return err
 	}

@@ -1,26 +1,28 @@
-// Package admission is the policy-agnostic admission plane for dynamic
-// task operations: one Request/Decision model, exact-rational
-// feasibility tests, and a transaction ledger with observability fanout,
-// shared by every engine policy that accepts mid-run churn.
+// Package admission is the policy-agnostic model for dynamic task
+// operations: one Request/Decision pair, exact-rational feasibility
+// tests, and the counting of accepted and refused transactions in a
+// metrics block, shared by every engine policy that accepts mid-run
+// churn.
 //
 // Before this package existed, the paper's §5.2 join/leave rules and
 // §5.3 reweighting lived only inside core.Scheduler, and each consumer
 // (internal/faults, the fuzz churn scenarios, the examples) poked
 // mutations through its own seam; the sibling policies (edf, rm, wrr,
-// supertask) were statically admitted. The plane factors the shared
+// supertask) were statically admitted. The package factors the shared
 // protocol out once:
 //
 //	validate → feasibility-check → apply at a slot boundary →
-//	emit recorder events + metrics → record the Decision
+//	emit recorder events → count the outcome
 //
 // A policy that accepts dynamic operations implements engine.Dynamic
 // (Submit(Request) (Decision, error)) and is resolved at engine bind
 // time like the other capability hooks. Each policy keeps its own
 // apply-at-boundary mechanics — Pfair delays departures to the §5.2
 // safe slot, the event-driven policies apply at the current instant,
-// which is always a quantum boundary between engine steps — but the
-// request model, the feasibility arithmetic, the event vocabulary
-// (EvJoin/EvLeave/EvReweight), and the ledger are this package's.
+// which is always a quantum boundary between engine steps — and emits
+// the EvJoin/EvLeave/EvReweight events through its own recorder, as it
+// emits every other event. The request model, the feasibility
+// arithmetic and the admission counters are this package's.
 //
 // Import discipline: admission sits below the policies (engine imports
 // it to declare Dynamic), so it may import only task, rational, and
@@ -31,6 +33,7 @@ package admission
 import (
 	"fmt"
 
+	"pfair/internal/obs"
 	"pfair/internal/task"
 )
 
@@ -142,4 +145,33 @@ type Decision struct {
 
 func (d Decision) String() string {
 	return fmt.Sprintf("%s %s @%d", d.Op, d.Name, d.EffectiveAt)
+}
+
+// Accept counts an accepted transaction in met's per-op admission
+// counter (met may be nil) and returns d, so a policy's Submit can
+// count and return in one expression. Policies call it exactly once per
+// accepted Submit, after validation and feasibility.
+func Accept(met *obs.SchedulerMetrics, d Decision) (Decision, error) {
+	if met != nil {
+		switch d.Op {
+		case OpJoin:
+			met.Joins.Inc()
+		case OpLeave:
+			met.Leaves.Inc()
+		case OpReweight:
+			met.Reweights.Inc()
+		}
+	}
+	return d, nil
+}
+
+// Refuse counts a refused transaction in met (which may be nil) and
+// returns err unchanged, so a policy's Submit can gate and return in
+// one expression. The error itself is the policy's (or the feasibility
+// test's).
+func Refuse(met *obs.SchedulerMetrics, err error) (Decision, error) {
+	if met != nil {
+		met.AdmissionRejects.Inc()
+	}
+	return Decision{}, err
 }

@@ -19,8 +19,8 @@ func errText(err error) string {
 }
 
 // TestAdmission covers the request model, both exact feasibility tests
-// and the plane's ledger, counters and event fanout in one table: each
-// row compares what the package returned with what it must return.
+// and the admission counters in one table: each row compares what the
+// package returned with what it must return.
 func TestAdmission(t *testing.T) {
 	a := task.MustNew("A", 1, 3)
 	third, twoThirds := rational.New(1, 3), rational.New(2, 3)
@@ -30,31 +30,38 @@ func TestAdmission(t *testing.T) {
 	// Π(uᵢ+1) = 4/3 · 3/2 = 2: exactly on the hyperbolic bound.
 	onBound := task.Set{task.MustNew("H0", 1, 3), task.MustNew("H1", 1, 2)}
 
-	// An observed plane with a full script of transactions, plus an
-	// unobserved one driven the same way.
-	rec := obs.NewRecorder(16)
+	// A script of outcomes counted into a metrics block, and the same
+	// script with no metrics attached.
 	met := obs.NewSchedulerMetrics(nil)
-	observed, bare := NewPlane(), NewPlane()
-	observed.Observe(rec, met)
 	refused := errors.New("refused")
-	var rejected []error
 	decisions := []Decision{
 		{Op: OpJoin, Name: "A", EffectiveAt: 0},
 		{Op: OpReweight, Name: "A", EffectiveAt: 4},
 		{Op: OpLeave, Name: "A", EffectiveAt: 9},
 		{Op: OpLeave, Name: "B", EffectiveAt: 9},
 	}
-	for _, p := range []*Plane{observed, bare} {
-		for _, d := range decisions {
-			p.Commit(d)
-		}
-		rejected = append(rejected, p.Reject(OpJoin, refused), p.Reject(OpReweight, refused))
-		p.EmitJoin(0, 3, 1, 3)
-		p.EmitReweight(4, 5, 2, 5)
-		p.EmitLeave(9, 5, 7)
+	type outcome struct {
+		d   Decision
+		err error
 	}
-	log := observed.Log()
-	log[0].Name = "edited" // Log hands out a copy
+	var outcomes []outcome
+	for _, m := range []*obs.SchedulerMetrics{met, nil} {
+		for _, d := range decisions {
+			got, err := Accept(m, d)
+			outcomes = append(outcomes, outcome{got, err})
+		}
+		for range 2 {
+			got, err := Refuse(m, refused)
+			outcomes = append(outcomes, outcome{got, err})
+		}
+	}
+	var want []outcome
+	for range 2 {
+		for _, d := range decisions {
+			want = append(want, outcome{d, nil})
+		}
+		want = append(want, outcome{Decision{}, refused}, outcome{Decision{}, refused})
+	}
 
 	rows := []struct {
 		name      string
@@ -92,17 +99,9 @@ func TestAdmission(t *testing.T) {
 		{"hyperbolic join past the bound", errText(Hyperbolic(onBound, task.MustNew("J", 1, 9))), "admission: admitting J(1/9) fails the hyperbolic RM bound: Π(uᵢ+1) = 20/9 > 2"},
 		{"hyperbolic set past the bound", errText(Hyperbolic(task.Set{task.MustNew("X", 1, 2), task.MustNew("Y", 1, 2)}, nil)), "admission: the set fails the hyperbolic RM bound: Π(uᵢ+1) = 9/4 > 2"},
 
-		// Plane: ledger, rejects, counters and events.
-		{"log in acceptance order", observed.Log(), decisions},
-		{"log of an unobserved plane", bare.Log(), decisions},
-		{"rejects", []int64{observed.Rejects(), bare.Rejects()}, []int64{2, 2}},
-		{"reject returns its error", rejected, []error{refused, refused, refused, refused}},
+		// Accept and Refuse: returned values and counters.
+		{"accept and refuse return their outcome", outcomes, want},
 		{"counters", []int64{met.Joins.Value(), met.Leaves.Value(), met.Reweights.Value(), met.AdmissionRejects.Value()}, []int64{1, 2, 1, 2}},
-		{"events", rec.Events(), []obs.Event{
-			{Slot: 0, Kind: obs.EvJoin, Task: 3, Proc: -1, A: 1, B: 3},
-			{Slot: 4, Kind: obs.EvReweight, Task: 5, Proc: -1, A: 2, B: 5},
-			{Slot: 9, Kind: obs.EvLeave, Task: 5, Proc: -1, A: 7},
-		}},
 		{"decision text", decisions[1].String(), "reweight A @4"},
 	}
 	for _, r := range rows {

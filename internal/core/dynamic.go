@@ -44,22 +44,35 @@ func (s *Scheduler) earliestLeave(st *tstate) int64 {
 // Leave schedules the named task's departure at its earliest safe time and
 // returns that time. The task continues to compete (and receive its share)
 // until then; from the returned slot on it no longer exists in the system.
-// Leave is a thin shim over the admission plane (Submit).
+// A Leave after a pending Reweight keeps that reweight's slot and cancels
+// its replacement. Leave is a thin shim over Submit.
 func (s *Scheduler) Leave(name string) (int64, error) {
 	d, err := s.Submit(admission.Leave(name))
 	return d.EffectiveAt, err
 }
 
-// leave is the plane's OpLeave apply: it schedules the
-// departure and reports whether the task was already leaving (the call
-// is idempotent; repeats return the pending slot without re-ledgering).
+// leave is Submit's OpLeave apply: it schedules the departure and
+// reports whether the task was already leaving for good (the call is
+// idempotent; repeats return the pending slot and are not counted
+// again). A leave that lands on a pending reweight is a new leave: it
+// keeps the reweight's safe slot but cancels the rejoin, handing back
+// an upward reweight's reserved weight delta, so the task departs and
+// no new incarnation is admitted.
 func (s *Scheduler) leave(name string) (at int64, already bool, err error) {
 	st, ok := s.tasks[name]
 	if !ok {
 		return 0, false, fmt.Errorf("core: no task %q", name)
 	}
 	if st.leaving {
-		return st.leaveAt, true, nil
+		if st.rejoin == nil {
+			return st.leaveAt, true, nil
+		}
+		if st.rejoinReserved {
+			s.weight.Sub(st.rejoin.Weight()).Add(st.task.Weight())
+			st.rejoinReserved = false
+		}
+		st.rejoin = nil
+		return st.leaveAt, false, nil
 	}
 	st.leaving = true
 	st.leaveAt = s.earliestLeave(st)
@@ -85,7 +98,7 @@ func (s *Scheduler) Reweight(name string, newCost, newPeriod int64) (int64, erro
 	return d.EffectiveAt, err
 }
 
-// reweight is the plane's OpReweight apply: §5.3's leave-and-join, with
+// reweight is Submit's OpReweight apply: §5.3's leave-and-join, with
 // the upward case admission-checked and capacity-reserved at request
 // time.
 func (s *Scheduler) reweight(name string, newCost, newPeriod int64) (int64, error) {

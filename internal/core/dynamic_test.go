@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"pfair/internal/admission"
+	"pfair/internal/obs"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
@@ -260,6 +263,88 @@ func TestReweight(t *testing.T) {
 	}
 	if err := s.Join(task.MustNew("late", 1, 100)); err == nil {
 		t.Fatal("join during reserved reweight accepted")
+	}
+}
+
+// TestLeaveCancelsPendingReweight: a Leave submitted while the task's
+// Reweight is still pending is a leave, not an idempotent repeat. The
+// task departs at the reweight's safe slot, no new incarnation joins,
+// and an upward reweight's reserved weight is handed back at once.
+func TestLeaveCancelsPendingReweight(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		cost, period int64
+		afterLeave   string // Σwt right after the Leave
+		wantTasks    []string
+		wantWeight   string // Σwt at the end
+	}{
+		{"C", 1, 2, "17/12", []string{"A", "B"}, "7/6"}, // upward: 1/4 → 1/2
+		{"B", 1, 3, "17/12", []string{"A", "C"}, "3/4"}, // downward: 2/3 → 1/3
+	} {
+		rec := obs.NewRecorder(1 << 12)
+		met := obs.NewSchedulerMetrics(nil)
+		s := NewScheduler(2, PD2, Options{})
+		s.Observe(rec, met)
+		var ran []int64 // the slots of every allocation to the target
+		s.OnSlot(func(slot int64, assigned []Assignment) {
+			for _, a := range assigned {
+				if s.Name(a.Task) == c.name {
+					ran = append(ran, slot)
+				}
+			}
+		})
+		for _, tk := range []*task.Task{task.MustNew("A", 1, 2), task.MustNew("B", 2, 3), task.MustNew("C", 1, 4)} {
+			if _, err := s.Submit(admission.Join(tk)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.RunUntil(5)
+		rw, err := s.Submit(admission.Reweight(c.name, c.cost, c.period))
+		if err != nil {
+			t.Fatalf("%s: reweight: %v", c.name, err)
+		}
+		lv, err := s.Submit(admission.Leave(c.name))
+		if err != nil {
+			t.Fatalf("%s: leave: %v", c.name, err)
+		}
+		leaveAt := rw.EffectiveAt
+		if lv.EffectiveAt != leaveAt || leaveAt < 5 {
+			t.Errorf("%s: reweight @%d, leave @%d; want the same safe slot, not before 5", c.name, leaveAt, lv.EffectiveAt)
+		}
+		if got := s.TotalWeight().String(); got != c.afterLeave {
+			t.Errorf("%s: Σwt after the leave = %s, want %s", c.name, got, c.afterLeave)
+		}
+		s.RunUntil(40)
+		s.FinishMisses(40)
+		if got := s.Tasks(); !reflect.DeepEqual(got, c.wantTasks) {
+			t.Errorf("%s: tasks at 40 = %v, want %v", c.name, got, c.wantTasks)
+		}
+		if got := s.TotalWeight().String(); got != c.wantWeight {
+			t.Errorf("%s: Σwt at 40 = %s, want %s", c.name, got, c.wantWeight)
+		}
+		if len(ran) > 0 && ran[len(ran)-1] >= leaveAt {
+			t.Errorf("%s: allocated at slot %d, after its departure at %d", c.name, ran[len(ran)-1], leaveAt)
+		}
+		if n := len(s.Stats().Misses); n != 0 {
+			t.Errorf("%s: %d misses", c.name, n)
+		}
+		var joins, leaves, reweights int
+		for _, e := range rec.Events() {
+			switch e.Kind {
+			case obs.EvJoin:
+				joins++
+			case obs.EvLeave:
+				leaves++
+			case obs.EvReweight:
+				reweights++
+			}
+		}
+		if joins != 3 || leaves != 1 || reweights != 0 {
+			t.Errorf("%s: %d EvJoin, %d EvLeave, %d EvReweight; want 3, 1, 0", c.name, joins, leaves, reweights)
+		}
+		if got := []int64{met.Joins.Value(), met.Reweights.Value(), met.Leaves.Value()}; !reflect.DeepEqual(got, []int64{3, 1, 1}) {
+			t.Errorf("%s: joins/reweights/leaves counted %v, want [3 1 1]", c.name, got)
+		}
 	}
 }
 

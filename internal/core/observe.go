@@ -41,7 +41,6 @@ func (s *Scheduler) Observe(rec *obs.Recorder, met *obs.SchedulerMetrics) {
 // comparator are the same whether or not anything is attached.
 func (s *Scheduler) adoptAttachments() {
 	s.rec, s.met = s.eng.Recorder(), s.eng.Metrics()
-	s.plane.Observe(s.rec, s.met)
 	for _, st := range s.order {
 		if !st.departed {
 			s.registerObs(st)
@@ -77,10 +76,8 @@ func (s *Scheduler) registerObs(st *tstate) {
 	if s.rec.RegisterTask(st.obsID, st.task.Name) {
 		// First time this recorder sees the task: emit its join event,
 		// whether registration happens at admission or at a mid-run
-		// Observe. The slot is the current slot either way. The emission
-		// goes through the admission plane so every policy narrates churn
-		// identically (the event bytes are unchanged).
-		s.plane.EmitJoin(s.eng.Now(), st.obsID, st.task.Cost, st.task.Period)
+		// Observe. The slot is the current slot either way.
+		s.rec.Emit(obs.Event{Slot: s.eng.Now(), Kind: obs.EvJoin, Task: st.obsID, Proc: -1, A: st.task.Cost, B: st.task.Period})
 	}
 }
 

@@ -188,12 +188,6 @@ type Scheduler struct {
 	met     *obs.SchedulerMetrics
 	obsNext int32
 
-	// plane is the admission-plane ledger and event/metric fanout every
-	// dynamic operation flows through (see admission.go / internal/
-	// admission). Created with the scheduler; its observability
-	// attachment tracks the engine's via adoptAttachments.
-	plane *admission.Plane
-
 	selBuf    []*tstate
 	assignBuf []Assignment
 	// procNext and taken are the assignment scratch for the current slot,
@@ -208,32 +202,6 @@ type Scheduler struct {
 // at construction (engine.WithRecorder / engine.WithMetrics), equivalent
 // to calling Observe afterwards.
 func NewScheduler(m int, alg Algorithm, opts Options, engOpts ...engine.Option) *Scheduler {
-	s := newSchedulerState(m, alg, opts)
-	s.eng = engine.New(s, engOpts...)
-	s.adoptAttachments()
-	return s
-}
-
-// NewSchedulerOn builds a scheduler as NewScheduler does but rebinds an
-// existing engine to it instead of creating a fresh one: the engine's
-// clock rewinds to zero while its observability attachments (and trace
-// ring) carry over. Scenario drivers (internal/faults) use it to re-run
-// variants of an experiment on one engine. A nil engine is equivalent to
-// NewScheduler.
-func NewSchedulerOn(e *engine.Engine, m int, alg Algorithm, opts Options) *Scheduler {
-	s := newSchedulerState(m, alg, opts)
-	if e == nil {
-		e = engine.New(s)
-	} else {
-		e.Reset(s)
-	}
-	s.eng = e
-	s.adoptAttachments()
-	return s
-}
-
-// newSchedulerState builds the scheduler sans engine binding.
-func newSchedulerState(m int, alg Algorithm, opts Options) *Scheduler {
 	if m < 1 {
 		//pfair:allowpanic constructor contract: the processor count is a static configuration value
 		panic("core: scheduler needs at least one processor")
@@ -244,7 +212,6 @@ func newSchedulerState(m int, alg Algorithm, opts Options) *Scheduler {
 		opts:     opts,
 		tasks:    make(map[string]*tstate),
 		weight:   rational.NewAcc(),
-		plane:    admission.NewPlane(),
 		procPrev: make([]*tstate, m),
 		procNext: make([]*tstate, m),
 		taken:    make([]bool, m),
@@ -257,6 +224,8 @@ func newSchedulerState(m int, alg Algorithm, opts Options) *Scheduler {
 		return less(s.alg, &a.pr, &b.pr)
 	})
 	s.pending = calq.NewWheel[*tstate](minSpan)
+	s.eng = engine.New(s, engOpts...)
+	s.adoptAttachments()
 	return s
 }
 
@@ -290,13 +259,11 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 // Join admits a task at the current time. Per Section 2, a task may join
 // whenever the feasibility condition Σ wt(T) ≤ M (Equation (2)) continues
 // to hold. The task's first subtask is released at the current slot (plus
-// any model offset). Join is a thin shim over the admission plane
-// (Submit); the produced schedule is byte-identical to the pre-plane
-// entry point.
+// any model offset). Join is a thin shim over Submit.
 func (s *Scheduler) Join(t *task.Task) error { return s.JoinModel(t, nil) }
 
-// JoinModel admits a task with an explicit IS release model, through the
-// admission plane.
+// JoinModel admits a task with an explicit IS release model, through
+// Submit.
 func (s *Scheduler) JoinModel(t *task.Task, model ReleaseModel) error {
 	var req admission.Request
 	if model != nil {
@@ -778,7 +745,9 @@ func (s *Scheduler) applyLeaves(t int64) {
 		}
 		delete(s.tasks, st.task.Name)
 		st.departed = true
-		s.plane.EmitLeave(t, st.obsID, st.allocated)
+		if rec := s.rec; rec != nil {
+			rec.Emit(obs.Event{Slot: t, Kind: obs.EvLeave, Task: st.obsID, Proc: -1, A: st.allocated})
+		}
 		if st.rejoin != nil {
 			rejoins = append(rejoins, st)
 		}
@@ -786,10 +755,10 @@ func (s *Scheduler) applyLeaves(t int64) {
 	s.leaves = kept
 	// Sort rejoins for determinism, then admit. Re-joins bypass the
 	// admission check: they were validated (and, if upward, reserved)
-	// when the Reweight was requested. They are not re-ledgered either —
-	// the Reweight Decision that scheduled them already is — but the
-	// boundary their new weight lands on is narrated with an EvReweight
-	// carrying the new incarnation's id, following its EvJoin.
+	// when the Reweight was requested. They are not counted again
+	// either — the Reweight Decision that scheduled them already was —
+	// but the boundary their new weight lands on is narrated with an
+	// EvReweight carrying the new incarnation's id, following its EvJoin.
 	sort.Slice(rejoins, func(i, j int) bool { return rejoins[i].rejoin.Name < rejoins[j].rejoin.Name })
 	for _, st := range rejoins {
 		if err := s.admit(st.rejoin, nil, !st.rejoinReserved, false); err != nil {
@@ -798,7 +767,9 @@ func (s *Scheduler) applyLeaves(t int64) {
 			//pfair:allowpanic invariant: the departed task owned the name and the parameters were validated at request time
 			panic(fmt.Sprintf("core: reweight re-join failed: %v", err))
 		}
-		nst := s.tasks[st.rejoin.Name]
-		s.plane.EmitReweight(t, nst.obsID, st.rejoin.Cost, st.rejoin.Period)
+		if rec := s.rec; rec != nil {
+			nst := s.tasks[st.rejoin.Name]
+			rec.Emit(obs.Event{Slot: t, Kind: obs.EvReweight, Task: nst.obsID, Proc: -1, A: st.rejoin.Cost, B: st.rejoin.Period})
+		}
 	}
 }

@@ -5,13 +5,13 @@ import (
 
 	"pfair/internal/admission"
 	"pfair/internal/engine"
+	"pfair/internal/obs"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
 
 // This file implements engine.Dynamic for the simulator: mid-run join,
-// leave, and reweight through the unified admission plane, under either
-// priority rule.
+// leave, and reweight through Submit, under either priority rule.
 //
 // The simulator is event-driven, so every instant between engine steps
 // is a scheduling boundary; transactions apply immediately at the
@@ -23,11 +23,11 @@ import (
 //     instant. EDF uses the exact condition Σ bandwidth ≤ 1 (a served
 //     task demands its server's bandwidth Q/P, an unserved one its weight
 //     e/p). RM uses the hyperbolic bound Π(uᵢ+1) ≤ 2, which is sufficient
-//     from any release phasing (the critical-instant argument), and takes
-//     no join model, since an RM task runs no server.
+//     from any release phasing (the critical-instant argument). Neither
+//     rule takes a join model: a CBS task joins through Add.
 //     The legacy Add entry point remains unchecked — the overload
 //     experiments depend on admitting infeasible sets — so the bound
-//     gates only plane-submitted joins.
+//     gates only joins through Submit.
 //   - Leave: immediate. The task's release timer is disarmed and its
 //     in-flight jobs — running, ready, and server backlog — are
 //     cancelled and excluded from miss accounting: a voluntary departure
@@ -74,87 +74,65 @@ func (s *Simulator) feasible(cfg Config, except string) error {
 	return admission.Utilization(total, bandwidth(cfg), rational.Zero(), 1)
 }
 
-// Submit implements engine.Dynamic: transactional join/leave/reweight
-// through the admission plane. It must be called between engine steps
-// (every instant there is a scheduling boundary), never from inside a
-// phase method. Cold path.
+// Submit implements engine.Dynamic: transactional join/leave/reweight,
+// counted in the attached metrics block. It must be called between
+// engine steps (every instant there is a scheduling boundary), never
+// from inside a phase method. Cold path.
 func (s *Simulator) Submit(req admission.Request) (admission.Decision, error) {
+	met := s.eng.Metrics()
 	if err := req.Validate(); err != nil {
-		return admission.Decision{}, s.plane.Reject(req.Op, err)
+		return admission.Refuse(met, err)
 	}
 	now := s.eng.Now()
 	switch req.Op {
 	case admission.OpJoin:
-		if s.rm && req.Model != nil {
-			return admission.Decision{}, s.plane.Reject(req.Op,
-				fmt.Errorf("edf: RM takes no join model, got %T", req.Model))
+		if req.Model != nil {
+			return admission.Refuse(met, fmt.Errorf("edf: join model %T is not supported", req.Model))
 		}
 		cfg := Config{Task: req.Task}
-		switch m := req.Model.(type) {
-		case nil:
-		case *CBS:
-			cfg.Server = m
-		case CBS:
-			srv := m
-			cfg.Server = &srv
-		case Config:
-			cfg = m
-			cfg.Task = req.Task
-		case *Config:
-			cfg = *m
-			cfg.Task = req.Task
-		default:
-			return admission.Decision{}, s.plane.Reject(req.Op,
-				fmt.Errorf("edf: join model %T is not a CBS or Config", req.Model))
-		}
 		if err := s.feasible(cfg, ""); err != nil {
-			return admission.Decision{}, s.plane.Reject(req.Op, err)
+			return admission.Refuse(met, err)
 		}
 		if err := s.Add(cfg); err != nil {
-			return admission.Decision{}, s.plane.Reject(req.Op, err)
+			return admission.Refuse(met, err)
 		}
-		d := admission.Decision{Op: req.Op, Name: req.Task.Name, EffectiveAt: now}
-		s.plane.Commit(d)
-		return d, nil
+		return admission.Accept(met, admission.Decision{Op: req.Op, Name: req.Task.Name, EffectiveAt: now})
 
 	case admission.OpLeave:
 		ts, ok := s.tasks[req.Name]
 		if !ok {
-			return admission.Decision{}, s.plane.Reject(req.Op,
-				fmt.Errorf("edf: unknown task %q", req.Name))
+			return admission.Refuse(met, fmt.Errorf("edf: unknown task %q", req.Name))
 		}
 		s.remove(ts)
-		s.plane.EmitLeave(now, ts.obsID, ts.executed)
-		d := admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: now}
-		s.plane.Commit(d)
-		return d, nil
+		if rec := s.rec; rec != nil {
+			rec.Emit(obs.Event{Slot: now, Kind: obs.EvLeave, Task: ts.obsID, Proc: -1, A: ts.executed})
+		}
+		return admission.Accept(met, admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: now})
 
 	case admission.OpReweight:
 		ts, ok := s.tasks[req.Name]
 		if !ok {
-			return admission.Decision{}, s.plane.Reject(req.Op,
-				fmt.Errorf("edf: unknown task %q", req.Name))
+			return admission.Refuse(met, fmt.Errorf("edf: unknown task %q", req.Name))
 		}
 		nt := *ts.cfg.Task
 		nt.Cost, nt.Period = req.NewCost, req.NewPeriod
 		cfg := Config{Task: &nt, ActualCost: ts.cfg.ActualCost, Server: ts.cfg.Server}
 		if err := s.feasible(cfg, req.Name); err != nil {
-			return admission.Decision{}, s.plane.Reject(req.Op, err)
+			return admission.Refuse(met, err)
 		}
 		s.remove(ts)
 		if err := s.Add(cfg); err != nil {
 			// Unreachable in practice (the name was just freed and the
 			// parameters validated), but a rejected rejoin must still be
-			// a ledgered rejection, not a silent half-applied leave.
-			return admission.Decision{}, s.plane.Reject(req.Op, err)
+			// a counted refusal, not a silent half-applied leave.
+			return admission.Refuse(met, err)
 		}
-		s.plane.EmitReweight(now, s.tasks[req.Name].obsID, req.NewCost, req.NewPeriod)
-		d := admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: now}
-		s.plane.Commit(d)
-		return d, nil
+		if rec := s.rec; rec != nil {
+			rec.Emit(obs.Event{Slot: now, Kind: obs.EvReweight, Task: s.tasks[req.Name].obsID, Proc: -1, A: req.NewCost, B: req.NewPeriod})
+		}
+		return admission.Accept(met, admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: now})
 	}
-	return admission.Decision{}, s.plane.Reject(req.Op,
-		fmt.Errorf("admission: unknown op %d", req.Op))
+	return admission.Refuse(met, fmt.Errorf("admission: unknown op %d", req.Op))
 }
 
 // remove departs a task immediately: disarm its release timer, cancel
@@ -186,10 +164,3 @@ func (s *Simulator) remove(ts *tstate) {
 	delete(s.tasks, ts.cfg.Task.Name)
 	s.removeRank(ts)
 }
-
-// AdmissionLog returns the accepted dynamic-task transactions in commit
-// order.
-func (s *Simulator) AdmissionLog() []admission.Decision { return s.plane.Log() }
-
-// AdmissionRejects returns how many dynamic-task requests were refused.
-func (s *Simulator) AdmissionRejects() int64 { return s.plane.Rejects() }

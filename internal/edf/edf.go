@@ -38,7 +38,6 @@ import (
 	"sort"
 	"time"
 
-	"pfair/internal/admission"
 	"pfair/internal/calq"
 	"pfair/internal/engine"
 	"pfair/internal/obs"
@@ -92,7 +91,7 @@ type Stats struct {
 
 type tstate struct {
 	cfg         Config
-	obsID       int32 // dense trace id, −1 until a recorder is attached
+	obsID       int32 // dense trace id: the task's index in add order
 	nextRelease int64
 	nextJob     int64 // 1-based index of the next job to release
 	executed    int64 // time units this task's jobs have run, for EvLeave
@@ -173,10 +172,6 @@ type Simulator struct {
 	stats   Stats
 	measure bool
 	rec     *obs.Recorder
-	// plane is the admission-plane ledger behind Submit: it records the
-	// accepted Decisions, counts rejects, and narrates churn to whatever
-	// recorder/metrics are attached.
-	plane *admission.Plane
 }
 
 // NewSimulator returns an empty EDF simulator at time 0. Engine options
@@ -194,10 +189,8 @@ func newSimulator(rm bool, opts []engine.Option) *Simulator {
 	s := &Simulator{rm: rm, tasks: make(map[string]*tstate), nextRel: math.MaxInt64}
 	s.ready = calq.NewMinQueue(1, jobLess)
 	s.relWheel = calq.NewWheel[*tstate](1)
-	s.plane = admission.NewPlane()
 	s.eng = engine.New(s, opts...)
 	s.rec = s.eng.Recorder()
-	s.plane.Observe(s.rec, s.eng.Metrics())
 	return s
 }
 
@@ -232,7 +225,6 @@ func (s *Simulator) MeasureOverhead(on bool) { s.measure = on }
 func (s *Simulator) SetRecorder(rec *obs.Recorder) {
 	s.eng.Observe(rec, s.eng.Metrics())
 	s.rec = rec
-	s.plane.Observe(rec, s.eng.Metrics())
 	for _, ts := range s.order {
 		if !ts.left {
 			s.registerObs(ts)
@@ -244,18 +236,8 @@ func (s *Simulator) registerObs(ts *tstate) {
 	if s.rec == nil {
 		return
 	}
-	if ts.obsID < 0 {
-		for i, o := range s.order {
-			if o == ts {
-				ts.obsID = int32(i)
-				break
-			}
-		}
-	}
 	if s.rec.RegisterTask(ts.obsID, ts.cfg.Task.Name) {
-		// Routed through the admission plane so every policy narrates
-		// churn identically; the event bytes are unchanged.
-		s.plane.EmitJoin(s.now, ts.obsID, ts.cfg.Task.Cost, ts.cfg.Task.Period)
+		s.rec.Emit(obs.Event{Slot: s.now, Kind: obs.EvJoin, Task: ts.obsID, Proc: -1, A: ts.cfg.Task.Cost, B: ts.cfg.Task.Period})
 	}
 }
 
@@ -278,7 +260,7 @@ func (s *Simulator) Add(cfg Config) error {
 	if cfg.Server != nil && s.rm {
 		return fmt.Errorf("edf: %s: a CBS needs the EDF rule, not RM", cfg.Task.Name)
 	}
-	ts := &tstate{cfg: cfg, obsID: -1, nextRelease: s.eng.Now(), nextJob: 1}
+	ts := &tstate{cfg: cfg, obsID: int32(len(s.order)), nextRelease: s.eng.Now(), nextJob: 1}
 	if cfg.Server != nil {
 		ts.budget = cfg.Server.Budget
 	}

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"pfair/internal/admission"
+	"pfair/internal/engine"
+	"pfair/internal/obs"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
@@ -281,15 +283,16 @@ func TestRMRule(t *testing.T) {
 		}
 	}
 
-	s := NewRMSimulator()
+	met := obs.NewSchedulerMetrics(nil)
+	s := NewRMSimulator(engine.WithMetrics(met))
 	if err := s.Add(Config{Task: task.MustNew("A", 1, 3), Server: &CBS{Budget: 1, Period: 3}}); err == nil {
 		t.Error("RM accepted a CBS through Add")
 	}
 	if _, err := s.Submit(admission.JoinModel(task.MustNew("A", 1, 3), CBS{Budget: 1, Period: 3})); err == nil {
 		t.Error("RM accepted a CBS join model")
 	}
-	if s.AdmissionRejects() != 1 {
-		t.Errorf("%d rejects ledgered, want 1", s.AdmissionRejects())
+	if got := met.AdmissionRejects.Value(); got != 1 {
+		t.Errorf("%d rejects counted, want 1", got)
 	}
 }
 

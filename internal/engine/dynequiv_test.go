@@ -1,10 +1,10 @@
 package engine_test
 
-// Dynamic-plane equivalence suite: the unified admission plane (Submit)
+// Dynamic-task equivalence suite: the unified entry point (Submit)
 // and each policy's legacy entry points are two doors into the same
 // transaction, so driving the identical churn script through either must
-// produce identical observable output — assignment streams, counters,
-// miss lists, and admission ledgers. `make dyn-equiv` runs exactly this
+// produce identical observable output — accept sequences, assignment
+// streams, counters and miss lists. `make dyn-equiv` runs exactly this
 // suite; it is the executable form of the refactor's "thin shim" claim,
 // policy by policy.
 
@@ -22,69 +22,103 @@ import (
 )
 
 // TestDynEquivCore: Join/Reweight/Leave vs Submit on PD², including
-// mid-run operations, must agree on the schedule, the stats, and the
-// ledger (the legacy names are shims over Submit; this pins it).
+// mid-run operations, must agree on the accept sequence, the schedule
+// and the stats (the legacy names are shims over Submit; this pins it),
+// and each script must end with the task set and total weight its
+// operations imply. The last two scripts leave a task whose reweight is
+// still pending: the leave cancels the reweight, upward or downward, and
+// the task departs at the reweight's safe slot.
 func TestDynEquivCore(t *testing.T) {
 	set := task.Set{task.MustNew("A", 1, 2), task.MustNew("B", 2, 3), task.MustNew("C", 1, 4)}
-	joiner := task.MustNew("D", 1, 5)
 	const horizon = 120
+	type step struct {
+		at  int64 // the slot the request is submitted at
+		req admission.Request
+	}
+	scripts := []struct {
+		name       string
+		steps      []step
+		wantTasks  []string
+		wantWeight string
+	}{
+		{"join, reweight, leave", []step{
+			{30, admission.Join(task.MustNew("D", 1, 5))},
+			{30, admission.Reweight("C", 1, 2)},
+			{60, admission.Leave("B")},
+		}, []string{"A", "D", "C"}, "6/5"},
+		{"leave after pending upward reweight", []step{
+			{5, admission.Reweight("C", 1, 2)},
+			{5, admission.Leave("C")},
+		}, []string{"A", "B"}, "7/6"},
+		{"leave after pending downward reweight", []step{
+			{5, admission.Reweight("B", 1, 3)},
+			{5, admission.Leave("B")},
+		}, []string{"A", "C"}, "3/4"},
+	}
 
-	run := func(plane bool) ([]verify.Slot, core.Stats, int, int64) {
+	type result struct {
+		accepts []bool
+		slots   []verify.Slot
+		stats   core.Stats
+		tasks   []string
+		weight  string
+	}
+	run := func(steps []step, plane bool) result {
 		s := core.NewScheduler(2, core.PD2, core.Options{})
 		rec := &verify.Recorder{}
 		s.OnSlot(rec.Record)
-		join := func(tk *task.Task) error {
-			if plane {
-				_, err := s.Submit(admission.Join(tk))
-				return err
+		var r result
+		submit := func(req admission.Request) {
+			var err error
+			switch {
+			case plane:
+				_, err = s.Submit(req)
+			case req.Op == admission.OpJoin:
+				err = s.Join(req.Task)
+			case req.Op == admission.OpReweight:
+				_, err = s.Reweight(req.Name, req.NewCost, req.NewPeriod)
+			default:
+				_, err = s.Leave(req.Name)
 			}
-			return s.Join(tk)
+			r.accepts = append(r.accepts, err == nil)
 		}
 		for _, tk := range set {
-			if err := join(tk); err != nil {
-				t.Fatalf("join %v: %v", tk, err)
-			}
+			submit(admission.Join(tk))
 		}
-		s.RunUntil(30)
-		if err := join(joiner); err != nil {
-			t.Fatalf("mid-run join: %v", err)
-		}
-		var err error
-		if plane {
-			_, err = s.Submit(admission.Reweight("C", 1, 2))
-		} else {
-			_, err = s.Reweight("C", 1, 2)
-		}
-		if err != nil {
-			t.Fatalf("reweight: %v", err)
-		}
-		s.RunUntil(60)
-		if plane {
-			_, err = s.Submit(admission.Leave("B"))
-		} else {
-			_, err = s.Leave("B")
-		}
-		if err != nil {
-			t.Fatalf("leave: %v", err)
+		for _, st := range steps {
+			s.RunUntil(st.at)
+			submit(st.req)
 		}
 		s.RunUntil(horizon)
 		s.FinishMisses(horizon)
-		return rec.Slots, s.Stats(), len(s.AdmissionLog()), s.AdmissionRejects()
+		r.slots, r.stats, r.tasks, r.weight = rec.Slots, s.Stats(), s.Tasks(), s.TotalWeight().String()
+		return r
 	}
 
-	lSlots, lStats, lLedger, lRejects := run(false)
-	pSlots, pStats, pLedger, pRejects := run(true)
-	if !reflect.DeepEqual(lSlots, pSlots) {
-		t.Errorf("core: legacy and Submit schedules diverge")
-	}
-	if !reflect.DeepEqual(lStats, pStats) {
-		t.Errorf("core: stats diverge: legacy %+v, Submit %+v", lStats, pStats)
-	}
-	if lLedger != pLedger || lRejects != pRejects {
-		t.Errorf("core: ledger diverges: legacy %d/%d, Submit %d/%d", lLedger, lRejects, pLedger, pRejects)
-	}
-	if lStats.Misses != nil {
-		t.Errorf("core: %d misses under a feasible script", len(lStats.Misses))
+	for _, sc := range scripts {
+		legacy, plane := run(sc.steps, false), run(sc.steps, true)
+		if !reflect.DeepEqual(legacy.accepts, plane.accepts) {
+			t.Errorf("%s: accept sequences diverge: legacy %v, Submit %v", sc.name, legacy.accepts, plane.accepts)
+		}
+		for i, ok := range plane.accepts {
+			if !ok {
+				t.Errorf("%s: request %d refused", sc.name, i)
+			}
+		}
+		if !reflect.DeepEqual(legacy.slots, plane.slots) {
+			t.Errorf("%s: legacy and Submit schedules diverge", sc.name)
+		}
+		if !reflect.DeepEqual(legacy.stats, plane.stats) {
+			t.Errorf("%s: stats diverge: legacy %+v, Submit %+v", sc.name, legacy.stats, plane.stats)
+		}
+		if plane.stats.Misses != nil {
+			t.Errorf("%s: %d misses under a feasible script", sc.name, len(plane.stats.Misses))
+		}
+		for _, r := range []result{legacy, plane} {
+			if !reflect.DeepEqual(r.tasks, sc.wantTasks) || r.weight != sc.wantWeight {
+				t.Errorf("%s: ends with %v at Σwt %s, want %v at %s", sc.name, r.tasks, r.weight, sc.wantTasks, sc.wantWeight)
+			}
+		}
 	}
 }
 

@@ -10,12 +10,12 @@
 // interface below; the engine owns the clock, the step loop, and the
 // observability attachment point (one nil-guarded *obs.Recorder and
 // *obs.SchedulerMetrics pair shared by every simulator). Policies that
-// need end-of-run accounting or dynamic churn implement the optional
-// Finisher and Dynamic interfaces; the engine resolves them once at
-// construction. Anything a policy must do at the top of a step (core's
-// departures, the variable-quantum simulator's boundary lattice) it does
-// at the top of its own Release, so the hot loop calls the phases and
-// nothing else.
+// accept dynamic churn implement the optional Dynamic interface; the
+// engine resolves it once at construction. End-of-run accounting is the
+// policy's own, called by its run wrapper after the final Run. Anything
+// a policy must do at the top of a step (core's departures, the
+// variable-quantum simulator's boundary lattice) it does at the top of
+// its own Release, so the hot loop calls the phases and nothing else.
 //
 // Two time models coexist behind the same interface:
 //
@@ -74,21 +74,12 @@ type Policy interface {
 	Next(t int64) int64
 }
 
-// Finisher is an optional hook for end-of-run accounting (recording
-// still-pending work whose deadline fell inside the horizon). It is
-// invoked by Engine.Finish, never by Run — simulations that extend a run
-// with repeated Run calls must be able to defer it to the true end.
-type Finisher interface {
-	Finish(horizon int64)
-}
-
 // Dynamic is the optional capability of policies that accept mid-run
-// task churn through the admission plane (internal/admission): Submit
-// validates the request, applies the policy's feasibility test, and —
-// on acceptance — arranges for the operation to take effect at a slot
-// boundary, returning the Decision recording when. Like the other
-// hooks it is resolved once at bind time; drivers reach it through
-// Engine.Submit (or Engine.Dynamic) without knowing the policy.
+// task churn (internal/admission): Submit validates the request,
+// applies the policy's feasibility test, and — on acceptance — arranges
+// for the operation to take effect at a slot boundary, returning the
+// Decision recording when. It is resolved once at construction; drivers
+// reach it through Engine.Submit without knowing the policy.
 //
 // Submit must be called between engine steps (the engine is
 // single-threaded; every instant between steps is a quantum boundary),
@@ -126,10 +117,8 @@ func (e *LivelockError) Error() string {
 // the policy's.
 type Engine struct {
 	pol Policy
-	// Optional hooks, resolved once at New/Reset so Step performs no
-	// type assertions.
-	finisher Finisher
-	dyn      Dynamic
+	// dyn is the optional Dynamic hook, resolved once at New.
+	dyn Dynamic
 
 	// rec and met are the shared observability attachment point. They are
 	// concrete pointers, nil when unobserved; policies cache them at bind
@@ -196,29 +185,13 @@ func New(pol Policy, opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
-	e.bind(pol)
-	return e
-}
-
-// bind installs pol and resolves its optional hooks.
-func (e *Engine) bind(pol Policy) {
 	if pol == nil {
 		//pfair:allowpanic constructor contract: an engine without a policy has no meaning
 		panic("engine: nil policy")
 	}
 	e.pol = pol
-	e.finisher, _ = pol.(Finisher)
 	e.dyn, _ = pol.(Dynamic)
-}
-
-// Reset rebinds the engine to a (possibly new) policy and rewinds the
-// clock to zero, keeping the observability attachment. Scenario drivers
-// (internal/faults) use it to re-run variants of an experiment on one
-// engine — and one trace ring — instead of rebuilding the world per run.
-func (e *Engine) Reset(pol Policy) {
-	e.bind(pol)
-	e.now, e.steps, e.zero = 0, 0, 0
-	e.err = nil
+	return e
 }
 
 // Now returns the engine clock: the instant the next Step will simulate.
@@ -229,10 +202,9 @@ func (e *Engine) Now() int64 { return e.now }
 // Steps returns the number of policy invocations so far.
 func (e *Engine) Steps() int64 { return e.steps }
 
-// Submit forwards a dynamic-task request to the bound policy's
-// admission plane. Policies without the Dynamic capability reject every
-// request with a diagnostic error rather than panicking, so generic
-// drivers can probe.
+// Submit forwards a dynamic-task request to the bound policy's Submit.
+// Policies without the Dynamic capability reject every request with a
+// diagnostic error rather than panicking, so generic drivers can probe.
 func (e *Engine) Submit(req admission.Request) (admission.Decision, error) {
 	if e.dyn == nil {
 		return admission.Decision{}, fmt.Errorf("engine: policy %T does not accept dynamic task operations", e.pol)
@@ -347,7 +319,7 @@ func (e *Engine) livelock(t int64) {
 //
 // Run returns a non-nil error — a *LivelockError — when the policy
 // exceeds the zero-advance bound; the error is sticky, so a subsequent
-// Run returns it again without stepping. Reset clears it.
+// Run returns it again without stepping.
 func (e *Engine) Run(horizon int64) error {
 	for e.now < horizon {
 		e.Step()
@@ -359,12 +331,4 @@ func (e *Engine) Run(horizon int64) error {
 		e.now = horizon
 	}
 	return e.err
-}
-
-// Finish invokes the policy's Finisher hook, if any. Call it once after
-// the final Run of a simulation.
-func (e *Engine) Finish(horizon int64) {
-	if f := e.finisher; f != nil {
-		f.Finish(horizon)
-	}
 }

@@ -52,13 +52,11 @@ func (p *fakePolicy) Next(t int64) int64 {
 	return t + 1
 }
 
-// fakeFull additionally implements every optional hook: Finisher and
-// Dynamic.
+// fakeFull additionally implements the optional Dynamic hook.
 type fakeFull struct {
 	fakePolicy
 }
 
-func (p *fakeFull) Finish(h int64) { p.mark("finish", h) }
 func (p *fakeFull) Submit(req admission.Request) (admission.Decision, error) {
 	p.log = append(p.log, "submit "+req.Name)
 	return admission.Decision{Op: req.Op, Name: req.Name}, nil
@@ -90,9 +88,8 @@ func TestStepPhaseOrder(t *testing.T) {
 }
 
 // TestHookOrderAndBoundary: Run invokes the four phases and nothing else,
-// even for a policy with every optional hook; a Submit between steps
-// reaches the policy at that step boundary, and Finish runs only when
-// asked, with the horizon.
+// even for a policy with the optional hook; a Submit between steps
+// reaches the policy at that step boundary.
 func TestHookOrderAndBoundary(t *testing.T) {
 	p := &fakeFull{}
 	e := New(p)
@@ -107,18 +104,13 @@ func TestHookOrderAndBoundary(t *testing.T) {
 		"submit x",
 		"release@2", "pick@2", "dispatch@2", "account@2",
 	})
-	e.Finish(3)
-	if last := p.log[len(p.log)-1]; last != "finish@3" {
-		t.Fatalf("last log entry = %q, want finish@3", last)
-	}
 }
 
 func TestHooksNotResolvedForPlainPolicy(t *testing.T) {
 	e := New(&fakePolicy{})
-	if e.finisher != nil || e.dyn != nil {
+	if e.dyn != nil {
 		t.Fatal("plain policy must resolve no optional hooks")
 	}
-	e.Finish(10) // no Finisher: must be a no-op
 }
 
 func TestRunClampsOvershoot(t *testing.T) {
@@ -213,41 +205,6 @@ func TestLivelockBackstop(t *testing.T) {
 	}
 	if again := e.Run(1); again != err {
 		t.Fatalf("second Run = %v, want the same sticky error", again)
-	}
-
-	// Reset clears the failure along with the clock.
-	e.Reset(&fakePolicy{})
-	if e.err != nil {
-		t.Fatalf("sticky error after Reset = %v, want nil", e.err)
-	}
-	if err := e.Run(3); err != nil {
-		t.Fatalf("Run after Reset = %v, want clean run", err)
-	}
-}
-
-func TestResetKeepsAttachments(t *testing.T) {
-	rec := obs.NewRecorder(64)
-	met := obs.NewSchedulerMetrics(obs.NewRegistry())
-	p1 := &fakePolicy{}
-	e := New(p1, WithRecorder(rec), WithMetrics(met))
-	e.Run(5)
-	if e.Now() != 5 || e.Steps() != 5 {
-		t.Fatalf("pre-reset: Now=%d Steps=%d", e.Now(), e.Steps())
-	}
-	p2 := &fakeFull{}
-	e.Reset(p2)
-	if e.Now() != 0 || e.Steps() != 0 {
-		t.Fatalf("post-reset: Now=%d Steps=%d, want 0 and 0", e.Now(), e.Steps())
-	}
-	if e.Recorder() != rec || e.Metrics() != met {
-		t.Fatal("Reset must keep observability attachments")
-	}
-	if e.finisher == nil || e.dyn == nil {
-		t.Fatal("Reset must re-resolve optional hooks for the new policy")
-	}
-	e.Step()
-	if p2.log[0] != "release@0" {
-		t.Fatalf("post-reset first call = %q, want release@0", p2.log[0])
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"pfair/internal/admission"
 	"pfair/internal/core"
-	"pfair/internal/engine"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
@@ -55,40 +54,14 @@ type Outcome struct {
 	NonCriticalMisses int
 }
 
-// Driver executes failure scenarios on one reusable slot engine. Each
-// Run binds a fresh PD² scheduler to the same engine (the engine's clock
-// rewinds, its attachments persist), so a recorder or metrics block
-// passed to NewDriver observes every variant of an experiment in a
-// single trace — e.g. the shed and no-shed runs of the same overload,
-// back to back, distinguishable by the second run's join events.
-type Driver struct {
-	// opts is held until the first Run creates the engine (an engine
-	// cannot exist unbound, so creation waits for the first policy).
-	opts []engine.Option
-	eng  *engine.Engine
-}
-
-// NewDriver returns a scenario driver. Engine options attach once and
-// observe every subsequent Run.
-func NewDriver(opts ...engine.Option) *Driver { return &Driver{opts: opts} }
-
-// Engine returns the driver's engine, or nil before the first Run.
-func (d *Driver) Engine() *engine.Engine { return d.eng }
-
-// Run executes the scenario under PD² on the driver's engine. When shed
-// is true and the survivors cannot carry the full load, non-critical
-// tasks are reweighted down proportionally until the system fits.
-func (d *Driver) Run(s Scenario, shed bool) (Outcome, error) {
+// Run executes the scenario under PD². When shed is true and the
+// survivors cannot carry the full load, non-critical tasks are
+// reweighted down proportionally until the system fits.
+func Run(s Scenario, shed bool) (Outcome, error) {
 	if s.Fail >= s.M {
 		return Outcome{}, fmt.Errorf("faults: cannot fail %d of %d processors", s.Fail, s.M)
 	}
-	var sched *core.Scheduler
-	if d.eng == nil {
-		sched = core.NewScheduler(s.M, core.PD2, core.Options{}, d.opts...)
-		d.eng = sched.Engine()
-	} else {
-		sched = core.NewSchedulerOn(d.eng, s.M, core.PD2, core.Options{})
-	}
+	sched := core.NewScheduler(s.M, core.PD2, core.Options{})
 	for _, t := range s.Tasks {
 		if _, err := sched.Submit(admission.Join(t)); err != nil {
 			return Outcome{}, err
@@ -102,10 +75,10 @@ func (d *Driver) Run(s Scenario, shed bool) (Outcome, error) {
 
 	if shed {
 		plan := shedPlan(s.Tasks, out.Survivors)
-		// Reweight through the admission plane in the declared task
-		// order, not map order: each reweight lands at the scheduler's
-		// current slot, and the paper's reweighting rules make the
-		// resulting windows depend on the order of application.
+		// Reweight through Submit in the declared task order, not map
+		// order: each reweight lands at the scheduler's current slot, and
+		// the paper's reweighting rules make the resulting windows depend
+		// on the order of application.
 		for _, t := range s.Tasks {
 			ep, ok := plan[t.Name]
 			if !ok {

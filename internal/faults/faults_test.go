@@ -1,11 +1,8 @@
 package faults
 
 import (
-	"reflect"
 	"testing"
 
-	"pfair/internal/engine"
-	"pfair/internal/obs"
 	"pfair/internal/task"
 )
 
@@ -26,7 +23,7 @@ func TestTransparentFailure(t *testing.T) {
 			crit("c1", 2, 3), task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 3), task.MustNew("n3", 1, 3),
 		}, // Σwt = 2 = M − K
 	}
-	out, err := NewDriver().Run(sc, true)
+	out, err := Run(sc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +48,7 @@ func TestOverloadWithShedding(t *testing.T) {
 			task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 2), task.MustNew("n3", 1, 3),
 		}, // Σwt = 1/3+1/4+2/3+1/2+1/3 ≈ 2.08 → overload on 2 survivors
 	}
-	out, err := NewDriver().Run(sc, true)
+	out, err := Run(sc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +74,7 @@ func TestOverloadWithoutShedding(t *testing.T) {
 			task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 2), task.MustNew("n3", 1, 3),
 		},
 	}
-	out, err := NewDriver().Run(sc, false)
+	out, err := Run(sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,98 +111,8 @@ func TestSheddingPlanFits(t *testing.T) {
 }
 
 func TestRunRejectsFullFailure(t *testing.T) {
-	if _, err := NewDriver().Run(Scenario{M: 2, Fail: 2, Tasks: task.Set{task.MustNew("a", 1, 2)}, Horizon: 10}, false); err == nil {
+	if _, err := Run(Scenario{M: 2, Fail: 2, Tasks: task.Set{task.MustNew("a", 1, 2)}, Horizon: 10}, false); err == nil {
 		t.Error("failing every processor accepted")
-	}
-}
-
-// TestDriverReuseMatchesFreshRuns: re-running scenarios on one driver
-// (one engine, reset between runs) produces exactly the outcomes of
-// independent Runs — the engine reset leaks no state between variants.
-func TestDriverReuseMatchesFreshRuns(t *testing.T) {
-	sc := Scenario{
-		M: 3, Fail: 1, FailAt: 90, Horizon: 2000, SettleSlack: 60,
-		Tasks: task.Set{
-			crit("c1", 1, 3), crit("c2", 1, 4),
-			task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 2), task.MustNew("n3", 1, 3),
-		},
-	}
-	transparent := Scenario{
-		M: 4, Fail: 2, FailAt: 60, Horizon: 600, SettleSlack: 0,
-		Tasks: task.Set{
-			crit("c1", 2, 3), task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 3), task.MustNew("n3", 1, 3),
-		},
-	}
-	d := NewDriver()
-	for i, v := range []struct {
-		sc   Scenario
-		shed bool
-	}{{sc, false}, {sc, true}, {transparent, true}} {
-		got, err := d.Run(v.sc, v.shed)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-		want, err := NewDriver().Run(v.sc, v.shed)
-		if err != nil {
-			t.Fatalf("fresh run %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("run %d: driver outcome %+v != fresh outcome %+v", i, got, want)
-		}
-	}
-	if d.Engine() == nil {
-		t.Fatal("driver has no engine after running")
-	}
-}
-
-// TestDriverRecorderSpansRuns: observability attached at NewDriver
-// survives the engine reset between runs, so one trace covers both the
-// no-shed and shed variants. Task ids are dense per scheduler and the
-// recorder registers each id once, so the two runs share ids and the
-// variant boundary shows up as the slot counter restarting at zero.
-func TestDriverRecorderSpansRuns(t *testing.T) {
-	sc := Scenario{
-		M: 3, Fail: 1, FailAt: 30, Horizon: 300, SettleSlack: 60,
-		Tasks: task.Set{
-			crit("c1", 1, 3), crit("c2", 1, 4),
-			task.MustNew("n1", 2, 3), task.MustNew("n2", 1, 2), task.MustNew("n3", 1, 3),
-		},
-	}
-	rec := obs.NewRecorder(1 << 16)
-	d := NewDriver(engine.WithRecorder(rec))
-	if _, err := d.Run(sc, false); err != nil {
-		t.Fatal(err)
-	}
-	afterFirst := rec.Total()
-	if afterFirst == 0 {
-		t.Fatal("first run emitted no events")
-	}
-	out, err := d.Run(sc, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Total() <= afterFirst {
-		t.Fatalf("second run emitted nothing: total %d -> %d", afterFirst, rec.Total())
-	}
-	joins, restarts := 0, 0
-	var prevSlot int64
-	for _, e := range rec.Events() {
-		if e.Kind == obs.EvJoin {
-			joins++
-		}
-		if e.Slot < prevSlot {
-			restarts++
-		}
-		prevSlot = e.Slot
-	}
-	// Ids register once per recorder, so the second run adds join events
-	// only for fresh ids: the reweighted tasks, which rejoin under new ids
-	// (Pfair reweighting is leave-and-join).
-	if want := len(sc.Tasks) + len(out.Reweighted); joins != want {
-		t.Errorf("join events = %d, want %d", joins, want)
-	}
-	if restarts != 1 {
-		t.Errorf("slot restarts = %d, want 1 (one engine reset between the runs)", restarts)
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 )
 
 // This file checks KindDynPlane: one churn script replayed against every
-// admission-plane implementation. The legs are independent — each policy
-// applies its own feasibility gate, so accept/reject sequences differ
-// across policies by design — but within each leg the plane's contract
-// must hold: core's legacy entry points and Submit are byte-identical,
-// gated admissions never cost an admitted task a deadline where the
-// policy guarantees one, and the ledger counts exactly the accepted and
-// refused requests.
+// policy's Submit. The legs are independent — each policy applies its
+// own feasibility gate, so accept/reject sequences differ across
+// policies by design — but within each leg the admission contract must
+// hold: core's legacy entry points and Submit accept and refuse the same
+// requests and produce byte-identical schedules, and gated admissions
+// never cost an admitted task a deadline where the policy guarantees
+// one.
 
 // Script expands the case's joins, reweights and leaves into per-slot
 // admission requests. Within a slot the order is joins, then reweights,
@@ -44,7 +44,7 @@ func (c *Case) Script() map[int64][]admission.Request {
 	return script
 }
 
-// checkDynPlane runs the case's churn script through every plane.
+// checkDynPlane runs the case's churn script through every policy.
 func checkDynPlane(c Case, mutant core.Algorithm) Outcome {
 	var v violations
 	checkCoreDynPlane(c, mutant, &v)
@@ -59,14 +59,7 @@ func checkDynPlane(c Case, mutant core.Algorithm) Outcome {
 type dynRun struct {
 	slots   []verify.Slot
 	accepts []bool
-	// leaves counts accepted OpLeave requests: core answers an idempotent
-	// repeat of a pending leave (e.g. after a reweight, which is
-	// leave-and-rejoin under the hood) without re-ledgering it, so the
-	// ledger may fall short of the accepted count by up to this many.
-	leaves  int
 	misses  int
-	ledger  int
-	rejects int64
 }
 
 // runCoreDynPlane drives PD² (or its mutant) over the script through
@@ -91,26 +84,19 @@ func runCoreDynPlane(c Case, mutant core.Algorithm, legacy bool, rec *verify.Rec
 				_, err = s.Leave(req.Name)
 			}
 			r.accepts = append(r.accepts, err == nil)
-			if err == nil && req.Op == admission.OpLeave {
-				r.leaves++
-			}
 		}
 		s.Step()
 	}
 	s.FinishMisses(c.Horizon)
 	r.slots = rec.Slots
 	r.misses = len(s.Stats().Misses)
-	r.ledger = len(s.AdmissionLog())
-	r.rejects = s.AdmissionRejects()
 	return r
 }
 
 // checkCoreDynPlane: the legacy entry points are shims over Submit, so
 // the two runs must agree on everything — accept/reject per request,
-// the assignment stream slot for slot, miss-freedom (every operation is
-// feasibility-gated, so the system is never infeasible), and the
-// ledger/reject counts, which must also reconcile with the observed
-// accept sequence.
+// the assignment stream slot for slot, and miss-freedom (every operation
+// is feasibility-gated, so the system is never infeasible).
 func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
 	legacyRec, planeRec := getRecorder(), getRecorder()
 	defer recorders.Put(legacyRec)
@@ -138,10 +124,6 @@ func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
 			break
 		}
 	}
-	if legacy.ledger != plane.ledger || legacy.rejects != plane.rejects {
-		v.addf("dynplane/core: ledger parity broken: legacy %d commits/%d rejects, Submit %d/%d",
-			legacy.ledger, legacy.rejects, plane.ledger, plane.rejects)
-	}
 	for _, r := range []struct {
 		name string
 		run  dynRun
@@ -149,30 +131,15 @@ func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
 		if r.run.misses > 0 {
 			v.addf("dynplane/core: %d misses via %s under gated churn", r.run.misses, r.name)
 		}
-		accepted := 0
-		for _, ok := range r.run.accepts {
-			if ok {
-				accepted++
-			}
-		}
-		if r.run.ledger > accepted || r.run.ledger < accepted-r.run.leaves {
-			v.addf("dynplane/core: %s ledger has %d transactions, %d requests were accepted (%d of them leaves)",
-				r.name, r.run.ledger, accepted, r.run.leaves)
-		}
-		if want := int64(len(r.run.accepts) - accepted); r.run.rejects != want {
-			v.addf("dynplane/core: %s ledgered %d rejects, %d requests were refused", r.name, r.run.rejects, want)
-		}
 	}
 }
 
 // runScriptPlane replays the script against one policy's Submit,
-// advancing its clock to each operation slot first, and cross-checks the
-// plane ledger against the observed accept/reject counts. It returns
-// false if advancing livelocked (already reported).
+// advancing its clock to each operation slot first. It returns false if
+// advancing livelocked (already reported).
 func runScriptPlane(c Case, label string, v *violations, advance func(slot int64) error,
-	submit func(req admission.Request) error, log func() (int, int64)) bool {
+	submit func(req admission.Request)) bool {
 	script := c.Script()
-	accepted, rejected := 0, 0
 	for slot := int64(0); slot < c.Horizon; slot++ {
 		reqs := script[slot]
 		if len(reqs) == 0 {
@@ -183,19 +150,8 @@ func runScriptPlane(c Case, label string, v *violations, advance func(slot int64
 			return false
 		}
 		for _, req := range reqs {
-			if submit(req) == nil {
-				accepted++
-			} else {
-				rejected++
-			}
+			submit(req)
 		}
-	}
-	ledger, rejects := log()
-	if ledger != accepted {
-		v.addf("dynplane/%s: ledger has %d transactions, %d requests were accepted", label, ledger, accepted)
-	}
-	if rejects != int64(rejected) {
-		v.addf("dynplane/%s: ledgered %d rejects, %d requests were refused", label, rejects, rejected)
 	}
 	return true
 }
@@ -207,8 +163,7 @@ func checkEDFDynPlane(c Case, v *violations) {
 	sim := edf.NewSimulator()
 	ok := runScriptPlane(c, "edf", v,
 		func(slot int64) error { return sim.Engine().Run(slot) },
-		func(req admission.Request) error { _, err := sim.Submit(req); return err },
-		func() (int, int64) { return len(sim.AdmissionLog()), sim.AdmissionRejects() })
+		func(req admission.Request) { sim.Submit(req) })
 	if !ok {
 		return
 	}
@@ -230,8 +185,7 @@ func checkRMDynPlane(c Case, v *violations) {
 	sim := edf.NewRMSimulator()
 	ok := runScriptPlane(c, "rm", v,
 		func(slot int64) error { return sim.Engine().Run(slot) },
-		func(req admission.Request) error { _, err := sim.Submit(req); return err },
-		func() (int, int64) { return len(sim.AdmissionLog()), sim.AdmissionRejects() })
+		func(req admission.Request) { sim.Submit(req) })
 	if !ok {
 		return
 	}
@@ -244,9 +198,8 @@ func checkRMDynPlane(c Case, v *violations) {
 	}
 }
 
-// checkWRRDynPlane: WRR guarantees no deadlines, so the leg checks the
-// plane contract itself — capacity-gated admission, ledger consistency,
-// and a run that completes every slot without the engine tripping.
+// checkWRRDynPlane: WRR guarantees no deadlines, so the leg checks that
+// capacity-gated churn runs every slot without the engine tripping.
 func checkWRRDynPlane(c Case, v *violations) {
 	s, err := wrr.NewScheduler(c.M, nil)
 	if err != nil {
@@ -255,8 +208,7 @@ func checkWRRDynPlane(c Case, v *violations) {
 	}
 	ok := runScriptPlane(c, "wrr", v,
 		func(slot int64) error { return s.RunUntil(slot) },
-		func(req admission.Request) error { _, err := s.Submit(req); return err },
-		func() (int, int64) { return len(s.AdmissionLog()), s.AdmissionRejects() })
+		func(req admission.Request) { s.Submit(req) })
 	if !ok {
 		return
 	}
@@ -270,10 +222,10 @@ func checkWRRDynPlane(c Case, v *violations) {
 }
 
 // checkSupertaskDynPlane bundles the case's late joiners into one
-// supertask and admits it through the system's plane: the base tasks
+// supertask and admits it through the system's Submit: the base tasks
 // join at slot 0, the bundle joins (with the Holman–Anderson inflated
 // weight) at the earliest scripted join slot, and departs at the latest
-// scripted leave. Everything the plane admits is Equation (2)-feasible,
+// scripted leave. Everything Submit admits is Equation (2)-feasible,
 // so the global Pfair schedule must stay miss-free; component misses are
 // the §5.5 trade-off and are not violations.
 func checkSupertaskDynPlane(c Case, mutant core.Algorithm, v *violations) {
@@ -301,34 +253,20 @@ func checkSupertaskDynPlane(c Case, mutant core.Algorithm, v *violations) {
 		return // the bundle exceeds one processor; not a supertask case
 	}
 	sys := supertask.NewSystem(c.M, mutant)
-	accepted, rejected := 0, 0
-	submit := func(r admission.Request) {
-		if _, err := sys.Submit(r); err == nil {
-			accepted++
-		} else {
-			rejected++
-		}
-	}
 	for _, t := range c.Set {
 		if c.Joins[t.Name] == 0 {
-			submit(admission.Join(t))
+			sys.Submit(admission.Join(t))
 		}
 	}
 	sys.Run(joinAt)
-	submit(req)
+	sys.Submit(req)
 	if leaveAt > joinAt {
 		sys.Run(leaveAt)
-		submit(admission.Leave("S0"))
+		sys.Submit(admission.Leave("S0"))
 	}
 	res := sys.Run(c.Horizon)
 	if misses := res.Scheduler.Misses; len(misses) > 0 {
 		v.addf("dynplane/supertask: %d global misses under a plane-admitted bundle, first %s",
 			len(misses), missText(misses[0], sys.Name))
-	}
-	if got := len(sys.AdmissionLog()); got != accepted {
-		v.addf("dynplane/supertask: ledger has %d transactions, %d requests were accepted", got, accepted)
-	}
-	if got := sys.AdmissionRejects(); got != int64(rejected) {
-		v.addf("dynplane/supertask: ledgered %d rejects, %d requests were refused", got, rejected)
 	}
 }

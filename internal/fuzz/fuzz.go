@@ -28,12 +28,11 @@
 //   - KindIS: intra-sporadic delay schedules; PD² remains optimal under
 //     the IS model, and the trace must verify with the shifted windows.
 //   - KindDynPlane: one churn script — joins, reweights, and leaves —
-//     replayed against every admission-plane implementation. Core's
-//     legacy entry points and Submit must produce identical schedules
-//     and identical accept/reject sequences; the edf, rm, and wrr
-//     planes must honor their own feasibility gates (no admitted task
-//     misses where the gate guarantees it), and every plane's ledger
-//     must count exactly its accepted and refused requests.
+//     replayed against every policy's Submit. Core's legacy entry
+//     points and Submit must produce identical schedules and identical
+//     accept/reject sequences; edf, rm and supertask must honor their
+//     own feasibility gates (no admitted task misses where the gate
+//     guarantees it), and wrr must run every slot.
 //
 // Every case is reconstructible from (kind, seed, trial) via GenCase —
 // the replay key a failure report prints. When a case fails, Shrink
@@ -119,8 +118,8 @@ type Case struct {
 	Leaves map[string]int64
 
 	// Reweights gives, per task name, a [slot, newCost, newPeriod]
-	// triple: at that slot the task requests new parameters through the
-	// admission plane. KindDynPlane only.
+	// triple: at that slot the task requests new parameters through
+	// Submit. KindDynPlane only.
 	Reweights map[string][3]int64
 
 	// Delays holds per-task IS inter-subtask delay tables. KindIS only.
@@ -319,7 +318,7 @@ func genDynamic(rng *rand.Rand, c *Case) {
 }
 
 // genDynPlane builds a uniprocessor churn script — joins, reweights,
-// and leaves — that every admission-plane implementation replays
+// and leaves — that every policy's Submit replays
 // (M = 1 is the one capacity all four policies share: Pfair's
 // Equation (2), EDF's Σ bandwidth ≤ 1, RM's hyperbolic bound, and
 // WRR's Σ wt ≤ m all gate against a single processor). The base set

@@ -62,8 +62,8 @@ const (
 	// group-deadline comparison; Task won against task id A.
 	EvTieBreakGroup
 	// EvReweight: Task's weight change took effect at Slot. A = the new
-	// cost, B = the new period. Emitted by the admission plane at the
-	// boundary the change lands on; for policies that model reweighting
+	// cost, B = the new period. Emitted by the policy at the boundary
+	// the change lands on; for policies that model reweighting
 	// as leave-and-join under a fresh id (core), it carries the new
 	// incarnation's id and follows its EvJoin at the same slot.
 	EvReweight

@@ -26,9 +26,10 @@ type SchedulerMetrics struct {
 	TieBreakB     *Counter
 	TieBreakGroup *Counter
 
-	// Joins, Leaves, and Reweights count transactions the admission
-	// plane accepted (Plane.Commit), by operation; AdmissionRejects
-	// counts the refused ones (Plane.Reject).
+	// Joins, Leaves, and Reweights count the dynamic-task transactions a
+	// policy's Submit accepted (admission.Accept), by operation;
+	// AdmissionRejects counts the refused ones (admission.Refuse). A
+	// repeated leave of a task already leaving is not counted again.
 	// All are cold-path: they move only when a dynamic operation is
 	// submitted, never per slot.
 	Joins            *Counter
@@ -82,7 +83,7 @@ func NewSchedulerMetrics(reg *Registry) *SchedulerMetrics {
 		TieBreakB:        reg.Counter("pfair_tiebreak_bbit_total", "", "slot selection boundaries decided by the b-bit rule"),
 		TieBreakGroup:    reg.Counter("pfair_tiebreak_group_total", "", "slot selection boundaries decided by the group-deadline rule"),
 		Joins:            reg.Counter("pfair_admission_joins_total", "", "task joins accepted by the admission plane"),
-		Leaves:           reg.Counter("pfair_admission_leaves_total", "", "task leaves (and finishes) accepted by the admission plane"),
+		Leaves:           reg.Counter("pfair_admission_leaves_total", "", "task leaves accepted by the admission plane"),
 		Reweights:        reg.Counter("pfair_admission_reweights_total", "", "task reweights accepted by the admission plane"),
 		AdmissionRejects: reg.Counter("pfair_admission_rejects_total", "", "dynamic-task requests the admission plane refused"),
 		ReadyLen:         reg.Gauge("pfair_ready_queue_len", "", "ready-queue length after the last slot"),

@@ -232,9 +232,10 @@ func (g *globalSim) Account(t int64) {}
 //pfair:hotpath
 func (g *globalSim) Next(t int64) int64 { return t + 1 }
 
-// Finish implements engine.Finisher: jobs still pending with expired
-// deadlines at the horizon are recorded as misses.
-func (g *globalSim) Finish(horizon int64) {
+// finish is RunGlobal's end-of-run accounting, after the final Run: jobs
+// still pending with expired deadlines at the horizon are recorded as
+// misses.
+func (g *globalSim) finish(horizon int64) {
 	for _, ts := range g.tasks {
 		for _, j := range ts.queue {
 			if !j.missed && j.deadline <= horizon {
@@ -268,7 +269,7 @@ func RunGlobal(set task.Set, m int, pol Policy, horizon int64, opts ...engine.Op
 		//pfair:allowpanic livelock is a policy contract violation; this one-shot harness has no error channel, and silence would report a clean run that never happened
 		panic(err)
 	}
-	eng.Finish(horizon)
+	g.finish(horizon)
 	return g.stats
 }
 

@@ -293,9 +293,10 @@ func (v *vqSim) Next(t int64) int64 {
 	return next
 }
 
-// Finish implements engine.Finisher: pending jobs with expired deadlines
-// at the horizon become misses, then misses sort deterministically.
-func (v *vqSim) Finish(horizon int64) {
+// finish is RunQuanta's end-of-run accounting, after the final Run:
+// pending jobs with expired deadlines at the horizon become misses, then
+// misses sort deterministically.
+func (v *vqSim) finish(horizon int64) {
 	for _, st := range v.states {
 		if st.jobRem > 0 && st.deadlineTicks() <= horizon {
 			v.res.Misses = append(v.res.Misses, JobMiss{Task: st.t.Name, Job: st.job, Deadline: st.deadlineTicks()})
@@ -332,7 +333,7 @@ func RunQuanta(tasks []VQTask, m int, quantum, horizon int64, mode QuantumMode, 
 		//pfair:allowpanic livelock is a policy contract violation; this one-shot harness has no error channel, and silence would report a clean run that never happened
 		panic(err)
 	}
-	eng.Finish(horizon)
+	v.finish(horizon)
 	return v.res
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // This file implements engine.Dynamic for the supertask system: dynamic
-// operations flow through the underlying Pfair scheduler's admission
-// plane, so the §5.2 safe-slot rules, the Equation (2) feasibility gate,
-// and the transaction ledger are exactly core's. The system adds the
+// operations flow through the underlying Pfair scheduler's Submit, so
+// the §5.2 safe-slot rules, the Equation (2) feasibility gate, and the
+// admission counters are exactly core's. The system adds the
 // supertask-level bookkeeping on top:
 //
 //   - Joining a supertask submits its representative task (cumulative
@@ -66,12 +66,12 @@ func JoinRequest(st *Supertask, reweighted bool) (admission.Request, error) {
 // Submit implements engine.Dynamic. Supertask joins (Model carrying a
 // supertask Model) are admitted as a bundle; every other request —
 // ordinary task joins, leaves and reweights, by either kind of
-// name — is forwarded to the underlying scheduler's admission plane,
-// with supertask-level bookkeeping layered on its decision. Structural
+// name — is forwarded to the underlying scheduler's Submit, with
+// supertask-level bookkeeping layered on its decision. Structural
 // errors detected before the scheduler is consulted (a duplicate
 // supertask, an infeasible bundle weight) are returned directly; the
-// scheduler's plane ledgers everything it sees. Cold path; call between
-// engine steps.
+// scheduler counts everything it sees. Cold path; call between engine
+// steps.
 func (sys *System) Submit(req admission.Request) (admission.Decision, error) {
 	if m, ok := req.Model.(Model); ok {
 		if req.Op != admission.OpJoin {
@@ -97,11 +97,3 @@ func (sys *System) Submit(req admission.Request) (admission.Decision, error) {
 	}
 	return d, nil
 }
-
-// AdmissionLog returns the accepted dynamic-task transactions of the
-// underlying scheduler's admission plane, in commit order.
-func (sys *System) AdmissionLog() []admission.Decision { return sys.sched.AdmissionLog() }
-
-// AdmissionRejects returns how many dynamic-task requests the underlying
-// scheduler's admission plane refused.
-func (sys *System) AdmissionRejects() int64 { return sys.sched.AdmissionRejects() }

@@ -5,11 +5,12 @@ import (
 
 	"pfair/internal/admission"
 	"pfair/internal/engine"
+	"pfair/internal/obs"
 	"pfair/internal/rational"
 )
 
 // This file implements engine.Dynamic for the WRR scheduler: mid-run
-// join, leave, and reweight through the unified admission plane.
+// join, leave, and reweight through Submit.
 //
 // WRR is slot-driven, so every instant between engine steps is a slot
 // boundary; transactions apply at the current engine instant (the next
@@ -66,61 +67,59 @@ func (s *Scheduler) unqueue(w *wstate) {
 	}
 }
 
-// Submit implements engine.Dynamic: transactional join/leave/reweight
-// through the admission plane. It must be called between engine steps,
-// never from inside a phase method. Cold path.
+// registerObs registers w with the attached recorder, emitting its
+// EvJoin at slot now the first time the recorder sees it. Cold path.
+func (s *Scheduler) registerObs(w *wstate, now int64) {
+	if rec := s.rec; rec != nil && rec.RegisterTask(w.id, w.t.Name) {
+		rec.Emit(obs.Event{Slot: now, Kind: obs.EvJoin, Task: w.id, Proc: -1, A: w.t.Cost, B: w.t.Period})
+	}
+}
+
+// Submit implements engine.Dynamic: transactional join/leave/reweight,
+// counted in the attached metrics block. It must be called between
+// engine steps, never from inside a phase method. Cold path.
 func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
 	if err := req.Validate(); err != nil {
-		return admission.Decision{}, s.plane.Reject(req.Op, err)
+		return admission.Refuse(s.met, err)
 	}
 	now := s.eng.Now()
 	switch req.Op {
 	case admission.OpJoin:
 		if req.Model != nil {
-			return admission.Decision{}, s.plane.Reject(req.Op,
-				fmt.Errorf("wrr: join model %T is not supported", req.Model))
+			return admission.Refuse(s.met, fmt.Errorf("wrr: join model %T is not supported", req.Model))
 		}
 		if s.find(req.Task.Name) != nil {
-			return admission.Decision{}, s.plane.Reject(req.Op,
-				fmt.Errorf("wrr: task %q already admitted", req.Task.Name))
+			return admission.Refuse(s.met, fmt.Errorf("wrr: task %q already admitted", req.Task.Name))
 		}
 		if err := admission.Utilization(s.totalWeight(""), req.Task.Weight(), rational.Zero(), int64(s.m)); err != nil {
-			return admission.Decision{}, s.plane.Reject(req.Op, err)
+			return admission.Refuse(s.met, err)
 		}
 		w := &wstate{t: req.Task, id: s.nextID, burst: req.Task.Cost, rem: req.Task.Cost, lastRun: -2, off: now}
 		s.nextID++
 		s.queue = append(s.queue, w)
-		if rec := s.rec; rec != nil {
-			if rec.RegisterTask(w.id, w.t.Name) {
-				s.plane.EmitJoin(now, w.id, w.t.Cost, w.t.Period)
-			}
-		}
-		d := admission.Decision{Op: req.Op, Name: req.Task.Name, EffectiveAt: now}
-		s.plane.Commit(d)
-		return d, nil
+		s.registerObs(w, now)
+		return admission.Accept(s.met, admission.Decision{Op: req.Op, Name: req.Task.Name, EffectiveAt: now})
 
 	case admission.OpLeave:
 		w := s.find(req.Name)
 		if w == nil {
-			return admission.Decision{}, s.plane.Reject(req.Op,
-				fmt.Errorf("wrr: unknown task %q", req.Name))
+			return admission.Refuse(s.met, fmt.Errorf("wrr: unknown task %q", req.Name))
 		}
 		s.unqueue(w)
-		s.plane.EmitLeave(now, w.id, w.alloc)
-		d := admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: now}
-		s.plane.Commit(d)
-		return d, nil
+		if rec := s.rec; rec != nil {
+			rec.Emit(obs.Event{Slot: now, Kind: obs.EvLeave, Task: w.id, Proc: -1, A: w.alloc})
+		}
+		return admission.Accept(s.met, admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: now})
 
 	case admission.OpReweight:
 		w := s.find(req.Name)
 		if w == nil {
-			return admission.Decision{}, s.plane.Reject(req.Op,
-				fmt.Errorf("wrr: unknown task %q", req.Name))
+			return admission.Refuse(s.met, fmt.Errorf("wrr: unknown task %q", req.Name))
 		}
 		nt := *w.t
 		nt.Cost, nt.Period = req.NewCost, req.NewPeriod
 		if err := admission.Utilization(s.totalWeight(req.Name), nt.Weight(), rational.Zero(), int64(s.m)); err != nil {
-			return admission.Decision{}, s.plane.Reject(req.Op, err)
+			return admission.Refuse(s.met, err)
 		}
 		s.unqueue(w)
 		w.t = &nt
@@ -128,18 +127,10 @@ func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
 		w.completed, w.lastMissedJob = 0, 0
 		w.off = now
 		s.queue = append(s.queue, w)
-		s.plane.EmitReweight(now, w.id, req.NewCost, req.NewPeriod)
-		d := admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: now}
-		s.plane.Commit(d)
-		return d, nil
+		if rec := s.rec; rec != nil {
+			rec.Emit(obs.Event{Slot: now, Kind: obs.EvReweight, Task: w.id, Proc: -1, A: req.NewCost, B: req.NewPeriod})
+		}
+		return admission.Accept(s.met, admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: now})
 	}
-	return admission.Decision{}, s.plane.Reject(req.Op,
-		fmt.Errorf("admission: unknown op %d", req.Op))
+	return admission.Refuse(s.met, fmt.Errorf("admission: unknown op %d", req.Op))
 }
-
-// AdmissionLog returns the accepted dynamic-task transactions in commit
-// order.
-func (s *Scheduler) AdmissionLog() []admission.Decision { return s.plane.Log() }
-
-// AdmissionRejects returns how many dynamic-task requests were refused.
-func (s *Scheduler) AdmissionRejects() int64 { return s.plane.Rejects() }

@@ -17,7 +17,6 @@ package wrr
 import (
 	"fmt"
 
-	"pfair/internal/admission"
 	"pfair/internal/engine"
 	"pfair/internal/obs"
 	"pfair/internal/task"
@@ -86,9 +85,8 @@ type Scheduler struct {
 	rec *obs.Recorder
 	met *obs.SchedulerMetrics
 
-	// plane is the admission-plane ledger behind Submit; nextID hands out
-	// observability ids for tasks joining after construction.
-	plane  *admission.Plane
+	// nextID hands out observability ids for tasks joining after
+	// construction.
 	nextID int32
 }
 
@@ -113,19 +111,10 @@ func NewScheduler(m int, set task.Set, opts ...engine.Option) (*Scheduler, error
 		s.queue = append(s.queue, &wstate{t: t, id: int32(i), burst: t.Cost, rem: t.Cost, lastRun: -2})
 	}
 	s.nextID = int32(len(set))
-	s.plane = admission.NewPlane()
 	s.eng = engine.New(s, opts...)
 	s.rec, s.met = s.eng.Recorder(), s.eng.Metrics()
-	s.plane.Observe(s.rec, s.met)
 	for _, w := range s.queue {
-		if rec := s.rec; rec != nil {
-			if rec.RegisterTask(w.id, w.t.Name) {
-				// Routed through the admission plane so every policy
-				// narrates churn identically; the event bytes are
-				// unchanged.
-				s.plane.EmitJoin(0, w.id, w.t.Cost, w.t.Period)
-			}
-		}
+		s.registerObs(w, 0)
 	}
 	return s, nil
 }

@@ -99,16 +99,16 @@ type Pattern = core.Pattern
 func NewPattern(cost, period int64) *Pattern { return core.NewPattern(cost, period) }
 
 // Request describes one dynamic-task operation — a join, leave, or
-// reweight — for the unified admission plane. Build one with Join,
+// reweight — for a policy's Submit. Build one with Join,
 // Leave, or Reweight and pass it to Scheduler.Submit; the same Request
 // values drive the EDF, RM, WRR, and supertask simulators' Submit
 // methods, so churn scripts are portable across policies.
 type Request = admission.Request
 
-// Decision records the admission plane's verdict on a Request: the slot
-// the transaction took effect (joins are immediate, leaves and upward
-// reweights wait for the Section 2 safe slot) and the resulting system
-// weight.
+// Decision records an accepted Request: the operation, the task it
+// names, and the slot the transaction takes effect. Joins are
+// immediate; leaves and reweights, upward or downward, wait for the
+// task's Section 2 safe departure slot.
 type Decision = admission.Decision
 
 // Join builds a Request admitting t at the current slot, subject to the
