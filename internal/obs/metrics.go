@@ -53,6 +53,10 @@ func (c *Counter) Inc() { c.v++ }
 //pfair:hotpath
 func (c *Counter) Add(d int64) { c.v += d }
 
+// Set stores v, for a counter filled at exposition time from a count
+// kept elsewhere (see SchedulerMetrics).
+func (c *Counter) Set(v int64) { c.v = v }
+
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
 
@@ -80,14 +84,26 @@ type Histogram struct {
 // Observe records one value.
 //
 //pfair:hotpath
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records the value v n times.
+//
+//pfair:hotpath
+func (h *Histogram) ObserveN(v, n int64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i]++
-	h.sum += v
-	h.count++
+	h.counts[i] += n
+	h.sum += v * n
+	h.count += n
+}
+
+// Reset clears every observation, for a histogram refilled at
+// exposition time from facts kept elsewhere.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.sum, h.count = 0, 0
 }
 
 // Sum returns the sum of all observed values.

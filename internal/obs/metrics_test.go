@@ -39,6 +39,23 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if cum[0] != 2 || cum[1] != 4 || cum[2] != 6 {
 		t.Errorf("cumulative = %v", cum)
 	}
+
+	// Refilled at exposition: Reset, then ObserveN per distinct value,
+	// must read the same as observing each value once.
+	h.Reset()
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Errorf("after Reset: count=%d sum=%d", h.Count(), h.Sum())
+	}
+	h.ObserveN(2, 3)
+	h.ObserveN(11, 2)
+	h.ObserveN(0, 0)
+	if _, cum := h.Buckets(); h.Count() != 5 || h.Sum() != 28 || cum[0] != 0 || cum[1] != 3 || cum[2] != 5 {
+		t.Errorf("ObserveN: count=%d sum=%d cumulative=%v, want 5, 28, [0 3 5]", h.Count(), h.Sum(), cum)
+	}
+	c.Set(2) // filled from a count kept elsewhere
+	if c.Value() != 2 {
+		t.Errorf("counter after Set = %d, want 2", c.Value())
+	}
 }
 
 func TestRegistryIdempotentRegistration(t *testing.T) {

@@ -80,8 +80,10 @@ type Scheduler struct {
 	runBuf []*wstate
 
 	// rec and met are cached from the engine; both nil when unobserved.
-	// Concrete pointers, nil-guarded at every emission site, so the
-	// unobserved hot path costs one predictable branch each.
+	// rec is a concrete pointer, nil-guarded at every emission site, so
+	// the unobserved hot path costs one predictable branch each. met
+	// only receives Submit's admission counts (admission.Accept/Refuse):
+	// no slot path writes it, so its scheduler-wide series stay zero.
 	rec *obs.Recorder
 	met *obs.SchedulerMetrics
 
@@ -97,8 +99,8 @@ func (s *Scheduler) OnSlot(fn func(t int64, allocated []string)) { s.onSlot = fn
 // NewScheduler returns a WRR scheduler for m processors over the given
 // synchronous periodic set. Engine options attach observability
 // (engine.WithRecorder / engine.WithMetrics): the run then emits
-// schedule, idle, and deadline-miss events and scheduler counters, with
-// task ids the indices into set.
+// schedule, idle, and deadline-miss events, with task ids the indices
+// into set, and Submit counts admissions in the metrics block.
 func NewScheduler(m int, set task.Set, opts ...engine.Option) (*Scheduler, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("wrr: need at least one processor")
@@ -154,9 +156,6 @@ func (s *Scheduler) Dispatch(t int64) {
 	for k, w := range s.runBuf {
 		if w.lastRun != t-1 {
 			s.stats.ContextSwitches++
-			if met := s.met; met != nil {
-				met.ContextSwitches.Inc()
-			}
 		}
 		w.lastRun = t
 		w.rem--
@@ -165,9 +164,6 @@ func (s *Scheduler) Dispatch(t int64) {
 		s.stats.Allocations++
 		if rec := s.rec; rec != nil {
 			rec.Emit(obs.Event{Slot: t, Kind: obs.EvSchedule, Task: w.id, Proc: int32(k), A: w.completed + 1})
-		}
-		if met := s.met; met != nil {
-			met.Allocations.Inc()
 		}
 		if w.rem == 0 {
 			// Job complete; next job's work becomes available at its
@@ -201,16 +197,9 @@ func (s *Scheduler) Account(t int64) {
 			if rec := s.rec; rec != nil {
 				rec.Emit(obs.Event{Slot: t, Kind: obs.EvMiss, Task: w.id, Proc: -1, A: w.completed + 1, B: w.headDeadline()})
 			}
-			if met := s.met; met != nil {
-				met.Misses.Inc()
-			}
 		}
 	}
 	s.stats.Slots++
-	if met := s.met; met != nil {
-		met.Slots.Inc()
-		met.Occupancy.Observe(int64(len(s.runBuf)))
-	}
 	if s.onSlot != nil {
 		s.buf = s.buf[:0]
 		for _, w := range s.runBuf {
