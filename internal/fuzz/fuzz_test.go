@@ -3,8 +3,10 @@ package fuzz
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/task"
 )
@@ -171,6 +173,48 @@ func TestReweightNoMisses(t *testing.T) {
 	s.FinishMisses(at + 240)
 	if n := len(s.Stats().Misses); n != 0 {
 		t.Fatalf("reweight caused %d misses, first %+v", n, s.Stats().Misses[0])
+	}
+}
+
+// TestCoreEffects: the dynplane core leg's final-state check passes a
+// run whose leave cancels a pending reweight, and flags the same run
+// once its accepted Decisions are doctored to say otherwise — a leave
+// dropped, a reweight's new weight changed.
+func TestCoreEffects(t *testing.T) {
+	c := Case{
+		Kind: KindDynPlane, M: 2, Horizon: 40,
+		Set:       task.Set{task.MustNew("A", 1, 2), task.MustNew("B", 2, 3), task.MustNew("C", 1, 4), task.MustNew("D", 1, 6)},
+		Joins:     map[string]int64{"D": 3},
+		Reweights: map[string][3]int64{"B": {5, 1, 3}, "C": {5, 1, 2}},
+		Leaves:    map[string]int64{"C": 5},
+	}
+	var v violations
+	checkCoreDynPlane(c, core.PD2, &v)
+	if len(v.list) != 0 {
+		t.Fatalf("correct run flagged: %v", v.list)
+	}
+	rec := getRecorder()
+	defer recorders.Put(rec)
+	run := runCoreDynPlane(c, core.PD2, false, rec)
+	if got, want := run.sched.Tasks(), []string{"A", "D", "B"}; !slices.Equal(got, want) {
+		t.Fatalf("tasks %v, want %v: the workload lost its churn", got, want)
+	}
+	for name, doctor := range map[string]func([]acceptedReq) []acceptedReq{
+		"leave dropped": func(acc []acceptedReq) []acceptedReq { return acc[:len(acc)-1] },
+		"weight changed": func(acc []acceptedReq) []acceptedReq {
+			for i := range acc {
+				if acc[i].req.Op == admission.OpReweight && acc[i].d.Name == "B" {
+					acc[i].req.NewPeriod++
+				}
+			}
+			return acc
+		},
+	} {
+		var v violations
+		checkCoreEffects(run.sched, doctor(slices.Clone(run.accepted)), &v)
+		if len(v.list) == 0 {
+			t.Errorf("%s: not flagged", name)
+		}
 	}
 }
 
