@@ -27,8 +27,9 @@ import (
 // metrics block by op; refused ones bump its reject counter and return
 // the feasibility (or lookup) error unchanged.
 func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
+	met := s.eng.Metrics()
 	if err := req.Validate(); err != nil {
-		return admission.Refuse(s.met, err)
+		return admission.Refuse(met, err)
 	}
 	switch req.Op {
 	case admission.OpJoin:
@@ -36,20 +37,20 @@ func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
 		if req.Model != nil {
 			m, ok := req.Model.(ReleaseModel)
 			if !ok {
-				return admission.Refuse(s.met,
+				return admission.Refuse(met,
 					fmt.Errorf("core: join model %T does not implement core.ReleaseModel", req.Model))
 			}
 			model = m
 		}
 		if err := s.admit(req.Task, model, true, true); err != nil {
-			return admission.Refuse(s.met, err)
+			return admission.Refuse(met, err)
 		}
-		return admission.Accept(s.met, admission.Decision{Op: req.Op, Name: req.Task.Name, EffectiveAt: s.eng.Now()})
+		return admission.Accept(met, admission.Decision{Op: req.Op, Name: req.Task.Name, EffectiveAt: s.eng.Now()})
 
 	case admission.OpLeave:
 		at, already, err := s.leave(req.Name)
 		if err != nil {
-			return admission.Refuse(s.met, err)
+			return admission.Refuse(met, err)
 		}
 		d := admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: at}
 		if already {
@@ -57,15 +58,15 @@ func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
 			// counted again.
 			return d, nil
 		}
-		return admission.Accept(s.met, d)
+		return admission.Accept(met, d)
 
 	case admission.OpReweight:
 		at, err := s.reweight(req.Name, req.NewCost, req.NewPeriod)
 		if err != nil {
-			return admission.Refuse(s.met, err)
+			return admission.Refuse(met, err)
 		}
-		return admission.Accept(s.met, admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: at})
+		return admission.Accept(met, admission.Decision{Op: req.Op, Name: req.Name, EffectiveAt: at})
 	}
 	// Unreachable: Validate rejected unknown ops.
-	return admission.Refuse(s.met, fmt.Errorf("core: unhandled op %v", req.Op))
+	return admission.Refuse(met, fmt.Errorf("core: unhandled op %v", req.Op))
 }

@@ -121,10 +121,10 @@ type Engine struct {
 	dyn Dynamic
 
 	// rec and met are the shared observability attachment point. They are
-	// concrete pointers, nil when unobserved; policies cache them at bind
+	// concrete pointers, nil when unobserved; policies cache rec at bind
 	// time and nil-guard every emission (see internal/obs and the hotpath
 	// analyzer), so an unobserved run costs one predictable branch per
-	// emission site.
+	// emission site. No slot path writes met.
 	rec *obs.Recorder
 	met *obs.SchedulerMetrics
 
