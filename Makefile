@@ -25,8 +25,13 @@ lint:
 test:
 	$(GO) test ./...
 
+# race turns off the race runtime's 1 s sleep at exit
+# (atexit_sleep_ms), which each test binary otherwise pays. The sleep
+# lets goroutines that outlive main report a race; the tree starts
+# goroutines only in parallel.For, which joins them before it returns,
+# and in pfairsim's -pprof server, which no test starts.
 race:
-	$(GO) test -race ./...
+	GORACE=atexit_sleep_ms=0 $(GO) test -race ./...
 
 # perfbench-test vets and tests the benchmark under perfbench/. It is a
 # module of its own (go.mod replaces pfair with this tree), so neither
