@@ -72,6 +72,7 @@ fuzz-short:
 # whose run time ROADMAP aim 1 counts.
 fuzz-native:
 	$(GO) test ./internal/taskgen -run '^$$' -fuzz '^FuzzUUniFast$$' -fuzztime 10s
+	$(GO) test ./internal/taskgen -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s
 	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzRatArithmetic$$' -fuzztime 10s
 	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzAccMatchesBig$$' -fuzztime 10s
 	$(GO) test ./internal/overhead -run '^$$' -fuzz '^FuzzMinProcsMatchesReference$$' -fuzztime 10s

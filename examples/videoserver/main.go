@@ -20,6 +20,7 @@ import (
 
 	"pfair"
 	"pfair/internal/core"
+	"pfair/internal/taskgen"
 )
 
 // jitterModel is a core.ReleaseModel with reproducible random late and
@@ -31,6 +32,9 @@ type jitterModel struct {
 	maxEarly  int64
 
 	memo []int64 // memo[k-1] = cumulative delay of subtask k
+	// rng is reseeded for every subtask's draws; reseeding a
+	// taskgen.Source is O(1) and allocates nothing.
+	rng *rand.Rand
 }
 
 //pfair:hotpath
@@ -44,7 +48,8 @@ func (j *jitterModel) Offset(i int64) int64 {
 		if k > 1 {
 			total = j.memo[k-2]
 		}
-		r := rand.New(rand.NewSource(j.seed + k))
+		r := j.rng
+		r.Seed(j.seed + k)
 		if r.Int63n(j.lateEvery) == 0 {
 			total += 1 + r.Int63n(j.maxLate)
 		}
@@ -58,7 +63,8 @@ func (j *jitterModel) Offset(i int64) int64 {
 
 //pfair:hotpath
 func (j *jitterModel) Earliness(i int64) int64 {
-	r := rand.New(rand.NewSource(^j.seed + i))
+	r := j.rng
+	r.Seed(^j.seed + i)
 	if r.Int63n(j.lateEvery) == 0 {
 		return r.Int63n(j.maxEarly + 1)
 	}
@@ -77,7 +83,7 @@ func run(w io.Writer) error {
 
 	s := pfair.NewScheduler(2, pfair.PD2, pfair.Options{})
 	for i, st := range streams {
-		model := &jitterModel{seed: int64(100 + i), lateEvery: 7, maxLate: 3, maxEarly: 2}
+		model := &jitterModel{seed: int64(100 + i), lateEvery: 7, maxLate: 3, maxEarly: 2, rng: rand.New(taskgen.NewSource(0))}
 		if err := s.JoinModel(pfair.MustNewTask(st.name, st.e, st.p), model); err != nil {
 			return fmt.Errorf("admitting %s: %w", st.name, err)
 		}

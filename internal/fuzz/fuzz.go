@@ -45,6 +45,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pfair/internal/rational"
 	"pfair/internal/task"
@@ -153,35 +154,58 @@ func ParseReplay(s string) (Kind, int64, int64, error) {
 	return k, seed, trial, nil
 }
 
+// caseGen holds the two generators GenCase draws from: the case's own
+// stream, and the taskgen generator the set-based kinds seed from it.
+type caseGen struct {
+	rng *rand.Rand
+	g   *taskgen.Generator
+}
+
+// caseGens lends each GenCase call a caseGen. Reseeding a
+// taskgen.Source is O(1) and allocates nothing, so a case pays no
+// allocation and no register fill to seed its generators.
+var caseGens = sync.Pool{New: func() any {
+	return &caseGen{rng: rand.New(taskgen.NewSource(0)), g: taskgen.New(0)}
+}}
+
 // GenCase deterministically generates the case for (kind, seed, trial).
 // The stream is derived with taskgen.SubSeed, so every trial is an
 // independent reproducible stream regardless of worker interleaving.
 // Each kind salts its stream with 1000 plus its position in the original
 // kind list, so a kind's replay keys reproduce the same cases for life:
 // salt 1007 belonged to a retired kind and is skipped, not reused.
+//
+// The two generators a case draws from are reused across calls and
+// reseeded for each: a taskgen.Source computes each register word when
+// a draw first reads it, so no state of an earlier case reaches this
+// one, and every case is the one generators from math/rand's NewSource
+// would draw.
 func GenCase(kind Kind, seed, trial int64) Case {
 	salt := 1000 + int64(kind)
 	if kind >= KindDynPlane {
 		salt++
 	}
-	rng := rand.New(rand.NewSource(taskgen.SubSeed(seed, salt, trial)))
+	cg := caseGens.Get().(*caseGen)
+	defer caseGens.Put(cg)
+	rng, g := cg.rng, cg.g
+	rng.Seed(taskgen.SubSeed(seed, salt, trial))
 	c := Case{Kind: kind, Seed: seed, Trial: trial}
 	switch kind {
 	case KindFullUtil, KindEPDF:
 		c.Set, c.M = genFullUtil(rng)
 		c.Horizon = 2 * c.Set.Hyperperiod()
 	case KindEDF, KindRM:
-		c.Set = genUniSet(rng)
+		c.Set = genUniSet(rng, g)
 		c.M = 1
 		c.Horizon = c.Set.Hyperperiod()
 	case KindPartition:
-		c.Set = genPartitionSet(rng)
+		c.Set = genPartitionSet(rng, g)
 	case KindDynamic:
-		genDynamic(rng, &c)
+		genDynamic(rng, g, &c)
 	case KindIS:
-		genIS(rng, &c)
+		genIS(rng, g, &c)
 	case KindDynPlane:
-		genDynPlane(rng, &c)
+		genDynPlane(rng, g, &c)
 	default:
 		//pfair:allowpanic exhaustive switch over Kind; a new kind must be wired here
 		panic(fmt.Sprintf("fuzz: GenCase(%v)", kind))
@@ -248,10 +272,10 @@ func remainder(m int, acc *rational.Acc) rational.Rat {
 // genUniSet draws a uniprocessor set with total utilization in
 // [0.5, 1.25] — straddling the Σu = 1 feasibility boundary so both the
 // schedulable and the unschedulable branches of the EDF/RM oracles fire.
-func genUniSet(rng *rand.Rand) task.Set {
+func genUniSet(rng *rand.Rand, g *taskgen.Generator) task.Set {
 	n := 2 + rng.Intn(7)
 	total := 0.5 + 0.75*rng.Float64()
-	g := taskgen.New(rng.Int63())
+	g.Seed(rng.Int63())
 	set, err := g.Set("T", n, total, periodMenu)
 	if err != nil {
 		//pfair:allowpanic generator parameters are in-range by construction
@@ -262,13 +286,13 @@ func genUniSet(rng *rand.Rand) task.Set {
 
 // genPartitionSet draws a small multiprocessor set (n ≤ 9, so the
 // branch-and-bound packer stays fast) with total utilization in [1, 3].
-func genPartitionSet(rng *rand.Rand) task.Set {
+func genPartitionSet(rng *rand.Rand, g *taskgen.Generator) task.Set {
 	n := 2 + rng.Intn(8)
 	total := 1 + 2*rng.Float64()
 	if max := float64(n) * 0.999; total > max {
 		total = max
 	}
-	g := taskgen.New(rng.Int63())
+	g.Seed(rng.Int63())
 	set, err := g.Set("T", n, total, periodMenu)
 	if err != nil {
 		//pfair:allowpanic generator parameters are in-range by construction
@@ -280,7 +304,7 @@ func genPartitionSet(rng *rand.Rand) task.Set {
 // genDynamic builds a join/leave scenario: a base set present from slot 0
 // at ~60% of capacity, late joiners that may or may not be admitted, and
 // departure requests (the scheduler delays each to its safe slot).
-func genDynamic(rng *rand.Rand, c *Case) {
+func genDynamic(rng *rand.Rand, g *taskgen.Generator, c *Case) {
 	c.M = 2 + rng.Intn(3)
 	c.Horizon = 180 + rng.Int63n(180)
 	c.Joins = map[string]int64{}
@@ -291,7 +315,7 @@ func genDynamic(rng *rand.Rand, c *Case) {
 	if max := float64(n0) * 0.999; total > max {
 		total = max
 	}
-	g := taskgen.New(rng.Int63())
+	g.Seed(rng.Int63())
 	base, err := g.Set("B", n0, total, periodMenu)
 	if err != nil {
 		//pfair:allowpanic generator parameters are in-range by construction
@@ -326,7 +350,7 @@ func genDynamic(rng *rand.Rand, c *Case) {
 // up to a full processor so the reject path fires too, and reweights
 // may land before a task's join or after its leave, exercising the
 // unknown-task rejections.
-func genDynPlane(rng *rand.Rand, c *Case) {
+func genDynPlane(rng *rand.Rand, g *taskgen.Generator, c *Case) {
 	c.M = 1
 	c.Horizon = 120 + rng.Int63n(120)
 	c.Joins = map[string]int64{}
@@ -335,7 +359,7 @@ func genDynPlane(rng *rand.Rand, c *Case) {
 
 	n0 := 2 + rng.Intn(2)
 	total := 0.35 + 0.2*rng.Float64()
-	g := taskgen.New(rng.Int63())
+	g.Seed(rng.Int63())
 	base, err := g.Set("B", n0, total, periodMenu)
 	if err != nil {
 		//pfair:allowpanic generator parameters are in-range by construction
@@ -374,14 +398,14 @@ func genDynPlane(rng *rand.Rand, c *Case) {
 // task's subtasks suffer random cumulative delays. Earliness is left at
 // zero — an early subtask may legally run before its shifted release,
 // which the window check (deliberately) rejects.
-func genIS(rng *rand.Rand, c *Case) {
+func genIS(rng *rand.Rand, g *taskgen.Generator, c *Case) {
 	c.M = 1 + rng.Intn(3)
 	n := 2 + rng.Intn(4)
 	total := (0.5 + 0.4*rng.Float64()) * float64(c.M)
 	if max := float64(n) * 0.999; total > max {
 		total = max
 	}
-	g := taskgen.New(rng.Int63())
+	g.Seed(rng.Int63())
 	set, err := g.Set("T", n, total, periodMenu)
 	if err != nil {
 		//pfair:allowpanic generator parameters are in-range by construction

@@ -250,3 +250,16 @@ func TestReplayKeysPinned(t *testing.T) {
 		t.Errorf("%d kinds pinned, %d kinds exist", len(pinned), len(AllKinds()))
 	}
 }
+
+// genCaseSink keeps BenchmarkGenCase's result live.
+var genCaseSink Case
+
+// BenchmarkGenCase generates one case per op, cycling through every kind
+// at seed 1, as a campaign's workers do.
+func BenchmarkGenCase(b *testing.B) {
+	kinds := AllKinds()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		genCaseSink = GenCase(kinds[i%len(kinds)], 1, int64(i))
+	}
+}

@@ -38,7 +38,8 @@ var seededRandConstructors = map[string]bool{
 //     //pfair:orderinvariant annotation saying why.
 //   - package-level math/rand functions: the global source is shared
 //     process state; randomness must flow from seeded *rand.Rand values
-//     threaded from replay keys (rand.New(rand.NewSource(seed))).
+//     threaded from replay keys (rand.New(taskgen.NewSource(seed)), or
+//     a taskgen.Generator).
 //   - time.Now/time.Since: wall clocks differ across runs; measurement
 //     paths that are gated off during deterministic simulation carry a
 //     //pfair:allowtime annotation.

@@ -38,9 +38,10 @@ import (
 // in a composite literal, new, make, a conversion, a variable
 // declaration or a typed constant, or held by value in another
 // instantiated type. Methods the standard library calls through its own
-// interfaces (String, Error, Less, MarshalJSON, …) are reached the same
-// way: once their receiver type is instantiated. Package-level variable
-// initializers run at program start, so they count as reached code.
+// interfaces (String, Error, Less, MarshalJSON, Int63, …) are reached the
+// same way: once their receiver type is instantiated. Package-level
+// variable initializers run at program start, so they count as reached
+// code.
 //
 // A program with no main package and no root pfair.go is a library
 // fragment: nothing in it is reachable by definition, so Reach reports
@@ -351,7 +352,7 @@ func (w *reacher) implement(t *types.Named, m *types.Func) {
 // own interfaces, by name and (parameter, result) count: fmt's Stringer,
 // GoStringer and Formatter, error and its wrappers, sort.Interface,
 // container/heap, encoding's marshalers, io's readers and writers,
-// flag.Value, and go/types' importers.
+// flag.Value, go/types' importers, and math/rand's Source and Source64.
 var stdlibMethods = map[string][2]int{
 	"String": {0, 1}, "GoString": {0, 1}, "Format": {2, 0},
 	"Error": {0, 1}, "Unwrap": {0, 1}, "Is": {1, 1}, "As": {1, 1},
@@ -359,6 +360,7 @@ var stdlibMethods = map[string][2]int{
 	"MarshalJSON": {0, 2}, "UnmarshalJSON": {1, 1}, "MarshalText": {0, 2}, "UnmarshalText": {1, 1},
 	"Read": {1, 2}, "Write": {1, 2}, "WriteString": {1, 2}, "Close": {0, 1},
 	"Set": {1, 1}, "Import": {1, 2}, "ImportFrom": {3, 2},
+	"Int63": {0, 1}, "Uint64": {0, 1}, "Seed": {1, 0},
 }
 
 // calledOutside reaches t's methods that code outside the program may

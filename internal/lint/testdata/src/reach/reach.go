@@ -4,7 +4,10 @@
 // library calls, and the code no root reaches next to each.
 package main
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // shape is dispatched dynamically from total.
 type shape interface{ area() int }
@@ -42,6 +45,20 @@ type ghost struct{}
 
 func (ghost) String() string { return "ghost" } // want `ghost\)\.String is reached by no root .*never instantiates ghost`
 
+// counter is a rand.Source64 main hands to rand.New: math/rand calls
+// its methods through its own interfaces.
+type counter struct{ n int64 }
+
+func (c *counter) Int63() int64   { return int64(c.Uint64() >> 1) }
+func (c *counter) Uint64() uint64 { c.n++; return uint64(c.n) }
+func (c *counter) Seed(s int64)   { c.n = s }
+
+// stuck is a rand.Source nothing creates.
+type stuck struct{}
+
+func (stuck) Int63() int64 { return 0 } // want `stuck\)\.Int63 is reached by no root .*never instantiates stuck`
+func (stuck) Seed(int64)   {}           // want `stuck\)\.Seed is reached by no root .*never instantiates stuck`
+
 // table's initializer runs at program start: fromTable is reached.
 var table = map[string]func() int{"t": fromTable}
 
@@ -75,5 +92,5 @@ func uncalled() {} // want `uncalled is reached by no root`
 
 func main() {
 	f := byValue
-	fmt.Println(total([]shape{square{2}}), red, f(), len(table))
+	fmt.Println(total([]shape{square{2}}), red, f(), len(table), rand.New(&counter{}).Intn(9))
 }

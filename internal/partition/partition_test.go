@@ -257,9 +257,10 @@ func TestMinProcessorsExactEarlyExit(t *testing.T) {
 
 // TestExactImprovesOnFFD: an instance where FFD is strictly suboptimal and
 // the branch-and-bound recovers the true optimum. Sizes (in hundredths):
-// 55, 45, 40, 35, 30, 25, 20, 50 → exact 3 bins, FFD 4.
+// 55, 45, 40, 35, 30, 25, 20, 50 → exact 3 bins (55+45, 50+30+20,
+// 40+35+25), FFD 4 (55+45, 50+40, 35+30+25, 20).
 func TestExactImprovesOnFFD(t *testing.T) {
-	sizes := []int64{44, 28, 28, 26, 24, 24, 26}
+	sizes := []int64{55, 45, 40, 35, 30, 25, 20, 50}
 	var set task.Set
 	for i, s := range sizes {
 		set = append(set, task.MustNew(fmt.Sprintf("T%d", i), s, 100))
@@ -269,13 +270,7 @@ func TestExactImprovesOnFFD(t *testing.T) {
 	if !ok {
 		t.Fatal("exact failed")
 	}
-	if exact > ffd {
-		t.Fatalf("exact (%d) worse than FFD (%d)", exact, ffd)
-	}
-	if exact != 2 {
-		t.Fatalf("exact = %d, want 2 (44+28+28 = 100, 26+24+24+26 = 100)", exact)
-	}
-	if ffd == exact {
-		t.Skipf("FFD matched the optimum on this instance (ffd=%d)", ffd)
+	if ffd != 4 || exact != 3 {
+		t.Fatalf("FFD = %d, exact = %d; want 4 and 3", ffd, exact)
 	}
 }

@@ -54,3 +54,23 @@ func FuzzUUniFast(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSourceMatchesMathRand: for any seed, a Source seeded in O(1) must
+// draw what rand.NewSource(seed) draws, for as many draws as asked, and
+// so must the same Source reseeded after those draws.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	f.Add(int64(0), uint16(1500))
+	f.Add(int64(-1), uint16(334))
+	f.Add(int64(lehmerMod), uint16(273))
+	f.Add(int64(math.MinInt64), uint16(607))
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+		s := NewSource(seed)
+		if j, ok := sourceMismatch(s, seed, int(draws)); !ok {
+			t.Fatalf("seed %d: draw %d differs from rand.NewSource", seed, j)
+		}
+		s.Seed(^seed)
+		if j, ok := sourceMismatch(s, ^seed, sourceDraws); !ok {
+			t.Fatalf("reseeded to %d after %d draws: draw %d differs from rand.NewSource", ^seed, draws, j)
+		}
+	})
+}

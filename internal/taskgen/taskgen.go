@@ -45,9 +45,19 @@ type Generator struct {
 	rng *rand.Rand
 }
 
-// New returns a generator seeded deterministically.
+// New returns a generator seeded deterministically. It draws what a
+// generator on math/rand's NewSource(seed) would, from a Source, which
+// computes each register word when a draw first reads it: seeding is
+// O(1), and Seed reuses the generator for another seed.
 func New(seed int64) *Generator {
-	return &Generator{rng: rand.New(rand.NewSource(seed))}
+	return &Generator{rng: rand.New(NewSource(seed))}
+}
+
+// Seed reseeds g in place: every later draw is the one New(seed) would
+// make. It allocates nothing, so a caller that generates many seeded
+// workloads one after another can keep one Generator for all of them.
+func (g *Generator) Seed(seed int64) {
+	g.rng.Seed(seed)
 }
 
 // SubSeed derives an independent stream seed from a base seed and a path
