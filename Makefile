@@ -73,9 +73,12 @@ fuzz-short:
 fuzz-native:
 	$(GO) test ./internal/taskgen -run '^$$' -fuzz '^FuzzUUniFast$$' -fuzztime 10s
 	$(GO) test ./internal/taskgen -run '^$$' -fuzz '^FuzzSourceMatchesMathRand$$' -fuzztime 10s
+	$(GO) test ./internal/taskgen -run '^$$' -fuzz '^FuzzRootMatchesPow$$' -fuzztime 10s
+	$(GO) test ./internal/taskgen -run '^$$' -fuzz '^FuzzSkipFloat64$$' -fuzztime 10s
 	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzRatArithmetic$$' -fuzztime 10s
 	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzAccMatchesBig$$' -fuzztime 10s
 	$(GO) test ./internal/overhead -run '^$$' -fuzz '^FuzzMinProcsMatchesReference$$' -fuzztime 10s
+	$(GO) test ./internal/overhead -run '^$$' -fuzz '^FuzzEDFFFSpillMatchesReference$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseChrome$$' -fuzztime 10s
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/fuzz -run '^$$' -fuzz '^FuzzParseReplay$$' -fuzztime 10s

@@ -6,6 +6,9 @@
 //
 //	pfairsim -m 2 -alg pd2 -slots 24 A:2/3 B:2/3 C:2/3
 //
+// A task whose period is too large for the run, so that its window
+// arithmetic would overflow int64, is refused with an error.
+//
 // Flags:
 //
 //	-m N            processors (default 1)
@@ -45,6 +48,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
+	"math/bits"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -135,6 +140,10 @@ func main() {
 		if horizon/2 != hp || horizon > 10000 {
 			horizon = 10000
 		}
+	}
+
+	if err := checkRange(set, horizon); err != nil {
+		fatal("%v", err)
 	}
 
 	if *pprofAddr != "" {
@@ -358,6 +367,22 @@ func validateFlags(c flagConfig) error {
 	}
 	if c.ringSet && c.tracePath == "" && c.timelinePath == "" && !c.taskstats {
 		return fmt.Errorf("-ring sizes the trace event ring; pass -trace, -timeline, or -taskstats as well")
+	}
+	return nil
+}
+
+// checkRange rejects a task whose Pfair window arithmetic within the
+// first horizon slots leaves int64, which would otherwise surface as
+// spurious deadline misses. There a task's pattern computes i·p for
+// subtask indices i ≤ horizon+1, and a heavy task's group deadlines
+// compute d·(p−e) and k·p, each at most 2(horizon+2)·p. That largest
+// product is checked exactly, in 128 bits.
+func checkRange(set task.Set, horizon int64) error {
+	for _, t := range set {
+		hi, lo := bits.Mul64(uint64(horizon)+2, uint64(t.Period))
+		if hi != 0 || lo > math.MaxInt64/2 {
+			return fmt.Errorf("task %v: period %d is too large for a %d-slot run; its window arithmetic would overflow int64 (2·(slots+2)·period must stay below 2⁶³)", t.Name, t.Period, horizon)
+		}
 	}
 	return nil
 }

@@ -1,9 +1,83 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
+
+// TestMain runs pfairsim's main instead of the tests when
+// PFAIRSIM_AS_MAIN is set, so a test can run the command as a
+// subprocess of its own binary and see its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("PFAIRSIM_AS_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs pfairsim with args and returns its standard output and
+// error and its exit code.
+func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "PFAIRSIM_AS_MAIN=1")
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return out.String(), errOut.String(), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), 0
+}
+
+// TestOverflowingPeriodsRejected: a task whose window arithmetic within
+// the run would overflow int64 is refused with an error naming it, not
+// scheduled with wrapped deadlines. The largest period the 10-slot bound
+// 2·(10+2)·p < 2⁶³ admits still runs, without a miss.
+func TestOverflowingPeriodsRejected(t *testing.T) {
+	for _, spec := range []string{
+		"A:9223372036854775806/9223372036854775807",
+		"A:1/9223372036854775807",
+		"A:1/384307168202282326",
+	} {
+		out, errOut, code := runMain(t, "-m", "1", "-slots", "10", spec)
+		if code == 0 || !strings.Contains(errOut, "task A:") || out != "" {
+			t.Errorf("%s: exit %d, stderr %q, stdout %q; want a non-zero exit naming task A", spec, code, errOut, out)
+		}
+	}
+	out, errOut, code := runMain(t, "-m", "2", "-slots", "10",
+		"A:384307168202282324/384307168202282325", "B:192153584101141162/384307168202282325")
+	if code != 0 || !strings.Contains(out, "misses=0") {
+		t.Errorf("in-range periods: exit %d, stderr %q, stdout %q; want a run without misses", code, errOut, out)
+	}
+}
+
+// TestInRangeOutputUnchanged pins pfairsim's output for the quickstart
+// set, which the range check must leave alone.
+func TestInRangeOutputUnchanged(t *testing.T) {
+	const want = `PD2 on 2 processor(s), 24 slots (digits = processor):
+   0         1         2   
+   012345678901234567890123
+A |00.11.00.11.00.11.00.11.|
+B |1.00.11.00.11.00.11.00.1|
+C |.11.00.11.00.11.00.11.00|
+
+allocations=48 context-switches=25 preemptions=8 migrations=22 misses=0
+`
+	out, errOut, code := runMain(t, "-m", "2", "-slots", "24", "A:2/3", "B:2/3", "C:2/3")
+	if code != 0 || out != want {
+		t.Errorf("exit %d, stderr %q, stdout:\n%s\nwant:\n%s", code, errOut, out, want)
+	}
+}
 
 func TestParseTask(t *testing.T) {
 	tk, err := parseTask("video:2/3")

@@ -324,9 +324,6 @@ func Schedulable(set task.Set) bool {
 // Stats returns the counters accumulated so far.
 func (s *Simulator) Stats() Stats { return s.stats }
 
-// Now returns the current simulation time.
-func (s *Simulator) Now() int64 { return s.now }
-
 // Run advances the simulation to the horizon. Jobs still incomplete at the
 // horizon with deadlines at or before it are recorded as misses. A
 // non-nil error (*engine.LivelockError) means the policy stopped

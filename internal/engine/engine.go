@@ -199,9 +199,6 @@ func New(pol Policy, opts ...Option) *Engine {
 //pfair:hotpath
 func (e *Engine) Now() int64 { return e.now }
 
-// Steps returns the number of policy invocations so far.
-func (e *Engine) Steps() int64 { return e.steps }
-
 // Submit forwards a dynamic-task request to the bound policy's Submit.
 // Policies without the Dynamic capability reject every request with a
 // diagnostic error rather than panicking, so generic drivers can probe.

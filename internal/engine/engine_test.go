@@ -82,8 +82,8 @@ func TestStepPhaseOrder(t *testing.T) {
 	if e.Now() != 1 {
 		t.Fatalf("Now() = %d, want 1", e.Now())
 	}
-	if e.Steps() != 1 {
-		t.Fatalf("Steps() = %d, want 1", e.Steps())
+	if e.steps != 1 {
+		t.Fatalf("Steps() = %d, want 1", e.steps)
 	}
 }
 
@@ -120,13 +120,13 @@ func TestRunClampsOvershoot(t *testing.T) {
 	if e.Now() != 10 {
 		t.Fatalf("Now() after overshooting Run = %d, want clamp to 10", e.Now())
 	}
-	if e.Steps() != 2 { // steps at t=0 and t=7
-		t.Fatalf("Steps() = %d, want 2", e.Steps())
+	if e.steps != 2 { // steps at t=0 and t=7
+		t.Fatalf("Steps() = %d, want 2", e.steps)
 	}
 	// Resuming must continue from the horizon, not the overshot instant.
 	e.Run(11)
-	if e.Steps() != 3 || e.Now() != 11 {
-		t.Fatalf("after resume: Steps=%d Now=%d, want 3 and 11", e.Steps(), e.Now())
+	if e.steps != 3 || e.Now() != 11 {
+		t.Fatalf("after resume: Steps=%d Now=%d, want 3 and 11", e.steps, e.Now())
 	}
 }
 
@@ -141,8 +141,8 @@ func TestZeroAdvanceAllowedThenProgress(t *testing.T) {
 	}}
 	e := New(p)
 	e.Run(2)
-	if e.Steps() != 6 {
-		t.Fatalf("Steps() = %d, want 6 (3 invocations per instant × 2 instants)", e.Steps())
+	if e.steps != 6 {
+		t.Fatalf("Steps() = %d, want 6 (3 invocations per instant × 2 instants)", e.steps)
 	}
 	if e.zero != 0 {
 		t.Fatalf("zero-advance streak = %d after progress, want 0", e.zero)
@@ -198,9 +198,9 @@ func TestLivelockBackstop(t *testing.T) {
 	if e.err != err {
 		t.Fatalf("sticky error = %v, want the Run error", e.err)
 	}
-	steps := e.Steps()
+	steps := e.steps
 	e.Step()
-	if e.Steps() != steps {
+	if e.steps != steps {
 		t.Fatal("Step after livelock must be a no-op")
 	}
 	if again := e.Run(1); again != err {
@@ -283,8 +283,8 @@ func TestProfiledStepPhaseOrder(t *testing.T) {
 	e := New(p, WithProfiler(obs.NewPhaseProfiler(nil, 1)))
 	e.Step()
 	wantLog(t, p.log, []string{"release@0", "pick@0", "dispatch@0", "account@0"})
-	if e.Now() != 1 || e.Steps() != 1 {
-		t.Fatalf("Now()=%d Steps()=%d after one profiled step, want 1, 1", e.Now(), e.Steps())
+	if e.Now() != 1 || e.steps != 1 {
+		t.Fatalf("Now()=%d Steps()=%d after one profiled step, want 1, 1", e.Now(), e.steps)
 	}
 }
 

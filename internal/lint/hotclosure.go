@@ -36,7 +36,7 @@ import (
 // take (error paths, one-shot growth, detach-time migration), and the
 // reason documents why. Edges into functions without loaded source
 // (stdlib) end traversal there; the per-function HotPath rules already
-// police the stdlib calls that allocate (fmt).
+// police the stdlib calls that allocate (fmt, math/rand's constructors).
 var HotClosure = &Analyzer{
 	Name: "hotclosure",
 	Doc: "walk the call graph from //pfair:hotpath roots and flag reachable " +
@@ -178,9 +178,10 @@ func funcDirectiveReason(fd *ast.FuncDecl, name string) bool {
 
 // allocationSites returns the positions of allocation sources HotPath
 // would flag in body, using the same rules (closures, go statements,
-// fmt, make/new, escaping composite literals, appends to
-// non-preallocated slices). Shared by staleannot to decide whether an
-// //pfair:allowalloc annotation still has a triggering construct.
+// fmt and math/rand's constructors, make/new, escaping composite
+// literals, appends to non-preallocated slices). Shared by staleannot
+// to decide whether an //pfair:allowalloc annotation still has a
+// triggering construct.
 func allocationSites(p *Pass, fd *ast.FuncDecl) []token.Pos {
 	var sites []token.Pos
 	prealloc := preallocLocals(p, fd)
@@ -207,7 +208,7 @@ func allocationSites(p *Pass, fd *ast.FuncDecl) []token.Pos {
 			if isPanicCall(p.Info, n) {
 				return false
 			}
-			if fn := calleeFunc(p.Info, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+			if fn := calleeFunc(p.Info, n); fn != nil && allocatingStdlib(fn) != "" {
 				sites = append(sites, n.Pos())
 				return true
 			}

@@ -16,6 +16,9 @@ import (
 //   - closures (func literals): closing over variables forces them to
 //     the heap and allocates the closure itself;
 //   - fmt calls: the ...any parameters box their arguments;
+//   - math/rand's New, NewSource and NewZipf, and math/rand/v2's
+//     constructors: each builds a generator on the heap (NewSource's
+//     state alone is 4.9 KB); seed one built at setup instead;
 //   - make/new: direct allocations;
 //   - &T{...} and slice/map composite literals: heap allocations (plain
 //     struct value literals are fine — they stay in registers or get
@@ -103,9 +106,11 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 				// Failure path: formatting the panic message may allocate.
 				return false
 			}
-			if fn := calleeFunc(pass.Info, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-				pass.Reportf(n.Pos(), "fmt.%s in //pfair:hotpath function %s allocates (boxing into ...any)", fn.Name(), fd.Name.Name)
-				return true
+			if fn := calleeFunc(pass.Info, n); fn != nil {
+				if why := allocatingStdlib(fn); why != "" {
+					pass.Reportf(n.Pos(), "%s.%s in //pfair:hotpath function %s allocates (%s)", fn.Pkg().Name(), fn.Name(), fd.Name.Name, why)
+					return true
+				}
 			}
 			id, ok := ast.Unparen(n.Fun).(*ast.Ident)
 			if !ok {
@@ -125,6 +130,36 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// allocatingStdlib returns why a call to the standard-library function
+// fn allocates, or "" if HotPath lets it through: every fmt function
+// boxes its arguments into ...any, and math/rand's and math/rand/v2's
+// constructors build their generators on the heap.
+func allocatingStdlib(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return ""
+	}
+	path := fn.Pkg().Path()
+	if path == "fmt" {
+		return "boxing into ...any"
+	}
+	if fn.Type().(*types.Signature).Recv() != nil {
+		return "" // a method of a generator, such as (*rand.Rand).Float64
+	}
+	switch path {
+	case "math/rand":
+		switch fn.Name() {
+		case "New", "NewSource", "NewZipf":
+			return "a new generator state"
+		}
+	case "math/rand/v2":
+		switch fn.Name() {
+		case "New", "NewPCG", "NewChaCha8", "NewZipf":
+			return "a new generator state"
+		}
+	}
+	return ""
 }
 
 // isPreallocTarget reports whether the append target reuses preallocated

@@ -28,6 +28,8 @@ type Package struct {
 	// Module and ModuleDir are the path and root directory of the
 	// module the package belongs to ("" outside a module).
 	Module, ModuleDir string
+
+	ld *loader // the loader that checked the package, nil if none did
 }
 
 // Load resolves the given go-list package patterns (e.g. "./...") in dir,
@@ -45,17 +47,18 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 	fset := token.NewFileSet()
 	ld := &loader{
-		fset:    fset,
-		metas:   map[string]*listPackage{},
-		checked: map[string]*Package{},
-		exports: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			file, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(file)
-		}),
+		fset:        fset,
+		metas:       map[string]*listPackage{},
+		checked:     map[string]*Package{},
+		exportFiles: exports,
 	}
+	ld.exports = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := ld.exportFiles[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 	for _, m := range metas {
 		ld.metas[m.ImportPath] = m
 	}
@@ -131,7 +134,38 @@ type loader struct {
 	fset    *token.FileSet
 	metas   map[string]*listPackage
 	checked map[string]*Package
-	exports types.Importer
+	// exportFiles maps the import path of every package read from
+	// export data to its file; exports is the importer reading them.
+	exportFiles map[string]string
+	exports     types.Importer
+}
+
+// addExports lists, in dir, the export data of the packages at paths
+// that ld can import neither from source nor from export data yet, and
+// of their dependencies, so that exports can read them too.
+func (ld *loader) addExports(dir string, paths []string) error {
+	var missing []string
+	for _, path := range paths {
+		if _, ok := ld.metas[path]; !ok && ld.exportFiles[path] == "" {
+			missing = append(missing, path)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	metas, exports, err := goList(dir, missing)
+	if err != nil {
+		return err
+	}
+	for _, m := range metas {
+		exports[m.ImportPath] = m.Export
+	}
+	for path, file := range exports { //pfair:orderinvariant copying a map into a map
+		if _, ok := ld.exportFiles[path]; !ok && file != "" {
+			ld.exportFiles[path] = file
+		}
+	}
+	return nil
 }
 
 // check parses and type-checks the listed package at path, memoized so
@@ -155,7 +189,7 @@ func (ld *loader) check(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %v", path, err)
 	}
-	p := &Package{Path: path, Fset: ld.fset, Files: files, Pkg: tpkg, Info: info}
+	p := &Package{Path: path, Fset: ld.fset, Files: files, Pkg: tpkg, Info: info, ld: ld}
 	if m.Module != nil {
 		p.Module, p.ModuleDir = m.Module.Path, m.Module.Dir
 	}

@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"pfair/internal/lint/callgraph"
 )
@@ -19,11 +20,14 @@ import (
 //   - func main of every main package and every func init;
 //   - the functions declared in pfair.go of the module's root package
 //     (the public API);
-//   - the names the benchmark's sources select: perfbench/*.go under the
-//     module root is parsed (not loaded — it is a module of its own), and
-//     every pkg.Name it selects from a program package is a root; a name
-//     it selects on a value reaches the methods of that name the way the
-//     standard library's calls do (below);
+//   - what the benchmark's sources name: perfbench/*.go under the module
+//     root, its tests aside, is type-checked against the loaded packages
+//     (it is a module of its own, outside the load). Every program
+//     function or method its identifiers and selectors resolve to is a
+//     root, an interface method it calls reaches the implementations
+//     of instantiated types, and every program type, constant or
+//     variable it names is instantiated. A method that shares only its
+//     name with one the benchmark calls is not reached;
 //   - functions whose doc comment carries //pfair:keep <reason>: a
 //     survivor kept on purpose (a paper claim's root, a test oracle, a
 //     seam other packages' tests drive). A keep without a reason keeps
@@ -49,14 +53,28 @@ import (
 var Reach = &Analyzer{
 	Name: "reach",
 	Doc: "flag functions and methods no root reaches (main, init, pfair.go, " +
-		"the names perfbench selects, //pfair:keep <reason>); interface calls " +
+		"what perfbench calls, //pfair:keep <reason>); interface calls " +
 		"reach a method only once its receiver type is instantiated in reached code",
 	RunProgram: runReach,
 }
 
+// benchDir is the directory, under the module root, of the benchmark's
+// sources.
+var benchDir = "perfbench"
+
 func runReach(pass *ProgramPass) {
 	r := pass.reach()
 	if r == nil {
+		return
+	}
+	if err := r.benchErr; err != nil {
+		// Without the benchmark's roots, code only it calls would read
+		// as unreached.
+		pos, msg := token.NoPos, err.Error()
+		if te, ok := err.(types.Error); ok {
+			pos, msg = te.Pos, te.Msg
+		}
+		pass.Reportf(pos, "checking %s against the program: %s", benchDir, msg)
 		return
 	}
 	for _, n := range pass.Graph.DeclaredNodes() {
@@ -79,6 +97,8 @@ type reachResult struct {
 	roots map[*callgraph.Node]bool
 	kept  map[*callgraph.Node]bool
 	inst  map[*types.Named]bool
+	// benchErr is why the benchmark's sources could not be checked.
+	benchErr error
 }
 
 // reach computes the program's reachability once and shares it between
@@ -98,7 +118,7 @@ func computeReach(p *ProgramPass) *reachResult {
 		inst:    map[*types.Named]bool{},
 		pending: map[*types.Named][]*callgraph.Node{},
 	}
-	w.benchRoots(p)
+	benchErr := w.benchRoots(p)
 	entry := false
 	var keeps []*callgraph.Node
 	for _, n := range p.Graph.DeclaredNodes() {
@@ -128,7 +148,7 @@ func computeReach(p *ProgramPass) *reachResult {
 		}
 	}
 	w.drain()
-	res := &reachResult{roots: map[*callgraph.Node]bool{}}
+	res := &reachResult{roots: map[*callgraph.Node]bool{}, benchErr: benchErr}
 	for n := range w.reached { //pfair:orderinvariant copying a set
 		res.roots[n] = true
 	}
@@ -158,9 +178,6 @@ type reacher struct {
 	// type to be instantiated.
 	inst    map[*types.Named]bool
 	pending map[*types.Named][]*callgraph.Node
-	// benchNames are the names perfbench selects on values: a method of
-	// that name is reached once its receiver type is instantiated.
-	benchNames map[string]bool
 	// ifaceVals are interface methods used other than as a call's
 	// operand (method values, calls promoted through an embedded
 	// interface): every instantiated implementation is reached.
@@ -363,9 +380,8 @@ var stdlibMethods = map[string][2]int{
 	"Int63": {0, 1}, "Uint64": {0, 1}, "Seed": {1, 0},
 }
 
-// calledOutside reaches t's methods that code outside the program may
-// call on a t: the standard library's interface methods, and the methods
-// perfbench selects by name.
+// calledOutside reaches t's methods that the standard library may call
+// on a t through its own interfaces.
 func (w *reacher) calledOutside(t *types.Named) {
 	ms := types.NewMethodSet(types.NewPointer(t))
 	for i := 0; i < ms.Len(); i++ {
@@ -375,7 +391,7 @@ func (w *reacher) calledOutside(t *types.Named) {
 		}
 		shape, ok := stdlibMethods[fn.Name()]
 		sig := fn.Type().(*types.Signature)
-		if w.benchNames[fn.Name()] || ok && sig.Params().Len() == shape[0] && sig.Results().Len() == shape[1] {
+		if ok && sig.Params().Len() == shape[0] && sig.Results().Len() == shape[1] {
 			w.reach(w.graph.NodeOf(fn))
 		}
 	}
@@ -402,68 +418,76 @@ func recvNamed(fn *types.Func) *types.Named {
 	return named.Origin()
 }
 
-// benchRoots parses perfbench/*.go under the module root (read-only; the
-// benchmark is a module of its own, outside the load) and roots what it
-// selects: pkg.Name from a program package — a function is reached, a
-// type or typed value instantiated — and, for a selector on a value, the
-// methods of that name on every type reached code instantiates.
-func (w *reacher) benchRoots(p *ProgramPass) {
-	w.benchNames = map[string]bool{}
+// benchRoots type-checks the benchmark's sources, benchDir/*.go under
+// the module root without its tests, against the loaded packages, and
+// roots what they name from the program: a function or method is
+// reached, an interface method reaches the implementations of
+// instantiated types, and a type, constant or variable is instantiated.
+// It does nothing when the sources import no program package.
+func (w *reacher) benchRoots(p *ProgramPass) error {
 	var modDir string
+	var ld *loader
 	byPath := map[string]*Package{}
 	for _, pkg := range p.Pkgs {
 		byPath[pkg.Path] = pkg
 		if pkg.ModuleDir != "" {
 			modDir = pkg.ModuleDir
 		}
+		if pkg.ld != nil {
+			ld = pkg.ld
+		}
 	}
-	if modDir == "" {
-		return
+	if modDir == "" || ld == nil {
+		return nil
 	}
-	files, _ := filepath.Glob(filepath.Join(modDir, "perfbench", "*.go"))
-	fset := token.NewFileSet()
-	var selected []types.Object
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
+	names, _ := filepath.Glob(filepath.Join(modDir, benchDir, "*.go"))
+	var files []*ast.File
+	var imports []string
+	usesProgram := false
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		imports := map[string]*Package{}
+		f, err := parser.ParseFile(p.Fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
 		for _, spec := range f.Imports {
 			path, _ := strconv.Unquote(spec.Path.Value)
-			pkg := byPath[path]
-			if pkg == nil {
-				continue
-			}
-			local := pkg.Pkg.Name()
-			if spec.Name != nil {
-				local = spec.Name.Name
-			}
-			imports[local] = pkg
+			imports = append(imports, path)
+			usesProgram = usesProgram || byPath[path] != nil
 		}
-		ast.Inspect(f, func(x ast.Node) bool {
-			sel, ok := x.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && imports[id.Name] != nil {
-				if obj := imports[id.Name].Pkg.Scope().Lookup(sel.Sel.Name); obj != nil {
-					selected = append(selected, obj)
-				}
-				return true
-			}
-			w.benchNames[sel.Sel.Name] = true
-			return true
-		})
 	}
-	for _, obj := range selected {
+	if !usesProgram {
+		return nil
+	}
+	if err := ld.addExports(modDir, imports); err != nil {
+		return err
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	// The loader returns the packages it checked, the program's among
+	// them, so what the benchmark names is the program's own object.
+	conf := types.Config{Importer: (*loaderImporter)(ld)}
+	if _, err := conf.Check(benchDir, p.Fset, files, info); err != nil {
+		return err
+	}
+	for _, obj := range info.Uses { //pfair:orderinvariant reaching and instantiating build sets
+		if obj.Pkg() == nil || byPath[obj.Pkg().Path()] == nil {
+			continue
+		}
 		switch obj := obj.(type) {
 		case *types.Func:
-			w.reach(w.graph.NodeOf(obj))
+			if isAbstract(obj) {
+				w.ifaceValue(obj)
+			} else {
+				w.reach(w.graph.NodeOf(obj))
+			}
 		case *types.TypeName, *types.Const, *types.Var:
 			w.instantiate(obj.Type())
 		}
 	}
+	return nil
 }
 
 // isNil reports whether e is the predeclared nil.

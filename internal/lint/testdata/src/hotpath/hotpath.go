@@ -4,6 +4,7 @@ package hotpath
 
 import (
 	"fmt"
+	"math/rand"
 
 	"pfair/internal/obs"
 )
@@ -45,6 +46,30 @@ func (s *sched) Bad() {
 	f()
 	p := &pair{1, 2} // want `&composite literal in //pfair:hotpath function Bad escapes to the heap`
 	_ = p
+	src := rand.NewSource(1) // want `rand\.NewSource in //pfair:hotpath function Bad allocates \(a new generator state\)`
+	r := rand.New(src)       // want `rand\.New in //pfair:hotpath function Bad allocates \(a new generator state\)`
+	_ = r
+	_ = rand.NewZipf(r, 2, 1, 10) // want `rand\.NewZipf in //pfair:hotpath function Bad allocates`
+}
+
+// gen holds a generator built at setup, which the hot path reseeds and
+// draws from.
+type gen struct{ rng *rand.Rand }
+
+// newGen is not annotated: building the generator here is setup, not
+// hot-path work.
+func newGen(seed int64) *gen {
+	return &gen{rng: rand.New(rand.NewSource(seed))}
+}
+
+// Draw is the negative case for math/rand: reseeding and drawing from an
+// existing generator, and the package-level draw functions, allocate
+// nothing.
+//
+//pfair:hotpath
+func (g *gen) Draw(seed int64) float64 {
+	g.rng.Seed(seed)
+	return g.rng.Float64() + float64(g.rng.Intn(10)) + rand.Float64()
 }
 
 // Observed exercises the sanctioned nil-guard patterns: every obs call

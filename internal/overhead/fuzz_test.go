@@ -64,3 +64,41 @@ func FuzzMinProcsMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEDFFFSpillMatchesReference checks MinProcsEDFFF against
+// referenceEDFFF on sets whose periods are distinct large primes, so the
+// lcm of the periods leaves int64 within a few tasks and every spare
+// capacity that ffTree compares has spilled to math/big. tasks takes
+// three bytes per task: a period, a cost as an 8-bit fraction of the
+// period, and a cache delay large enough to make maxD reject processors
+// the tree offers.
+func FuzzEDFFFSpillMatchesReference(f *testing.F) {
+	f.Add(uint8(1), uint8(5), []byte{0, 200, 90, 1, 150, 10, 2, 100, 50, 3, 250, 0, 4, 80, 99, 5, 120, 7})
+	f.Add(uint8(3), uint8(0), []byte{6, 255, 255, 7, 1, 0, 8, 128, 128, 9, 64, 200, 10, 32, 30, 11, 230, 1})
+	f.Fuzz(func(t *testing.T, sEDF, ctxsw uint8, tasks []byte) {
+		if len(tasks) > 3*24 {
+			tasks = tasks[:3*24] // referenceEDFFF is O(n³), in math/big
+		}
+		var set task.Set
+		delays := map[string]int64{}
+		for i := 0; i+3 <= len(tasks); i += 3 {
+			per := primes[int(tasks[i])%len(primes)]
+			cost := max(1, per*int64(tasks[i+1])/255)
+			name := fmt.Sprintf("T%d", i/3)
+			set = append(set, task.MustNew(name, cost, per))
+			delays[name] = int64(tasks[i+2]) * 400
+		}
+		p := Params{
+			Quantum:       1,
+			ContextSwitch: int64(ctxsw % 16),
+			SchedEDF:      int64(sEDF % 8),
+			SchedPD2:      func(m, n int) int64 { return 1 },
+			CacheDelay:    func(t *task.Task) int64 { return delays[t.Name] },
+		}
+		got := MinProcsEDFFF(set, p)
+		want, _ := referenceEDFFF(set, p)
+		if !sameResult(got, want) {
+			t.Fatalf("MinProcsEDFFF on %v: got %+v, reference %+v", set, got, want)
+		}
+	})
+}

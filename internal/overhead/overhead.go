@@ -211,6 +211,14 @@ func MinProcsPD2(set task.Set, p Params) Result {
 // is held over one common denominator, the lcm of the periods
 // (rational.Fixed), so a probe is one integer compare and no utilization
 // is reduced by a gcd.
+//
+// First fit runs in O(log M) per task: a tournament tree over the spare
+// capacities (ffTree) finds the first processor whose spare capacity is
+// at least the candidate's utilization at maxD = 0. A processor with
+// less cannot take it, so the tree skips only processors a linear scan
+// would reject. If maxD makes the task too large on the one found, the
+// search resumes at the next processor, so the task lands where the
+// linear scan would put it.
 func MinProcsEDFFF(set task.Set, p Params) Result {
 	if err := p.Validate(); err != nil {
 		//pfair:allowpanic experiment parameters are static tables; Validate failures are programmer errors
@@ -222,30 +230,38 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 		one.Over(t.Period)
 	}
 	one.SetInt(1)
-	var bins []ffBin
+	// The paper's task sets need at most a few hundred processors; the
+	// tree's nodes stay on the stack up to 256.
+	var nbuf [512]int32
+	tree := ffTree{node: nbuf[:0]}
 	var util, u0 rational.Fixed
 	u0.Set(&one) // over one's denominator, so a probe compares numerators
 	for _, t := range set.SortByPeriodDecreasing() {
 		u0.SetInt(0).AddFrac(InflateEDF(t.Cost, p, 0), t.Period)
-		i, e, ok := 0, int64(0), false
-		for ; i < len(bins); i++ {
-			if e, ok = bins[i].fits(t, p, &u0); ok {
+		i, e, ok := -1, int64(0), false
+		for !ok {
+			if i = tree.first(i+1, &u0); i < 0 {
 				break
 			}
+			e, ok = tree.bins[i].fits(t, p, &u0)
 		}
 		if !ok {
 			// Open a processor; a task that does not fit even an empty
-			// one fits no count.
-			bins = append(bins, ffBin{})
-			bins[i].spare.Set(&one)
-			if e, ok = bins[i].fits(t, p, &u0); !ok {
+			// one fits no count. The append is made here, not in an
+			// ffTree method, so that nbuf stays on the stack.
+			i = len(tree.bins)
+			tree.bins = append(tree.bins, ffBin{})
+			tree.bins[i].spare.Set(&one)
+			tree.opened()
+			if e, ok = tree.bins[i].fits(t, p, &u0); !ok {
 				return Result{Processors: -1, BaseUtil: res.BaseUtil}
 			}
 		}
-		bins[i].place(t.Period, p.CacheDelay(t), e)
+		tree.bins[i].place(t.Period, p.CacheDelay(t), e)
+		tree.lowered(i)
 		util.AddFrac(e, t.Period)
 	}
-	res.Processors = len(bins)
+	res.Processors = len(tree.bins)
 	res.InflatedUtil = util.Float()
 	return res
 }
@@ -278,9 +294,8 @@ func (b *ffBin) maxD(per int64) int64 {
 // u0 is t's inflated utilization at maxD = 0. maxD is never negative, so
 // u0 bounds the inflated utilization from below, and a processor with
 // less spare capacity is rejected by one compare over the common
-// denominator, before the inflation is computed. In a first-fit scan
-// that is the usual outcome: 97% of the probes in the Figure 3/4 sweep
-// stop there.
+// denominator, before the inflation is computed. ffTree.first skips
+// such processors already; fits checks again so that it stands alone.
 func (b *ffBin) fits(t *task.Task, p Params, u0 *rational.Fixed) (int64, bool) {
 	if b.spare.Cmp(u0) < 0 {
 		return 0, false
@@ -299,6 +314,99 @@ func (b *ffBin) place(per, d, e int64) {
 	b.last = per
 	b.dAt = max(b.dAt, d)
 	b.spare.SubFrac(e, per)
+}
+
+// ffTree is EDF-FF's processors in a max tournament tree over their
+// spare capacities. Leaf i is bins[i], and every node holds the index of
+// the bin with the largest spare capacity in its subtree, or −1 when the
+// subtree holds no bin. Capacities are compared with Fixed.Cmp, so a
+// spilled one compares exactly.
+type ffTree struct {
+	bins []ffBin
+	node []int32 // 2·size entries: node[1] is the root, node[size+i] leaf i
+	size int     // leaves: 0, or a power of two at least len(bins)
+}
+
+// better returns whichever of bins a and b has more spare capacity, a
+// on a tie; −1 stands for no bin.
+func (t *ffTree) better(a, b int32) int32 {
+	if b < 0 || a >= 0 && t.bins[a].spare.Cmp(&t.bins[b].spare) >= 0 {
+		return a
+	}
+	return b
+}
+
+// holds reports whether node j's subtree holds a bin with spare capacity
+// at least u.
+func (t *ffTree) holds(j int, u *rational.Fixed) bool {
+	i := t.node[j]
+	return i >= 0 && t.bins[i].spare.Cmp(u) >= 0
+}
+
+// first returns the lowest index i ≥ lo whose bin has spare capacity at
+// least u, or −1 if there is none. It climbs from leaf lo to the first
+// subtree at or right of it that holds such a bin, then descends to that
+// subtree's leftmost one: O(log M) compares.
+func (t *ffTree) first(lo int, u *rational.Fixed) int {
+	if lo >= len(t.bins) {
+		return -1
+	}
+	j := lo + t.size
+	for j&1 == 0 && j > 1 { // a left child: its parent's leaves start at lo too
+		j >>= 1
+	}
+	for !t.holds(j, u) {
+		for j&1 == 1 { // the last subtree at its level: climb
+			j >>= 1
+		}
+		if j == 0 {
+			return -1
+		}
+		j++
+	}
+	for j < t.size {
+		j *= 2
+		if !t.holds(j, u) {
+			j++
+		}
+	}
+	return j - t.size
+}
+
+// opened adds the last of bins, just appended, to the tree, doubling
+// the tree when its leaves are full.
+func (t *ffTree) opened() {
+	i := len(t.bins) - 1
+	if i < t.size {
+		t.node[t.size+i] = int32(i)
+		for j := (t.size + i) >> 1; j > 0; j >>= 1 {
+			t.node[j] = t.better(t.node[2*j], t.node[2*j+1])
+		}
+		return
+	}
+	t.size = max(2*t.size, 1)
+	if cap(t.node) >= 2*t.size {
+		t.node = t.node[:2*t.size]
+	} else {
+		t.node = make([]int32, 2*t.size)
+	}
+	for k := range t.size {
+		t.node[t.size+k] = -1
+		if k < len(t.bins) {
+			t.node[t.size+k] = int32(k)
+		}
+	}
+	for j := t.size - 1; j > 0; j-- {
+		t.node[j] = t.better(t.node[2*j], t.node[2*j+1])
+	}
+}
+
+// lowered restores the tree after bin i's spare capacity fell. Only the
+// nodes that held i can change, and they form a path up from its leaf.
+func (t *ffTree) lowered(i int) {
+	for j := (t.size + i) >> 1; j > 0 && t.node[j] == int32(i); j >>= 1 {
+		t.node[j] = t.better(t.node[2*j], t.node[2*j+1])
+	}
 }
 
 // Losses decomposes the schedulability loss of one task set at the

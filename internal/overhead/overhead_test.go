@@ -573,3 +573,49 @@ func TestMinProcsPD2MatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// TestFFTreeFirstMatchesScan holds ffTree.first to a linear scan for
+// every start index and a range of thresholds, while bins open and
+// their spare capacities fall, over one common denominator and, once
+// co-prime periods spill it, in math/big.
+func TestFFTreeFirstMatchesScan(t *testing.T) {
+	for _, menu := range [][]int64{fig3Menu, primes} {
+		r := rand.New(rand.NewSource(7))
+		var one rational.Fixed
+		for _, per := range menu {
+			one.Over(per)
+		}
+		one.SetInt(1)
+		var tree ffTree
+		for step := 0; step < 300; step++ {
+			if len(tree.bins) == 0 || r.Intn(4) == 0 {
+				tree.bins = append(tree.bins, ffBin{})
+				tree.bins[len(tree.bins)-1].spare.Set(&one)
+				tree.opened()
+			} else {
+				i := r.Intn(len(tree.bins))
+				per := menu[r.Intn(len(menu))]
+				if tree.bins[i].spare.CmpFrac(per/8, per) >= 0 {
+					tree.bins[i].spare.SubFrac(1+r.Int63n(per/8), per)
+					tree.lowered(i)
+				}
+			}
+			for q := 0; q < 8; q++ {
+				var u rational.Fixed
+				u.Set(&one).SetInt(0).AddFrac(r.Int63n(menu[0]+1), menu[0])
+				for lo := 0; lo <= len(tree.bins); lo++ {
+					want := -1
+					for i := lo; i < len(tree.bins); i++ {
+						if tree.bins[i].spare.Cmp(&u) >= 0 {
+							want = i
+							break
+						}
+					}
+					if got := tree.first(lo, &u); got != want {
+						t.Fatalf("step %d, %d bins: first(%d, %v) = %d, scan %d", step, len(tree.bins), lo, u.Float(), got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -50,20 +50,6 @@ func (s *Sample) StdDev() float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // z99 is the two-sided 99% normal critical value. The paper's samples are
 // means of 1000 task sets, so the normal approximation is appropriate.
 const z99 = 2.5758293035489004

@@ -170,9 +170,6 @@ func NewSystem(m int, alg core.Algorithm, opts ...engine.Option) *System {
 	return sys
 }
 
-// Engine returns the engine the system's scheduler runs on.
-func (sys *System) Engine() *engine.Engine { return sys.sched.Engine() }
-
 // Name returns the name of the scheduler task with the given id, as a
 // Result.Scheduler miss carries it.
 func (sys *System) Name(id int) string { return sys.sched.Name(id) }

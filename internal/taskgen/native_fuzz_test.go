@@ -2,6 +2,7 @@ package taskgen
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -71,6 +72,52 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 		s.Seed(^seed)
 		if j, ok := sourceMismatch(s, ^seed, sourceDraws); !ok {
 			t.Fatalf("reseeded to %d after %d draws: draw %d differs from rand.NewSource", ^seed, draws, j)
+		}
+	})
+}
+
+// FuzzRootMatchesPow: for any x in [0, 1] and k ≥ 1, root must return
+// math.Pow(x, 1/float64(k)) bit for bit. An x outside [0, 1] is folded
+// into it.
+func FuzzRootMatchesPow(f *testing.F) {
+	f.Add(0.5, uint16(3))
+	f.Add(0.0, uint16(1))
+	f.Add(math.SmallestNonzeroFloat64, uint16(2))
+	f.Add(math.Nextafter(1, 0), uint16(2000))
+	f.Fuzz(func(t *testing.T, x float64, k uint16) {
+		if x = math.Abs(x); x > 1 {
+			x = math.Mod(x, 1)
+		}
+		if math.IsNaN(x) {
+			return
+		}
+		if d := rootMismatch(x, max(int(k), 1)); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// FuzzSkipFloat64: from any seed and starting draw, skipping k Float64
+// draws must leave a Source as k calls of rand.Rand.Float64 on a twin
+// source leave it.
+func FuzzSkipFloat64(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(334))
+	f.Add(int64(-1), uint16(272), uint16(1))
+	f.Add(int64(lehmerMod), uint16(333), uint16(607))
+	f.Add(int64(math.MinInt64), uint16(700), uint16(10000))
+	f.Fuzz(func(t *testing.T, seed int64, before, k uint16) {
+		a, b := NewSource(seed), NewSource(seed)
+		ra, rb := rand.New(a), rand.New(b)
+		for j := 0; j < int(before); j++ {
+			ra.Float64()
+			rb.Float64()
+		}
+		a.skipFloat64(int(k))
+		for j := 0; j < int(k); j++ {
+			rb.Float64()
+		}
+		if *a != *b {
+			t.Fatalf("seed %d, %d draws in: skipping %d differs from %d Float64 calls", seed, before, k, k)
 		}
 	})
 }

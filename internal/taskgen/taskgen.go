@@ -42,6 +42,7 @@ var DefaultPeriodsSlots = []int64{10, 20, 40, 50, 100, 200, 400, 500, 1000}
 
 // Generator produces reproducible random workloads.
 type Generator struct {
+	src *Source // rng's source, which UUniFast skips rejected draws on
 	rng *rand.Rand
 }
 
@@ -50,7 +51,8 @@ type Generator struct {
 // computes each register word when a draw first reads it: seeding is
 // O(1), and Seed reuses the generator for another seed.
 func New(seed int64) *Generator {
-	return &Generator{rng: rand.New(NewSource(seed))}
+	src := NewSource(seed)
+	return &Generator{src: src, rng: rand.New(src)}
 }
 
 // Seed reseeds g in place: every later draw is the one New(seed) would
@@ -98,9 +100,9 @@ const uunifastAttempts = 64
 // not a programmer error.
 //
 // A rejected attempt stops computing at its first value above cap but
-// still consumes all n−1 of its random draws, so the generator's state,
-// and everything drawn from it later, is the same as if every attempt
-// had been computed in full.
+// still consumes all n−1 of its random draws, skipping the rest at the
+// source, so the generator's state, and everything drawn from it later,
+// is the same as if every attempt had been computed in full.
 func (g *Generator) UUniFast(n int, total, cap float64) ([]float64, error) {
 	if n <= 0 {
 		return nil, nil
@@ -146,20 +148,19 @@ func (g *Generator) UUniFast(n int, total, cap float64) ([]float64, error) {
 // draw fills us with one UUniFast vector summing to total and reports
 // whether every value is at most cap (always, for cap ≤ 0). With
 // stopEarly it returns false at the first value above cap, leaving the
-// rest of us stale, after drawing the attempt's remaining random numbers.
+// rest of us stale, after skipping the attempt's remaining random numbers
+// at the source.
 func (g *Generator) draw(us []float64, total, cap float64, stopEarly bool) bool {
 	n := len(us)
 	within := true
 	sum := total
 	for i := 0; i < n-1; i++ {
-		next := sum * math.Pow(g.rng.Float64(), 1/float64(n-1-i))
+		next := sum * root(g.rng.Float64(), n-1-i)
 		us[i] = sum - next
 		sum = next
 		if cap > 0 && us[i] > cap {
 			if stopEarly {
-				for i++; i < n-1; i++ {
-					g.rng.Float64()
-				}
+				g.src.skipFloat64(n - 2 - i)
 				return false
 			}
 			within = false
@@ -167,6 +168,24 @@ func (g *Generator) draw(us []float64, total, cap float64, stopEarly bool) bool 
 	}
 	us[n-1] = sum
 	return within && !(cap > 0 && sum > cap)
+}
+
+// root returns x^(1/k) for 0 ≤ x ≤ 1 (not −0) and k ≥ 1, bit for bit what
+// math.Pow(x, 1/float64(k)) returns. For these arguments Pow takes
+// exactly this path: y = 1 returns x, y = 0.5 returns Sqrt(x), and
+// otherwise y < 0.5 has no integer part, so Pow returns Exp(y·Log(x))
+// scaled by Ldexp(·, 0), which is the identity. Its remaining work, the
+// special cases, Modf, Frexp and Ldexp, is skipped. (The Go
+// distribution has no assembly Pow on amd64 or arm64, and Exp and Log
+// are the same functions either way.)
+func root(x float64, k int) float64 {
+	switch k {
+	case 1:
+		return x
+	case 2:
+		return math.Sqrt(x)
+	}
+	return math.Exp(1 / float64(k) * math.Log(x))
 }
 
 // Set generates n tasks whose utilizations sum approximately to totalUtil,

@@ -121,9 +121,6 @@ func NewScheduler(m int, set task.Set, opts ...engine.Option) (*Scheduler, error
 	return s, nil
 }
 
-// Engine returns the engine this scheduler runs on.
-func (s *Scheduler) Engine() *engine.Engine { return s.eng }
-
 // Release implements engine.Policy; WRR releases are implicit in the
 // head-job release check during selection.
 //
@@ -215,6 +212,8 @@ func (s *Scheduler) Account(t int64) {
 func (s *Scheduler) Next(t int64) int64 { return t + 1 }
 
 // Step schedules one slot.
+//
+//pfair:keep test seam: BenchmarkWRR and wrr's allocation tests step the scheduler through it
 func (s *Scheduler) Step() { s.eng.Step() }
 
 // rotate moves w to the tail of the queue and recharges its burst, in
