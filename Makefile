@@ -109,13 +109,11 @@ taskstats:
 engine-equiv:
 	$(GO) test ./internal/engine -run 'TestGolden' -count=1
 
-# dyn-equiv runs the admission-plane equivalence suite: for every policy
-# (PD² core, EDF, RM, WRR, supertask) the unified Submit entry point and
-# the legacy per-policy entry points must produce identical accept
-# sequences, schedules and stats over the same churn script, and on
-# PD² a leave that lands on a pending reweight must cancel it. EDF and
-# RM are the two priority rules of edf.Simulator, each checked Add vs
-# Submit (DESIGN.md §13).
+# dyn-equiv runs the admission equivalence suite for the doors that
+# admit without Submit's check: EDF's Add, RM's Add (the two priority
+# rules of edf.Simulator) and the WRR constructor task set must each
+# give the same schedule and stats as Submit on a feasible set
+# (DESIGN.md §13).
 dyn-equiv:
 	$(GO) test ./internal/engine -run 'TestDynEquiv' -count=1
 

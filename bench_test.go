@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/edf"
 	"pfair/internal/experiments"
@@ -320,10 +321,14 @@ func BenchmarkSupertaskServe(b *testing.B) {
 	st := &supertask.Supertask{Name: "S", Components: task.Set{
 		task.MustNew("a", 1, 5), task.MustNew("b", 1, 10), task.MustNew("c", 1, 20),
 	}}
-	if err := sys.AddSupertask(st, true); err != nil {
+	req, err := supertask.JoinRequest(st, true)
+	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.AddTask(task.MustNew("w", 1, 2)); err != nil {
+	if _, err := sys.Submit(req); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Submit(admission.Join(task.MustNew("w", 1, 2))); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/obs"
 	"pfair/internal/task"
@@ -196,11 +197,11 @@ func TestChurnRoundTrip(t *testing.T) {
 	if err := s.Join(task.MustNew("C", 1, 4)); err != nil {
 		t.Fatalf("mid-run join: %v", err)
 	}
-	if _, err := s.Reweight("B", 1, 2); err != nil {
+	if _, err := s.Submit(admission.Reweight("B", 1, 2)); err != nil {
 		t.Fatalf("reweight: %v", err)
 	}
 	s.RunUntil(48)
-	if _, err := s.Leave("C"); err != nil {
+	if _, err := s.Submit(admission.Leave("C")); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
 	s.RunUntil(96)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/experiments"
 	"pfair/internal/supertask"
@@ -41,16 +42,20 @@ func main() {
 	// pure Pfair. Show a mixed system: one pinned bundle + migrating
 	// tasks.
 	sys := supertask.NewSystem(2, core.PD2)
-	if err := sys.AddSupertask(&supertask.Supertask{
+	req, err := supertask.JoinRequest(&supertask.Supertask{
 		Name: "pinned-io",
 		Components: task.Set{
 			task.MustNew("nic-rx", 1, 4), task.MustNew("nic-tx", 1, 8), task.MustNew("disk", 1, 10),
 		},
-	}, true); err != nil {
+	}, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := sys.Submit(req); err != nil {
 		log.Fatal(err)
 	}
 	for _, t := range []*task.Task{task.MustNew("worker-1", 2, 3), task.MustNew("worker-2", 1, 2)} {
-		if err := sys.AddTask(t); err != nil {
+		if _, err := sys.Submit(admission.Join(t)); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -84,7 +84,7 @@ func run(w io.Writer) error {
 	s := pfair.NewScheduler(2, pfair.PD2, pfair.Options{})
 	for i, st := range streams {
 		model := &jitterModel{seed: int64(100 + i), lateEvery: 7, maxLate: 3, maxEarly: 2, rng: rand.New(taskgen.NewSource(0))}
-		if err := s.JoinModel(pfair.MustNewTask(st.name, st.e, st.p), model); err != nil {
+		if _, err := s.Submit(pfair.JoinModel(pfair.MustNewTask(st.name, st.e, st.p), model)); err != nil {
 			return fmt.Errorf("admitting %s: %w", st.name, err)
 		}
 	}

@@ -81,9 +81,10 @@ type Request struct {
 	// NewCost and NewPeriod are the replacement parameters (OpReweight
 	// only).
 	NewCost, NewPeriod int64
-	// Model optionally carries a policy-specific release model for
-	// OpJoin (core accepts a core.ReleaseModel); policies that do not
-	// understand the concrete type reject the request.
+	// Model optionally carries a policy-specific model for OpJoin: core
+	// accepts a core.ReleaseModel, the supertask system a
+	// *supertask.Supertask (see supertask.JoinRequest). A policy that
+	// does not understand the concrete type rejects the request.
 	Model any
 }
 

@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 
-	"pfair/internal/admission"
 	"pfair/internal/task"
 )
 
 // This file implements the dynamic-task rules of Sections 2 and 5.2:
-// joining (Join/JoinModel in scheduler.go), leaving, and reweighting.
+// joining (admit in scheduler.go), leaving, and reweighting, each the
+// apply step of one Submit op (admission.go).
 //
 // Joining is simple — a task may join whenever Σ wt(T) ≤ M continues to
 // hold. Leaving is not: a task that is ahead of its fluid allocation
@@ -41,16 +41,6 @@ func (s *Scheduler) earliestLeave(st *tstate) int64 {
 	return at
 }
 
-// Leave schedules the named task's departure at its earliest safe time and
-// returns that time. The task continues to compete (and receive its share)
-// until then; from the returned slot on it no longer exists in the system.
-// A Leave after a pending Reweight keeps that reweight's slot and cancels
-// its replacement. Leave is a thin shim over Submit.
-func (s *Scheduler) Leave(name string) (int64, error) {
-	d, err := s.Submit(admission.Leave(name))
-	return d.EffectiveAt, err
-}
-
 // leave is Submit's OpLeave apply: it schedules the departure and
 // reports whether the task was already leaving for good (the call is
 // idempotent; repeats return the pending slot and are not counted
@@ -78,24 +68,6 @@ func (s *Scheduler) leave(name string) (at int64, already bool, err error) {
 	st.leaveAt = s.earliestLeave(st)
 	s.leaves = append(s.leaves, st)
 	return st.leaveAt, false, nil
-}
-
-// Reweight changes a task's rate by having it leave at its earliest safe
-// time and admitting a replacement with the new parameters at that instant
-// (Section 5.2 models reweighting as a leave-and-join). The replacement
-// keeps the task's name (but starts as a plain periodic task — attach a new
-// IS model with JoinModel after an explicit Leave if one is needed). It
-// returns the slot at which the new weight takes effect.
-//
-// An upward reweight is admission-checked immediately and its weight delta
-// reserved, so later joins cannot oversubscribe the capacity before the
-// swap happens. A downward reweight is always accepted — even when the
-// system is already overloaded (e.g. after FailProcessors), since lowering
-// a weight only helps; this is how Section 5.4's overload recovery sheds
-// load from non-critical tasks.
-func (s *Scheduler) Reweight(name string, newCost, newPeriod int64) (int64, error) {
-	d, err := s.Submit(admission.Reweight(name, newCost, newPeriod))
-	return d.EffectiveAt, err
 }
 
 // reweight is Submit's OpReweight apply: §5.3's leave-and-join, with

@@ -47,7 +47,7 @@ func TestFig1bISWindows(t *testing.T) {
 	s := NewScheduler(1, PD2, Options{})
 	dm := newDelayModel()
 	dm.delayFrom(5, 1)
-	if err := s.JoinModel(task.MustNew("T", 8, 11), dm); err != nil {
+	if _, err := s.Submit(admission.JoinModel(task.MustNew("T", 8, 11), dm)); err != nil {
 		t.Fatal(err)
 	}
 	pt := NewPattern(8, 11)
@@ -86,7 +86,7 @@ func TestISRandomDelaysNoMisses(t *testing.T) {
 			for j := 0; j < 10; j++ {
 				dm.delayFrom(int64(1+r.Intn(200)), int64(r.Intn(4)))
 			}
-			if err := s.JoinModel(tk, dm); err != nil {
+			if _, err := s.Submit(admission.JoinModel(tk, dm)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -108,7 +108,7 @@ func TestISEarlinessKeepsDeadline(t *testing.T) {
 	dm := newDelayModel()
 	dm.early[3] = 2 // subtask 3 arrives two slots early
 	s := NewScheduler(1, PD2, Options{})
-	if err := s.JoinModel(task.MustNew("T", 1, 4), dm); err != nil {
+	if _, err := s.Submit(admission.JoinModel(task.MustNew("T", 1, 4), dm)); err != nil {
 		t.Fatal(err)
 	}
 	var slots []int64
@@ -148,7 +148,8 @@ func TestLeaveRuleLight(t *testing.T) {
 		return s
 	}
 	// Before any allocation, leaving is immediate.
-	at, err := join().Leave("T")
+	dec, err := join().Submit(admission.Leave("T"))
+	at := dec.EffectiveAt
 	if err != nil || at != 0 {
 		t.Fatalf("Leave before scheduling = %d, %v; want 0", at, err)
 	}
@@ -156,7 +157,8 @@ func TestLeaveRuleLight(t *testing.T) {
 	s.Step() // schedules T1 at slot 0
 	pt := NewPattern(2, 5)
 	want := pt.Deadline(1) + int64(pt.BBit(1))
-	at, err = s.Leave("T")
+	dec, err = s.Submit(admission.Leave("T"))
+	at = dec.EffectiveAt
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,8 @@ func TestLeaveRuleHeavy(t *testing.T) {
 	s.Step() // schedules T1 at slot 0
 	pt := NewPattern(8, 11)
 	want := pt.GroupDeadline(1) + 1
-	at, err := s.Leave("T")
+	dec, err := s.Submit(admission.Leave("T"))
+	at := dec.EffectiveAt
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,8 @@ func TestLeaveFreesCapacity(t *testing.T) {
 	if err := s.Join(task.MustNew("C", 1, 4)); err == nil {
 		t.Fatal("overload join accepted")
 	}
-	at, err := s.Leave("B")
+	dec, err := s.Submit(admission.Leave("B"))
+	at := dec.EffectiveAt
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +231,8 @@ func TestReweight(t *testing.T) {
 		}
 	}
 	s.RunUntil(5)
-	at, err := s.Reweight("render", 1, 3) // scene got simpler
+	dec, err := s.Submit(admission.Reweight("render", 1, 3)) // scene got simpler
+	at := dec.EffectiveAt
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +257,13 @@ func TestReweight(t *testing.T) {
 	}
 	// Upward reweight beyond capacity must fail fast: 2/3 + 1/2 already
 	// committed, so raising render to weight 1 needs 13/6 > 2.
-	if _, err := s.Reweight("render", 3, 3); err == nil {
+	if _, err := s.Submit(admission.Reweight("render", 3, 3)); err == nil {
 		t.Fatal("infeasible reweight accepted")
 	}
 	// A feasible upward reweight reserves capacity immediately: raising
 	// render to 5/6 brings the total to 2, so nothing else may join even
 	// before the swap takes effect.
-	if _, err := s.Reweight("render", 5, 6); err != nil {
+	if _, err := s.Submit(admission.Reweight("render", 5, 6)); err != nil {
 		t.Fatalf("feasible upward reweight rejected: %v", err)
 	}
 	if err := s.Join(task.MustNew("late", 1, 100)); err == nil {
@@ -348,6 +353,78 @@ func TestLeaveCancelsPendingReweight(t *testing.T) {
 	}
 }
 
+// churnStep is one request of a churn script, submitted at slot at.
+type churnStep struct {
+	at  int64
+	req admission.Request
+}
+
+// runChurn joins set at slot 0 on m PD² processors, submits the steps in
+// order, and runs to horizon. It returns the scheduler and, for every
+// request (set's joins first), Submit's Decision and error.
+func runChurn(m int, set task.Set, steps []churnStep, horizon int64, onSlot func(int64, []Assignment)) (*Scheduler, []admission.Decision, []error) {
+	s := NewScheduler(m, PD2, Options{})
+	if onSlot != nil {
+		s.OnSlot(onSlot)
+	}
+	var script []churnStep
+	for _, tk := range set {
+		script = append(script, churnStep{0, admission.Join(tk)})
+	}
+	var ds []admission.Decision
+	var errs []error
+	for _, st := range append(script, steps...) {
+		s.RunUntil(st.at)
+		d, err := s.Submit(st.req)
+		ds, errs = append(ds, d), append(errs, err)
+	}
+	s.RunUntil(horizon)
+	s.FinishMisses(horizon)
+	return s, ds, errs
+}
+
+// TestChurnScripts: each script's requests are all accepted, the run
+// keeps every deadline, and it ends with the task set and total weight
+// its operations imply. The last two scripts leave a task whose
+// reweight is still pending: the leave cancels the reweight, upward or
+// downward, and the task departs at the reweight's safe slot.
+func TestChurnScripts(t *testing.T) {
+	set := task.Set{task.MustNew("A", 1, 2), task.MustNew("B", 2, 3), task.MustNew("C", 1, 4)}
+	for _, sc := range []struct {
+		name       string
+		steps      []churnStep
+		wantTasks  []string
+		wantWeight string
+	}{
+		{"join, reweight, leave", []churnStep{
+			{30, admission.Join(task.MustNew("D", 1, 5))},
+			{30, admission.Reweight("C", 1, 2)},
+			{60, admission.Leave("B")},
+		}, []string{"A", "D", "C"}, "6/5"},
+		{"leave after pending upward reweight", []churnStep{
+			{5, admission.Reweight("C", 1, 2)},
+			{5, admission.Leave("C")},
+		}, []string{"A", "B"}, "7/6"},
+		{"leave after pending downward reweight", []churnStep{
+			{5, admission.Reweight("B", 1, 3)},
+			{5, admission.Leave("B")},
+		}, []string{"A", "C"}, "3/4"},
+	} {
+		s, _, errs := runChurn(2, set, sc.steps, 120, nil)
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%s: request %d refused: %v", sc.name, i, err)
+			}
+		}
+		if n := len(s.Stats().Misses); n != 0 {
+			t.Errorf("%s: %d misses under a feasible script", sc.name, n)
+		}
+		if tasks, w := s.Tasks(), s.TotalWeight().String(); !reflect.DeepEqual(tasks, sc.wantTasks) || w != sc.wantWeight {
+			t.Errorf("%s: ends with %v at Σwt %s, want %v at %s", sc.name, tasks, w, sc.wantTasks, sc.wantWeight)
+		}
+	}
+}
+
 // TestJoinMidRunNoMisses: tasks joining a running system at staggered times
 // never cause misses while Equation (2) holds (Section 2's headline benefit
 // for dynamic systems).
@@ -404,7 +481,7 @@ func TestChurnNoMisses(t *testing.T) {
 			case 1:
 				names := s.Tasks()
 				if len(names) > 0 {
-					if _, err := s.Leave(names[r.Intn(len(names))]); err != nil {
+					if _, err := s.Submit(admission.Leave(names[r.Intn(len(names))])); err != nil {
 						t.Fatalf("leave: %v", err)
 					}
 				}
@@ -460,10 +537,10 @@ func TestFailProcessorsOverload(t *testing.T) {
 	s.FailProcessors(1) // Σwt = 2 > 1: overload
 	// Immediately reweight the non-critical tasks down so the survivors
 	// fit: 2/3 + 1/6 + 1/6 = 1.
-	if _, err := s.Reweight("bulk", 1, 6); err != nil {
+	if _, err := s.Submit(admission.Reweight("bulk", 1, 6)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Reweight("extra", 1, 6); err != nil {
+	if _, err := s.Submit(admission.Reweight("extra", 1, 6)); err != nil {
 		t.Fatal(err)
 	}
 	s.RunUntil(600)
@@ -478,10 +555,10 @@ func TestFailProcessorsOverload(t *testing.T) {
 // TestLeaveUnknownTask: error paths.
 func TestLeaveUnknownTask(t *testing.T) {
 	s := NewScheduler(1, PD2, Options{})
-	if _, err := s.Leave("ghost"); err == nil {
+	if _, err := s.Submit(admission.Leave("ghost")); err == nil {
 		t.Error("Leave of unknown task succeeded")
 	}
-	if _, err := s.Reweight("ghost", 1, 2); err == nil {
+	if _, err := s.Submit(admission.Reweight("ghost", 1, 2)); err == nil {
 		t.Error("Reweight of unknown task succeeded")
 	}
 	if _, err := s.Lag("ghost"); err == nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/obs"
 	"pfair/internal/task"
 )
@@ -162,12 +163,12 @@ func TestPickIsTopM(t *testing.T) {
 			got := runTopM(t, s, 160, func(now int64) {
 				switch now {
 				case 40:
-					if _, err := s.Leave("B"); err != nil {
+					if _, err := s.Submit(admission.Leave("B")); err != nil {
 						t.Fatalf("leave B: %v", err)
 					}
 				case 80:
 					join("D", 5, 6)
-					if _, err := s.Reweight("A", 1, 4); err != nil {
+					if _, err := s.Submit(admission.Reweight("A", 1, 4)); err != nil {
 						t.Fatalf("reweight A: %v", err)
 					}
 				}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/task"
 )
@@ -40,21 +41,22 @@ func ExampleScheduler() {
 	// allocations: 600
 }
 
-// ExampleScheduler_Reweight shows a Section 5.2 dynamic weight change: the
-// task leaves under the safe rule and rejoins with its new rate.
-func ExampleScheduler_Reweight() {
+// ExampleScheduler_Submit shows a Section 5.2 dynamic weight change
+// through Submit: the task leaves under the safe rule and rejoins with
+// its new rate.
+func ExampleScheduler_Submit() {
 	s := core.NewScheduler(1, core.PD2, core.Options{})
 	if err := s.Join(task.MustNew("render", 2, 4)); err != nil {
 		fmt.Println(err)
 		return
 	}
 	s.RunUntil(10)
-	at, err := s.Reweight("render", 1, 4)
+	d, err := s.Submit(admission.Reweight("render", 1, 4))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("new weight effective at slot", at)
+	fmt.Println("new weight effective at slot", d.EffectiveAt)
 	s.RunUntil(100)
 	s.FinishMisses(100)
 	fmt.Println("misses:", len(s.Stats().Misses))

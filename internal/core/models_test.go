@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
@@ -69,9 +70,9 @@ func TestSporadicPD2NoMisses(t *testing.T) {
 		for k, tk := range set {
 			seed := int64(trial*100 + k)
 			gaps := rand.New(rand.NewSource(seed))
-			if err := s.JoinModel(tk, &SporadicModel{Cost: tk.Cost, Gap: func(int64) int64 {
+			if _, err := s.Submit(admission.JoinModel(tk, &SporadicModel{Cost: tk.Cost, Gap: func(int64) int64 {
 				return gaps.Int63n(5)
-			}}); err != nil {
+			}})); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/obs"
 	"pfair/internal/rational"
 	"pfair/internal/task"
@@ -296,7 +297,8 @@ func TestObserveJoinLeave(t *testing.T) {
 		}
 	}
 	s.RunUntil(6)
-	when, err := s.Leave("B")
+	dec, err := s.Submit(admission.Leave("B"))
+	when := dec.EffectiveAt
 	if err != nil {
 		t.Fatalf("leave: %v", err)
 	}
@@ -343,12 +345,12 @@ func TestObserveLagExtrema(t *testing.T) {
 				t.Fatalf("join: %v", err)
 			}
 		case 200:
-			if _, err := s.Leave(names[0]); err != nil {
+			if _, err := s.Submit(admission.Leave(names[0])); err != nil {
 				t.Fatalf("leave: %v", err)
 			}
 		case 300:
 			st := s.tasks[names[1]]
-			if _, err := s.Reweight(names[1], st.task.Cost, 2*st.task.Period); err != nil {
+			if _, err := s.Submit(admission.Reweight(names[1], st.task.Cost, 2*st.task.Period)); err != nil {
 				t.Fatalf("reweight: %v", err)
 			}
 		}
@@ -496,7 +498,7 @@ func TestReleaseEventsInIDOrder(t *testing.T) {
 			s.Observe(rec, nil)
 		case 45:
 			for i := 0; i < 240; i += 7 {
-				if _, err := s.Leave(fmt.Sprintf("T%d", i)); err != nil {
+				if _, err := s.Submit(admission.Leave(fmt.Sprintf("T%d", i))); err != nil {
 					t.Fatalf("leave: %v", err)
 				}
 			}
@@ -505,7 +507,7 @@ func TestReleaseEventsInIDOrder(t *testing.T) {
 				if i%7 == 0 {
 					continue
 				}
-				if _, err := s.Reweight(fmt.Sprintf("T%d", i), 1, 2*periods[i%len(periods)]); err != nil {
+				if _, err := s.Submit(admission.Reweight(fmt.Sprintf("T%d", i), 1, 2*periods[i%len(periods)])); err != nil {
 					t.Fatalf("reweight: %v", err)
 				}
 			}

@@ -266,22 +266,10 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// Join admits a task at the current time. Per Section 2, a task may join
-// whenever the feasibility condition Σ wt(T) ≤ M (Equation (2)) continues
-// to hold. The task's first subtask is released at the current slot (plus
-// any model offset). Join is a thin shim over Submit.
-func (s *Scheduler) Join(t *task.Task) error { return s.JoinModel(t, nil) }
-
-// JoinModel admits a task with an explicit IS release model, through
-// Submit.
-func (s *Scheduler) JoinModel(t *task.Task, model ReleaseModel) error {
-	var req admission.Request
-	if model != nil {
-		req = admission.JoinModel(t, model)
-	} else {
-		req = admission.Join(t)
-	}
-	_, err := s.Submit(req)
+// Join admits t at the current slot: it is Submit(admission.Join(t)),
+// returning only the error.
+func (s *Scheduler) Join(t *task.Task) error {
+	_, err := s.Submit(admission.Join(t))
 	return err
 }
 

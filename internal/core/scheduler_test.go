@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
@@ -297,29 +299,49 @@ func TestPreemptionBound(t *testing.T) {
 	}
 }
 
-// TestDeterminism: two schedulers over the same input produce identical
-// traces.
+// TestDeterminism: identical runs produce identical traces — every
+// assignment, every Decision and the final task set and Σwt — for a
+// static set and under churn: a mid-run join, reweights up and down, a
+// leave, and a leave that lands on a pending reweight.
 func TestDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	set := randomFeasibleSet(r, 3, 8, 15)
-	trace := func() string {
-		s := NewScheduler(3, PD2, Options{})
-		out := ""
-		s.OnSlot(func(tt int64, assigned []Assignment) {
-			for _, a := range assigned {
-				out += fmt.Sprintf("%d:%d=%d/%d;", tt, a.Proc, a.Task, a.Subtask)
-			}
-		})
-		for _, tk := range set {
-			if err := s.Join(tk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.RunUntil(2000)
-		return out
+	static := randomFeasibleSet(r, 3, 8, 15)
+	churn := []churnStep{
+		{20, admission.Join(task.MustNew("D", 1, 5))},
+		{30, admission.Reweight("C", 1, 2)},
+		{40, admission.Reweight("B", 1, 3)},
+		{60, admission.Leave("A")},
+		{70, admission.Reweight("D", 2, 5)},
+		{70, admission.Leave("D")},
 	}
-	if a, b := trace(), trace(); a != b {
-		t.Fatal("identical runs produced different traces")
+	for _, c := range []struct {
+		name  string
+		m     int
+		set   task.Set
+		steps []churnStep
+	}{
+		{"static", 3, static, nil},
+		{"churn", 2, task.Set{task.MustNew("A", 1, 2), task.MustNew("B", 2, 3), task.MustNew("C", 1, 4)}, churn},
+	} {
+		trace := func() string {
+			var out strings.Builder
+			s, ds, errs := runChurn(c.m, c.set, c.steps, 2000, func(tt int64, assigned []Assignment) {
+				for _, a := range assigned {
+					fmt.Fprintf(&out, "%d:%d=%d/%d;", tt, a.Proc, a.Task, a.Subtask)
+				}
+			})
+			for i, d := range ds {
+				if errs[i] != nil {
+					t.Fatalf("%s: request %d refused: %v", c.name, i, errs[i])
+				}
+				fmt.Fprintf(&out, "%v;", d)
+			}
+			fmt.Fprintf(&out, "%v %v", s.Tasks(), s.TotalWeight())
+			return out.String()
+		}
+		if a, b := trace(), trace(); a != b {
+			t.Fatalf("%s: identical runs produced different traces", c.name)
+		}
 	}
 }
 

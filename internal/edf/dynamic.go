@@ -25,9 +25,10 @@ import (
 //     e/p). RM uses the hyperbolic bound Π(uᵢ+1) ≤ 2, which is sufficient
 //     from any release phasing (the critical-instant argument). Neither
 //     rule takes a join model: a CBS task joins through Add.
-//     The legacy Add entry point remains unchecked — the overload
-//     experiments depend on admitting infeasible sets — so the bound
-//     gates only joins through Submit.
+//     Add, which Submit calls once the check passes, admits without
+//     one — the overload experiments depend on admitting infeasible
+//     sets, and a CBS task has no other way in — so the bound gates
+//     only joins through Submit.
 //   - Leave: immediate. The task's release timer is disarmed and its
 //     in-flight jobs — running, ready, and server backlog — are
 //     cancelled and excluded from miss accounting: a voluntary departure

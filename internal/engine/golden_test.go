@@ -23,6 +23,7 @@ import (
 	"strings"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/edf"
 	"pfair/internal/faults"
@@ -122,11 +123,11 @@ func dumpCoreDynamic() string {
 	join("H", 7, 9) // heavy
 	s.RunUntil(10)
 	join("B", 1, 2)
-	at, err := s.Leave("A")
-	d.f("leave A at=%d err=%v", at, err)
+	dec, err := s.Submit(admission.Leave("A"))
+	d.f("leave A at=%d err=%v", dec.EffectiveAt, err)
 	s.RunUntil(30)
-	at, err = s.Reweight("B", 1, 4)
-	d.f("reweight B at=%d err=%v", at, err)
+	dec, err = s.Submit(admission.Reweight("B", 1, 4))
+	d.f("reweight B at=%d err=%v", dec.EffectiveAt, err)
 	s.RunUntil(60)
 	join("C", 2, 5)
 	s.RunUntil(90)
@@ -281,13 +282,17 @@ func dumpSupertask(reweighted bool) string {
 	st := &supertask.Supertask{Name: "S", Components: task.Set{
 		task.MustNew("T", 1, 5), task.MustNew("U", 1, 45),
 	}}
-	if err := sys.AddSupertask(st, reweighted); err != nil {
+	req, err := supertask.JoinRequest(st, reweighted)
+	if err == nil {
+		_, err = sys.Submit(req)
+	}
+	if err != nil {
 		d.f("addsuper: %v", err)
 	}
 	for _, t := range []*task.Task{
 		task.MustNew("Y", 2, 9), task.MustNew("V", 1, 2), task.MustNew("W", 1, 3),
 	} {
-		if err := sys.AddTask(t); err != nil {
+		if _, err := sys.Submit(admission.Join(t)); err != nil {
 			d.f("addtask %v: %v", t, err)
 		}
 	}

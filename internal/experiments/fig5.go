@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/parallel"
 	"pfair/internal/supertask"
@@ -40,17 +41,21 @@ func Fig5Workers(horizon int64, workers int) Fig5Result {
 		for _, tk := range []*task.Task{
 			task.MustNew("V", 1, 2), task.MustNew("W", 1, 3), task.MustNew("X", 1, 3),
 		} {
-			if err := sys.AddTask(tk); err != nil {
+			if _, err := sys.Submit(admission.Join(tk)); err != nil {
 				return nil, err
 			}
 		}
 		s := &supertask.Supertask{Name: "S", Components: task.Set{
 			task.MustNew("T", 1, 5), task.MustNew("U", 1, 45),
 		}}
-		if err := sys.AddSupertask(s, reweighted); err != nil {
+		req, err := supertask.JoinRequest(s, reweighted)
+		if err != nil {
 			return nil, err
 		}
-		if err := sys.AddTask(task.MustNew("Y", 2, 9)); err != nil {
+		if _, err := sys.Submit(req); err != nil {
+			return nil, err
+		}
+		if _, err := sys.Submit(admission.Join(task.MustNew("Y", 2, 9))); err != nil {
 			return nil, err
 		}
 		return sys, nil

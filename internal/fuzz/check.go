@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/edf"
 	"pfair/internal/partition"
@@ -307,7 +308,7 @@ func checkDynamic(c Case, mutant core.Algorithm) Outcome {
 			}
 		}
 		for _, name := range leaves[slot] {
-			if _, err := s.Leave(name); err != nil {
+			if _, err := s.Submit(admission.Leave(name)); err != nil {
 				v.addf("dynamic: leave %s: %v", name, err)
 			}
 		}
@@ -338,7 +339,7 @@ func checkIS(c Case, mutant core.Algorithm) Outcome {
 	var offs []func(int64) int64
 	for _, t := range c.Set {
 		m := isModel{c.Delays[t.Name]}
-		if err := s.JoinModel(t, m); err == nil {
+		if _, err := s.Submit(admission.JoinModel(t, m)); err == nil {
 			vset = append(vset, t)
 			offs = append(offs, m.Offset)
 		}

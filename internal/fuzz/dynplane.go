@@ -9,7 +9,6 @@ import (
 	"pfair/internal/rational"
 	"pfair/internal/supertask"
 	"pfair/internal/task"
-	"pfair/internal/verify"
 	"pfair/internal/wrr"
 )
 
@@ -17,10 +16,9 @@ import (
 // policy's Submit. The legs are independent — each policy applies its
 // own feasibility gate, so accept/reject sequences differ across
 // policies by design — but within each leg the admission contract must
-// hold: core's legacy entry points and Submit accept and refuse the same
-// requests and produce byte-identical schedules, and gated admissions
-// never cost an admitted task a deadline where the policy guarantees
-// one.
+// hold: gated admissions never cost an admitted task a deadline where
+// the policy guarantees one, and core ends in the state its accepted
+// Decisions describe.
 
 // Script expands the case's joins, reweights and leaves into per-slot
 // admission requests. Within a slot the order is joins, then reweights,
@@ -56,17 +54,6 @@ func checkDynPlane(c Case, mutant core.Algorithm) Outcome {
 	return Outcome{Violations: v.list}
 }
 
-// dynRun captures one core run of the script for differential comparison.
-type dynRun struct {
-	slots   []verify.Slot
-	accepts []bool
-	misses  int
-	// sched and accepted are the finished scheduler and, for a Submit
-	// run, every request it accepted, for checkCoreEffects.
-	sched    *core.Scheduler
-	accepted []acceptedReq
-}
-
 // acceptedReq is one request Submit accepted at slot, with its Decision.
 type acceptedReq struct {
 	slot int64
@@ -75,82 +62,34 @@ type acceptedReq struct {
 }
 
 // runCoreDynPlane drives PD² (or its mutant) over the script through
-// either the legacy entry points (Join/Reweight/Leave) or Submit,
-// recording the schedule into rec.
-func runCoreDynPlane(c Case, mutant core.Algorithm, legacy bool, rec *verify.Recorder) dynRun {
+// Submit and returns the finished scheduler and every request it
+// accepted.
+func runCoreDynPlane(c Case, mutant core.Algorithm) (*core.Scheduler, []acceptedReq) {
 	s := core.NewScheduler(c.M, mutant, core.Options{})
-	s.OnSlot(rec.Record)
 	script := c.Script()
-	var r dynRun
+	var accepted []acceptedReq
 	for slot := int64(0); slot < c.Horizon; slot++ {
 		for _, req := range script[slot] {
-			var err error
-			switch {
-			case !legacy:
-				var d admission.Decision
-				if d, err = s.Submit(req); err == nil {
-					r.accepted = append(r.accepted, acceptedReq{slot, req, d})
-				}
-			case req.Op == admission.OpJoin:
-				err = s.Join(req.Task)
-			case req.Op == admission.OpReweight:
-				_, err = s.Reweight(req.Name, req.NewCost, req.NewPeriod)
-			default:
-				_, err = s.Leave(req.Name)
+			if d, err := s.Submit(req); err == nil {
+				accepted = append(accepted, acceptedReq{slot, req, d})
 			}
-			r.accepts = append(r.accepts, err == nil)
 		}
 		s.Step()
 	}
 	s.FinishMisses(c.Horizon)
-	r.slots = rec.Slots
-	r.misses = len(s.Stats().Misses)
-	r.sched = s
-	return r
+	return s, accepted
 }
 
-// checkCoreDynPlane: the legacy entry points are shims over Submit, so
-// the two runs must agree on everything — accept/reject per request,
-// the assignment stream slot for slot, and miss-freedom (every operation
-// is feasibility-gated, so the system is never infeasible). The Submit
-// run must also end in the state its accepted Decisions describe
+// checkCoreDynPlane: every operation is feasibility-gated, so the
+// system is never infeasible and the run must be miss-free; it must
+// also end in the state its accepted Decisions describe
 // (checkCoreEffects).
 func checkCoreDynPlane(c Case, mutant core.Algorithm, v *violations) {
-	legacyRec, planeRec := getRecorder(), getRecorder()
-	defer recorders.Put(legacyRec)
-	defer recorders.Put(planeRec)
-	legacy := runCoreDynPlane(c, mutant, true, legacyRec)
-	plane := runCoreDynPlane(c, mutant, false, planeRec)
-	if len(legacy.accepts) != len(plane.accepts) {
-		v.addf("dynplane/core: legacy issued %d requests, Submit %d", len(legacy.accepts), len(plane.accepts))
-		return
+	s, accepted := runCoreDynPlane(c, mutant)
+	if n := len(s.Stats().Misses); n > 0 {
+		v.addf("dynplane/core: %d misses via Submit under gated churn", n)
 	}
-	for i := range legacy.accepts {
-		if legacy.accepts[i] != plane.accepts[i] {
-			v.addf("dynplane/core: request %d: legacy accept=%v, Submit accept=%v", i, legacy.accepts[i], plane.accepts[i])
-			return
-		}
-	}
-	if len(legacy.slots) != len(plane.slots) {
-		v.addf("dynplane/core: legacy recorded %d slots, Submit %d", len(legacy.slots), len(plane.slots))
-		return
-	}
-	for i := range legacy.slots {
-		if l, p := legacy.slots[i], plane.slots[i]; l.Time != p.Time || !slices.Equal(l.Assigned, p.Assigned) {
-			v.addf("dynplane/core: schedules diverge at slot %d: legacy %v vs Submit %v",
-				legacy.slots[i].Time, legacy.slots[i].Assigned, plane.slots[i].Assigned)
-			break
-		}
-	}
-	for _, r := range []struct {
-		name string
-		run  dynRun
-	}{{"legacy", legacy}, {"Submit", plane}} {
-		if r.run.misses > 0 {
-			v.addf("dynplane/core: %d misses via %s under gated churn", r.run.misses, r.name)
-		}
-	}
-	checkCoreEffects(plane.sched, plane.accepted, v)
+	checkCoreEffects(s, accepted, v)
 }
 
 // checkCoreEffects replays the accepted Decisions as §5.2/§5.3 define

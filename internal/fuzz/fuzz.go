@@ -28,11 +28,11 @@
 //   - KindIS: intra-sporadic delay schedules; PD² remains optimal under
 //     the IS model, and the trace must verify with the shifted windows.
 //   - KindDynPlane: one churn script — joins, reweights, and leaves —
-//     replayed against every policy's Submit. Core's legacy entry
-//     points and Submit must produce identical schedules and identical
-//     accept/reject sequences; edf, rm and supertask must honor their
-//     own feasibility gates (no admitted task misses where the gate
-//     guarantees it), and wrr must run every slot.
+//     replayed against every policy's Submit. Core must keep every
+//     deadline and end in the state its accepted Decisions describe;
+//     edf, rm and supertask must honor their own feasibility gates (no
+//     admitted task misses where the gate guarantees it), and wrr must
+//     run every slot.
 //
 // Every case is reconstructible from (kind, seed, trial) via GenCase —
 // the replay key a failure report prints. When a case fails, Shrink

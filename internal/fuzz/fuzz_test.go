@@ -165,7 +165,8 @@ func TestReweightNoMisses(t *testing.T) {
 		}
 	}
 	s.RunUntil(50)
-	at, err := s.Reweight("C", 3, 4)
+	dec, err := s.Submit(admission.Reweight("C", 3, 4))
+	at := dec.EffectiveAt
 	if err != nil {
 		t.Fatalf("reweight: %v", err)
 	}
@@ -193,10 +194,8 @@ func TestCoreEffects(t *testing.T) {
 	if len(v.list) != 0 {
 		t.Fatalf("correct run flagged: %v", v.list)
 	}
-	rec := getRecorder()
-	defer recorders.Put(rec)
-	run := runCoreDynPlane(c, core.PD2, false, rec)
-	if got, want := run.sched.Tasks(), []string{"A", "D", "B"}; !slices.Equal(got, want) {
+	sched, accepted := runCoreDynPlane(c, core.PD2)
+	if got, want := sched.Tasks(), []string{"A", "D", "B"}; !slices.Equal(got, want) {
 		t.Fatalf("tasks %v, want %v: the workload lost its churn", got, want)
 	}
 	for name, doctor := range map[string]func([]acceptedReq) []acceptedReq{
@@ -211,7 +210,7 @@ func TestCoreEffects(t *testing.T) {
 		},
 	} {
 		var v violations
-		checkCoreEffects(run.sched, doctor(slices.Clone(run.accepted)), &v)
+		checkCoreEffects(sched, doctor(slices.Clone(accepted)), &v)
 		if len(v.list) == 0 {
 			t.Errorf("%s: not flagged", name)
 		}

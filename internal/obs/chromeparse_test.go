@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/edf"
 	"pfair/internal/engine"
@@ -293,7 +294,7 @@ func TestReweightResolvedByID(t *testing.T) {
 		}
 	}
 	s.RunUntil(120)
-	if _, err := s.Reweight("T2", 1, 2); err != nil {
+	if _, err := s.Submit(admission.Reweight("T2", 1, 2)); err != nil {
 		t.Fatalf("reweight: %v", err)
 	}
 	s.RunUntil(180)

@@ -133,8 +133,9 @@ type sstate struct {
 	st    *Supertask
 	comps []*compState
 	// leaveAt is the slot the supertask's departure takes effect, or −1
-	// while it is live. From that slot on, afterSlot stops charging
-	// component deadline misses: the bundle departed with its supertask.
+	// while no leave is pending. From that slot on, afterSlot stops
+	// charging component deadline misses: the bundle departed with its
+	// supertask.
 	leaveAt int64
 	// served and wasted are the counts Run reports in Result.
 	served, wasted int64
@@ -174,50 +175,6 @@ func NewSystem(m int, alg core.Algorithm, opts ...engine.Option) *System {
 // Result.Scheduler miss carries it.
 func (sys *System) Name(id int) string { return sys.sched.Name(id) }
 
-// AddTask admits an ordinary migrating Pfair task.
-func (sys *System) AddTask(t *task.Task) error { return sys.sched.Join(t) }
-
-// AddSupertask admits a supertask competing with its cumulative weight, or
-// with the Holman–Anderson inflated weight when reweighted is true.
-func (sys *System) AddSupertask(st *Supertask, reweighted bool) error {
-	if sys.lookup(st.Name) != nil {
-		return fmt.Errorf("supertask %q already added", st.Name)
-	}
-	if err := st.Components.Validate(); err != nil {
-		return err
-	}
-	w, err := st.Weight()
-	if reweighted {
-		w, err = st.ReweightedWeight()
-	}
-	if err != nil {
-		return err
-	}
-	// The inflated weight can exceed 1 for dense component sets; surface
-	// that as an admission error rather than a panic.
-	repr, err := task.New(st.Name, w.Num(), w.Den())
-	if err != nil {
-		return err
-	}
-	if err := sys.sched.Join(repr); err != nil {
-		return err
-	}
-	ss := &sstate{st: st, leaveAt: -1}
-	for _, c := range st.Components {
-		// The lattice anchors at the admission slot — 0 for pre-run adds,
-		// the current slot for supertasks joining mid-run.
-		ss.comps = append(ss.comps, &compState{t: c, obsID: -1, rem: c.Cost, off: sys.sched.Now()})
-	}
-	// Keep ordered sorted by name so the ComponentMisses sequence is a
-	// pure function of the workload, without re-sorting every slot.
-	at := sort.Search(len(sys.ordered), func(i int) bool { return sys.ordered[i].st.Name >= st.Name })
-	sys.ordered = append(sys.ordered, nil)
-	copy(sys.ordered[at+1:], sys.ordered[at:])
-	sys.ordered[at] = ss
-	sys.registerComponents(ss)
-	return nil
-}
-
 // lookup returns the supertask with the given name, or nil.
 func (sys *System) lookup(name string) *sstate {
 	i := sort.Search(len(sys.ordered), func(i int) bool { return sys.ordered[i].st.Name >= name })
@@ -227,11 +184,27 @@ func (sys *System) lookup(name string) *sstate {
 	return nil
 }
 
-// resolve extends byID through id, mapping each new scheduler id to the
-// supertask of the same name, if any.
-func (sys *System) resolve(id int) {
+// live returns the supertask named name if it is in the system at slot
+// t: added, and not departed by t.
+func (sys *System) live(name string, t int64) *sstate {
+	ss := sys.lookup(name)
+	if ss == nil || (ss.leaveAt >= 0 && t >= ss.leaveAt) {
+		return nil
+	}
+	return ss
+}
+
+// resolve extends byID through id at slot t, mapping each new scheduler
+// id to the supertask of the same name while that supertask is live.
+// Names are unique among present tasks, so an id scheduled at t whose
+// name matches a supertask live at t is that supertask's representative,
+// and one scheduled after the supertask departed is an ordinary task
+// that reuses the name. A lower id filled in on the way can be mapped
+// wrongly only if it is never scheduled again: a departed incarnation,
+// or a departed ordinary task whose name a later supertask took.
+func (sys *System) resolve(id int, t int64) {
 	for k := len(sys.byID); k <= id; k++ {
-		sys.byID = append(sys.byID, sys.lookup(sys.sched.Name(k)))
+		sys.byID = append(sys.byID, sys.live(sys.sched.Name(k), t))
 	}
 }
 
@@ -284,7 +257,7 @@ func (sys *System) afterSlot(t int64, assigned []core.Assignment) {
 	for _, a := range assigned {
 		if a.Task >= len(sys.byID) {
 			//pfair:coldcall runs once per task id, in the first slot that id is scheduled
-			sys.resolve(a.Task)
+			sys.resolve(a.Task, t)
 		}
 		if ss := sys.byID[a.Task]; ss != nil {
 			ss.served++

@@ -22,10 +22,10 @@ func steadySystem(tb testing.TB, opts ...engine.Option) *System {
 	st := &Supertask{Name: "S", Components: task.Set{
 		task.MustNew("x", 1, 4), task.MustNew("y", 1, 8),
 	}}
-	if err := sys.AddSupertask(st, true); err != nil {
+	if err := joinSupertask(sys, st, true); err != nil {
 		tb.Fatal(err)
 	}
-	if err := sys.AddTask(task.MustNew("t", 1, 2)); err != nil {
+	if err := join(sys, task.MustNew("t", 1, 2)); err != nil {
 		tb.Fatal(err)
 	}
 	return sys

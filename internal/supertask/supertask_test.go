@@ -6,9 +6,28 @@ import (
 
 	"pfair/internal/admission"
 	"pfair/internal/core"
+	"pfair/internal/engine"
+	"pfair/internal/obs"
 	"pfair/internal/rational"
 	"pfair/internal/task"
 )
+
+// join admits an ordinary task through Submit.
+func join(sys *System, t *task.Task) error {
+	_, err := sys.Submit(admission.Join(t))
+	return err
+}
+
+// joinSupertask admits st through Submit, competing with its cumulative
+// weight, or the inflated one when reweighted is true.
+func joinSupertask(sys *System, st *Supertask, reweighted bool) error {
+	req, err := JoinRequest(st, reweighted)
+	if err != nil {
+		return err
+	}
+	_, err = sys.Submit(req)
+	return err
+}
 
 // fig5System builds the Figure 5 scenario: on two processors, normal tasks
 // V (1/2), W (1/3), X (1/3), Y (2/9) and a supertask S bundling components
@@ -23,15 +42,15 @@ func fig5System(t *testing.T, reweighted bool) *System {
 	for _, tk := range []*task.Task{
 		task.MustNew("V", 1, 2), task.MustNew("W", 1, 3), task.MustNew("X", 1, 3),
 	} {
-		if err := sys.AddTask(tk); err != nil {
+		if err := join(sys, tk); err != nil {
 			t.Fatalf("add %v: %v", tk, err)
 		}
 	}
 	s := &Supertask{Name: "S", Components: task.Set{task.MustNew("T", 1, 5), task.MustNew("U", 1, 45)}}
-	if err := sys.AddSupertask(s, reweighted); err != nil {
+	if err := joinSupertask(sys, s, reweighted); err != nil {
 		t.Fatalf("add supertask: %v", err)
 	}
-	if err := sys.AddTask(task.MustNew("Y", 2, 9)); err != nil {
+	if err := join(sys, task.MustNew("Y", 2, 9)); err != nil {
 		t.Fatalf("add Y: %v", err)
 	}
 	return sys
@@ -127,14 +146,14 @@ func TestReweightedRandomNoMisses(t *testing.T) {
 		}
 		sys := NewSystem(2, core.PD2)
 		st := &Supertask{Name: "S", Components: comps}
-		if err := sys.AddSupertask(st, true); err != nil {
+		if err := joinSupertask(sys, st, true); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Competing load.
-		if err := sys.AddTask(task.MustNew("bg1", 1, 2)); err != nil {
+		if err := join(sys, task.MustNew("bg1", 1, 2)); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.AddTask(task.MustNew("bg2", 2, 5)); err != nil {
+		if err := join(sys, task.MustNew("bg2", 2, 5)); err != nil {
 			t.Fatal(err)
 		}
 		res := sys.Run(3000)
@@ -164,7 +183,7 @@ func TestEntitlementExact(t *testing.T) {
 func TestInternalEDFOrder(t *testing.T) {
 	sys := NewSystem(1, core.PD2)
 	st := &Supertask{Name: "S", Components: task.Set{task.MustNew("slow", 1, 40), task.MustNew("fast", 1, 8)}}
-	if err := sys.AddSupertask(st, false); err != nil {
+	if err := joinSupertask(sys, st, false); err != nil {
 		t.Fatal(err)
 	}
 	res := sys.Run(400)
@@ -183,7 +202,7 @@ func TestWastedQuanta(t *testing.T) {
 	// One component of weight 1/10 inside a supertask competing at 1/2:
 	// most quanta arrive with no released work.
 	st := &Supertask{Name: "S", Components: task.Set{task.MustNew("a", 1, 10)}}
-	if err := sys.AddSupertask(st, false); err == nil {
+	if err := joinSupertask(sys, st, false); err == nil {
 		// Weight is 1/10; force a mismatch by using reweighting instead:
 		// 1/10 + 1/10 = 1/5 competing weight for 1/10 of demand.
 		t.Log("base add succeeded as expected")
@@ -191,7 +210,7 @@ func TestWastedQuanta(t *testing.T) {
 	res := sys.Run(200)
 	_ = res
 	sys2 := NewSystem(1, core.PD2)
-	if err := sys2.AddSupertask(&Supertask{Name: "S", Components: task.Set{task.MustNew("a", 1, 10)}}, true); err != nil {
+	if err := joinSupertask(sys2, &Supertask{Name: "S", Components: task.Set{task.MustNew("a", 1, 10)}}, true); err != nil {
 		t.Fatal(err)
 	}
 	res2 := sys2.Run(200)
@@ -206,14 +225,14 @@ func TestWastedQuanta(t *testing.T) {
 func TestAddErrors(t *testing.T) {
 	sys := NewSystem(1, core.PD2)
 	st := &Supertask{Name: "S", Components: task.Set{task.MustNew("a", 1, 2)}}
-	if err := sys.AddSupertask(st, false); err != nil {
+	if err := joinSupertask(sys, st, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AddSupertask(st, false); err == nil {
+	if err := joinSupertask(sys, st, false); err == nil {
 		t.Error("duplicate supertask accepted")
 	}
 	big := &Supertask{Name: "B", Components: task.Set{task.MustNew("b", 9, 10)}}
-	if err := sys.AddSupertask(big, false); err == nil {
+	if err := joinSupertask(sys, big, false); err == nil {
 		t.Error("supertask exceeding remaining capacity accepted")
 	}
 }
@@ -223,11 +242,11 @@ func TestAddErrors(t *testing.T) {
 // incarnation receives still go to the same bundle and counters.
 func TestReweightedSupertaskServed(t *testing.T) {
 	sys := NewSystem(1, core.PD2)
-	if err := sys.AddTask(task.MustNew("A", 1, 4)); err != nil {
+	if err := join(sys, task.MustNew("A", 1, 4)); err != nil {
 		t.Fatal(err)
 	}
 	st := &Supertask{Name: "S", Components: task.Set{task.MustNew("a", 1, 10), task.MustNew("b", 1, 5)}}
-	if err := sys.AddSupertask(st, false); err != nil {
+	if err := joinSupertask(sys, st, false); err != nil {
 		t.Fatal(err)
 	}
 	// Weight 3/10 for 100 slots, then 1/2 for 200: 30 + 100 quanta, of
@@ -244,5 +263,69 @@ func TestReweightedSupertaskServed(t *testing.T) {
 	}
 	if len(res.ComponentMisses) != 0 || len(res.Scheduler.Misses) != 0 {
 		t.Errorf("misses after the reweight: %d component, %d global", len(res.ComponentMisses), len(res.Scheduler.Misses))
+	}
+}
+
+// TestSubmitRefusals: the system refuses what every policy refuses — a
+// join that carries no task — and counts each of its own refusals, a
+// duplicate supertask as a duplicate plain task is counted.
+func TestSubmitRefusals(t *testing.T) {
+	met := obs.NewSchedulerMetrics(nil)
+	sys := NewSystem(2, core.PD2, engine.WithMetrics(met))
+	st := &Supertask{Name: "S", Components: task.Set{task.MustNew("a", 1, 4)}}
+	_, err := sys.Submit(admission.JoinModel(nil, st))
+	if err == nil || err.Error() != "admission: join request carries no task" {
+		t.Fatalf("supertask join without a task: err = %v", err)
+	}
+	if got := met.AdmissionRejects.Value(); got != 1 {
+		t.Fatalf("rejects after a join without a task = %d, want 1", got)
+	}
+	if err := joinSupertask(sys, st, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := joinSupertask(sys, st, false); err == nil {
+		t.Fatal("duplicate supertask accepted")
+	}
+	if err := join(sys, task.MustNew("A", 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := join(sys, task.MustNew("A", 1, 3)); err == nil {
+		t.Fatal("duplicate task accepted")
+	}
+	if got, joins := met.AdmissionRejects.Value(), met.Joins.Value(); got != 3 || joins != 2 {
+		t.Errorf("rejects = %d and joins = %d, want 3 and 2", got, joins)
+	}
+}
+
+// TestNameReuseAfterLeave: once a supertask has left, a plain task that
+// takes its name is served as itself, not as the departed bundle.
+func TestNameReuseAfterLeave(t *testing.T) {
+	sys := NewSystem(2, core.PD2)
+	st := &Supertask{Name: "S", Components: task.Set{task.MustNew("c1", 1, 4), task.MustNew("c2", 1, 6)}}
+	if err := joinSupertask(sys, st, false); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(10)
+	d, err := sys.Submit(admission.Leave("S"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sys.Run(d.EffectiveAt + 1) // the departure lands at the top of slot EffectiveAt
+	served, wasted := before.Served["S"], before.Wasted["S"]
+	if served == 0 {
+		t.Fatal("S was never served before it left")
+	}
+	if err := join(sys, task.MustNew("S", 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	after := sys.Run(60)
+	if after.Served["S"] != served || after.Wasted["S"] != wasted {
+		t.Errorf("departed S served %d and wasted %d by slot 60, want %d and %d as at its leave (slot %d)",
+			after.Served["S"], after.Wasted["S"], served, wasted, d.EffectiveAt)
+	}
+	// Ids are 0 for S's representative and 1 for the plain S, which
+	// ran and resolved to no bundle.
+	if len(sys.byID) != 2 || sys.byID[1] != nil {
+		t.Errorf("plain S resolved to %v, want an ordinary task", sys.byID[1:])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pfair/internal/admission"
 	"pfair/internal/core"
 	"pfair/internal/fuzz"
 	"pfair/internal/task"
@@ -43,7 +44,7 @@ func traceOf(c fuzz.Case) (task.Set, []verify.Slot, verify.Options) {
 		opts.SkipLag = true
 		for _, t := range c.Set {
 			m := delayModel(c.Delays[t.Name])
-			if s.JoinModel(t, m) == nil {
+			if _, err := s.Submit(admission.JoinModel(t, m)); err == nil {
 				vset = append(vset, t)
 				opts.Offsets = append(opts.Offsets, m.Offset)
 			}
@@ -67,7 +68,7 @@ func traceOf(c fuzz.Case) (task.Set, []verify.Slot, verify.Options) {
 		}
 		for _, t := range c.Set {
 			if at, ok := c.Leaves[t.Name]; ok && at == slot && admitted[t.Name] {
-				_, _ = s.Leave(t.Name) // a refused leave only keeps the task
+				_, _ = s.Submit(admission.Leave(t.Name)) // a refused leave only keeps the task
 			}
 		}
 		s.Step()

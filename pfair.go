@@ -99,7 +99,7 @@ type Pattern = core.Pattern
 func NewPattern(cost, period int64) *Pattern { return core.NewPattern(cost, period) }
 
 // Request describes one dynamic-task operation — a join, leave, or
-// reweight — for a policy's Submit. Build one with Join,
+// reweight — for a policy's Submit. Build one with Join, JoinModel,
 // Leave, or Reweight and pass it to Scheduler.Submit; the same Request
 // values drive the EDF, RM, WRR, and supertask simulators' Submit
 // methods, so churn scripts are portable across policies.
@@ -114,6 +114,10 @@ type Decision = admission.Decision
 // Join builds a Request admitting t at the current slot, subject to the
 // policy's feasibility test (Equation (2) for the Pfair core).
 func Join(t *Task) Request { return admission.Join(t) }
+
+// JoinModel builds a Request admitting t like Join, with its subtask
+// releases shaped by model (the intra-sporadic model).
+func JoinModel(t *Task, model ReleaseModel) Request { return admission.JoinModel(t, model) }
 
 // Leave builds a Request removing the named task at its next safe slot.
 func Leave(name string) Request { return admission.Leave(name) }
