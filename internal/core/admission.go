@@ -18,7 +18,8 @@ import (
 // boundary), leaves and reweights are validated — and, for upward
 // reweights, capacity-reserved — at request time but land at the
 // task's earliest safe departure slot, applied at the top of that
-// slot's Release phase. The Decision carries that effective slot.
+// slot's Release phase, or by a Submit made at that slot, whichever
+// comes first. The Decision carries that effective slot.
 
 // Submit implements engine.Dynamic: one entry point for every
 // dynamic-task operation, validated and feasibility-checked before any
@@ -33,9 +34,10 @@ import (
 //   - OpLeave schedules the task's departure at its earliest safe slot
 //     (§5.2) and reports it as EffectiveAt. The task keeps competing,
 //     and receiving its share, until then; from that slot on it is
-//     gone. A repeated leave returns the pending slot and is not
-//     counted again. A leave on a pending reweight keeps that
-//     reweight's slot and cancels its replacement.
+//     gone, to a Submit made at that slot too. A repeated leave before
+//     then returns the pending slot and is not counted again. A leave
+//     on a pending reweight keeps that reweight's slot and cancels its
+//     replacement.
 //   - OpReweight has the task leave at its earliest safe slot and
 //     admits a replacement with the new parameters at that instant
 //     (§5.3's leave-and-join), reported as EffectiveAt. The replacement
@@ -47,6 +49,7 @@ import (
 //     FailProcessors): lowering a weight only helps, and this is how
 //     §5.4's overload recovery sheds load.
 func (s *Scheduler) Submit(req admission.Request) (admission.Decision, error) {
+	s.settle()
 	met := s.eng.Metrics()
 	if err := req.Validate(); err != nil {
 		return admission.Refuse(met, err)

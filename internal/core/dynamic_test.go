@@ -205,7 +205,7 @@ func TestLeaveFreesCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntil(at + 1) // departure applied at slot `at`
+	s.RunUntil(at) // the departure lands at slot `at`, before this join
 	if err := s.Join(task.MustNew("C", 1, 2)); err != nil {
 		t.Fatalf("join after leave rejected: %v", err)
 	}
@@ -274,7 +274,10 @@ func TestReweight(t *testing.T) {
 // TestLeaveCancelsPendingReweight: a Leave submitted while the task's
 // Reweight is still pending is a leave, not an idempotent repeat. The
 // task departs at the reweight's safe slot, no new incarnation joins,
-// and an upward reweight's reserved weight is handed back at once.
+// and an upward reweight's reserved weight is handed back at once. Both
+// requests are made at slot 6, where both reweights wait for a later
+// safe slot (at slot 5, C's would take effect at once, and the Leave
+// would find its new incarnation).
 func TestLeaveCancelsPendingReweight(t *testing.T) {
 	for _, c := range []struct {
 		name         string
@@ -303,7 +306,7 @@ func TestLeaveCancelsPendingReweight(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.RunUntil(5)
+		s.RunUntil(6)
 		rw, err := s.Submit(admission.Reweight(c.name, c.cost, c.period))
 		if err != nil {
 			t.Fatalf("%s: reweight: %v", c.name, err)
@@ -313,8 +316,8 @@ func TestLeaveCancelsPendingReweight(t *testing.T) {
 			t.Fatalf("%s: leave: %v", c.name, err)
 		}
 		leaveAt := rw.EffectiveAt
-		if lv.EffectiveAt != leaveAt || leaveAt < 5 {
-			t.Errorf("%s: reweight @%d, leave @%d; want the same safe slot, not before 5", c.name, leaveAt, lv.EffectiveAt)
+		if lv.EffectiveAt != leaveAt || leaveAt <= 6 {
+			t.Errorf("%s: reweight @%d, leave @%d; want the same safe slot, after 6", c.name, leaveAt, lv.EffectiveAt)
 		}
 		if got := s.TotalWeight().String(); got != c.afterLeave {
 			t.Errorf("%s: Σwt after the leave = %s, want %s", c.name, got, c.afterLeave)
@@ -350,6 +353,37 @@ func TestLeaveCancelsPendingReweight(t *testing.T) {
 		if got := []int64{met.Joins.Value(), met.Reweights.Value(), met.Leaves.Value()}; !reflect.DeepEqual(got, []int64{3, 1, 1}) {
 			t.Errorf("%s: joins/reweights/leaves counted %v, want [3 1 1]", c.name, got)
 		}
+	}
+}
+
+// TestSubmitAtEffectiveAt: a reweight whose EffectiveAt is the current
+// slot has landed for every later request at that slot, and for Tasks and
+// TotalWeight, before the slot's Release runs: a Leave then finds the new
+// incarnation and is an ordinary leave, not a cancellation.
+func TestSubmitAtEffectiveAt(t *testing.T) {
+	s := NewScheduler(2, PD2, Options{})
+	for _, tk := range []*task.Task{task.MustNew("A", 1, 2), task.MustNew("B", 2, 3), task.MustNew("C", 1, 4)} {
+		if err := s.Join(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RunUntil(5)
+	rw, err := s.Submit(admission.Reweight("C", 1, 2))
+	if err != nil || rw.EffectiveAt != 5 {
+		t.Fatalf("reweight: %+v, %v; want it effective at once, at 5", rw, err)
+	}
+	if got := s.TotalWeight().String(); got != "5/3" {
+		t.Errorf("Σwt after the reweight = %s, want 5/3 (C at 1/2)", got)
+	}
+	lv, err := s.Submit(admission.Leave("C"))
+	if err != nil || lv.EffectiveAt != 5 {
+		t.Fatalf("leave: %+v, %v; want the new incarnation gone at once, at 5", lv, err)
+	}
+	if tasks, w := s.Tasks(), s.TotalWeight().String(); !reflect.DeepEqual(tasks, []string{"A", "B"}) || w != "7/6" {
+		t.Errorf("after the leave: %v at Σwt %s, want [A B] at 7/6", tasks, w)
+	}
+	if n := len(s.order); n != 4 || s.Name(3) != "C" || !s.order[3].departed {
+		t.Errorf("%d incarnations; want C's new one, departed, as the fourth", n)
 	}
 }
 

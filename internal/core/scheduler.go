@@ -251,7 +251,10 @@ func (s *Scheduler) Now() int64 { return s.eng.Now() }
 func (s *Scheduler) Processors() int { return s.m }
 
 // TotalWeight returns the exact current total weight of all admitted tasks.
-func (s *Scheduler) TotalWeight() *rational.Acc { return s.weight.Clone() }
+func (s *Scheduler) TotalWeight() *rational.Acc {
+	s.settle()
+	return s.weight.Clone()
+}
 
 // OnSlot registers a callback invoked after every slot with the slot index
 // and its assignments. The assignment slice is reused; callbacks must copy
@@ -702,6 +705,7 @@ func (s *Scheduler) Name(id int) string { return s.order[id].task.Name }
 
 // Tasks returns the names of all currently admitted tasks in join order.
 func (s *Scheduler) Tasks() []string {
+	s.settle()
 	names := make([]string, 0, len(s.tasks))
 	for _, st := range s.order {
 		if !st.departed {
@@ -711,9 +715,18 @@ func (s *Scheduler) Tasks() []string {
 	return names
 }
 
+// settle applies the departures due at Now(). A task is gone from its
+// leave's EffectiveAt on, so Submit, Tasks and TotalWeight settle before
+// they look at the system; the slot's Release then finds them applied.
+func (s *Scheduler) settle() {
+	if len(s.leaves) != 0 {
+		s.applyLeaves(s.eng.Now())
+	}
+}
+
 // applyLeaves removes the tasks whose departure time has arrived at slot
-// t and admits any Reweight replacements. Release calls it only when a
-// departure is pending; it allocates (rejoin buffers, admission
+// t and admits any Reweight replacements. Release and settle call it only
+// when a departure is pending; it allocates (rejoin buffers, admission
 // structures) by design.
 func (s *Scheduler) applyLeaves(t int64) {
 	kept := s.leaves[:0]

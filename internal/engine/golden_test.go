@@ -171,7 +171,7 @@ func dumpEDF() string {
 func dumpRM(set task.Set, horizon int64) string {
 	var d dump
 	resp, ok := rm.ResponseTimes(set)
-	d.f("responses=%v exact=%v ll=%v hyperbolic=%v", resp, ok, rm.SchedulableLL(set), rm.SchedulableHyperbolic(set))
+	d.f("responses=%v exact=%v ll=%v hyperbolic=%v", resp, ok, rm.SchedulableLL(set), admission.Hyperbolic(set, nil) == nil)
 	s := edf.NewRMSimulator()
 	for _, tk := range set {
 		if err := s.Add(edf.Config{Task: tk}); err != nil {

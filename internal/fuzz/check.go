@@ -220,7 +220,7 @@ func checkRM(c Case) Outcome {
 	if rm.SchedulableLL(c.Set) && !exact {
 		v.addf("rm: Liu–Layland bound accepts a set the exact test rejects")
 	}
-	if rm.SchedulableHyperbolic(c.Set) && !exact {
+	if admission.Hyperbolic(c.Set, nil) == nil && !exact {
 		v.addf("rm: hyperbolic bound accepts a set the exact test rejects")
 	}
 	return Outcome{Violations: v.list}

@@ -144,7 +144,7 @@ type Result struct {
 // start from the overhead-free bound and recompute until the count is
 // self-consistent.
 //
-// Both exact sums run over one common denominator (rational.Fixed): the
+// Both exact sums run over one common denominator (rational.Acc): the
 // lcm of the periods for the starting bound ⌈Σ e/p⌉, and the lcm of the
 // p/q for the quantum-rounded weights, which the first round computes and
 // every later round keeps. Each task's cache delay is read once.
@@ -158,13 +158,13 @@ func MinProcsPD2(set task.Set, p Params) Result {
 	// the stack, and append moves a larger set's to the heap.
 	var dbuf [1024]int64
 	delays := dbuf[:0]
-	var base rational.Fixed
+	var base rational.Acc
 	for _, t := range set {
 		delays = append(delays, p.CacheDelay(t))
 		base.AddFrac(t.Cost, t.Period)
 	}
 	m := max(int(base.Ceil()), 1)
-	var total rational.Fixed
+	var total rational.Acc
 	for round := 0; round < 32; round++ {
 		s := p.SchedPD2(m, len(set))
 		total.SetInt(0)
@@ -209,7 +209,7 @@ func MinProcsPD2(set task.Set, p Params) Result {
 //
 // Every spare capacity, and each candidate's utilization at maxD = 0,
 // is held over one common denominator, the lcm of the periods
-// (rational.Fixed), so a probe is one integer compare and no utilization
+// (rational.Acc), so a probe is one integer compare and no utilization
 // is reduced by a gcd.
 //
 // First fit runs in O(log M) per task: a tournament tree over the spare
@@ -225,7 +225,7 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 		panic(err)
 	}
 	res := Result{BaseUtil: set.TotalUtilization()}
-	var one rational.Fixed // 1 over the lcm of the periods
+	var one rational.Acc // 1 over the lcm of the periods
 	for _, t := range set {
 		one.Over(t.Period)
 	}
@@ -234,7 +234,7 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 	// tree's nodes stay on the stack up to 256.
 	var nbuf [512]int32
 	tree := ffTree{node: nbuf[:0]}
-	var util, u0 rational.Fixed
+	var util, u0 rational.Acc
 	u0.Set(&one) // over one's denominator, so a probe compares numerators
 	for _, t := range set.SortByPeriodDecreasing() {
 		u0.SetInt(0).AddFrac(InflateEDF(t.Cost, p, 0), t.Period)
@@ -272,10 +272,10 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 // tasks with a strictly larger period: dAbove when its period equals
 // last, max(dAbove, dAt) when it is smaller.
 type ffBin struct {
-	spare  rational.Fixed // 1 − Σ inflated utilization, exact
-	dAbove int64          // max D among tasks with period > last
-	dAt    int64          // max D among tasks with period == last
-	last   int64          // period of the most recently placed task
+	spare  rational.Acc // 1 − Σ inflated utilization, exact
+	dAbove int64        // max D among tasks with period > last
+	dAt    int64        // max D among tasks with period == last
+	last   int64        // period of the most recently placed task
 }
 
 // maxD returns the largest cache delay among the processor's tasks with
@@ -296,8 +296,8 @@ func (b *ffBin) maxD(per int64) int64 {
 // less spare capacity is rejected by one compare over the common
 // denominator, before the inflation is computed. ffTree.first skips
 // such processors already; fits checks again so that it stands alone.
-func (b *ffBin) fits(t *task.Task, p Params, u0 *rational.Fixed) (int64, bool) {
-	if b.spare.Cmp(u0) < 0 {
+func (b *ffBin) fits(t *task.Task, p Params, u0 *rational.Acc) (int64, bool) {
+	if b.spare.CmpAcc(u0) < 0 {
 		return 0, false
 	}
 	e := InflateEDF(t.Cost, p, b.maxD(t.Period))
@@ -319,7 +319,7 @@ func (b *ffBin) place(per, d, e int64) {
 // ffTree is EDF-FF's processors in a max tournament tree over their
 // spare capacities. Leaf i is bins[i], and every node holds the index of
 // the bin with the largest spare capacity in its subtree, or −1 when the
-// subtree holds no bin. Capacities are compared with Fixed.Cmp, so a
+// subtree holds no bin. Capacities are compared with Acc.CmpAcc, so a
 // spilled one compares exactly.
 type ffTree struct {
 	bins []ffBin
@@ -330,7 +330,7 @@ type ffTree struct {
 // better returns whichever of bins a and b has more spare capacity, a
 // on a tie; −1 stands for no bin.
 func (t *ffTree) better(a, b int32) int32 {
-	if b < 0 || a >= 0 && t.bins[a].spare.Cmp(&t.bins[b].spare) >= 0 {
+	if b < 0 || a >= 0 && t.bins[a].spare.CmpAcc(&t.bins[b].spare) >= 0 {
 		return a
 	}
 	return b
@@ -338,16 +338,16 @@ func (t *ffTree) better(a, b int32) int32 {
 
 // holds reports whether node j's subtree holds a bin with spare capacity
 // at least u.
-func (t *ffTree) holds(j int, u *rational.Fixed) bool {
+func (t *ffTree) holds(j int, u *rational.Acc) bool {
 	i := t.node[j]
-	return i >= 0 && t.bins[i].spare.Cmp(u) >= 0
+	return i >= 0 && t.bins[i].spare.CmpAcc(u) >= 0
 }
 
 // first returns the lowest index i ≥ lo whose bin has spare capacity at
 // least u, or −1 if there is none. It climbs from leaf lo to the first
 // subtree at or right of it that holds such a bin, then descends to that
 // subtree's leftmost one: O(log M) compares.
-func (t *ffTree) first(lo int, u *rational.Fixed) int {
+func (t *ffTree) first(lo int, u *rational.Acc) int {
 	if lo >= len(t.bins) {
 		return -1
 	}

@@ -422,10 +422,10 @@ var (
 // TestMinProcsEDFFFMatchesReference checks the O(1)-per-probe EDF-FF
 // against referenceEDFFF on random sets of four kinds: the Figure 3/4
 // period menu; co-prime periods, whose exact sums outgrow int64 so
-// rational.Fixed and rational.Acc spill to math/big; many tasks sharing
-// two periods, so equal-period ties decide maxD; and sets with a task
-// whose inflated cost exceeds its period on any processor. Processor
-// counts must match and InflatedUtil must match bit for bit.
+// rational.Acc spills to math/big; many tasks sharing two periods, so
+// equal-period ties decide maxD; and sets with a task whose inflated
+// cost exceeds its period on any processor. Processor counts must match
+// and InflatedUtil must match bit for bit.
 func TestMinProcsEDFFFMatchesReference(t *testing.T) {
 	kinds := []refKind{
 		{name: "fig3-menu", menu: fig3Menu, n: func(r *rand.Rand) int { return 5 + r.Intn(120) }},
@@ -461,10 +461,11 @@ func TestMinProcsEDFFFMatchesReference(t *testing.T) {
 	}
 }
 
-// referenceMinProcsPD2 is MinProcsPD2 as it was before its sums moved to
-// one common denominator: every weight reduced by a gcd into a
-// rational.Acc, the starting bound from set.TotalWeight, and each task's
-// cache delay read in every round. It is the oracle for MinProcsPD2.
+// referenceMinProcsPD2 is MinProcsPD2 without its shortcuts: each
+// quantum-rounded weight reduced to lowest terms (PD2Weight) and added to
+// a fresh rational.Acc every round, the starting bound from
+// set.TotalWeight, and each task's cache delay read in every round. It is
+// the oracle for MinProcsPD2.
 func referenceMinProcsPD2(set task.Set, p Params) Result {
 	if err := p.Validate(); err != nil {
 		//pfair:allowpanic experiment parameters are static tables; Validate failures are programmer errors
@@ -581,7 +582,7 @@ func TestMinProcsPD2MatchesReference(t *testing.T) {
 func TestFFTreeFirstMatchesScan(t *testing.T) {
 	for _, menu := range [][]int64{fig3Menu, primes} {
 		r := rand.New(rand.NewSource(7))
-		var one rational.Fixed
+		var one rational.Acc
 		for _, per := range menu {
 			one.Over(per)
 		}
@@ -601,12 +602,12 @@ func TestFFTreeFirstMatchesScan(t *testing.T) {
 				}
 			}
 			for q := 0; q < 8; q++ {
-				var u rational.Fixed
+				var u rational.Acc
 				u.Set(&one).SetInt(0).AddFrac(r.Int63n(menu[0]+1), menu[0])
 				for lo := 0; lo <= len(tree.bins); lo++ {
 					want := -1
 					for i := lo; i < len(tree.bins); i++ {
-						if tree.bins[i].spare.Cmp(&u) >= 0 {
+						if tree.bins[i].spare.CmpAcc(&u) >= 0 {
 							want = i
 							break
 						}

@@ -81,11 +81,19 @@ func FuzzRatArithmetic(f *testing.F) {
 // value against the model: the representation may never show.
 func FuzzAccMatchesBig(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0})
-	f.Add([]byte{0, 16, 200, 3, 7, 0, 17, 3, 2, 9, 4, 16, 1, 5, 1, 8, 2, 2, 0, 17, 0, 9, 1})
+	f.Add([]byte{0, 16, 200, 3, 7, 0, 17, 3, 2, 9, 4, 16, 1, 5, 1, 2, 2, 2, 0, 17, 0, 9, 1})
 	f.Add([]byte{5, 18, 255, 4, 0, 0, 19, 1, 4, 0, 1, 18, 127, 18, 128, 2, 20, 0, 3, 1})
-	f.Add([]byte{6, 3, 0, 2, 1, 4, 4, 9, 0, 7, 0, 4, 2, 3, 5, 1, 0, 2, 6, 11, 3, 22, 1, 0})
-	// A sum landing on math.MinInt64, whose magnitude needs 2⁶³.
-	f.Add([]byte("01000010000100000\x85A*00000000000000000000"))
+	f.Add([]byte{0, 3, 0, 2, 1, 4, 4, 9, 0, 7, 0, 4, 2, 3, 5, 1, 0, 2, 6, 11, 3, 22, 1, 0})
+	// A sum landing on math.MinInt64, whose magnitude needs 2⁶³ ('x' is
+	// Add).
+	f.Add([]byte("x1000x1000x1000x0\x85A*x0000x0000x0000x0000"))
+	// 1/p for four primes near 10⁶: the fourth takes the lcm past 2⁶³
+	// and spills. SubFrac and Over work on the spilled value, and SetInt
+	// brings it back to int64.
+	f.Add([]byte{6, 2, 0, 18, 0, 6, 2, 0, 20, 0, 6, 2, 0, 18, 30, 6, 2, 0, 20, 252, 7, 2, 0, 22, 0, 8, 0, 0, 8, 0, 5, 4, 0, 0, 0, 6, 3, 0, 20, 0})
+	// 1 over 10⁶, taken below zero by SubFrac, last by math.MinInt64
+	// (−(−2⁶³) has no int64 negation), then Set from an operand Acc.
+	f.Add([]byte{8, 0, 0, 22, 0, 5, 2, 0, 0, 0, 7, 22, 0, 22, 0, 7, 6, 0, 10, 0, 7, 17, 1, 2, 0, 9, 6, 0, 22, 0})
 	f.Fuzz(checkAccOps)
 }
 
@@ -114,9 +122,17 @@ func accOperand(sel, delta byte) int64 {
 	return v
 }
 
+// accOpNames are checkAccOps' opcodes. AddFrac, SubFrac and Over take
+// num/den as they come, a negative or math.MinInt64 denominator included;
+// Set copies the operand Acc, which spills whenever num·den does not fit.
+var accOpNames = []string{"Add", "Sub", "AddAcc", "SubAcc", "MulRat", "SetInt", "AddFrac", "SubFrac", "Over", "Set"}
+
 // checkAccOps decodes ops as five-byte steps (opcode, numerator selector
 // and delta, denominator selector and delta) and applies each to an Acc
-// and to a big.Rat model.
+// and to a big.Rat model. After every step it checks every reading of
+// the Acc (checkAcc), and its compares with the step's operand: as a Rat,
+// an integer, a fraction, an Acc of its own, and an Acc over the same
+// common denominator as the value, where CmpAcc is one integer compare.
 func checkAccOps(t *testing.T, ops []byte) {
 	if len(ops) > 5*64 {
 		ops = ops[:5*64] // repeated products grow the model without bound
@@ -129,75 +145,99 @@ func checkAccOps(t *testing.T, ops []byte) {
 		if den == 0 || den == math.MinInt64 {
 			den = 1 // 1/den must exist below
 		}
-		op := ops[i] % 6
+		op := int(ops[i]) % len(accOpNames)
+		frac := big.NewRat(num, den)
 		var operand Rat
-		if op != 5 && mustPanic(func() { operand = New(num, den) }) {
-			continue // +2⁶³ over an odd denominator; SetInt takes any int64
+		ratOK := !mustPanic(func() { operand = New(num, den) })
+		if !ratOK && (op <= 1 || op == 4) {
+			continue // +2⁶³ over an odd denominator: no Rat holds it
 		}
-		want := new(big.Rat).SetFrac64(operand.Num(), operand.Den())
-		// other is an Acc built to spill whenever num·den does not fit.
-		other := NewAcc().Add(FromInt(num)).MulRat(New(1, den))
-		otherModel := new(big.Rat).SetFrac64(num, den)
-		var name string
+		// other is an Acc holding num/den, built to spill whenever den is
+		// positive and num·den does not fit.
+		other := NewAcc().SetInt(num).Over(den).MulRat(New(1, den))
 		switch op {
 		case 0:
-			name = "Add"
 			acc.Add(operand)
-			model.Add(model, want)
+			model.Add(model, frac)
 		case 1:
-			name = "Sub"
 			acc.Sub(operand)
-			model.Sub(model, want)
+			model.Sub(model, frac)
 		case 2:
-			name = "AddAcc"
 			acc.AddAcc(other)
-			model.Add(model, otherModel)
+			model.Add(model, frac)
 		case 3:
-			name = "SubAcc"
 			acc.SubAcc(other)
-			model.Sub(model, otherModel)
+			model.Sub(model, frac)
 		case 4:
-			name = "MulRat"
 			acc.MulRat(operand)
-			model.Mul(model, want)
+			model.Mul(model, frac)
 		case 5:
-			name = "SetInt"
 			acc.SetInt(num)
 			model.SetInt64(num)
+		case 6:
+			acc.AddFrac(num, den)
+			model.Add(model, frac)
+		case 7:
+			acc.SubFrac(num, den)
+			model.Sub(model, frac)
+		case 8:
+			acc.Over(den)
+		case 9:
+			acc.Set(other)
+			model.Set(frac)
 		}
-		step := fmt.Sprintf("step %d (%s %d/%d)", i/5, name, num, den)
-		if got, w := acc.String(), model.RatString(); got != w {
-			t.Fatalf("%s: String = %s, model %s", step, got, w)
-		}
-		if got, w := other.String(), otherModel.RatString(); got != w {
-			t.Fatalf("%s: operand Acc String = %s, model %s", step, got, w)
-		}
-		if op != 5 {
-			if got, w := acc.Cmp(operand), model.Cmp(want); got != w {
-				t.Fatalf("%s: Cmp = %d, model %d", step, got, w)
+		step := fmt.Sprintf("step %d (%s %d/%d)", i/5, accOpNames[op], num, den)
+		checkAcc(t, step, acc, model)
+		checkAcc(t, step+", operand Acc", other, frac)
+		want := model.Cmp(frac)
+		if ratOK {
+			if got := acc.Cmp(operand); got != want {
+				t.Fatalf("%s: Cmp = %d, model %d", step, got, want)
 			}
 		}
 		if got, w := acc.CmpInt(num), model.Cmp(new(big.Rat).SetInt64(num)); got != w {
 			t.Fatalf("%s: CmpInt = %d, model %d", step, got, w)
 		}
-		if got, w := acc.CmpAcc(other), model.Cmp(otherModel); got != w {
-			t.Fatalf("%s: CmpAcc = %d, model %d", step, got, w)
+		if got := acc.CmpFrac(num, den); got != want {
+			t.Fatalf("%s: CmpFrac = %d, model %d", step, got, want)
 		}
-		if got, w := acc.Sign(), model.Sign(); got != w {
-			t.Fatalf("%s: Sign = %d, model %d", step, got, w)
+		if got := acc.CmpAcc(other); got != want {
+			t.Fatalf("%s: CmpAcc = %d, model %d", step, got, want)
 		}
-		wf, _ := model.Float64()
-		if got := acc.Float(); math.Float64bits(got) != math.Float64bits(wf) {
-			t.Fatalf("%s: Float = %v (%#x), model %v (%#x)", step, got, math.Float64bits(got), wf, math.Float64bits(wf))
+		over := acc.Clone().Over(den)
+		shared := over.Clone().SetInt(0).AddFrac(num, den)
+		checkAcc(t, step+", shared-denominator operand", shared, frac)
+		if got := over.CmpAcc(shared); got != want {
+			t.Fatalf("%s: CmpAcc over a shared denominator = %d, model %d", step, got, want)
 		}
-		fits := model.Num().IsInt64() && model.Denom().IsInt64()
-		if r, ok := acc.Rat(); ok != fits || (ok && (r.Num() != model.Num().Int64() || r.Den() != model.Denom().Int64())) {
-			t.Fatalf("%s: Rat = %v, %v; model %s", step, r, ok, model.RatString())
+		if got := shared.CmpAcc(over); got != -want {
+			t.Fatalf("%s: reversed CmpAcc over a shared denominator = %d, model %d", step, got, -want)
 		}
-		wc, cfits := bigCeil(model)
-		if got, ok := tryCeil(acc); ok != cfits || (ok && got != wc) {
-			t.Fatalf("%s: Ceil = %d (ok %v), model %d (fits %v)", step, got, ok, wc, cfits)
-		}
+	}
+}
+
+// checkAcc compares every reading of a with the exact model: String and
+// Rat in lowest terms, Sign, Ceil, and Float bit for bit against
+// big.Rat.Float64.
+func checkAcc(t *testing.T, step string, a *Acc, model *big.Rat) {
+	t.Helper()
+	if got, w := a.String(), model.RatString(); got != w {
+		t.Fatalf("%s: String = %s, model %s", step, got, w)
+	}
+	fits := model.Num().IsInt64() && model.Denom().IsInt64()
+	if r, ok := a.Rat(); ok != fits || (ok && (r.num != model.Num().Int64() || r.den != model.Denom().Int64())) {
+		t.Fatalf("%s: Rat = %d/%d, %v; model %s", step, r.num, r.den, ok, model.RatString())
+	}
+	if got, w := a.Sign(), model.Sign(); got != w {
+		t.Fatalf("%s: Sign = %d, model %d", step, got, w)
+	}
+	wf, _ := model.Float64()
+	if got := a.Float(); math.Float64bits(got) != math.Float64bits(wf) {
+		t.Fatalf("%s: Float = %v (%#x), model %v (%#x)", step, got, math.Float64bits(got), wf, math.Float64bits(wf))
+	}
+	wc, cfits := bigCeil(model)
+	if got, ok := tryCeil(a); ok != cfits || (ok && got != wc) {
+		t.Fatalf("%s: Ceil = %d (ok %v), model %d (fits %v)", step, got, ok, wc, cfits)
 	}
 }
 

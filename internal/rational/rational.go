@@ -18,15 +18,12 @@
 // genuinely unrepresentable value rather than an unlucky intermediate.
 //
 // Acc holds sums across a whole task set, whose denominators can outgrow
-// int64. It keeps its value as a Rat and runs the same checked int64
-// arithmetic, allocation-free, for as long as the value fits; the first
-// operation that would overflow moves the value to math/big, where it
-// stays exact. Which representation is live never shows in a result.
-//
-// Fixed holds such a sum over one common denominator when every operand's
-// denominator divides a small lcm, as the utilizations of a set of
-// periods do: it adds, subtracts and compares int64 numerators without a
-// gcd, and spills to an Acc when the lcm or a numerator leaves int64.
+// int64. It keeps an int64 numerator over a common denominator that only
+// grows, so once that denominator covers the operands, as the lcm of a
+// task set's periods does, it adds, subtracts and compares without a gcd
+// or an allocation; the first operation that would overflow moves the
+// value to math/big, where it stays exact. Which representation is live
+// never shows in a result.
 package rational
 
 import (

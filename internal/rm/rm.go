@@ -1,7 +1,8 @@
 // Package rm implements the analysis of uniprocessor rate-monotonic (RM)
-// fixed-priority scheduling: the Liu–Layland and hyperbolic utilization
-// bounds and the exact response-time (time-demand) schedulability test of
-// Lehoczky, Sha, and Ding [25]. The preemptive RM simulator these tests
+// fixed-priority scheduling: the Liu–Layland utilization bound and the
+// exact response-time (time-demand) schedulability test of Lehoczky, Sha,
+// and Ding [25]. The hyperbolic bound Π (uᵢ + 1) ≤ 2 of Bini et al. is
+// admission.Hyperbolic, which RM admission uses. The preemptive RM simulator these tests
 // are checked against is edf.NewRMSimulator: RM differs from EDF only in
 // the priority a job is queued by.
 //
@@ -18,7 +19,6 @@ import (
 	"math"
 	"sort"
 
-	"pfair/internal/rational"
 	"pfair/internal/task"
 )
 
@@ -39,18 +39,6 @@ func LiuLaylandBound(n int) float64 {
 //pfair:allowfloat the bound is irrational, so the comparison is inherently approximate; the exact RT analysis is ResponseTimes
 func SchedulableLL(set task.Set) bool {
 	return set.TotalUtilization() <= LiuLaylandBound(len(set))+1e-12
-}
-
-// SchedulableHyperbolic applies the (tighter, still sufficient) hyperbolic
-// bound of Bini et al.: Π (uᵢ + 1) ≤ 2, evaluated in exact rational
-// arithmetic so a product that lands exactly on the bound is classified
-// correctly rather than by float rounding.
-func SchedulableHyperbolic(set task.Set) bool {
-	prod := rational.NewAcc().SetInt(1)
-	for _, t := range set {
-		prod.MulRat(t.Weight().Add(rational.One()))
-	}
-	return prod.CmpInt(2) <= 0
 }
 
 // byRM returns the set sorted rate-monotonically: shorter period = higher

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pfair/internal/admission"
 	"pfair/internal/edf"
 	"pfair/internal/task"
 )
@@ -61,7 +62,7 @@ func TestBoundsOnClassicExamples(t *testing.T) {
 		t.Error("exact test should accept {1/2, 2/5}")
 	}
 	// Hyperbolic is between LL and exact: (1.5)(1.4) = 2.1 > 2 → reject.
-	if SchedulableHyperbolic(set) {
+	if admission.Hyperbolic(set, nil) == nil {
 		t.Error("hyperbolic should reject this set")
 	}
 }
@@ -161,7 +162,7 @@ func TestQuickBoundHierarchy(t *testing.T) {
 			set = append(set, task.MustNew(fmt.Sprintf("T%d", i), e, p))
 		}
 		ll := SchedulableLL(set)
-		hyp := SchedulableHyperbolic(set)
+		hyp := admission.Hyperbolic(set, nil) == nil
 		exact := schedulable(set)
 		if ll && !hyp {
 			return false

@@ -36,11 +36,7 @@ type Supertask struct {
 // the exact sum does not fit in an int64 rational (component sets are
 // small, so this is unexpected) or exceeds one.
 func (s *Supertask) Weight() (rational.Rat, error) {
-	acc := rational.NewAcc()
-	for _, c := range s.Components {
-		acc.Add(c.Weight())
-	}
-	return accWeight(acc, s.Name)
+	return accWeight(s.Components.TotalWeight(), s.Name)
 }
 
 // ReweightedWeight returns the Holman–Anderson inflated weight: cumulative
@@ -56,12 +52,7 @@ func (s *Supertask) ReweightedWeight() (rational.Rat, error) {
 			pmin = c.Period
 		}
 	}
-	acc := rational.NewAcc()
-	for _, c := range s.Components {
-		acc.Add(c.Weight())
-	}
-	acc.Add(rational.New(1, pmin))
-	return accWeight(acc, s.Name)
+	return accWeight(s.Components.TotalWeight().AddFrac(1, pmin), s.Name)
 }
 
 func accWeight(acc *rational.Acc, name string) (rational.Rat, error) {

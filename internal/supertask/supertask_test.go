@@ -310,7 +310,7 @@ func TestNameReuseAfterLeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sys.Run(d.EffectiveAt + 1) // the departure lands at the top of slot EffectiveAt
+	before := sys.Run(d.EffectiveAt) // the departure lands at EffectiveAt, before this join
 	served, wasted := before.Served["S"], before.Wasted["S"]
 	if served == 0 {
 		t.Fatal("S was never served before it left")
