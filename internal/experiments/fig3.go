@@ -71,9 +71,9 @@ type fig3Trial struct {
 
 // Fig3 sweeps total utilization for each task count and evaluates both
 // schemes; the same pass yields Figure 4's loss decomposition. Every
-// (N, step, trial) triple seeds its own generator, so trials are
-// independent and the sweep parallelizes without changing a byte of
-// output.
+// (N, step, trial) triple seeds its own stream, on a generator borrowed
+// for the trial, so trials are independent and the sweep parallelizes
+// without changing a byte of output.
 func Fig3(cfg Fig3Config) map[int][]Fig3Point {
 	out := make(map[int][]Fig3Point, len(cfg.Ns))
 	for _, n := range cfg.Ns {
@@ -83,7 +83,9 @@ func Fig3(cfg Fig3Config) map[int][]Fig3Point {
 			target := lo + (hi-lo)*float64(step)/float64(cfg.Steps-1)
 			trials := make([]fig3Trial, cfg.SetsPerStep)
 			parallel.For(cfg.Workers, cfg.SetsPerStep, func(s int) {
-				g := taskgen.New(taskgen.SubSeed(cfg.Seed, seedFig3, int64(n), int64(step), int64(s)))
+				g := generators.Get().(*taskgen.Generator)
+				defer generators.Put(g)
+				g.Seed(taskgen.SubSeed(cfg.Seed, seedFig3, int64(n), int64(step), int64(s)))
 				set := mustSet(g.SetCapped("T", n, target, 0.9, Fig3PeriodsUS))
 				delays := g.CacheDelays(set, 100)
 				params := PaperParams(n, delays)

@@ -22,8 +22,11 @@
 package experiments
 
 import (
+	"sync"
+
 	"pfair/internal/overhead"
 	"pfair/internal/task"
+	"pfair/internal/taskgen"
 )
 
 // mustSet unwraps taskgen results inside the experiment harness: every
@@ -36,6 +39,11 @@ func mustSet(s task.Set, err error) task.Set {
 	}
 	return s
 }
+
+// generators lends each Figure 3/4 and quantum-sweep trial a generator
+// to reseed with its own seed. Reseeding is O(1) and allocates nothing,
+// and the trial draws exactly what taskgen.New(seed) would.
+var generators = sync.Pool{New: func() any { return taskgen.New(0) }}
 
 // DefaultSchedPD2 models the PD² per-invocation cost in µs as a function
 // of processors and tasks, fitted to the shape of the paper's Figure 2

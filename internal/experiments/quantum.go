@@ -59,7 +59,9 @@ func QuantumSweep(cfg QuantumSweepConfig) []QuantumPoint {
 		// generator reset used to guarantee.
 		trials := make([]quantumResult, cfg.Sets)
 		parallel.For(cfg.Workers, cfg.Sets, func(s int) {
-			g := taskgen.New(taskgen.SubSeed(cfg.Seed, seedQuantum, int64(s)))
+			g := generators.Get().(*taskgen.Generator)
+			defer generators.Put(g)
+			g.Seed(taskgen.SubSeed(cfg.Seed, seedQuantum, int64(s)))
 			set := mustSet(g.Set("T", cfg.N, cfg.TotalUtil, taskgen.DefaultPeriodsUS))
 			delays := g.CacheDelays(set, 100)
 			params := PaperParams(cfg.N, delays)

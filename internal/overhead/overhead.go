@@ -149,18 +149,37 @@ type Result struct {
 // p/q for the quantum-rounded weights, which the first round computes and
 // every later round keeps. Each task's cache delay is read once.
 func MinProcsPD2(set task.Set, p Params) Result {
+	mustValidate(p)
+	var dbuf [stackTasks]int64
+	return minProcsPD2(set, p, cacheDelays(dbuf[:0], set, p))
+}
+
+// stackTasks is the largest set whose per-task scratch stays on the
+// stack: the paper's task sets have at most 1000 tasks, and append moves
+// a larger set's to the heap.
+const stackTasks = 1024
+
+// mustValidate panics unless p is valid.
+func mustValidate(p Params) {
 	if err := p.Validate(); err != nil {
 		//pfair:allowpanic experiment parameters are static tables; Validate failures are programmer errors
 		panic(err)
 	}
+}
+
+// cacheDelays appends every task's cache delay to ds, in set order.
+func cacheDelays(ds []int64, set task.Set, p Params) []int64 {
+	for _, t := range set {
+		ds = append(ds, p.CacheDelay(t))
+	}
+	return ds
+}
+
+// minProcsPD2 is MinProcsPD2 with delays[i] the cache delay of set[i].
+func minProcsPD2(set task.Set, p Params, delays []int64) Result {
 	res := Result{BaseUtil: set.TotalUtilization()}
-	// The paper's task sets have at most 1000 tasks; their delays stay on
-	// the stack, and append moves a larger set's to the heap.
-	var dbuf [1024]int64
-	delays := dbuf[:0]
 	var base rational.Acc
 	for _, t := range set {
-		delays = append(delays, p.CacheDelay(t))
 		base.AddFrac(t.Cost, t.Period)
 	}
 	m := max(int(base.Ceil()), 1)
@@ -220,10 +239,14 @@ func MinProcsPD2(set task.Set, p Params) Result {
 // search resumes at the next processor, so the task lands where the
 // linear scan would put it.
 func MinProcsEDFFF(set task.Set, p Params) Result {
-	if err := p.Validate(); err != nil {
-		//pfair:allowpanic experiment parameters are static tables; Validate failures are programmer errors
-		panic(err)
-	}
+	mustValidate(p)
+	var dbuf [stackTasks]int64
+	return minProcsEDFFF(set, p, cacheDelays(dbuf[:0], set, p))
+}
+
+// minProcsEDFFF is MinProcsEDFFF with delays[i] the cache delay of
+// set[i]. It walks the set in task.Set.OrderByPeriodDecreasing's order.
+func minProcsEDFFF(set task.Set, p Params, delays []int64) Result {
 	res := Result{BaseUtil: set.TotalUtilization()}
 	var one rational.Acc // 1 over the lcm of the periods
 	for _, t := range set {
@@ -231,12 +254,15 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 	}
 	one.SetInt(1)
 	// The paper's task sets need at most a few hundred processors; the
-	// tree's nodes stay on the stack up to 256.
+	// bins and the tree's nodes stay on the stack up to 256.
+	var bbuf [256]ffBin
 	var nbuf [512]int32
-	tree := ffTree{node: nbuf[:0]}
+	tree := ffTree{bins: bbuf[:0], node: nbuf[:0]}
+	var obuf [stackTasks]int32
 	var util, u0 rational.Acc
 	u0.Set(&one) // over one's denominator, so a probe compares numerators
-	for _, t := range set.SortByPeriodDecreasing() {
+	for _, k := range set.OrderByPeriodDecreasing(obuf[:0]) {
+		t := set[k]
 		u0.SetInt(0).AddFrac(InflateEDF(t.Cost, p, 0), t.Period)
 		i, e, ok := -1, int64(0), false
 		for !ok {
@@ -248,7 +274,7 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 		if !ok {
 			// Open a processor; a task that does not fit even an empty
 			// one fits no count. The append is made here, not in an
-			// ffTree method, so that nbuf stays on the stack.
+			// ffTree method, so that bbuf and nbuf stay on the stack.
 			i = len(tree.bins)
 			tree.bins = append(tree.bins, ffBin{})
 			tree.bins[i].spare.Set(&one)
@@ -257,7 +283,7 @@ func MinProcsEDFFF(set task.Set, p Params) Result {
 				return Result{Processors: -1, BaseUtil: res.BaseUtil}
 			}
 		}
-		tree.bins[i].place(t.Period, p.CacheDelay(t), e)
+		tree.bins[i].place(t.Period, delays[k], e)
 		tree.lowered(i)
 		util.AddFrac(e, t.Period)
 	}
@@ -426,10 +452,14 @@ type Losses struct {
 }
 
 // ComputeLosses evaluates both schemes on the set and returns the loss
-// split along with the two Results.
+// split along with the two Results. Each task's cache delay is read once
+// for both.
 func ComputeLosses(set task.Set, p Params) (Losses, Result, Result) {
-	pd2 := MinProcsPD2(set, p)
-	ff := MinProcsEDFFF(set, p)
+	mustValidate(p)
+	var dbuf [stackTasks]int64
+	delays := cacheDelays(dbuf[:0], set, p)
+	pd2 := minProcsPD2(set, p, delays)
+	ff := minProcsEDFFF(set, p, delays)
 	var l Losses
 	if pd2.Processors > 0 {
 		l.Pfair = (pd2.InflatedUtil - pd2.BaseUtil) / float64(pd2.Processors)

@@ -248,6 +248,24 @@ func TestComputeLossesDecomposition(t *testing.T) {
 	}
 }
 
+// TestComputeLossesAllocations pins ComputeLosses on a Figure 3 top-step
+// set at N=500 to no allocation: the cache delays, the period order and
+// EDF-FF's processors all fit its stack buffers, and the Figure 3
+// periods keep every exact sum on the int64 path.
+func TestComputeLossesAllocations(t *testing.T) {
+	g := taskgen.New(11)
+	set, err := g.SetCapped("T", 500, 500.0/3, 0.9, []int64{50000, 100000, 200000, 250000, 500000, 1000000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delays := g.CacheDelays(set, 100)
+	p := paperParams(0)
+	p.CacheDelay = func(t *task.Task) int64 { return delays[t.Name] }
+	if allocs := testing.AllocsPerRun(20, func() { ComputeLosses(set, p) }); allocs != 0 {
+		t.Errorf("ComputeLosses on 500 tasks allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestParamsValidate(t *testing.T) {
 	good := paperParams(0)
 	if err := good.Validate(); err != nil {

@@ -89,7 +89,7 @@ func (sys *System) Submit(req admission.Request) (admission.Decision, error) {
 		return admission.Refuse(met, fmt.Errorf("supertask: join model carries no supertask"))
 	case req.Task.Name != st.Name:
 		return admission.Refuse(met, fmt.Errorf("supertask: representative %q does not carry supertask %q's name", req.Task.Name, st.Name))
-	case sys.lookup(st.Name) != nil:
+	case sys.live(st.Name, sys.sched.Now()) != nil:
 		return admission.Refuse(met, fmt.Errorf("supertask %q already added", st.Name))
 	}
 	d, err := sys.sched.Submit(admission.Join(req.Task))
@@ -103,8 +103,9 @@ func (sys *System) Submit(req admission.Request) (admission.Decision, error) {
 		ss.comps = append(ss.comps, &compState{t: c, obsID: -1, rem: c.Cost, off: d.EffectiveAt})
 	}
 	// Keep ordered sorted by name so the ComponentMisses sequence is a
-	// pure function of the workload, without re-sorting every slot.
-	at := sort.Search(len(sys.ordered), func(i int) bool { return sys.ordered[i].st.Name >= st.Name })
+	// pure function of the workload, without re-sorting every slot. A
+	// bundle that takes a departed supertask's name goes after it.
+	at := sort.Search(len(sys.ordered), func(i int) bool { return sys.ordered[i].st.Name > st.Name })
 	sys.ordered = append(sys.ordered, nil)
 	copy(sys.ordered[at+1:], sys.ordered[at:])
 	sys.ordered[at] = ss

@@ -87,10 +87,11 @@ type Result struct {
 	// ComponentMisses lists component-level deadline violations — the
 	// failure mode supertasking introduces.
 	ComponentMisses []ComponentMiss
-	// Served counts quanta delivered to each supertask.
+	// Served counts quanta delivered to each supertask, by name: a
+	// supertask that rejoined after leaving sums both stays.
 	Served map[string]int64
 	// Wasted counts supertask quanta that arrived when no component had
-	// released, unfinished work.
+	// released, unfinished work, by name as Served does.
 	Wasted map[string]int64
 }
 
@@ -139,7 +140,7 @@ type sstate struct {
 // loop.
 type System struct {
 	sched   *core.Scheduler
-	ordered []*sstate // sorted by supertask name, maintained on insert
+	ordered []*sstate // sorted by supertask name, then join order; maintained on insert
 	// byID maps each scheduler task id seen so far to the supertask it
 	// represents, nil for an ordinary task. A reweight's new incarnation
 	// is a new id mapped to the same bundle.
@@ -166,11 +167,13 @@ func NewSystem(m int, alg core.Algorithm, opts ...engine.Option) *System {
 // Result.Scheduler miss carries it.
 func (sys *System) Name(id int) string { return sys.sched.Name(id) }
 
-// lookup returns the supertask with the given name, or nil.
+// lookup returns the newest supertask with the given name, or nil.
+// Bundles that share a name, each joined after the last one left, sit
+// in ordered in join order.
 func (sys *System) lookup(name string) *sstate {
-	i := sort.Search(len(sys.ordered), func(i int) bool { return sys.ordered[i].st.Name >= name })
-	if i < len(sys.ordered) && sys.ordered[i].st.Name == name {
-		return sys.ordered[i]
+	i := sort.Search(len(sys.ordered), func(i int) bool { return sys.ordered[i].st.Name > name })
+	if i > 0 && sys.ordered[i-1].st.Name == name {
+		return sys.ordered[i-1]
 	}
 	return nil
 }
@@ -228,10 +231,10 @@ func (sys *System) Run(horizon int64) Result {
 	sys.res.Served, sys.res.Wasted = map[string]int64{}, map[string]int64{}
 	for _, ss := range sys.ordered {
 		if ss.served > 0 {
-			sys.res.Served[ss.st.Name] = ss.served
+			sys.res.Served[ss.st.Name] += ss.served
 		}
 		if ss.wasted > 0 {
-			sys.res.Wasted[ss.st.Name] = ss.wasted
+			sys.res.Wasted[ss.st.Name] += ss.wasted
 		}
 	}
 	return sys.res

@@ -10,6 +10,7 @@ import (
 	"pfair/internal/obs"
 	"pfair/internal/rational"
 	"pfair/internal/task"
+	"pfair/internal/verify"
 )
 
 // join admits an ordinary task through Submit.
@@ -327,5 +328,72 @@ func TestNameReuseAfterLeave(t *testing.T) {
 	// ran and resolved to no bundle.
 	if len(sys.byID) != 2 || sys.byID[1] != nil {
 		t.Errorf("plain S resolved to %v, want an ordinary task", sys.byID[1:])
+	}
+}
+
+// TestSupertaskRejoinsUnderDepartedName: S joins, leaves at slot 12, and
+// a new S with other components joins at slot 17. The new bundle is
+// admitted and served, Served sums both stays under the one name, a
+// second S is refused while the new one is live, and the schedule of the
+// two representatives verifies.
+func TestSupertaskRejoinsUnderDepartedName(t *testing.T) {
+	sys := NewSystem(2, core.PD2)
+	var rec verify.Recorder
+	sys.sched.OnSlot(func(at int64, assigned []core.Assignment) {
+		rec.Record(at, assigned)
+		sys.afterSlot(at, assigned)
+	})
+	request := func(st *Supertask) admission.Request {
+		req, err := JoinRequest(st, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	first := request(&Supertask{Name: "S", Components: task.Set{task.MustNew("c1", 1, 4), task.MustNew("c2", 1, 6)}})
+	if _, err := sys.Submit(first); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(12)
+	left, err := sys.Submit(admission.Leave("S"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if left.EffectiveAt > 17 {
+		t.Fatalf("S leaves at slot %d, after the rejoin at 17", left.EffectiveAt)
+	}
+	servedFirst := sys.Run(17).Served["S"]
+	if servedFirst == 0 {
+		t.Fatal("the first S was never served")
+	}
+	second := request(&Supertask{Name: "S", Components: task.Set{task.MustNew("d1", 1, 3), task.MustNew("d2", 1, 5)}})
+	joined, err := sys.Submit(second)
+	if err != nil {
+		t.Fatalf("S rejoining at slot 17 after leaving at %d: %v", left.EffectiveAt, err)
+	}
+	if _, err := sys.Submit(request(&Supertask{Name: "S", Components: task.Set{task.MustNew("e1", 1, 8)}})); err == nil {
+		t.Error("a third S joined while the second is live")
+	}
+	res := sys.Run(60)
+	ss := sys.lookup("S")
+	if ss.st != second.Model {
+		t.Fatalf("lookup(S) finds %v, want the rejoined bundle", ss.st)
+	}
+	if ss.served == 0 || res.Served["S"] != servedFirst+ss.served {
+		t.Errorf("Served[S] = %d, want the first stay's %d plus the second's %d (> 0)", res.Served["S"], servedFirst, ss.served)
+	}
+	for _, c := range ss.comps {
+		if c.completed == 0 {
+			t.Errorf("rejoined S's component %s finished no job by slot 60", c.t.Name)
+		}
+	}
+	at := joined.EffectiveAt
+	errs := verify.Check(task.Set{first.Task, second.Task}, rec.Slots, verify.Options{
+		Processors: 2,
+		SkipLag:    true, // lag is measured from each representative's own join
+		Offsets:    []func(int64) int64{nil, func(int64) int64 { return at }},
+	})
+	for _, err := range errs {
+		t.Error(err)
 	}
 }

@@ -22,6 +22,7 @@ package task
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -188,18 +189,122 @@ func (s Set) Clone() Set {
 // SortByPeriodDecreasing returns a copy sorted by decreasing period, the
 // order in which Section 4 requires tasks to be partitioned so that each
 // task's max-D(U) inflation term is known when it is placed. Ties break by
-// name for determinism. (period desc, name asc) is a total order only
-// because names are unique, which Set.Validate enforces; that is what lets
-// an unstable sort give the same result as a stable one.
+// name for determinism. It is the set permuted by OrderByPeriodDecreasing.
 func (s Set) SortByPeriodDecreasing() Set {
-	c := s.Clone()
-	slices.SortFunc(c, func(a, b *Task) int {
-		if d := cmp.Compare(b.Period, a.Period); d != 0 {
-			return d
-		}
-		return strings.Compare(a.Name, b.Name)
-	})
+	var obuf [maxStackSet]int32
+	c := make(Set, 0, len(s))
+	for _, i := range s.OrderByPeriodDecreasing(obuf[:0]) {
+		c = append(c, s[i])
+	}
 	return c
+}
+
+// maxStackSet is the largest set whose period order is computed in stack
+// buffers: the paper's task sets have at most 1000 tasks. append moves a
+// larger set's buffers to the heap.
+const maxStackSet = 1024
+
+// OrderByPeriodDecreasing appends to order the indices of s's tasks by
+// decreasing period, ties broken by strings.Compare on the names and then
+// by index, and returns the extended slice. The order is that of a stable
+// sort by (period desc, name); on a valid set, whose names are unique
+// (Set.Validate), the index never decides.
+//
+// It is decided on integers. A counting pass groups the tasks by their
+// period's rank among the set's distinct periods, the largest first.
+// Within a group each task has one uint64 key: its name's first 8 bytes
+// read as a big-endian integer, a shorter name padded with zero bytes,
+// cut to the bits in which the set's names differ, with the index below
+// them. Padding, and dropping low bits that do not fit beside the index,
+// keep the key order a coarsening of the name order, so one sort of a
+// group's keys is its order wherever two keys differ above the index.
+// Only runs that tie there (names that share their first 8 bytes or
+// differ only in trailing NULs, or bits dropped) are then sorted with
+// strings.Compare. The Figure 3 sets (names T0…T499, six periods) form
+// no run.
+func (s Set) OrderByPeriodDecreasing(order []int32) []int32 {
+	n := len(s)
+	if n == 0 {
+		return order
+	}
+	var pbuf, kbuf [maxStackSet]uint64
+	var cbuf [maxStackSet + 1]int32
+	periods, keys := pbuf[:0], kbuf[:0]
+	for _, t := range s {
+		periods = append(periods, uint64(t.Period))
+		keys = append(keys, namePrefix(t.Name))
+	}
+	slices.Sort(periods)
+	distinct := slices.Compact(periods)
+	d := len(distinct)
+	// Until the tasks are placed, keys[i] holds task i's name bits above
+	// its rank, which fits in the index's bits because d ≤ n.
+	ib := bits.Len(uint(n - 1))
+	low := uint64(1)<<ib - 1
+	sh, width := span(keys, 64-ib)
+	start := slices.Grow(cbuf[:0], d+1)[:d+1]
+	for i, t := range s {
+		at, _ := slices.BinarySearch(distinct, uint64(t.Period))
+		r := d - 1 - at
+		keys[i] = (keys[i]>>sh&(1<<width-1))<<ib | uint64(r)
+		start[r+1]++
+	}
+	for r := 1; r < d; r++ {
+		start[r] += start[r-1]
+	}
+	// Place each task in its rank's group, in index order; start[r] ends
+	// as the end of group r. periods' storage is free once ranked.
+	placed := periods[:n]
+	for i, k := range keys {
+		r := k & low
+		placed[start[r]] = k&^low | uint64(i)
+		start[r]++
+	}
+	from := 0
+	for _, to := range start[:d] {
+		group := placed[from:to]
+		slices.Sort(group)
+		for i := 0; i < len(group); {
+			j := i + 1
+			for j < len(group) && group[j]>>ib == group[i]>>ib {
+				j++
+			}
+			if j-i > 1 {
+				slices.SortFunc(group[i:j], func(a, b uint64) int {
+					return cmp.Or(strings.Compare(s[a&low].Name, s[b&low].Name), cmp.Compare(a, b))
+				})
+			}
+			i = j
+		}
+		from = int(to)
+	}
+	for _, k := range placed {
+		order = append(order, int32(k&low))
+	}
+	return order
+}
+
+// span returns the shift and width of the bits in which xs differ, the
+// width capped at limit by dropping low bits: x>>sh&(1<<width−1) orders
+// xs as they are ordered, up to ties.
+func span(xs []uint64, limit int) (sh, width int) {
+	diff := uint64(0)
+	for _, x := range xs {
+		diff |= x ^ xs[0]
+	}
+	hi := bits.Len64(diff)
+	sh = max(min(bits.TrailingZeros64(diff), hi), hi-limit)
+	return sh, hi - sh
+}
+
+// namePrefix returns name's first 8 bytes as a big-endian integer, a
+// shorter name padded with zero bytes.
+func namePrefix(name string) uint64 {
+	var p uint64
+	for i := range min(len(name), 8) {
+		p |= uint64(name[i]) << (56 - 8*i)
+	}
+	return p
 }
 
 // SortByUtilizationDecreasing returns a copy sorted by decreasing

@@ -221,7 +221,7 @@ func TestSortsMatchSliceStable(t *testing.T) {
 	}
 }
 
-// TestSortByPeriodDecreasingManyTies pins the unstable sort against
+// TestSortByPeriodDecreasingManyTies pins the period order against
 // slices.SortStableFunc, the sort it replaced, on validated sets where
 // most tasks share one of two periods: every tie is broken by the unique
 // names alone.
@@ -245,6 +245,74 @@ func TestSortByPeriodDecreasingManyTies(t *testing.T) {
 		})
 		if got := s.SortByPeriodDecreasing(); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (%d tasks): unstable sort differs from the stable one", trial, len(s))
+		}
+	}
+}
+
+// TestOrderByPeriodDecreasingMatchesReference holds the integer-keyed
+// period order to a stable sort of the indices by (period desc,
+// strings.Compare) on random sets built to defeat its shortcuts: names
+// longer than 8 bytes that share their first 8, names that are prefixes
+// of each other, names with NUL bytes (inside, and trailing, where the
+// zero-padded prefix cannot tell them apart), repeated names, random
+// bytes whose prefixes differ in more bits than a key holds, few and
+// many distinct periods, and sets from empty to past the stack buffers.
+func TestOrderByPeriodDecreasingMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	names := []func(i int) string{
+		func(i int) string { return fmt.Sprintf("T%d", i) },
+		func(i int) string { return fmt.Sprintf("longname%d", i) },            // one 8-byte prefix
+		func(i int) string { return strings.Repeat("a", i%12) },               // prefixes of each other
+		func(i int) string { return "a" + strings.Repeat("\x00", i%10) },      // trailing NULs
+		func(i int) string { return fmt.Sprintf("\x00%c\x00%d", 'a'+i%3, i) }, // inner NULs
+		func(int) string { return string(rune('A' + r.Intn(3))) },             // repeated: ties by index
+		func(int) string { // any bytes, differing from the first to the eighth
+			b := make([]byte, 7+r.Intn(4))
+			r.Read(b)
+			return string(b)
+		},
+	}
+	periods := []func() int64{
+		func() int64 { return []int64{50000, 100000, 200000, 250000, 500000, 1000000}[r.Intn(6)] },
+		func() int64 { return 1 + r.Int63n(1<<62) }, // many distinct, far apart
+		func() int64 { return 7 },
+	}
+	trial := 0
+	for _, n := range []int{0, 1, 2, 3, 17, 64, 500, maxStackSet + 300} {
+		for _, name := range names {
+			for _, period := range periods {
+				for range 2 {
+					checkPeriodOrder(t, trial, n, name, period, r)
+					trial++
+				}
+			}
+		}
+	}
+}
+
+// checkPeriodOrder builds one n-task set from the name and period
+// generators and compares its period order with the reference.
+func checkPeriodOrder(t *testing.T, trial, n int, name func(int) string, period func() int64, r *rand.Rand) {
+	t.Helper()
+	s := make(Set, n)
+	for i := range s {
+		s[i] = &Task{Name: name(i), Cost: 1, Period: period()}
+	}
+	want := make([]int32, n)
+	for i := range want {
+		want[i] = int32(i)
+	}
+	slices.SortStableFunc(want, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(s[b].Period, s[a].Period), strings.Compare(s[a].Name, s[b].Name))
+	})
+	got := s.OrderByPeriodDecreasing([]int32{-1})
+	if got[0] != -1 || !slices.Equal(got[1:], want) {
+		t.Fatalf("trial %d (%d tasks): order %v, want %v after -1", trial, n, got, want)
+	}
+	sorted := s.SortByPeriodDecreasing()
+	for i, k := range want {
+		if sorted[i] != s[k] {
+			t.Fatalf("trial %d (%d tasks): SortByPeriodDecreasing position %d is %v, want %v", trial, n, i, sorted[i], s[k])
 		}
 	}
 }

@@ -162,6 +162,23 @@ func TestUUniFastOneAllocation(t *testing.T) {
 	}
 }
 
+// TestSetCappedAllocations pins SetCapped's allocations to a constant
+// independent of the task count: the utilization vector, one slab of
+// tasks, the set and one string holding every name.
+func TestSetCappedAllocations(t *testing.T) {
+	g := New(1)
+	per := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := g.SetCapped("T", n, float64(n)/3, 0.9, fig3PeriodsUS); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := per(50), per(500); small != 4 || large != 4 {
+		t.Errorf("SetCapped allocates %v times at n=50 and %v at n=500, want 4 at both", small, large)
+	}
+}
+
 // BenchmarkSetCapped generates one Figure 3 top-step set at N=500.
 func BenchmarkSetCapped(b *testing.B) {
 	g := New(1)

@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 
 	"pfair/internal/task"
 )
@@ -203,7 +204,8 @@ func (g *Generator) Set(prefix string, n int, totalUtil float64, periods []int64
 // produced none, since its Figure 3 curves stay finite. It returns an
 // error for an empty or invalid period menu or infeasible utilization
 // parameters rather than panicking, so randomized (fuzzer) configurations
-// can probe edge cases without crashing the worker pool.
+// can probe edge cases without crashing the worker pool. The tasks share
+// one allocation, and their names one string.
 func (g *Generator) SetCapped(prefix string, n int, totalUtil, cap float64, periods []int64) (task.Set, error) {
 	if len(periods) == 0 {
 		return nil, fmt.Errorf("taskgen: empty period menu")
@@ -217,7 +219,13 @@ func (g *Generator) SetCapped(prefix string, n int, totalUtil, cap float64, peri
 	if err != nil {
 		return nil, err
 	}
-	set := make(task.Set, 0, n)
+	// One slab and one name string: a set costs the same few
+	// allocations at any n.
+	var num [20]byte
+	var names strings.Builder
+	names.Grow(n * (len(prefix) + len(strconv.AppendInt(num[:0], int64(n), 10))))
+	tasks := make([]task.Task, n)
+	set := make(task.Set, n)
 	for i, u := range us {
 		p := periods[g.rng.Intn(len(periods))]
 		e := int64(math.Round(u * float64(p)))
@@ -227,7 +235,14 @@ func (g *Generator) SetCapped(prefix string, n int, totalUtil, cap float64, peri
 		if e > p {
 			e = p
 		}
-		set = append(set, task.MustNew(prefix+strconv.Itoa(i), e, p))
+		from := names.Len()
+		names.WriteString(prefix)
+		names.Write(strconv.AppendInt(num[:0], int64(i), 10))
+		tasks[i] = task.Task{Name: names.String()[from:], Cost: e, Period: p}
+		if err := tasks[i].Validate(); err != nil {
+			return nil, err
+		}
+		set[i] = &tasks[i]
 	}
 	return set, nil
 }
